@@ -27,13 +27,7 @@ from .data import (
     write_claims_csv,
     write_csv,
 )
-from .evaluation import (
-    LossVector,
-    diebold_mariano,
-    gamma_deviance_contributions,
-    poisson_deviance_contributions,
-    write_dm_json,
-)
+from .evaluation import LossVector, diebold_mariano, get_family, write_dm_json
 from .gbm import BoostedModel
 from .glm import glm_from_json
 from .interpretation import partial_dependence, permutation_vip, write_pd_csv, write_vip_csv
@@ -49,11 +43,11 @@ def _require(path, stage):
         )
 
 
-def _load_data(data, schema, claims=None, severity=False):
+def _load_data(data, schema, claims=None, family="poisson_log"):
     _require(schema, "ingest/synth")
     _require(data, "ingest/synth")
     dataset = load_csv(data, load_schema(schema))
-    if severity:
+    if get_family(family).severity:
         if claims is None:
             raise click.ClickException("severity modeling needs --claims")
         _require(claims, "synth")
@@ -176,7 +170,7 @@ def folds(data, schema, seed, out):
 @click.option("--out", required=True, type=click.Path())
 def train(data, schema, claims, folds_path, seed, preset, families, response_family, out):
     """Run cross-validated training for the requested model families."""
-    dataset = _load_data(data, schema, claims, severity=response_family == "gamma_log")
+    dataset = _load_data(data, schema, claims, response_family)
     plan = None
     if folds_path is not None:
         _require(folds_path, "folds")
@@ -198,26 +192,24 @@ def train(data, schema, claims, folds_path, seed, preset, families, response_fam
 @main.command()
 @click.option("--data", required=True, type=click.Path())
 @click.option("--schema", required=True, type=click.Path())
+@click.option("--claims", type=click.Path(), default=None)
 @click.option("--pred-a", required=True, type=click.Path())
 @click.option("--pred-b", required=True, type=click.Path())
 @click.option("--family", type=click.Choice(["poisson_log", "gamma_log"]),
               default="poisson_log", show_default=True)
 @click.option("--out", required=True, type=click.Path())
-def evaluate(data, schema, pred_a, pred_b, family, out):
+def evaluate(data, schema, claims, pred_a, pred_b, family, out):
     """Diebold-Mariano verdict between two saved prediction files."""
-    dataset = _load_data(data, schema)
+    dataset = _load_data(data, schema, claims, family)
     rows_a, fa = _read_predictions(pred_a)
     rows_b, fb = _read_predictions(pred_b)
     if not np.array_equal(rows_a, rows_b):
         raise click.ClickException("prediction files cover different rows")
     sub = dataset.subset(rows_a)
-    if family == "poisson_log":
-        e = sub.exposure if sub.exposure is not None else np.ones(sub.n)
-        la = poisson_deviance_contributions(fa, sub.response, e)
-        lb = poisson_deviance_contributions(fb, sub.response, e)
-    else:
-        la = gamma_deviance_contributions(fa, sub.response, sub.weights)
-        lb = gamma_deviance_contributions(fb, sub.response, sub.weights)
+    fam = get_family(family)
+    y, w = sub.response, fam.obs_weight(sub)
+    la = fam.contributions(fa, y, w)
+    lb = fam.contributions(fb, y, w)
     result = diebold_mariano(LossVector(la, "A"), LossVector(lb, "B"))
     write_dm_json({"A_vs_B": result}, out)
     click.echo(f"DM verdict: {result.verdict} (p = {result.p_value:.4g})")
@@ -247,14 +239,15 @@ def interpret(data, schema, model_path, kind, seed, out):
 @main.command()
 @click.option("--data", required=True, type=click.Path())
 @click.option("--schema", required=True, type=click.Path())
+@click.option("--claims", type=click.Path(), default=None)
 @click.option("--model", "model_path", required=True, type=click.Path())
 @click.option("--kind", type=click.Choice(["glm", "gbm"]), required=True)
 @click.option("--family", type=click.Choice(["poisson_log", "gamma_log"]),
               default="poisson_log", show_default=True)
 @click.option("--out", required=True, type=click.Path())
-def surrogate(data, schema, model_path, kind, family, out):
+def surrogate(data, schema, claims, model_path, kind, family, out):
     """Distill a saved black-box model into a surrogate GLM tariff."""
-    dataset = _load_data(data, schema)
+    dataset = _load_data(data, schema, claims, family)
     model = _load_model(model_path, kind)
     result = build_surrogate(model, dataset, family, SurrogateConfig())
     os.makedirs(out, exist_ok=True)
@@ -309,10 +302,7 @@ def run(config_path, seed, preset, out):
     if overrides:
         config = replace(config, **overrides)
     dataset = _load_data(
-        config.data_path,
-        config.schema_path,
-        config.claims_path,
-        severity=config.response_family == "gamma_log",
+        config.data_path, config.schema_path, config.claims_path, config.response_family
     )
     result = run_pipeline(config, dataset)
     click.echo(f"pipeline complete: {len(result['loss_table'])} loss rows in {config.outdir}")

@@ -16,12 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._optim import ADAM_LR, Adam, glorot
 from ._rand import substream
 
-ADAM_LR = 1e-3
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPS = 1e-8
 BATCH_SIZE = 1000
 PATIENCE = 20
 MAX_EPOCHS = 1000
@@ -102,11 +99,6 @@ def reconstruction_loss(ae: Autoencoder, one_hot: np.ndarray) -> float:
     return cross_entropy(decode_softmax(ae, encode(ae, one_hot)), one_hot)
 
 
-def _glorot(rng, shape):
-    limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-    return rng.uniform(-limit, limit, shape)
-
-
 def train_autoencoder(
     one_hot_matrix: np.ndarray,
     blocks,
@@ -138,14 +130,12 @@ def train_autoencoder(
     x_train, x_val = x[train_idx], x[val_idx] if n_val else x[train_idx]
 
     params = [
-        _glorot(rng, (d, width)),
+        glorot(rng, (d, width)),
         np.zeros(d),
-        _glorot(rng, (width, d)),
+        glorot(rng, (width, d)),
         np.zeros(width),
     ]
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
-    t = 0
+    adam = Adam(params, lr)
 
     def loss_of(params, xb):
         ae = Autoencoder(params[0], params[1], params[2], params[3], tuple(blocks))
@@ -169,13 +159,7 @@ def train_autoencoder(
                 dlogits.T @ codes,
                 dlogits.sum(axis=0),
             ]
-            t += 1
-            for j, (p, g) in enumerate(zip(params, grads)):
-                m[j] = ADAM_BETA1 * m[j] + (1 - ADAM_BETA1) * g
-                v[j] = ADAM_BETA2 * v[j] + (1 - ADAM_BETA2) * g * g
-                m_hat = m[j] / (1 - ADAM_BETA1**t)
-                v_hat = v[j] / (1 - ADAM_BETA2**t)
-                params[j] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            params = adam.step(params, grads)
         val_loss = loss_of(params, x_val)
         if val_loss < best[0] - 1e-12:
             best = (val_loss, [p.copy() for p in params])

@@ -1,6 +1,7 @@
 """Losses and the four-part model evaluation framework.
 
-Deviance losses for frequency (Poisson) and severity (gamma), the
+Deviance losses for frequency (Poisson) and severity (gamma) with the
+`Family` object that owns each distribution's loss arithmetic, the
 Diebold-Mariano predictive-accuracy test, Murphy diagrams of elementary
 scores with dominance verdicts, calibration tables and prediction
 histograms. All functions are pure over immutable arrays.
@@ -8,12 +9,12 @@ histograms. All functions are pure over immutable arrays.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
+from scipy.special import gammaln
 
 DM_ALPHA = 0.05
 
@@ -38,11 +39,8 @@ def poisson_deviance_contributions(predictions, responses, exposures) -> np.ndar
     e = np.asarray(exposures, dtype=float)
     _check_positive(f, "predictions")
     _check_positive(e, "exposures")
-    if np.any(y < 0):
-        raise EvaluationError("responses must be non-negative")
-    mu = e * f
-    log_term = np.where(y > 0, y * np.log(np.where(y > 0, y, 1.0) / mu), 0.0)
-    return 2.0 * (log_term - (y - mu))
+    POISSON_LOG.check_response(y)
+    return POISSON_LOG.terms(f, y, e)
 
 
 def poisson_deviance(predictions, responses, exposures) -> float:
@@ -57,14 +55,158 @@ def gamma_deviance_contributions(predictions, responses, weights=None) -> np.nda
     y = np.asarray(responses, dtype=float)
     a = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
     _check_positive(f, "predictions")
-    _check_positive(y, "responses")
+    GAMMA_LOG.check_response(y)
     if np.any(a < 1):
         raise EvaluationError("severity weights must be >= 1")
-    return 2.0 * a * ((y - f) / f - np.log(y / f))
+    return GAMMA_LOG.terms(f, y, a)
 
 
 def gamma_deviance(predictions, responses, weights=None) -> float:
     return float(np.mean(gamma_deviance_contributions(predictions, responses, weights)))
+
+
+# -- response families -------------------------------------------------
+
+
+class Family:
+    """One log-link response distribution and all of its loss arithmetic.
+
+    `w` is the observation weight throughout: the exposure for Poisson
+    frequency, the claim count for gamma severity. Predictions `f` are
+    exp(score) with the exposure not applied. Each family defines
+    - `check_response(y, error)`;
+    - `terms(f, y, w)`, the per-row deviance without input checks, and
+      `contributions(f, y, w)`, the same with them;
+    - `mean(y, w)`, the weighted mean response that starts every fit;
+    - `gradient` and `hessian` of half the deviance in the log score;
+    - for IRLS, `split_weight(w)` into a log offset and a prior weight,
+      `working_weight`, `dispersion` and `loglik`;
+    - for tree binning, `split_sums(ys, ws)` and `half_deviance(s1, s2)`:
+      a node's deviance is a constant plus the half-deviance of its two
+      sums, so a split's gain needs only prefix sums.
+    """
+
+    name = ""
+    weight_attr = ""  # the Dataset attribute holding w
+    severity = False  # responses are claim amounts from the severity view
+
+    def obs_weight(self, dataset) -> np.ndarray:
+        w = getattr(dataset, self.weight_attr)
+        return np.ones(dataset.n) if w is None else np.asarray(w, dtype=float)
+
+    def deviance(self, predictions, dataset) -> float:
+        """Mean deviance of `predictions` on `dataset`."""
+        w = self.obs_weight(dataset)
+        return float(np.mean(self.contributions(predictions, dataset.response, w)))
+
+    def network_loss(self, f, y, w):
+        """Mean deviance and its gradient in the output u, where f = exp(u)."""
+        return np.mean(self.terms(f, y, w)), -2.0 * self.gradient(f, y, w) / len(y)
+
+
+class _PoissonLog(Family):
+    name = "poisson_log"
+    weight_attr = "exposure"
+
+    def check_response(self, y, error=EvaluationError):
+        if np.any(y < 0):
+            raise error("responses must be non-negative")
+
+    def terms(self, f, y, e):
+        mu = e * f
+        log_term = np.where(y > 0, y * np.log(np.where(y > 0, y, 1.0) / mu), 0.0)
+        return 2.0 * (log_term - (y - mu))
+
+    def contributions(self, f, y, e):
+        return poisson_deviance_contributions(f, y, e)
+
+    def mean(self, y, e):
+        return np.sum(y) / np.sum(e)
+
+    def gradient(self, f, y, e):
+        return y - e * f
+
+    def hessian(self, f, y, e):
+        return e * f
+
+    def split_weight(self, e):
+        return np.log(e), np.ones(len(e))
+
+    def working_weight(self, mu, prior_w):
+        return mu  # canonical link: weight = mean (incl. exposure)
+
+    def dispersion(self, dev, n, k):
+        return 1.0
+
+    def loglik(self, y, mu, prior_w, dispersion):
+        return float(np.sum(y * np.log(mu) - mu - gammaln(y + 1)))
+
+    def split_sums(self, ys, es):
+        # node deviance = const - 2 Sy ln(Sy/Se)
+        return np.cumsum(ys), np.cumsum(es)
+
+    def half_deviance(self, sy, se):
+        return -2.0 * np.where(sy > 0, sy * np.log(np.maximum(sy, 1e-300) / se), 0.0)
+
+
+class _GammaLog(Family):
+    name = "gamma_log"
+    weight_attr = "weights"
+    severity = True
+
+    def check_response(self, y, error=EvaluationError):
+        if np.any(~np.isfinite(y)) or np.any(y <= 0):
+            raise error("responses must be strictly positive and finite")
+
+    def terms(self, f, y, a):
+        return 2.0 * a * ((y - f) / f - np.log(y / f))
+
+    def contributions(self, f, y, a):
+        return gamma_deviance_contributions(f, y, a)
+
+    def mean(self, y, a):
+        return np.sum(a * y) / np.sum(a)
+
+    def gradient(self, f, y, a):
+        return a * (y / f - 1.0)
+
+    def hessian(self, f, y, a):
+        return a * y / f
+
+    def split_weight(self, a):
+        return np.zeros(len(a)), a
+
+    def working_weight(self, mu, prior_w):
+        return prior_w  # log link: weight = prior weight
+
+    def dispersion(self, dev, n, k):
+        return dev / max(n - k, 1)  # deviance-based estimator
+
+    def loglik(self, y, mu, prior_w, dispersion):
+        shape = prior_w / dispersion
+        rate = shape / mu
+        return float(
+            np.sum(shape * np.log(rate) - gammaln(shape) + (shape - 1) * np.log(y) - rate * y)
+        )
+
+    def split_sums(self, ys, a):
+        # node deviance = const + 2 Sa ln(Say/Sa)
+        return np.cumsum(a), np.cumsum(a * ys)
+
+    def half_deviance(self, sa, say):
+        return 2.0 * sa * np.log(say / sa)
+
+
+POISSON_LOG = _PoissonLog()
+GAMMA_LOG = _GammaLog()
+FAMILIES = {f.name: f for f in (POISSON_LOG, GAMMA_LOG)}
+
+
+def get_family(name: str, error=EvaluationError) -> Family:
+    """The family called `name`; raises `error` for an unknown name."""
+    if not isinstance(name, str) or name not in FAMILIES:
+        raise error(f"unknown family {name!r}")
+    return FAMILIES[name]
 
 
 # -- Diebold-Mariano ---------------------------------------------------
@@ -247,32 +389,6 @@ def prediction_histogram(predictions, bin_width: float) -> tuple[np.ndarray, np.
 
 
 # -- artifact emission -------------------------------------------------
-
-
-def write_murphy_csv(curves: list[MurphyCurve], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model_id", "theta", "score"])
-        for curve in curves:
-            for theta, score in zip(curve.thetas, curve.scores):
-                writer.writerow([curve.model_id, repr(float(theta)), repr(float(score))])
-
-
-def write_calibration_csv(table: CalibrationTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lower", "upper", "mean_prediction", "mean_response", "count", "merged"])
-        for b in range(len(table.counts)):
-            writer.writerow(
-                [
-                    table.edges[b],
-                    table.edges[b + 1],
-                    table.mean_prediction[b],
-                    table.mean_response[b],
-                    table.counts[b],
-                    int(table.merged[b]),
-                ]
-            )
 
 
 def write_dm_json(verdicts: dict[str, DMResult], path) -> None:

@@ -16,10 +16,7 @@ import numpy as np
 
 from ._rand import substream
 from .data import Dataset, FoldPlan
-from .evaluation import (
-    gamma_deviance,
-    poisson_deviance,
-)
+from .evaluation import get_family
 
 SHRINKAGE = 0.01
 BAGGING_FRACTION = 0.75
@@ -269,19 +266,11 @@ def fit_gbm(
         raise GbmError("n_trees and depth must be >= 1")
     if dataset.n == 0:
         raise GbmError("empty training data")
+    fam = get_family(family, GbmError)
     y = dataset.response
-    if family == "poisson_log":
-        e = dataset.exposure if dataset.exposure is not None else np.ones(dataset.n)
-        alpha = np.ones(dataset.n)
-        f0 = float(np.log(np.sum(y) / np.sum(e)))
-    elif family == "gamma_log":
-        if np.any(y <= 0):
-            raise GbmError("gamma responses must be strictly positive")
-        e = np.ones(dataset.n)
-        alpha = dataset.weights if dataset.weights is not None else np.ones(dataset.n)
-        f0 = float(np.log(np.sum(alpha * y) / np.sum(alpha)))
-    else:
-        raise GbmError(f"unknown family {family!r}")
+    fam.check_response(y, GbmError)
+    w = fam.obs_weight(dataset)
+    f0 = float(np.log(fam.mean(y, w)))
 
     model = BoostedModel(family, f0, shrinkage, [], n_trees, depth, seed, train_fold)
     rng = substream(seed, "gbm-bagging")
@@ -292,15 +281,9 @@ def fit_gbm(
     for _ in range(n_trees):
         n_bag = max(1, int(round(bagging_fraction * dataset.n)))
         bag = rng.choice(dataset.n, size=n_bag, replace=False) if n_bag < dataset.n else all_rows
-        mu = e * np.exp(current)
-        if family == "poisson_log":
-            grad = y - mu  # negative gradient of the deviance/2
-            hess = mu
-        else:
-            grad = alpha * (y / mu - 1.0)
-            hess = alpha * y / mu
-
-        tree_grad = grad[bag]
+        pred = np.exp(current)
+        hess = fam.hessian(pred, y, w)
+        tree_grad = fam.gradient(pred, y, w)[bag]
 
         def leaf_value(idx, tg=tree_grad, th=hess[bag]):
             h = np.sum(th[idx])
@@ -314,11 +297,7 @@ def fit_gbm(
     return model
 
 
-def predict_gbm(model: BoostedModel, dataset: Dataset) -> np.ndarray:
-    return model.predict(dataset)
-
-
-def _cv_deviance(dataset, family, fold_plan, outer_fold, n_trees_grid, depth, seed):
+def _cv_deviance(dataset, fam, fold_plan, outer_fold, n_trees_grid, depth, seed):
     """Average validation deviance per n_trees value, over the inner folds."""
     max_trees = max(n_trees_grid)
     losses = np.zeros(len(n_trees_grid))
@@ -326,9 +305,7 @@ def _cv_deviance(dataset, family, fold_plan, outer_fold, n_trees_grid, depth, se
     for k in inner:
         train_idx = np.flatnonzero((fold_plan.outer != outer_fold) & (fold_plan.outer != k))
         valid_idx = fold_plan.test_rows(k)
-        model = fit_gbm(
-            dataset.subset(train_idx), family, max_trees, depth, seed=seed
-        )
+        model = fit_gbm(dataset.subset(train_idx), fam.name, max_trees, depth, seed=seed)
         valid = dataset.subset(valid_idx)
         scores = np.full(valid.n, model.f0)
         rows = np.arange(valid.n)
@@ -336,12 +313,7 @@ def _cv_deviance(dataset, family, fold_plan, outer_fold, n_trees_grid, depth, se
         for t, tree in enumerate(model.trees, start=1):
             scores += model.shrinkage * _tree_predict(tree, valid, rows)
             if grid_pos < len(n_trees_grid) and t == n_trees_grid[grid_pos]:
-                pred = np.exp(scores)
-                if family == "poisson_log":
-                    exp_v = valid.exposure if valid.exposure is not None else np.ones(valid.n)
-                    losses[grid_pos] += poisson_deviance(pred, valid.response, exp_v)
-                else:
-                    losses[grid_pos] += gamma_deviance(pred, valid.response, valid.weights)
+                losses[grid_pos] += fam.deviance(np.exp(scores), valid)
                 grid_pos += 1
     return losses / len(inner)
 
@@ -361,10 +333,11 @@ def tune_gbm(
     at every prefix, so the n_trees axis costs one fit."""
     if not n_trees_grid or not depth_grid:
         raise GbmError("empty tuning grid")
+    fam = get_family(family, GbmError)
     n_trees_grid = tuple(sorted(n_trees_grid))
     best = None
     for depth in depth_grid:
-        losses = _cv_deviance(dataset, family, fold_plan, outer_fold, n_trees_grid, depth, seed)
+        losses = _cv_deviance(dataset, fam, fold_plan, outer_fold, n_trees_grid, depth, seed)
         for n_trees, loss in zip(n_trees_grid, losses):
             if best is None or loss < best[0]:
                 best = (loss, n_trees, depth)

@@ -16,16 +16,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._optim import ADAM_LR, Adam, glorot
 from ._rand import substream
 from .data import Dataset, ScalingStats, normalize_continuous, one_hot
 from .embedding import Autoencoder
+from .evaluation import get_family
 
 ACTIVATIONS = ("relu", "sigmoid", "softmax")
 
-ADAM_LR = 1e-3
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPS = 1e-8
 PATIENCE = 20
 MAX_EPOCHS = 1000
 
@@ -70,7 +68,6 @@ class SearchSpace:
 
 
 FREQUENCY_SPACE = SearchSpace()
-SEVERITY_SPACE = SearchSpace(batch_size=(200, 10_000))
 
 
 def random_grid(space: SearchSpace, n: int = 40, seed: int = 0) -> list[NetworkSpec]:
@@ -92,11 +89,6 @@ def random_grid(space: SearchSpace, n: int = 40, seed: int = 0) -> list[NetworkS
 
 
 # -- network parameters -------------------------------------------------
-
-
-def _glorot(rng, n_out, n_in):
-    limit = np.sqrt(6.0 / (n_in + n_out))
-    return rng.uniform(-limit, limit, (n_out, n_in))
 
 
 @dataclass
@@ -194,7 +186,7 @@ def build_network(
     hidden = []
     prev = width_in
     for _ in range(spec.hidden_layers):
-        hidden.append((_glorot(rng, spec.nodes, prev), np.zeros(spec.nodes)))
+        hidden.append((glorot(rng, (spec.nodes, prev)), np.zeros(spec.nodes)))
         prev = spec.nodes
     if cann_mode not in (None, "fixed", "flexible"):
         raise NeuralError(f"unknown CANN mode {cann_mode!r}")
@@ -205,7 +197,7 @@ def build_network(
         encoder_w=enc_w,
         encoder_b=enc_b,
         hidden=hidden,
-        out_w=_glorot(rng, 1, prev)[0] if cann_mode == "flexible" else np.zeros(prev),
+        out_w=glorot(rng, (1, prev))[0] if cann_mode == "flexible" else np.zeros(prev),
         out_b=float(out_bias) if cann_mode is None else 0.0,
         cann_mode=cann_mode,
         cann_out=np.array([0.0, 1.0, 0.0]) if cann_mode == "flexible" else np.array([1.0, 1.0, 0.0]),
@@ -276,22 +268,6 @@ def forward(
     return pred
 
 
-def _loss_grad_wrt_u(pred, y, family, obs_weight):
-    """Gradient of the mean deviance contribution with respect to the
-    pre-exp output u. obs_weight: exposure (Poisson) or claim count (gamma)."""
-    n = len(y)
-    if family == "poisson_log":
-        mu = obs_weight * pred
-        loss = np.mean(
-            2.0 * (np.where(y > 0, y * np.log(np.where(y > 0, y, 1.0) / mu), 0.0) - (y - mu))
-        )
-        du = 2.0 * (mu - y) / n
-    else:
-        loss = np.mean(2.0 * obs_weight * ((y - pred) / pred - np.log(y / pred)))
-        du = 2.0 * obs_weight * (1.0 - y / pred) / n
-    return loss, du
-
-
 def loss_and_gradients(
     net: Network,
     x_cont,
@@ -303,9 +279,11 @@ def loss_and_gradients(
     dropout_rng=None,
 ):
     """Mean deviance loss on the batch and gradients for every trainable
-    parameter, keyed like Network._trainable()."""
+    parameter, keyed like Network._trainable(). obs_weight: exposure
+    (Poisson) or claim count (gamma)."""
+    fam = get_family(family, NeuralError)
     pred, cache = forward(net, x_cont, x_onehot, log_y_in, dropout_rng, keep_cache=True)
-    loss, du = _loss_grad_wrt_u(pred, y, family, obs_weight)
+    loss, du = fam.network_loss(pred, y, obs_weight)
     grads = {}
     if net.cann_mode == "flexible":
         w_nn = net.cann_out[0]
@@ -338,8 +316,9 @@ def loss_and_gradients(
 
 
 def batch_loss(net, x_cont, x_onehot, y, family, obs_weight, log_y_in=None) -> float:
+    fam = get_family(family, NeuralError)
     pred = forward(net, x_cont, x_onehot, log_y_in)
-    loss, _ = _loss_grad_wrt_u(pred, y, family, obs_weight)
+    loss, _ = fam.network_loss(pred, y, obs_weight)
     return loss
 
 
@@ -378,9 +357,7 @@ def train_network(
     y_v, w_v, lyi_v = y[val], obs_weight[val], sliced(log_y_in, val)
 
     keys = net._trainable()
-    m = {k: np.zeros_like(net._get(k)) for k in keys}
-    v = {k: np.zeros_like(net._get(k)) for k in keys}
-    t = 0
+    adam = Adam([net._get(k) for k in keys], lr)
     best_loss = batch_loss(net, xc_v, xo_v, y_v, family, w_v, lyi_v)
     best_params = net.get_flat_params()
     val_history = [best_loss]
@@ -402,14 +379,12 @@ def train_network(
             )
             if not np.isfinite(loss):
                 raise NeuralError(f"training diverged (non-finite loss) at epoch {epoch}")
-            t += 1
-            for k in keys:
-                g = np.atleast_1d(np.asarray(grads[k], dtype=float))
-                m[k] = ADAM_BETA1 * m[k] + (1 - ADAM_BETA1) * g
-                v[k] = ADAM_BETA2 * v[k] + (1 - ADAM_BETA2) * g * g
-                m_hat = m[k] / (1 - ADAM_BETA1**t)
-                v_hat = v[k] / (1 - ADAM_BETA2**t)
-                net._set(k, net._get(k) - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+            new = adam.step(
+                [net._get(k) for k in keys],
+                [np.atleast_1d(np.asarray(grads[k], dtype=float)) for k in keys],
+            )
+            for k, p in zip(keys, new):
+                net._set(k, p)
         val_loss = batch_loss(net, xc_v, xo_v, y_v, family, w_v, lyi_v)
         val_history.append(val_loss)
         if val_loss < best_loss - 1e-12:
@@ -436,8 +411,6 @@ class NeuralModel:
     network: Network
     stats: ScalingStats
     initial_model: object = None  # predict(dataset) provider for CANN
-    model_id: str = ""
-    repetition: int = 0
 
     def _prepare(self, dataset: Dataset):
         normalized = normalize_continuous(dataset, self.stats)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .data import (
     stratified_folds,
 )
 from .embedding import scale_encoder, select_dimension
-from .evaluation import gamma_deviance, poisson_deviance
+from .evaluation import get_family
 from .glm import Design, GlmModel, fit_glm, tree_bin
 
 KNOWN_FAMILIES = (
@@ -114,6 +114,7 @@ class RunConfig:
         unknown = [f for f in self.families if f not in KNOWN_FAMILIES]
         if unknown:
             raise PipelineError(f"unknown model families: {unknown}")
+        get_family(self.response_family, PipelineError)
 
 
 def load_config(path) -> RunConfig:
@@ -140,24 +141,13 @@ class FoldContext:
     obs_weight: np.ndarray  # exposure (Poisson) or claim counts (gamma)
 
 
-def _observation_weight(dataset: Dataset, family: str) -> np.ndarray:
-    if family == "poisson_log":
-        e = dataset.exposure
-        return np.ones(dataset.n) if e is None else np.asarray(e, dtype=float)
-    w = dataset.weights
-    return np.ones(dataset.n) if w is None else np.asarray(w, dtype=float)
-
-
 def fold_deviance(predictions, dataset: Dataset, rows, family: str) -> float:
-    sub = dataset.subset(rows)
-    if family == "poisson_log":
-        e = sub.exposure if sub.exposure is not None else np.ones(sub.n)
-        return poisson_deviance(predictions, sub.response, e)
-    return gamma_deviance(predictions, sub.response, sub.weights)
+    return get_family(family, PipelineError).deviance(predictions, dataset.subset(rows))
 
 
 def build_fold_context(dataset: Dataset, family: str, fold_plan: FoldPlan, fold: int,
                        preset: Preset, seed: int) -> FoldContext:
+    fam = get_family(family, PipelineError)
     train_rows = fold_plan.train_rows(fold)
     stats = scaling_stats(dataset, train_rows, train_fold=fold) if dataset.continuous_names else ScalingStats({}, {}, fold)
     normalized = normalize_continuous(dataset, stats)
@@ -186,7 +176,7 @@ def build_fold_context(dataset: Dataset, family: str, fold_plan: FoldPlan, fold:
         x_cont=x_cont,
         x_onehot=x_oh,
         y=np.asarray(dataset.response, dtype=float),
-        obs_weight=_observation_weight(dataset, family),
+        obs_weight=fam.obs_weight(dataset),
     )
 
 
@@ -197,13 +187,13 @@ def fit_fold_glm(dataset: Dataset, family: str, train_rows, fold: int) -> GlmMod
     """Benchmark GLM: all features as main effects, continuous variables
     binned by a single-variable deviance tree on the training rows."""
     train = dataset.subset(train_rows)
+    obs_weight = get_family(family, PipelineError).obs_weight(train)
     binning = {}
     for name in train.continuous_names:
-        exposure = train.exposure if family == "poisson_log" else train.weights
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             binning[name] = tree_bin(
-                train.columns[name], train.response, exposure, family=family, name=name
+                train.columns[name], train.response, obs_weight, family=family, name=name
             )
     design = Design(tuple(train.feature_names), (), binning)
     return fit_glm(train, design, family, train_fold=fold)
@@ -266,10 +256,8 @@ def _net_predictions(net, ctx: FoldContext, rows, log_y_in):
 def tune_network_specs(ctx: FoldContext, dataset, family, fold_plan, cann_mode,
                        log_y_in, preset, seed) -> nn.NetworkSpec:
     """Random-grid search scored by inner cross-validation deviance."""
-    space = nn.FREQUENCY_SPACE if family == "poisson_log" else nn.SEVERITY_SPACE
-    space = replace(
-        space, batch_size=preset.freq_batch if family == "poisson_log" else preset.sev_batch
-    )
+    severity = get_family(family, PipelineError).severity
+    space = nn.SearchSpace(batch_size=preset.sev_batch if severity else preset.freq_batch)
     specs = nn.random_grid(space, n=preset.grid_size, seed=derive_seed(seed, "grid", ctx.fold))
     best = None
     for spec in specs:
@@ -337,9 +325,7 @@ def _write_predictions(path, rows, predictions):
 
 
 def _serialize(name, model):
-    if name == "glm":
-        return model.to_json()
-    if name == "gbm":
+    if name in ("glm", "gbm"):
         return model.to_json()
     payload = {
         "spec": None if model.spec is None else vars(model.spec),

@@ -116,6 +116,36 @@ def test_surrogate_command(workspace, tmp_path):
     assert (out / "report.txt").read_text().startswith("surrogate GLM selection report")
 
 
+def test_severity_evaluate_and_surrogate(workspace, tmp_path):
+    runner = CliRunner()
+    inputs = ["--data", workspace["data"], "--schema", workspace["schema"],
+              "--claims", workspace["claims"]]
+    train = tmp_path / "train"
+    r = runner.invoke(main, ["train", *inputs, "--families", "glm",
+                             "--response-family", "gamma_log", "--out", str(train)])
+    assert r.exit_code == 0, r.output
+    oos = str(train / "oos_predictions_glm.csv")
+    with open(oos, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    shifted = tmp_path / "shifted.csv"
+    with open(shifted, "w", newline="") as fh:
+        fh.write("row_index,prediction\n")
+        fh.writelines(f"{r['row_index']},{1.2 * float(r['prediction'])!r}\n" for r in rows)
+    out = tmp_path / "dm.json"
+    r = runner.invoke(main, ["evaluate", *inputs, "--family", "gamma_log",
+                             "--pred-a", str(shifted), "--pred-b", oos, "--out", str(out)])
+    assert r.exit_code == 0, r.output
+    result = json.loads(out.read_text())["A_vs_B"]
+    assert result["verdict"] in ("reject", "no_reject")
+    assert np.isfinite(result["statistic"])
+    r = runner.invoke(main, ["surrogate", *inputs, "--family", "gamma_log",
+                             "--model", str(train / "fold_0" / "glm" / "model.json"),
+                             "--kind", "glm", "--out", str(tmp_path / "surrogate")])
+    assert r.exit_code == 0, r.output
+    payload = json.loads((tmp_path / "surrogate" / "surrogate.json").read_text())
+    assert payload["glm"]["family"] == "gamma_log"
+
+
 def test_tariff_command(workspace, tmp_path):
     runner = CliRunner()
     oos = os.path.join(workspace["train"], "oos_predictions_glm.csv")
