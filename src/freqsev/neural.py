@@ -215,9 +215,10 @@ def _activate(name, z):
     return ez / ez.sum(axis=1, keepdims=True)
 
 
-def _activate_backward(name, a, z, da):
+def _activate_backward(name, a, da):
+    """Gradient in the pre-activation from the activation `a` alone."""
     if name == "relu":
-        return da * (z > 0)
+        return da * (a > 0)
     if name == "sigmoid":
         return da * a * (1.0 - a)
     return a * (da - np.sum(da * a, axis=1, keepdims=True))
@@ -233,7 +234,6 @@ def forward(
 ):
     """Row predictions exp(u); dropout only when a dropout rng is given
     (training), so inference is deterministic."""
-    n = len(x_cont) if net.n_continuous else len(x_onehot)
     if net.cann_mode is not None:
         if log_y_in is None:
             raise NeuralError("CANN forward needs the initial model's log-predictions")
@@ -250,9 +250,9 @@ def forward(
         if dropout_rng is not None and net.spec.dropout > 0:
             keep = 1.0 - net.spec.dropout
             mask = (dropout_rng.random(a.shape) < keep) / keep
-            a = a * mask
-        cache["layers"].append((z, a, mask, h))
-        h = a
+        # the backward pass differentiates the activation before the mask
+        cache["layers"].append((a, mask, h))
+        h = a if mask is None else a * mask
     y_nn = h @ net.out_w + net.out_b
     if net.cann_mode is None:
         u = y_nn
@@ -291,19 +291,17 @@ def loss_and_gradients(
             [float(du @ cache["y_nn"]), float(du @ log_y_in), float(du.sum())]
         )
         dy_nn = du * w_nn
-    elif net.cann_mode == "fixed":
-        dy_nn = du  # w_nn pinned at 1
     else:
-        dy_nn = du
+        dy_nn = du  # plain network, or fixed CANN with w_nn pinned at 1
     h_last = cache["h_last"]
     grads[("out_w", None)] = h_last.T @ dy_nn
     grads[("out_b", None)] = np.array([float(dy_nn.sum())])
     dh = np.outer(dy_nn, net.out_w)
     for i in range(len(net.hidden) - 1, -1, -1):
-        z, a, mask, h_in = cache["layers"][i]
+        a, mask, h_in = cache["layers"][i]
         if mask is not None:
             dh = dh * mask
-        dz = _activate_backward(net.spec.activation, a if mask is None else a, z, dh)
+        dz = _activate_backward(net.spec.activation, a, dh)
         w, _ = net.hidden[i]
         grads[("hidden", (i, 0))] = dz.T @ h_in
         grads[("hidden", (i, 1))] = dz.sum(axis=0)

@@ -196,3 +196,39 @@ def test_json_roundtrip():
     np.testing.assert_allclose(
         forward(clone, x, oh, lyi), forward(net, x, oh, lyi), rtol=1e-14
     )
+
+
+def test_gradient_check_with_dropout():
+    """Backprop through a dropout layer matches finite differences of the
+    loss under the same mask, for every activation."""
+    rng = np.random.default_rng(11)
+    n = 40
+    x = rng.normal(size=(n, 3))
+    no_oh = np.zeros((n, 0))
+    y = rng.poisson(0.5, n).astype(float)
+    e = rng.uniform(0.5, 1.0, n)
+
+    def loss_and_grads(net):
+        mask_rng = np.random.default_rng(13)  # the same dropout mask on every call
+        return loss_and_gradients(net, x, no_oh, y, "poisson_log", e, dropout_rng=mask_rng)
+
+    for activation in ("relu", "sigmoid", "softmax"):
+        net = build_network(_spec(activation=activation, hidden_layers=2, dropout=0.1), 3,
+                            onehot_width=0, seed=12)
+        flat = net.get_flat_params() + rng.normal(scale=0.3, size=net.get_flat_params().size)
+        net.set_flat_params(flat)
+        _, grads = loss_and_grads(net)
+        analytic = np.concatenate(
+            [np.atleast_1d(np.asarray(grads[k], dtype=float)).ravel() for k in net._trainable()]
+        )
+        h = 1e-6
+        for idx in range(flat.size):
+            up = flat.copy(); up[idx] += h
+            down = flat.copy(); down[idx] -= h
+            net.set_flat_params(up)
+            lu, _ = loss_and_grads(net)
+            net.set_flat_params(down)
+            ld, _ = loss_and_grads(net)
+            fd = (lu - ld) / (2 * h)
+            denom = max(abs(fd), abs(analytic[idx]), 1e-8)
+            assert abs(fd - analytic[idx]) / denom < 1e-4, (activation, idx)
