@@ -2,15 +2,22 @@
 
 Fixed hyperparameters follow the benchmark setup: shrinkage 0.01, bagging
 fraction 0.75, minimum node size 0.75% of the training rows. The tuned
-parameters are the number of trees and the tree depth. Trees split on raw
-continuous values; categorical splits order levels by the mean gradient
-inside the node and route unseen levels to the majority child.
+parameters are the number of trees and the tree depth.
+
+Each fit cuts every continuous feature of its own training frame into at
+most MAX_BINS quantile bins; with at most MAX_BINS distinct values the
+cuts are the midpoints an exact search would try. Trees grow level by
+level from histograms of bag count and gradient per node and bin.
+Categorical splits order levels by the mean gradient inside the node and
+route levels absent from the node to the majority child. A tree is flat
+arrays over its nodes, and prediction moves all rows down a level at a time.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,177 +28,143 @@ from .evaluation import get_family
 SHRINKAGE = 0.01
 BAGGING_FRACTION = 0.75
 MIN_NODE_SHARE = 0.0075
+MAX_BINS = 255
 
 PAPER_TREE_GRID = (100, 300, 500, 1000, 1500, 2000, 2500, 3000, 3500, 4000, 4500, 5000)
 PAPER_DEPTH_GRID = tuple(range(1, 11))
 DESK_TREE_GRID = (50, 100, 200, 400)
 DESK_DEPTH_GRID = (1, 2, 3, 4, 5)
+_JSON_KEYS = (
+    "family", "f0", "shrinkage", "n_trees", "depth", "seed", "train_fold", "features", "tuned"
+)
 
 
 class GbmError(ValueError):
     pass
 
 
-@dataclass
-class _Node:
-    # split nodes carry (variable, kind, threshold-or-level-set, children);
-    # leaves carry the log-scale value
-    leaf: bool
-    value: float = 0.0
-    variable: str = ""
-    kind: str = ""  # "continuous" | "categorical"
-    threshold: float = 0.0
-    left_levels: tuple[int, ...] = ()
-    right_levels: tuple[int, ...] = ()
-    majority_left: bool = True
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-
-    def to_dict(self):
-        if self.leaf:
-            return {"leaf": True, "value": self.value}
-        return {
-            "leaf": False,
-            "variable": self.variable,
-            "kind": self.kind,
-            "threshold": self.threshold,
-            "left_levels": list(self.left_levels),
-            "right_levels": list(self.right_levels),
-            "majority_left": self.majority_left,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        if d["leaf"]:
-            return cls(leaf=True, value=d["value"])
-        return cls(
-            leaf=False,
-            variable=d["variable"],
-            kind=d["kind"],
-            threshold=d["threshold"],
-            left_levels=tuple(d["left_levels"]),
-            right_levels=tuple(d["right_levels"]),
-            majority_left=d["majority_left"],
-            left=cls.from_dict(d["left"]),
-            right=cls.from_dict(d["right"]),
-        )
+class Tree(NamedTuple):
+    feature: np.ndarray  # split feature per node, -1 at a leaf
+    left: np.ndarray  # (nodes, width) bool: does this bin or level go left
+    child: np.ndarray  # left child, the right one follows; a leaf is its own left child
+    value: np.ndarray  # log-scale leaf value, 0 at split nodes
 
 
-def _route_left(node: _Node, dataset: Dataset, rows: np.ndarray) -> np.ndarray:
-    values = dataset.columns[node.variable][rows]
-    if node.kind == "continuous":
-        return values <= node.threshold
-    left = np.isin(values, node.left_levels)
-    # levels absent at fit time go to the majority child
-    unseen = ~np.isin(values, node.left_levels + node.right_levels)
-    if unseen.any():
-        left = np.where(unseen, node.majority_left, left)
-    return left
+def _cuts(x: np.ndarray) -> np.ndarray:
+    values, counts = np.unique(x, return_counts=True)
+    if len(values) > MAX_BINS:
+        # the last value at or below each equal-count quantile
+        targets = np.arange(1, MAX_BINS) * (len(x) / MAX_BINS)
+        keep = np.searchsorted(np.cumsum(counts), targets)
+        keep = np.unique(np.minimum(keep, len(values) - 2))
+        return (values[keep] + values[keep + 1]) / 2.0
+    return (values[:-1] + values[1:]) / 2.0
 
 
-def _tree_predict(node: _Node, dataset: Dataset, rows: np.ndarray) -> np.ndarray:
-    out = np.empty(len(rows))
-    stack = [(node, np.arange(len(rows)))]
-    while stack:
-        nd, idx = stack.pop()
-        if len(idx) == 0:
-            continue
-        if nd.leaf:
-            out[idx] = nd.value
-            continue
-        left = _route_left(nd, dataset, rows[idx])
-        stack.append((nd.left, idx[left]))
-        stack.append((nd.right, idx[~left]))
-    return out
+def _descend(node, feature, left, child, codes, levels):
+    """Move every row `levels` levels down; rows at a leaf stay there.
+
+    `codes` is the feature-major (features, rows) code matrix, raveled."""
+    rows = np.arange(len(node))
+    offset = np.maximum(feature, 0) * len(node)  # where each node's feature starts in codes
+    left, right = left.ravel(), child + 1
+    width = len(left) // len(feature)
+    for _ in range(levels):
+        code = codes.take(offset.take(node) + rows)
+        node = right.take(node) - left.take(node * width + code)
+    return node
 
 
-def _best_split_numeric(values, grad, min_count):
-    order = np.argsort(values, kind="stable")
-    xs, gs = values[order], grad[order]
-    boundary = np.flatnonzero(xs[:-1] < xs[1:]) + 1
-    if boundary.size == 0:
-        return None
-    cg = np.cumsum(gs)
-    n = len(gs)
-    total = cg[-1]
-    nl = boundary
-    nr = n - nl
-    ok = (nl >= min_count) & (nr >= min_count)
-    if not ok.any():
-        return None
-    sl = cg[boundary - 1]
-    sr = total - sl
-    # squared-error gain of splitting on the mean-fitted residuals
-    gain = sl**2 / nl + sr**2 / nr - total**2 / n
-    gain = np.where(ok, gain, -np.inf)
-    j = int(np.argmax(gain))
-    cut = (xs[boundary[j] - 1] + xs[boundary[j]]) / 2.0
-    return float(gain[j]), float(cut)
+class _Layout:
+    """The histogram's bin axis: every feature's bins or levels, end to end."""
+
+    def __init__(self, size, categorical):
+        self.end = np.cumsum(size)
+        self.width = max(size)  # of a go-left table
+        self.start = self.end - size
+        self.categorical = categorical  # per feature
+        self.owner = np.repeat(np.arange(len(size)), size)  # the feature of each bin
+        self.first = self.start[self.owner]  # the first bin of each bin's feature
+        self.cat_bins = np.flatnonzero(categorical[self.owner])
 
 
-def _best_split_categorical(codes, grad, n_levels, min_count):
-    counts = np.bincount(codes, minlength=n_levels)
-    present = np.flatnonzero(counts)
-    if len(present) < 2:
-        return None
-    sums = np.bincount(codes, weights=grad, minlength=n_levels)
-    means = sums[present] / counts[present]
-    order = present[np.argsort(means, kind="stable")]
-    cn = np.cumsum(counts[order])
-    cs = np.cumsum(sums[order])
-    n, total = cn[-1], cs[-1]
-    nl, sl = cn[:-1], cs[:-1]
+def _best_splits(counts, sums, layout, min_count):
+    """Best split of each node from its histograms of bag count and
+    gradient over the bin axis: the feature (-1 for none) and its go-left
+    row over that feature's bins or levels."""
+    m, n_bins = counts.shape
+    rows = np.arange(m)[:, None]
+    first = layout.first
+    absent = counts == 0
+    position = np.arange(n_bins)[None].repeat(m, 0)  # of each bin in split order
+    cat = layout.cat_bins
+    if len(cat):
+        # a categorical feature's levels split in order of mean gradient
+        c, s = counts[:, cat], sums[:, cat]
+        mean = np.divide(s, c, out=np.full(c.shape, np.inf), where=c > 0)
+        order = np.lexsort((mean, first[cat][None].repeat(m, 0)), axis=-1)
+        counts, sums = counts.copy(), sums.copy()
+        counts[:, cat], sums[:, cat] = c[rows, order], s[rows, order]
+        position[rows, cat[order]] = cat
+    cn = np.zeros((m, n_bins + 1))
+    cs = np.zeros((m, n_bins + 1))
+    np.cumsum(counts, axis=1, out=cn[:, 1:])
+    np.cumsum(sums, axis=1, out=cs[:, 1:])
+    n, total = cn[:, layout.end[:1]], cs[:, layout.end[:1]]
+    nl, sl = cn[:, 1:] - cn[:, first], cs[:, 1:] - cs[:, first]
     nr, sr = n - nl, total - sl
     ok = (nl >= min_count) & (nr >= min_count)
-    if not ok.any():
-        return None
-    gain = sl**2 / nl + sr**2 / nr - total**2 / n
-    gain = np.where(ok, gain, -np.inf)
-    j = int(np.argmax(gain))
-    left_levels = tuple(int(l) for l in order[: j + 1])
-    right_levels = tuple(int(l) for l in order[j + 1 :])
-    majority_left = cn[j] >= n - cn[j]
-    return float(gain[j]), left_levels, right_levels, bool(majority_left)
+    # squared-error gain of splitting on the mean-fitted residuals
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = np.where(ok, sl**2 / nl + sr**2 / nr - total**2 / n, -np.inf)
+    best = gain.argmax(axis=1)
+    at_best = rows[:, 0], best
+    f = layout.owner[best]
+    bins = layout.start[f][:, None] + np.arange(layout.width)
+    valid = bins < layout.end[f][:, None]
+    bins[~valid] = 0
+    go_left = valid & (position[rows, bins] <= best[:, None])
+    # levels absent from a categorical node go to the majority child
+    majority_left = layout.categorical[f] & (nl[at_best] >= nr[at_best])
+    go_left |= valid & absent[rows, bins] & majority_left[:, None]
+    return np.where(gain[at_best] > 0, f, -1), go_left
 
 
-def _grow_tree(dataset, rows, grad, depth, min_count, leaf_value):
-    def build(idx, level):
-        if level >= depth or len(idx) < 2 * min_count:
-            return _Node(leaf=True, value=leaf_value(idx))
-        g = grad[idx]
-        best = None
-        for name in dataset.feature_names:
-            col = dataset.column_schema(name)
-            if col.kind == "continuous":
-                res = _best_split_numeric(dataset.columns[name][idx], g, min_count)
-                if res and (best is None or res[0] > best[0]):
-                    best = (res[0], name, "continuous", res[1], (), (), True)
-            else:
-                res = _best_split_categorical(
-                    dataset.columns[name][idx], g, len(col.levels), min_count
-                )
-                if res and (best is None or res[0] > best[0]):
-                    best = (res[0], name, "categorical", 0.0, res[1], res[2], res[3])
-        if best is None or best[0] <= 0:
-            return _Node(leaf=True, value=leaf_value(idx))
-        _, name, kind, threshold, left_levels, right_levels, majority_left = best
-        node = _Node(
-            leaf=False,
-            variable=name,
-            kind=kind,
-            threshold=threshold,
-            left_levels=left_levels,
-            right_levels=right_levels,
-            majority_left=majority_left,
+def _grow(codes, keys, layout, grad, count, depth, min_count):
+    """Grow one tree level by level on the rows with positive `count`.
+
+    Returns the tree without leaf values and every row's leaf."""
+    n_bins = len(layout.owner)
+    capacity = 2 ** (depth + 1) - 1
+    feature = np.full(capacity, -1)
+    left = np.ones((capacity, layout.width), dtype=bool)
+    child = np.arange(capacity)
+    count_w, grad_w = np.tile(count, len(layout.start)), np.tile(grad, len(layout.start))
+    node = np.zeros(len(count), dtype=np.intp)
+    level = np.array([0])
+    size = 1
+    for _ in range(depth):
+        m = len(level)
+        slot = np.full(size, m)  # rows at leaves fill slot m, which is dropped
+        slot[level] = np.arange(m)
+        key = (keys + slot.take(node) * n_bins).ravel()
+        counts = np.bincount(key, count_w, (m + 1) * n_bins)[: m * n_bins]
+        sums = np.bincount(key, grad_w, (m + 1) * n_bins)[: m * n_bins]
+        split_feature, go_left = _best_splits(
+            counts.reshape(m, n_bins), sums.reshape(m, n_bins), layout, min_count
         )
-        left = _route_left(node, dataset, idx)
-        node.left = build(idx[left], level + 1)
-        node.right = build(idx[~left], level + 1)
-        return node
-
-    return build(rows, 0)
+        split = split_feature >= 0
+        k = int(split.sum())
+        if k == 0:
+            break
+        parents = level[split]
+        feature[parents] = split_feature[split]
+        left[parents] = go_left[split]
+        child[parents] = size + 2 * np.arange(k)
+        level = np.arange(size, size + 2 * k)
+        size += 2 * k
+        node = _descend(node, feature, left, child, codes, 1)
+    return feature[:size], left[:size].copy(), child[:size], node
 
 
 @dataclass
@@ -201,52 +174,66 @@ class BoostedModel:
     family: str
     f0: float
     shrinkage: float
-    trees: list[_Node] = field(default_factory=list)
+    trees: list[Tree] = field(default_factory=list)
     n_trees: int = 0
     depth: int = 0
     seed: int = 0
     train_fold: object = None
+    features: list[str] = field(default_factory=list)
+    cuts: dict[str, np.ndarray] = field(default_factory=dict)  # continuous features only
+    tuned: dict | None = None
+
+    def _codes(self, dataset: Dataset) -> np.ndarray:
+        """Feature-major (features, rows) matrix, raveled: the bin of each
+        continuous value, the level code of each categorical one."""
+        columns = [
+            np.searchsorted(self.cuts[name], dataset.columns[name], side="left")
+            if name in self.cuts
+            else dataset.columns[name]
+            for name in self.features
+        ]
+        return np.stack(columns).astype(np.intp, copy=False).ravel()
+
+    def _add_trees(self, scores: np.ndarray, codes: np.ndarray, trees) -> None:
+        """Add each tree's shrunken output to the log scores, in place."""
+        root = np.zeros(len(scores), dtype=np.intp)
+        for tree in trees:
+            leaf = _descend(root, tree.feature, tree.left, tree.child, codes, self.depth)
+            scores += (self.shrinkage * tree.value).take(leaf)
 
     def log_scores(self, dataset: Dataset, n_trees: int | None = None) -> np.ndarray:
-        rows = np.arange(dataset.n)
-        total = np.full(dataset.n, self.f0)
-        use = self.trees if n_trees is None else self.trees[:n_trees]
-        for tree in use:
-            total += self.shrinkage * _tree_predict(tree, dataset, rows)
-        return total
+        scores = np.full(dataset.n, self.f0)
+        self._add_trees(scores, self._codes(dataset), self.trees[:n_trees])
+        return scores
 
     def predict(self, dataset: Dataset, n_trees: int | None = None) -> np.ndarray:
         """Strictly positive predictions; exposure not applied."""
         return np.exp(self.log_scores(dataset, n_trees))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "family": self.family,
-                "f0": self.f0,
-                "shrinkage": self.shrinkage,
-                "n_trees": self.n_trees,
-                "depth": self.depth,
-                "seed": self.seed,
-                "train_fold": self.train_fold,
-                "trees": [t.to_dict() for t in self.trees],
-            }
-        )
+        d = {key: getattr(self, key) for key in _JSON_KEYS}
+        d["cuts"] = {name: c.tolist() for name, c in self.cuts.items()}
+        d["width"] = self.trees[0].left.shape[1] if self.trees else 0
+        # each go-left table is written as its bits, row after row, in hex
+        d["trees"] = [
+            {key: v.tolist() for key, v in t._asdict().items()}
+            | {"left": np.packbits(t.left).tobytes().hex()}
+            for t in self.trees
+        ]
+        return json.dumps(d)
 
     @classmethod
     def from_json(cls, text: str) -> "BoostedModel":
         d = json.loads(text)
-        model = cls(
-            family=d["family"],
-            f0=d["f0"],
-            shrinkage=d["shrinkage"],
-            n_trees=d["n_trees"],
-            depth=d["depth"],
-            seed=d["seed"],
-            train_fold=d.get("train_fold"),
-        )
-        model.trees = [_Node.from_dict(t) for t in d["trees"]]
-        return model
+        trees = []
+        for t in d["trees"]:
+            shape = (len(t["feature"]), d["width"])
+            bits = np.frombuffer(bytes.fromhex(t["left"]), np.uint8)
+            left = np.unpackbits(bits, count=shape[0] * shape[1])
+            trees.append(Tree(np.array(t["feature"]), left.astype(bool).reshape(shape),
+                              np.array(t["child"]), np.array(t["value"], dtype=float)))
+        cuts = {name: np.array(c, dtype=float) for name, c in d["cuts"].items()}
+        return cls(trees=trees, cuts=cuts, **{key: d[key] for key in _JSON_KEYS})
 
 
 def fit_gbm(
@@ -266,55 +253,60 @@ def fit_gbm(
         raise GbmError("n_trees and depth must be >= 1")
     if dataset.n == 0:
         raise GbmError("empty training data")
+    if not dataset.feature_names:
+        raise GbmError("no feature columns to split on")
     fam = get_family(family, GbmError)
     y = dataset.response
     fam.check_response(y, GbmError)
     w = fam.obs_weight(dataset)
     f0 = float(np.log(fam.mean(y, w)))
 
-    model = BoostedModel(family, f0, shrinkage, [], n_trees, depth, seed, train_fold)
+    features = dataset.feature_names
+    cuts = {name: _cuts(dataset.columns[name]) for name in dataset.continuous_names}
+    model = BoostedModel(family, f0, shrinkage, [], n_trees, depth, seed, train_fold,
+                         features, cuts)
+    size = [len(cuts[name]) + 1 if name in cuts else len(dataset.column_schema(name).levels)
+            for name in features]
+    layout = _Layout(size, np.array([name not in cuts for name in features], dtype=bool))
+    codes = model._codes(dataset)
+    keys = codes.reshape(len(features), dataset.n) + layout.start[:, None]
+
     rng = substream(seed, "gbm-bagging")
     min_count = max(1, int(np.ceil(MIN_NODE_SHARE * dataset.n)))
     current = np.full(dataset.n, f0)  # log-scale score, excluding offset
-    all_rows = np.arange(dataset.n)
-
+    n_bag = max(1, int(round(bagging_fraction * dataset.n)))
     for _ in range(n_trees):
-        n_bag = max(1, int(round(bagging_fraction * dataset.n)))
-        bag = rng.choice(dataset.n, size=n_bag, replace=False) if n_bag < dataset.n else all_rows
+        in_bag = np.ones(dataset.n)
+        if n_bag < dataset.n:
+            in_bag[:] = 0.0
+            in_bag[rng.choice(dataset.n, size=n_bag, replace=False)] = 1.0
         pred = np.exp(current)
-        hess = fam.hessian(pred, y, w)
-        tree_grad = fam.gradient(pred, y, w)[bag]
-
-        def leaf_value(idx, tg=tree_grad, th=hess[bag]):
-            h = np.sum(th[idx])
-            return float(np.sum(tg[idx]) / h) if h > 0 else 0.0
-
-        bag_view = dataset.subset(bag)
-        tree = _grow_tree(bag_view, np.arange(len(bag)), tree_grad, depth, min_count, leaf_value)
-        model.trees.append(tree)
-        if shrinkage != 0.0:
-            current += shrinkage * _tree_predict(tree, dataset, all_rows)
+        grad = fam.gradient(pred, y, w) * in_bag
+        hess = fam.hessian(pred, y, w) * in_bag
+        feature, left, child, leaf = _grow(codes, keys, layout, grad, in_bag, depth, min_count)
+        g = np.bincount(leaf, grad, len(feature))
+        h = np.bincount(leaf, hess, len(feature))
+        value = np.divide(g, h, out=np.zeros(len(feature)), where=h > 0)
+        model.trees.append(Tree(feature, left, child, value))
+        current += (shrinkage * value).take(leaf)
     return model
 
 
 def _cv_deviance(dataset, fam, fold_plan, outer_fold, n_trees_grid, depth, seed):
     """Average validation deviance per n_trees value, over the inner folds."""
-    max_trees = max(n_trees_grid)
     losses = np.zeros(len(n_trees_grid))
     inner = fold_plan.inner_folds(outer_fold)
     for k in inner:
         train_idx = np.flatnonzero((fold_plan.outer != outer_fold) & (fold_plan.outer != k))
-        valid_idx = fold_plan.test_rows(k)
-        model = fit_gbm(dataset.subset(train_idx), fam.name, max_trees, depth, seed=seed)
-        valid = dataset.subset(valid_idx)
+        model = fit_gbm(dataset.subset(train_idx), fam.name, max(n_trees_grid), depth, seed=seed)
+        valid = dataset.subset(fold_plan.test_rows(k))
+        codes = model._codes(valid)
         scores = np.full(valid.n, model.f0)
-        rows = np.arange(valid.n)
-        grid_pos = 0
-        for t, tree in enumerate(model.trees, start=1):
-            scores += model.shrinkage * _tree_predict(tree, valid, rows)
-            if grid_pos < len(n_trees_grid) and t == n_trees_grid[grid_pos]:
-                losses[grid_pos] += fam.deviance(np.exp(scores), valid)
-                grid_pos += 1
+        done = 0
+        for i, n_trees in enumerate(n_trees_grid):
+            model._add_trees(scores, codes, model.trees[done:n_trees])
+            losses[i] += fam.deviance(np.exp(scores), valid)
+            done = n_trees
     return losses / len(inner)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from freqsev.data import ColumnSchema, Dataset, stratified_folds
 from freqsev.evaluation import poisson_deviance
-from freqsev.gbm import BoostedModel, GbmError, fit_gbm, tune_gbm
+from freqsev.gbm import MAX_BINS, BoostedModel, GbmError, fit_gbm, tune_gbm
 
 from conftest import small_portfolio
 
@@ -58,8 +58,9 @@ def test_depth1_recovers_step_cut():
     ds = _simple_dataset(x, y)
     model = fit_gbm(ds, "poisson_log", n_trees=1, depth=1, seed=0, bagging_fraction=1.0)
     tree = model.trees[0]
-    assert not tree.leaf
-    assert abs(tree.threshold - 40.0) < 3.0
+    assert tree.feature[0] == 0  # the root splits on x
+    threshold = model.cuts["x"][np.flatnonzero(tree.left[0])[-1]]
+    assert abs(threshold - 40.0) < 3.0
 
 
 def test_bagging_reproducible():
@@ -105,8 +106,11 @@ def test_gamma_boosting_improves_on_mean():
 def test_json_roundtrip():
     p = small_portfolio(n=400, seed=7)
     model = fit_gbm(p.dataset, "poisson_log", n_trees=12, depth=3, seed=0)
+    model.tuned = {"n_trees": 12, "depth": 3}
     clone = BoostedModel.from_json(model.to_json())
-    np.testing.assert_allclose(clone.predict(p.dataset), model.predict(p.dataset), rtol=1e-12)
+    np.testing.assert_array_equal(clone.predict(p.dataset), model.predict(p.dataset))
+    assert clone.tuned == model.tuned
+    assert clone.to_json() == model.to_json()
 
 
 def test_tune_single_point_and_membership():
@@ -126,3 +130,91 @@ def test_rejects_bad_inputs():
         fit_gbm(ds, "poisson_log", n_trees=0, depth=1)
     with pytest.raises(GbmError):
         fit_gbm(ds, "unknown", n_trees=1, depth=1)
+
+
+def _route(model, tree, values):
+    """One row's leaf value, walking the tree on raw values and thresholds."""
+    node = 0
+    while tree.feature[node] >= 0:
+        name = model.features[tree.feature[node]]
+        if name in model.cuts:
+            go_left = values[name] <= model.cuts[name][np.flatnonzero(tree.left[node])[-1]]
+        else:
+            go_left = tree.left[node][int(values[name])]
+        node = tree.child[node] + (0 if go_left else 1)
+    return tree.value[node]
+
+
+def test_depth1_split_is_best_midpoint():
+    rng = np.random.default_rng(11)
+    x = rng.integers(18, 80, 2000).astype(float)  # 62 distinct values
+    e = rng.uniform(0.5, 1.0, 2000)
+    y = rng.poisson(e * np.exp(-2.0 + 0.03 * (x - 50.0) + 0.5 * (x > 61.0))).astype(float)
+    ds = _simple_dataset(x, y, e)
+    model = fit_gbm(ds, "poisson_log", n_trees=1, depth=1, bagging_fraction=1.0)
+
+    grad = y - e * np.exp(model.f0)
+    min_count = int(np.ceil(0.0075 * len(x)))
+    values = np.unique(x)
+    best = None
+    for cut in (values[:-1] + values[1:]) / 2.0:
+        left = x <= cut
+        nl, nr = left.sum(), (~left).sum()
+        if nl < min_count or nr < min_count:
+            continue
+        sl, sr = grad[left].sum(), grad[~left].sum()
+        gain = sl**2 / nl + sr**2 / nr - grad.sum() ** 2 / len(x)
+        if best is None or gain > best[0]:
+            best = (gain, cut)
+    tree = model.trees[0]
+    np.testing.assert_array_equal(model.cuts["x"], (values[:-1] + values[1:]) / 2.0)
+    assert model.cuts["x"][np.flatnonzero(tree.left[0])[-1]] == best[1]
+
+
+def test_thresholds_are_stored_cuts_beyond_max_bins():
+    p = small_portfolio(n=1200, seed=12)
+    ds = p.dataset
+    assert len(np.unique(ds.columns["age"])) > MAX_BINS
+    model = fit_gbm(ds, "poisson_log", n_trees=8, depth=3, seed=0, shrinkage=0.1)
+    cuts = model.cuts["age"]
+    assert len(cuts) < MAX_BINS and np.all(np.diff(cuts) > 0)
+    age = model.features.index("age")
+    for tree in model.trees:
+        for node in np.flatnonzero(tree.feature == age):
+            j = np.flatnonzero(tree.left[node])[-1]
+            assert j < len(cuts)
+            np.testing.assert_array_equal(tree.left[node], np.arange(tree.left.shape[1]) <= j)
+    rows = [{name: ds.columns[name][i] for name in model.features} for i in range(ds.n)]
+    reference = [
+        model.f0 + sum(model.shrinkage * _route(model, tree, r) for tree in model.trees)
+        for r in rows
+    ]
+    np.testing.assert_allclose(model.log_scores(ds), reference, rtol=1e-13)
+
+
+def test_level_absent_from_node_goes_to_majority_child():
+    schema = (
+        ColumnSchema("x", "continuous"),
+        ColumnSchema("g", "categorical", ("a", "b", "c")),
+        ColumnSchema("exposure", "exposure"),
+        ColumnSchema("claims", "response"),
+    )
+    rng = np.random.default_rng(4)
+    n = 3000
+    x = rng.uniform(-1.0, 1.0, n)
+    # level "c" occurs only at x >= 0.5, so it is absent from the x < 0 child
+    g = np.where(x < 0.5, rng.choice(2, n, p=[0.7, 0.3]), rng.choice(3, n))
+    rate = np.where(x < 0, 0.05, 1.0) * np.where(g == 1, 3.0, 1.0)
+    y = rng.poisson(rate).astype(float)
+    ds = Dataset(schema, {"x": x, "g": g, "exposure": np.ones(n), "claims": y})
+    model = fit_gbm(ds, "poisson_log", n_trees=1, depth=2, bagging_fraction=1.0)
+    tree = model.trees[0]
+    assert model.features[tree.feature[0]] == "x"
+    low = tree.child[0]  # the x < 0 child
+    assert model.features[tree.feature[low]] == "g"
+    levels_left = tree.left[low][:2]
+    assert levels_left[0] != levels_left[1]
+    in_node = g[x <= model.cuts["x"][np.flatnonzero(tree.left[0])[-1]]]
+    assert not np.any(in_node == 2)
+    n_left = np.sum(levels_left[in_node])
+    assert tree.left[low][2] == (n_left >= len(in_node) - n_left)
