@@ -75,10 +75,11 @@ def default_pd_grid(dataset: Dataset, variable: str) -> np.ndarray:
     if len(x) == 1:
         return x
     step = np.min(np.diff(x))
-    grid = np.arange(x[0], x[-1] + step / 2, step)
-    if len(grid) > PD_GRID_CAP:
-        grid = grid[np.round(np.linspace(0, len(grid) - 1, PD_GRID_CAP)).astype(int)]
-    return grid
+    # the points np.arange(x[0], x[-1] + step / 2, step) would hold, without
+    # building that grid: the smallest gap shrinks about as 1/n^2
+    n = int(np.ceil((x[-1] + step / 2 - x[0]) / step))
+    index = np.arange(n) if n <= PD_GRID_CAP else np.round(np.linspace(0, n - 1, PD_GRID_CAP))
+    return x[0] + index * ((x[0] + step) - x[0])
 
 
 def partial_dependence(

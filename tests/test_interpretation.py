@@ -1,12 +1,16 @@
 """Permutation importance, partial dependence, Monte-Carlo Shapley."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from freqsev.data import ColumnSchema, Dataset
 from freqsev.interpretation import (
+    PD_GRID_CAP,
     InterpretationError,
+    default_pd_grid,
     partial_dependence,
     partial_dependence_2d,
     permutation_vip,
@@ -160,3 +164,46 @@ def test_shapley_additive_convergence():
     # only age matters; region contribution should be ~0
     assert abs(contributions["region"]) < 1e-10
     assert contributions["age"] != 0.0
+
+
+def _age_only(age):
+    schema = (
+        ColumnSchema("age", "continuous"),
+        ColumnSchema("exposure", "exposure"),
+        ColumnSchema("claims", "response"),
+    )
+    n = len(age)
+    return Dataset(schema, {"age": age, "exposure": np.ones(n), "claims": np.zeros(n)})
+
+
+def test_default_pd_grid_equals_thinned_arange():
+    rng = np.random.default_rng(21)
+    for n in (2, 5, 30, 80):
+        for age in (
+            rng.uniform(18.0, 80.0, n),
+            rng.integers(18, 80, n).astype(float),
+            np.round(rng.uniform(0.0, 100.0, n), 2),
+        ):
+            x = np.unique(age)
+            if len(x) == 1:
+                continue
+            step = np.min(np.diff(x))
+            full = np.arange(x[0], x[-1] + step / 2, step)
+            if len(full) > PD_GRID_CAP:
+                full = full[np.round(np.linspace(0, len(full) - 1, PD_GRID_CAP)).astype(int)]
+            np.testing.assert_array_equal(default_pd_grid(_age_only(age), "age"), full)
+
+
+def test_default_pd_grid_memory_is_bounded():
+    # the smallest gap of 200k uniform values is about 1e-9 of the range,
+    # so the full arange would hold billions of points
+    ds = _age_only(np.random.default_rng(22).uniform(18.0, 80.0, 200_000))
+    tracemalloc.start()
+    try:
+        grid = default_pd_grid(ds, "age")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(grid) == PD_GRID_CAP
+    assert grid[0] == ds.columns["age"].min()
+    assert peak < 16 * 2**20, peak
