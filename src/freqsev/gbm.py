@@ -216,8 +216,8 @@ class BoostedModel:
         d["width"] = self.trees[0].left.shape[1] if self.trees else 0
         # each go-left table is written as its bits, row after row, in hex
         d["trees"] = [
-            {key: v.tolist() for key, v in t._asdict().items()}
-            | {"left": np.packbits(t.left).tobytes().hex()}
+            {"feature": t.feature.tolist(), "left": np.packbits(t.left).tobytes().hex(),
+             "child": t.child.tolist(), "value": t.value.tolist()}
             for t in self.trees
         ]
         return json.dumps(d)
@@ -276,10 +276,11 @@ def fit_gbm(
     current = np.full(dataset.n, f0)  # log-scale score, excluding offset
     n_bag = max(1, int(round(bagging_fraction * dataset.n)))
     for _ in range(n_trees):
-        in_bag = np.ones(dataset.n)
         if n_bag < dataset.n:
-            in_bag[:] = 0.0
+            in_bag = np.zeros(dataset.n)
             in_bag[rng.choice(dataset.n, size=n_bag, replace=False)] = 1.0
+        else:
+            in_bag = np.ones(dataset.n)
         pred = np.exp(current)
         grad = fam.gradient(pred, y, w) * in_bag
         hess = fam.hessian(pred, y, w) * in_bag
