@@ -82,10 +82,10 @@ class _Layout:
         self.end = np.cumsum(size)
         self.width = max(size)  # of a go-left table
         self.start = self.end - size
-        self.categorical = categorical  # per feature
         self.owner = np.repeat(np.arange(len(size)), size)  # the feature of each bin
         self.first = self.start[self.owner]  # the first bin of each bin's feature
-        self.cat_bins = np.flatnonzero(categorical[self.owner])
+        self.categorical = categorical[self.owner]  # per bin
+        self.cat_bins = np.flatnonzero(self.categorical)
 
 
 def _best_splits(counts, sums, layout, min_count):
@@ -119,15 +119,13 @@ def _best_splits(counts, sums, layout, min_count):
         gain = np.where(ok, sl**2 / nl + sr**2 / nr - total**2 / n, -np.inf)
     best = gain.argmax(axis=1)
     at_best = rows[:, 0], best
+    # levels absent from a categorical node go to the majority child
+    majority_left = (nl[at_best] >= nr[at_best])[:, None]
+    go_left = (position <= best[:, None]) | (absent & layout.categorical & majority_left)
     f = layout.owner[best]
     bins = layout.start[f][:, None] + np.arange(layout.width)
     valid = bins < layout.end[f][:, None]
-    bins[~valid] = 0
-    go_left = valid & (position[rows, bins] <= best[:, None])
-    # levels absent from a categorical node go to the majority child
-    majority_left = layout.categorical[f] & (nl[at_best] >= nr[at_best])
-    go_left |= valid & absent[rows, bins] & majority_left[:, None]
-    return np.where(gain[at_best] > 0, f, -1), go_left
+    return np.where(gain[at_best] > 0, f, -1), valid & go_left[rows, np.where(valid, bins, 0)]
 
 
 def _grow(codes, keys, layout, grad, count, depth, min_count):
