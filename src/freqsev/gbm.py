@@ -133,7 +133,8 @@ def _grow(codes, keys, layout, grad, count, depth, min_count):
 
     Returns the tree without leaf values and every row's leaf."""
     n_bins = len(layout.owner)
-    capacity = 2 ** (depth + 1) - 1
+    # every leaf but a lone root holds at least min_count bag rows
+    capacity = min(2 ** (depth + 1), 2 * max(1, int(count.sum()) // min_count)) - 1
     feature = np.full(capacity, -1)
     left = np.ones((capacity, layout.width), dtype=bool)
     child = np.arange(capacity)

@@ -63,6 +63,15 @@ def test_depth1_recovers_step_cut():
     assert abs(threshold - 40.0) < 3.0
 
 
+def test_deep_trees_stop_at_min_node_size():
+    p = small_portfolio(n=300, seed=4)
+    model = fit_gbm(p.dataset, "poisson_log", n_trees=3, depth=60, seed=0, shrinkage=0.5)
+    min_count = int(np.ceil(0.0075 * 300))
+    for tree in model.trees:
+        assert len(tree.feature) <= 2 * (225 // min_count) - 1
+    assert np.all(np.isfinite(model.predict(p.dataset)))
+
+
 def test_bagging_reproducible():
     p = small_portfolio(n=700, seed=5)
     a = fit_gbm(p.dataset, "poisson_log", n_trees=20, depth=2, seed=9)
