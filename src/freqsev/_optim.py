@@ -1,5 +1,13 @@
 """Glorot initialization and the Adam optimizer shared by the
-autoencoder and the networks."""
+autoencoder and the networks.
+
+Adam works on one flat parameter vector and steps it in place: a model
+keeps its parameter arrays as views of that vector and writes their
+gradients into views of one flat gradient vector. The step allocates
+nothing; it runs the textbook update one operation at a time, in the
+order of the per-array formula, so every element gets the same bits as
+`p - lr * m_hat / (sqrt(v_hat) + eps)` would give it.
+"""
 
 from __future__ import annotations
 
@@ -17,22 +25,31 @@ def glorot(rng, shape) -> np.ndarray:
 
 
 class Adam:
-    """Adam state for a fixed list of parameter arrays."""
+    """Adam state for one flat parameter vector of `size` elements."""
 
-    def __init__(self, params, lr: float = ADAM_LR):
+    def __init__(self, size: int, lr: float = ADAM_LR):
         self.lr = lr
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._step = np.empty(size)
+        self._scale = np.empty(size)
         self.t = 0
 
-    def step(self, params, grads) -> list[np.ndarray]:
-        """The updated parameters after one step along `grads`."""
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        """Move `theta` in place one step along `grad`."""
         self.t += 1
-        out = []
-        for j, (p, g) in enumerate(zip(params, grads)):
-            self.m[j] = ADAM_BETA1 * self.m[j] + (1 - ADAM_BETA1) * g
-            self.v[j] = ADAM_BETA2 * self.v[j] + (1 - ADAM_BETA2) * g * g
-            m_hat = self.m[j] / (1 - ADAM_BETA1**self.t)
-            v_hat = self.v[j] / (1 - ADAM_BETA2**self.t)
-            out.append(p - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
-        return out
+        step, scale = self._step, self._scale
+        self.m *= ADAM_BETA1
+        np.multiply(grad, 1 - ADAM_BETA1, out=step)
+        self.m += step
+        self.v *= ADAM_BETA2
+        np.multiply(grad, 1 - ADAM_BETA2, out=step)
+        step *= grad
+        self.v += step
+        np.divide(self.m, 1 - ADAM_BETA1**self.t, out=step)  # m_hat
+        step *= self.lr
+        np.divide(self.v, 1 - ADAM_BETA2**self.t, out=scale)  # v_hat
+        np.sqrt(scale, out=scale)
+        scale += ADAM_EPS
+        step /= scale
+        theta -= step

@@ -129,47 +129,47 @@ def train_autoencoder(
         train_idx = perm
     x_train, x_val = x[train_idx], x[val_idx] if n_val else x[train_idx]
 
-    params = [
-        glorot(rng, (d, width)),
-        np.zeros(d),
-        glorot(rng, (width, d)),
-        np.zeros(width),
-    ]
-    adam = Adam(params, lr)
+    theta = np.concatenate(
+        [glorot(rng, (d, width)).ravel(), np.zeros(d), glorot(rng, (width, d)).ravel(), np.zeros(width)]
+    )
+    grad = np.empty_like(theta)
+    w_enc, b_enc, w_dec, b_dec = _unflatten(theta, d, width)
+    g_w_enc, g_b_enc, g_w_dec, g_b_dec = _unflatten(grad, d, width)
+    adam = Adam(theta.size, lr)
 
-    def loss_of(params, xb):
-        ae = Autoencoder(params[0], params[1], params[2], params[3], tuple(blocks))
-        return reconstruction_loss(ae, xb)
-
-    best = (np.inf, [p.copy() for p in params])
+    best = (np.inf, theta.copy())
     bad_epochs = 0
     for _ in range(max_epochs):
         order = rng.permutation(len(x_train))
         for s in range(0, len(order), batch_size):
             xb = x_train[order[s : s + batch_size]]
-            w_enc, b_enc, w_dec, b_dec = params
             codes = xb @ w_enc.T + b_enc
             logits = codes @ w_dec.T + b_dec
             probs = _block_softmax(logits, blocks)
-            bsz = len(xb)
-            dlogits = (probs - xb) / bsz  # softmax + CE shortcut per block
-            grads = [
-                (dlogits @ w_dec).T @ xb,
-                (dlogits @ w_dec).sum(axis=0),
-                dlogits.T @ codes,
-                dlogits.sum(axis=0),
-            ]
-            params = adam.step(params, grads)
-        val_loss = loss_of(params, x_val)
+            dlogits = (probs - xb) / len(xb)  # softmax + CE shortcut per block
+            dcodes = dlogits @ w_dec
+            np.matmul(dcodes.T, xb, out=g_w_enc)
+            np.sum(dcodes, axis=0, out=g_b_enc)
+            np.matmul(dlogits.T, codes, out=g_w_dec)
+            np.sum(dlogits, axis=0, out=g_b_dec)
+            adam.step(theta, grad)
+        ae = Autoencoder(w_enc, b_enc, w_dec, b_dec, tuple(blocks))
+        val_loss = reconstruction_loss(ae, x_val)
         if val_loss < best[0] - 1e-12:
-            best = (val_loss, [p.copy() for p in params])
+            best = (val_loss, theta.copy())
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= patience:
                 break
-    params = best[1]
-    return Autoencoder(params[0], params[1], params[2], params[3], tuple(blocks))
+    return Autoencoder(*_unflatten(best[1], d, width), tuple(blocks))
+
+
+def _unflatten(flat, d, width):
+    """(w_enc, b_enc, w_dec, b_dec) as views of one flat vector."""
+    sizes = np.cumsum([d * width, d, width * d])
+    w_enc, b_enc, w_dec, b_dec = np.split(flat, sizes)
+    return w_enc.reshape(d, width), b_enc, w_dec.reshape(width, d), b_dec
 
 
 def select_dimension(

@@ -12,7 +12,7 @@ flexible variant trains it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -112,7 +112,7 @@ class Network:
     cann_out: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.0, 0.0]))
     history: dict = field(default_factory=dict)
 
-    # -- parameter vector helpers (used by Adam and the gradient check)
+    # -- flat parameter vector (training workspace, gradient checks)
 
     def _trainable(self):
         params = []
@@ -145,15 +145,22 @@ class Network:
     def get_flat_params(self) -> np.ndarray:
         return np.concatenate([self._get(k).ravel() for k in self._trainable()])
 
-    def set_flat_params(self, flat: np.ndarray) -> None:
-        pos = 0
+    def _split(self, flat: np.ndarray) -> dict:
+        """Views of `flat` shaped like the trainable parameters, keyed
+        like `_trainable()`."""
+        views, pos = {}, 0
         for key in self._trainable():
-            cur = self._get(key)
-            size = cur.size
-            self._set(key, flat[pos : pos + size].reshape(cur.shape))
+            shape = self._get(key).shape
+            size = int(np.prod(shape))
+            views[key] = flat[pos : pos + size].reshape(shape)
             pos += size
         if pos != flat.size:
             raise NeuralError("flat parameter vector has wrong length")
+        return views
+
+    def set_flat_params(self, flat: np.ndarray) -> None:
+        for key, value in self._split(flat).items():
+            self._set(key, value)
 
 
 def build_network(
@@ -204,24 +211,179 @@ def build_network(
     )
 
 
-def _activate(name, z):
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    # softmax applied over the collection of all nodes in the layer
-    zs = z - z.max(axis=1, keepdims=True)
-    ez = np.exp(zs)
-    return ez / ez.sum(axis=1, keepdims=True)
+# -- the forward/backward kernel -----------------------------------------
 
 
-def _activate_backward(name, a, da):
-    """Gradient in the pre-activation from the activation `a` alone."""
-    if name == "relu":
-        return da * (a > 0)
-    if name == "sigmoid":
-        return da * a * (1.0 - a)
-    return a * (da - np.sum(da * a, axis=1, keepdims=True))
+class _Workspace:
+    """Forward and backward pass of one network over at most `rows` rows.
+
+    Every array a pass writes is allocated here once; a pass over m rows
+    works on the `[:m]` views, each step writing in place. The parameters
+    are views of the flat vector `theta` and their gradients views of the
+    flat vector `grad`, both in `Network._trainable` order, so Adam steps
+    one vector in place. Each step runs the same floating-point operations
+    in the same order as the textbook formula it implements.
+
+    Usage: `m = load(inputs, rows)`, then `forward(m, dropout_rng)` and,
+    for the gradient, `backward(m, du)` on the rows of that forward pass.
+    Dropout buffers exist only when `dropout` is true.
+    """
+
+    def __init__(self, net: Network, rows: int, dropout: bool = False):
+        self.net = net
+        self.theta = net.get_flat_params()
+        self.grad = np.zeros_like(self.theta)
+        p, g = net._split(self.theta), net._split(self.grad)
+        layers = range(len(net.hidden))
+        self.w = [p[("hidden", (i, 0))] for i in layers]
+        self.b = [p[("hidden", (i, 1))] for i in layers]
+        self.g_w = [g[("hidden", (i, 0))] for i in layers]
+        self.g_b = [g[("hidden", (i, 1))] for i in layers]
+        self.out_w, self.out_b = p[("out_w", None)], p[("out_b", None)]
+        self.g_out_w, self.g_out_b = g[("out_w", None)], g[("out_b", None)]
+        self.cann_out = p.get(("cann_out", None), net.cann_out)
+        self.g_cann_out = g.get(("cann_out", None))
+        self.enc_w, self.enc_b = p.get(("encoder_w", None)), p.get(("encoder_b", None))
+        self.g_enc_w, self.g_enc_b = g.get(("encoder_w", None)), g.get(("encoder_b", None))
+
+        def buf(*shape, dtype=float):
+            return np.empty((rows, *shape), dtype)
+
+        nodes = net.spec.nodes
+        self.h0 = buf(self.w[0].shape[1])
+        if self.enc_w is None:
+            self.sources = [self.h0]
+        else:
+            self.x_cont, self.x_onehot = buf(net.n_continuous), buf(net.onehot_width)
+            self.codes, self.dh0 = buf(len(self.enc_b)), buf(self.h0.shape[1])
+            self.sources = [self.x_cont, self.x_onehot]
+        self.a = [buf(nodes) for _ in layers]  # activations before dropout
+        self.mask = [buf(nodes) for _ in layers] if dropout else None
+        self.dropped = [buf(nodes) for _ in layers] if dropout else None
+        self.dz, self.dh, self.flag, self.row = buf(nodes), buf(nodes), buf(nodes, dtype=bool), buf(1)
+        self.y_nn, self.pred, self.dy = buf(), buf(), buf()
+        if net.cann_mode is not None:
+            self.u, self.log_y_in = buf(), buf()
+            self.sources.append(self.log_y_in)
+        self.layer_out = self.a
+
+    def load(self, inputs, rows=None) -> int:
+        """Copy `rows` (all when None) of the `_inputs` arrays into the
+        workspace; returns their count."""
+        for src, dst in zip(inputs, self.sources):
+            if rows is None:
+                m = len(src)
+                np.copyto(dst[:m], src)
+            else:
+                m = len(rows)
+                np.take(src, rows, axis=0, out=dst[:m], mode="clip")  # "raise" would copy
+        return m
+
+    def forward(self, m: int, dropout_rng=None) -> np.ndarray:
+        """Predictions exp(u) on the first m loaded rows; inverted dropout
+        after every hidden layer when a dropout rng is given."""
+        net = self.net
+        h = self.h0[:m]
+        if self.enc_w is not None:
+            codes = np.matmul(self.x_onehot[:m], self.enc_w.T, out=self.codes[:m])
+            codes += self.enc_b
+            h[:, : net.n_continuous] = self.x_cont[:m]
+            h[:, net.n_continuous :] = codes
+        self.layer_out = self.a if dropout_rng is None else self.dropped
+        keep = 1.0 - net.spec.dropout
+        for i, (w, b) in enumerate(zip(self.w, self.b)):
+            a = np.matmul(h, w.T, out=self.a[i][:m])
+            a += b
+            self._activate(a, self.row[:m])
+            if dropout_rng is not None:
+                mask = dropout_rng.random(out=self.mask[i][:m])
+                flag = np.less(mask, keep, out=self.flag[:m])
+                np.divide(flag, keep, out=mask)
+                a = np.multiply(a, mask, out=self.dropped[i][:m])
+            h = a
+        y_nn = np.matmul(h, self.out_w, out=self.y_nn[:m])
+        y_nn += self.out_b
+        u = y_nn
+        if net.cann_mode is not None:
+            w_nn, w_in, b_c = self.cann_out
+            u = np.multiply(y_nn, w_nn, out=self.u[:m])
+            u += np.multiply(self.log_y_in[:m], w_in, out=self.pred[:m])
+            u += b_c
+        if not np.all(np.isfinite(u)):
+            raise NeuralError("non-finite value at the output layer")
+        return np.exp(u, out=self.pred[:m])
+
+    def backward(self, m: int, du: np.ndarray) -> None:
+        """Gradients into `grad` from `du`, the loss gradient in u, on the
+        rows of the last forward pass. Dropout layers differentiate the
+        activation before the mask."""
+        if self.g_cann_out is not None:
+            self.g_cann_out[0] = du @ self.y_nn[:m]
+            self.g_cann_out[1] = du @ self.log_y_in[:m]
+            self.g_cann_out[2] = du.sum()
+            du = np.multiply(du, self.cann_out[0], out=self.dy[:m])
+        # a plain network, or a fixed CANN with w_nn pinned at 1, passes du on
+        np.matmul(self.layer_out[-1][:m].T, du, out=self.g_out_w)
+        self.g_out_b[0] = du.sum()
+        dh, dz = np.outer(du, self.out_w, out=self.dh[:m]), self.dz[:m]
+        for i in range(len(self.w) - 1, -1, -1):
+            a = self.a[i][:m]
+            if self.layer_out is self.dropped:
+                dh *= self.mask[i][:m]
+            self._activate_backward(a, dh, dz)
+            h_in = self.h0[:m] if i == 0 else self.layer_out[i - 1][:m]
+            np.matmul(dz.T, h_in, out=self.g_w[i])
+            np.sum(dz, axis=0, out=self.g_b[i])
+            if i > 0:
+                np.matmul(dz, self.w[i], out=dh)
+            elif self.enc_w is not None:
+                dcodes = np.matmul(dz, self.w[0], out=self.dh0[:m])[:, self.net.n_continuous :]
+                np.matmul(dcodes.T, self.x_onehot[:m], out=self.g_enc_w)
+                np.sum(dcodes, axis=0, out=self.g_enc_b)
+
+    def _activate(self, z, row):
+        """The layer activation of `z`, in place."""
+        name = self.net.spec.activation
+        if name == "relu":
+            np.maximum(z, 0.0, out=z)
+        elif name == "sigmoid":  # 1 / (1 + exp(-z))
+            np.negative(z, out=z)
+            np.exp(z, out=z)
+            z += 1.0
+            np.divide(1.0, z, out=z)
+        else:  # softmax over the collection of all nodes in the layer
+            z -= np.max(z, axis=1, keepdims=True, out=row)
+            np.exp(z, out=z)
+            z /= np.sum(z, axis=1, keepdims=True, out=row)
+
+    def _activate_backward(self, a, da, dz):
+        """Gradient `dz` in the pre-activation from the activation `a` and
+        its gradient `da` alone; `da` is overwritten."""
+        name = self.net.spec.activation
+        if name == "relu":  # da * (a > 0)
+            np.multiply(da, np.greater(a, 0, out=self.flag[: len(a)]), out=dz)
+        elif name == "sigmoid":  # da * a * (1 - a)
+            np.multiply(da, a, out=dz)
+            dz *= np.subtract(1.0, a, out=da)
+        else:  # a * (da - sum(da * a))
+            np.multiply(da, a, out=dz)
+            da -= np.sum(dz, axis=1, keepdims=True, out=self.row[: len(a)])
+            np.multiply(a, da, out=dz)
+
+
+def _inputs(net: Network, x_cont, x_onehot, log_y_in) -> list[np.ndarray]:
+    """The row-aligned arrays a workspace loads: the first layer's input
+    (with a grafted encoder, the continuous and one-hot blocks instead),
+    then log_y_in for a CANN."""
+    if net.encoder_w is not None:
+        arrays = [x_cont, x_onehot]
+    else:
+        arrays = [np.hstack([x_cont, x_onehot]) if net.onehot_width else x_cont]
+    if net.cann_mode is not None:
+        if log_y_in is None:
+            raise NeuralError("CANN forward needs the initial model's log-predictions")
+        arrays.append(log_y_in)
+    return arrays
 
 
 def forward(
@@ -233,39 +395,13 @@ def forward(
     keep_cache: bool = False,
 ):
     """Row predictions exp(u); dropout only when a dropout rng is given
-    (training), so inference is deterministic."""
-    if net.cann_mode is not None:
-        if log_y_in is None:
-            raise NeuralError("CANN forward needs the initial model's log-predictions")
-    if net.encoder_w is not None:
-        codes = x_onehot @ net.encoder_w.T + net.encoder_b
-        h = np.hstack([x_cont, codes]) if net.n_continuous else codes
-    else:
-        h = np.hstack([x_cont, x_onehot]) if net.onehot_width else x_cont
-    cache = {"h0": h, "layers": []}
-    for i, (w, b) in enumerate(net.hidden):
-        z = h @ w.T + b
-        a = _activate(net.spec.activation, z)
-        mask = None
-        if dropout_rng is not None and net.spec.dropout > 0:
-            keep = 1.0 - net.spec.dropout
-            mask = (dropout_rng.random(a.shape) < keep) / keep
-        # the backward pass differentiates the activation before the mask
-        cache["layers"].append((a, mask, h))
-        h = a if mask is None else a * mask
-    y_nn = h @ net.out_w + net.out_b
-    if net.cann_mode is None:
-        u = y_nn
-    else:
-        w_nn, w_in, b_c = net.cann_out
-        u = w_nn * y_nn + w_in * log_y_in + b_c
-    if not np.all(np.isfinite(u)):
-        raise NeuralError("non-finite value at the output layer")
-    pred = np.exp(u)
-    if keep_cache:
-        cache.update({"y_nn": y_nn, "u": u, "pred": pred, "h_last": h})
-        return pred, cache
-    return pred
+    (training), so inference is deterministic. With `keep_cache`, returns
+    (predictions, the workspace of the pass) for a backward pass."""
+    dropout_rng = dropout_rng if net.spec.dropout > 0 else None
+    inputs = _inputs(net, x_cont, x_onehot, log_y_in)
+    ws = _Workspace(net, len(inputs[0]), dropout=dropout_rng is not None)
+    pred = ws.forward(ws.load(inputs), dropout_rng)
+    return (pred, ws) if keep_cache else pred
 
 
 def loss_and_gradients(
@@ -282,35 +418,10 @@ def loss_and_gradients(
     parameter, keyed like Network._trainable(). obs_weight: exposure
     (Poisson) or claim count (gamma)."""
     fam = get_family(family, NeuralError)
-    pred, cache = forward(net, x_cont, x_onehot, log_y_in, dropout_rng, keep_cache=True)
+    pred, ws = forward(net, x_cont, x_onehot, log_y_in, dropout_rng, keep_cache=True)
     loss, du = fam.network_loss(pred, y, obs_weight)
-    grads = {}
-    if net.cann_mode == "flexible":
-        w_nn = net.cann_out[0]
-        grads[("cann_out", None)] = np.array(
-            [float(du @ cache["y_nn"]), float(du @ log_y_in), float(du.sum())]
-        )
-        dy_nn = du * w_nn
-    else:
-        dy_nn = du  # plain network, or fixed CANN with w_nn pinned at 1
-    h_last = cache["h_last"]
-    grads[("out_w", None)] = h_last.T @ dy_nn
-    grads[("out_b", None)] = np.array([float(dy_nn.sum())])
-    dh = np.outer(dy_nn, net.out_w)
-    for i in range(len(net.hidden) - 1, -1, -1):
-        a, mask, h_in = cache["layers"][i]
-        if mask is not None:
-            dh = dh * mask
-        dz = _activate_backward(net.spec.activation, a, dh)
-        w, _ = net.hidden[i]
-        grads[("hidden", (i, 0))] = dz.T @ h_in
-        grads[("hidden", (i, 1))] = dz.sum(axis=0)
-        dh = dz @ w
-    if net.encoder_w is not None:
-        dcodes = dh[:, net.n_continuous :]
-        grads[("encoder_w", None)] = dcodes.T @ x_onehot
-        grads[("encoder_b", None)] = dcodes.sum(axis=0)
-    return loss, grads
+    ws.backward(len(pred), du)
+    return loss, net._split(ws.grad)
 
 
 def batch_loss(net, x_cont, x_onehot, y, family, obs_weight, log_y_in=None) -> float:
@@ -336,9 +447,14 @@ def train_network(
 ) -> Network:
     """Mini-batch Adam with inverted dropout, early stopping on a random
     20% validation split and best-weights restore. Gradients flow into the
-    grafted encoder. Raises when the loss turns non-finite."""
+    grafted encoder. Raises when the loss turns non-finite.
+
+    Training runs on one workspace of max(batch, validation rows) rows,
+    with the parameters packed into its flat vector at the start and
+    written back to `net` once, at the end."""
+    fam = get_family(family, NeuralError)
     rng = substream(seed, "train", net.spec.seed)
-    dropout_rng = substream(seed, "dropout", net.spec.seed)
+    dropout_rng = substream(seed, "dropout", net.spec.seed) if net.spec.dropout > 0 else None
     n = len(y)
     perm = rng.permutation(n)
     n_val = int(round(validation_fraction * n))
@@ -346,48 +462,39 @@ def train_network(
     if len(tr) == 0 or len(val) == 0:
         tr = val = perm
 
-    def sliced(a, idx):
-        return None if a is None else np.asarray(a)[idx]
+    def split(idx):
+        sliced = [None if a is None else np.asarray(a)[idx] for a in (x_cont, x_onehot, log_y_in)]
+        return _inputs(net, *sliced), y[idx], obs_weight[idx]
 
-    xc_tr, xo_tr = sliced(x_cont, tr), sliced(x_onehot, tr)
-    y_tr, w_tr, lyi_tr = y[tr], obs_weight[tr], sliced(log_y_in, tr)
-    xc_v, xo_v = sliced(x_cont, val), sliced(x_onehot, val)
-    y_v, w_v, lyi_v = y[val], obs_weight[val], sliced(log_y_in, val)
+    tr_in, y_tr, w_tr = split(tr)
+    val_in, y_v, w_v = split(val)
+    batch = min(net.spec.batch_size, len(y_tr))
+    ws = _Workspace(net, max(batch, len(val)), dropout=dropout_rng is not None)
+    adam = Adam(ws.theta.size, lr)
 
-    keys = net._trainable()
-    adam = Adam([net._get(k) for k in keys], lr)
-    best_loss = batch_loss(net, xc_v, xo_v, y_v, family, w_v, lyi_v)
-    best_params = net.get_flat_params()
+    def validation_loss():
+        loss, _ = fam.network_loss(ws.forward(ws.load(val_in)), y_v, w_v)
+        return loss
+
+    best_loss = validation_loss()
+    best_params = ws.theta.copy()
     val_history = [best_loss]
     bad = 0
-    batch = min(net.spec.batch_size, len(y_tr))
     for epoch in range(max_epochs):
         order = rng.permutation(len(y_tr))
         for s in range(0, len(order), batch):
             idx = order[s : s + batch]
-            loss, grads = loss_and_gradients(
-                net,
-                sliced(xc_tr, idx),
-                sliced(xo_tr, idx),
-                y_tr[idx],
-                family,
-                w_tr[idx],
-                sliced(lyi_tr, idx),
-                dropout_rng if net.spec.dropout > 0 else None,
-            )
+            m = ws.load(tr_in, idx)
+            loss, du = fam.network_loss(ws.forward(m, dropout_rng), y_tr[idx], w_tr[idx])
             if not np.isfinite(loss):
                 raise NeuralError(f"training diverged (non-finite loss) at epoch {epoch}")
-            new = adam.step(
-                [net._get(k) for k in keys],
-                [np.atleast_1d(np.asarray(grads[k], dtype=float)) for k in keys],
-            )
-            for k, p in zip(keys, new):
-                net._set(k, p)
-        val_loss = batch_loss(net, xc_v, xo_v, y_v, family, w_v, lyi_v)
+            ws.backward(m, du)
+            adam.step(ws.theta, ws.grad)
+        val_loss = validation_loss()
         val_history.append(val_loss)
         if val_loss < best_loss - 1e-12:
             best_loss = val_loss
-            best_params = net.get_flat_params()
+            np.copyto(best_params, ws.theta)
             bad = 0
         else:
             bad += 1

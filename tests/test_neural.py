@@ -1,5 +1,7 @@
 """Feed-forward and CANN networks: forward math, gradients, training."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,10 @@ def test_random_grid_properties():
 
 
 def test_gradient_check_all_activations():
+    """Backprop matches central differences for every activation, for a
+    plain network and both CANN heads, under both response families. The
+    last four parameters (the output bias and, in a flexible CANN, the
+    output combination) are always among those checked."""
     rng = np.random.default_rng(5)
     n = 40
     x_cont = rng.normal(size=(n, 2))
@@ -115,31 +121,40 @@ def test_gradient_check_all_activations():
     x_oh[np.arange(n), codes] = 1.0
     ae = train_autoencoder(x_oh, (("g", 3),), d=2, seed=0, max_epochs=30)
     encoder = scale_encoder(ae, x_oh)
-    y = rng.poisson(0.5, n).astype(float)
+    responses = {"poisson_log": rng.poisson(0.5, n).astype(float),
+                 "gamma_log": rng.gamma(2.0, 0.5, n)}
     e = rng.uniform(0.5, 1.0, n)
-    for activation in ("relu", "sigmoid", "softmax"):
+    log_y_in = rng.normal(-0.5, 0.3, n)
+    for activation, cann_mode, family in itertools.product(
+        ("relu", "sigmoid", "softmax"), (None, "fixed", "flexible"), responses
+    ):
+        y = responses[family]
+        lyi = None if cann_mode is None else log_y_in
         net = build_network(
-            _spec(activation=activation, hidden_layers=2), 2, encoder=encoder, seed=6
+            _spec(activation=activation, hidden_layers=2), 2, encoder=encoder,
+            cann_mode=cann_mode, seed=6,
         )
         flat = net.get_flat_params() + rng.normal(scale=0.1, size=net.get_flat_params().size)
         net.set_flat_params(flat)
-        _, grads = loss_and_gradients(net, x_cont, x_oh, y, "poisson_log", e)
+        _, grads = loss_and_gradients(net, x_cont, x_oh, y, family, e, lyi)
         keys = net._trainable()
         analytic = np.concatenate(
             [np.atleast_1d(np.asarray(grads[k], dtype=float)).ravel() for k in keys]
         )
         h = 1e-5
-        for idx in rng.choice(flat.size, 20, replace=False):
+        checked = np.concatenate([rng.choice(flat.size, 20, replace=False),
+                                  np.arange(flat.size - 4, flat.size)])
+        for idx in checked:
             up = flat.copy(); up[idx] += h
             down = flat.copy(); down[idx] -= h
             net.set_flat_params(up)
-            lu = batch_loss(net, x_cont, x_oh, y, "poisson_log", e)
+            lu = batch_loss(net, x_cont, x_oh, y, family, e, lyi)
             net.set_flat_params(down)
-            ld = batch_loss(net, x_cont, x_oh, y, "poisson_log", e)
+            ld = batch_loss(net, x_cont, x_oh, y, family, e, lyi)
             net.set_flat_params(flat)
             fd = (lu - ld) / (2 * h)
             denom = max(abs(fd), abs(analytic[idx]), 1e-8)
-            assert abs(fd - analytic[idx]) / denom < 1e-4, (activation, idx)
+            assert abs(fd - analytic[idx]) / denom < 1e-4, (activation, cann_mode, family, idx)
 
 
 def test_intercept_only_capacity():
@@ -232,3 +247,160 @@ def test_gradient_check_with_dropout():
             fd = (lu - ld) / (2 * h)
             denom = max(abs(fd), abs(analytic[idx]), 1e-8)
             assert abs(fd - analytic[idx]) / denom < 1e-4, (activation, idx)
+
+
+# -- reference: the allocating training loop the workspace kernel replaced --
+
+
+def _ref_activate(name, z):
+    if name == "relu":
+        return np.maximum(z, 0.0)
+    if name == "sigmoid":
+        return 1.0 / (1.0 + np.exp(-z))
+    zs = z - z.max(axis=1, keepdims=True)
+    ez = np.exp(zs)
+    return ez / ez.sum(axis=1, keepdims=True)
+
+
+def _ref_activate_backward(name, a, da):
+    if name == "relu":
+        return da * (a > 0)
+    if name == "sigmoid":
+        return da * a * (1.0 - a)
+    return a * (da - np.sum(da * a, axis=1, keepdims=True))
+
+
+def _ref_loss_and_gradients(net, x_cont, x_onehot, y, fam, w, log_y_in, dropout_rng):
+    """Fresh arrays at every step, gradients keyed like Network._trainable()."""
+    if net.encoder_w is not None:
+        codes = x_onehot @ net.encoder_w.T + net.encoder_b
+        h = np.hstack([x_cont, codes]) if net.n_continuous else codes
+    else:
+        h = np.hstack([x_cont, x_onehot]) if net.onehot_width else x_cont
+    layers = []
+    for wt, b in net.hidden:
+        a = _ref_activate(net.spec.activation, h @ wt.T + b)
+        mask = None
+        if dropout_rng is not None:
+            keep = 1.0 - net.spec.dropout
+            mask = (dropout_rng.random(a.shape) < keep) / keep
+        layers.append((a, mask, h))
+        h = a if mask is None else a * mask
+    y_nn = h @ net.out_w + net.out_b
+    if net.cann_mode is None:
+        u = y_nn
+    else:
+        w_nn, w_in, b_c = net.cann_out
+        u = w_nn * y_nn + w_in * log_y_in + b_c
+    loss, du = fam.network_loss(np.exp(u), y, w)
+    grads = {}
+    if net.cann_mode == "flexible":
+        grads[("cann_out", None)] = np.array([du @ y_nn, du @ log_y_in, du.sum()])
+        du = du * net.cann_out[0]
+    grads[("out_w", None)] = h.T @ du
+    grads[("out_b", None)] = np.array([du.sum()])
+    dh = np.outer(du, net.out_w)
+    for i in range(len(net.hidden) - 1, -1, -1):
+        a, mask, h_in = layers[i]
+        if mask is not None:
+            dh = dh * mask
+        dz = _ref_activate_backward(net.spec.activation, a, dh)
+        grads[("hidden", (i, 0))] = dz.T @ h_in
+        grads[("hidden", (i, 1))] = dz.sum(axis=0)
+        dh = dz @ net.hidden[i][0]
+    if net.encoder_w is not None:
+        dcodes = dh[:, net.n_continuous :]
+        grads[("encoder_w", None)] = dcodes.T @ x_onehot
+        grads[("encoder_b", None)] = dcodes.sum(axis=0)
+    return loss, grads
+
+
+def _ref_train(net, x_cont, x_onehot, y, family, w, log_y_in, seed, max_epochs, patience):
+    """Mini-batch Adam with one state array per parameter array."""
+    from freqsev._optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ADAM_LR
+    from freqsev._rand import substream
+    from freqsev.evaluation import get_family
+
+    fam = get_family(family)
+    rng = substream(seed, "train", net.spec.seed)
+    dropout_rng = substream(seed, "dropout", net.spec.seed) if net.spec.dropout > 0 else None
+    perm = rng.permutation(len(y))
+    n_val = int(round(0.2 * len(y)))
+    val, tr = perm[:n_val], perm[n_val:]
+
+    def rows(idx):
+        return x_cont[idx], x_onehot[idx], y[idx], w[idx], None if log_y_in is None else log_y_in[idx]
+
+    def val_loss():
+        return _ref_loss_and_gradients(net, *rows(val)[:3], fam, *rows(val)[3:], None)[0]
+
+    keys = net._trainable()
+    m = [np.zeros_like(net._get(k)) for k in keys]
+    v = [np.zeros_like(net._get(k)) for k in keys]
+    t = 0
+    best_loss = val_loss()
+    best, history, bad = net.get_flat_params(), [best_loss], 0
+    batch = min(net.spec.batch_size, len(tr))
+    for _ in range(max_epochs):
+        order = rng.permutation(len(tr))
+        for s in range(0, len(order), batch):
+            xc, xo, yb, wb, lyi = rows(tr[order[s : s + batch]])
+            _, grads = _ref_loss_and_gradients(net, xc, xo, yb, fam, wb, lyi, dropout_rng)
+            t += 1
+            for j, k in enumerate(keys):
+                g = grads[k]
+                m[j] = ADAM_BETA1 * m[j] + (1 - ADAM_BETA1) * g
+                v[j] = ADAM_BETA2 * v[j] + (1 - ADAM_BETA2) * g * g
+                m_hat = m[j] / (1 - ADAM_BETA1**t)
+                v_hat = v[j] / (1 - ADAM_BETA2**t)
+                net._set(k, net._get(k) - ADAM_LR * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+        loss = val_loss()
+        history.append(loss)
+        if loss < best_loss - 1e-12:
+            best_loss, best, bad = loss, net.get_flat_params(), 0
+        else:
+            bad += 1
+            if bad >= patience:
+                break
+    return best, history
+
+
+@pytest.fixture(scope="module")
+def grafted_encoder():
+    rng = np.random.default_rng(21)
+    x_oh = np.zeros((150, 5))
+    x_oh[np.arange(150), rng.integers(0, 2, 150)] = 1.0
+    x_oh[np.arange(150), 2 + rng.integers(0, 3, 150)] = 1.0
+    ae = train_autoencoder(x_oh, (("a", 2), ("b", 3)), d=2, seed=0, max_epochs=5)
+    return x_oh, scale_encoder(ae, x_oh)
+
+
+@pytest.mark.parametrize("grafted", [True, False], ids=["encoder", "one_hot"])
+@pytest.mark.parametrize("cann_mode", [None, "fixed", "flexible"])
+@pytest.mark.parametrize("dropout", [0.0, 0.05])
+@pytest.mark.parametrize("activation", ["relu", "sigmoid", "softmax"])
+def test_training_matches_allocating_reference(grafted_encoder, activation, dropout,
+                                               cann_mode, grafted):
+    """train_network ends on the same bits as the per-array reference loop:
+    120 training rows in batches of 25 (the last one partial) and 30
+    validation rows, more than one batch."""
+    x_oh, encoder = grafted_encoder
+    rng = np.random.default_rng(22)
+    n = len(x_oh)
+    x_cont = rng.normal(size=(n, 2))
+    e = rng.uniform(0.5, 1.0, n)
+    y = rng.poisson(0.6 * e).astype(float)
+    log_y_in = None if cann_mode is None else rng.normal(-0.5, 0.2, n)
+    spec = _spec(activation=activation, dropout=dropout, hidden_layers=2, batch_size=25, seed=3)
+
+    def build():
+        return build_network(spec, 2, encoder=encoder if grafted else None,
+                             onehot_width=x_oh.shape[1], cann_mode=cann_mode,
+                             out_bias=-0.5, seed=4)
+
+    ref_params, ref_history = _ref_train(build(), x_cont, x_oh, y, "poisson_log", e,
+                                         log_y_in, seed=7, max_epochs=8, patience=3)
+    net = train_network(build(), x_cont, x_oh, y, "poisson_log", e, log_y_in, seed=7,
+                        max_epochs=8, patience=3)
+    np.testing.assert_array_equal(net.get_flat_params(), ref_params)
+    np.testing.assert_array_equal(net.history["val_history"], ref_history)
