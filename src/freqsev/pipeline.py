@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -254,12 +254,15 @@ def _net_predictions(net, ctx: FoldContext, rows, log_y_in):
 
 
 def tune_network_specs(ctx: FoldContext, dataset, family, fold_plan, cann_mode,
-                       log_y_in, preset, seed) -> nn.NetworkSpec:
-    """Random-grid search scored by inner cross-validation deviance."""
+                       log_y_in, preset, seed) -> tuple[nn.NetworkSpec, list]:
+    """Random-grid search scored by inner cross-validation deviance.
+
+    Returns the spec with the lowest mean inner deviance (the first of
+    equal ones) and the grid: every drawn spec with that score."""
     severity = get_family(family, PipelineError).severity
     space = nn.SearchSpace(batch_size=preset.sev_batch if severity else preset.freq_batch)
     specs = nn.random_grid(space, n=preset.grid_size, seed=derive_seed(seed, "grid", ctx.fold))
-    best = None
+    grid = []
     for spec in specs:
         losses = []
         for k in fold_plan.inner_folds(ctx.fold):
@@ -269,20 +272,23 @@ def tune_network_specs(ctx: FoldContext, dataset, family, fold_plan, cann_mode,
                              derive_seed(seed, "tune", k), 0)
             pred = _net_predictions(net, ctx, valid, log_y_in)
             losses.append(fold_deviance(pred, dataset, valid, family))
-        score = float(np.mean(losses))
-        if best is None or score < best[0]:
-            best = (score, spec)
-    return best[1]
+        grid.append((spec, float(np.mean(losses))))
+    best = min(grid, key=lambda entry: entry[1])
+    return best[0], grid
 
 
 @dataclass
 class AveragedNetworks:
-    """Repetition-averaged predictions of identically tuned networks."""
+    """Repetition-averaged predictions of identically tuned networks.
+
+    `grid` holds every spec the tuning drew with its mean inner-CV
+    deviance; `spec` is the one chosen."""
 
     members: list
     stats: ScalingStats
     initial_model: object = None
     spec: nn.NetworkSpec | None = None
+    grid: list = field(default_factory=list)
 
     def predict(self, dataset: Dataset) -> np.ndarray:
         preds = [
@@ -301,12 +307,13 @@ def fit_fold_network(ctx: FoldContext, dataset, family, fold_plan, preset, seed,
             raise PipelineError("initial model produced non-positive predictions")
         log_y_in = np.log(y_in)
     train_rows = fold_plan.train_rows(ctx.fold)
-    spec = tune_network_specs(ctx, dataset, family, fold_plan, cann_mode, log_y_in, preset, seed)
+    spec, grid = tune_network_specs(ctx, dataset, family, fold_plan, cann_mode, log_y_in,
+                                    preset, seed)
     members = [
         _train_one(ctx, train_rows, spec, family, cann_mode, log_y_in, preset, seed, rep)
         for rep in range(preset.repetitions)
     ]
-    return AveragedNetworks(members, ctx.stats, initial_model, spec)
+    return AveragedNetworks(members, ctx.stats, initial_model, spec, grid)
 
 
 # -- orchestration ---------------------------------------------------------
@@ -329,6 +336,7 @@ def _serialize(name, model):
         return model.to_json()
     payload = {
         "spec": None if model.spec is None else vars(model.spec),
+        "grid": [{"spec": vars(spec), "inner_deviance": score} for spec, score in model.grid],
         "members": [json.loads(nn.network_to_json(m)) for m in model.members],
         "stats": {"means": model.stats.means, "stds": model.stats.stds},
     }
