@@ -220,8 +220,9 @@ def fit_fold_gbm(dataset: Dataset, family: str, fold_plan: FoldPlan, fold: int,
 
 def _train_one(ctx: FoldContext, rows, spec, family, cann_mode, log_y_in, preset, seed, rep):
     out_bias = 0.0
-    if cann_mode is None:
-        out_bias = float(np.log(ctx.y[rows].sum() / ctx.obs_weight[rows].sum()))
+    if cann_mode is None:  # start at the family's weighted mean response
+        fam = get_family(family, PipelineError)
+        out_bias = float(np.log(fam.mean(ctx.y[rows], ctx.obs_weight[rows])))
     net = nn.build_network(
         spec,
         n_continuous=ctx.x_cont.shape[1],
