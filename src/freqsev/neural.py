@@ -7,6 +7,15 @@ node so predictions are strictly positive. A CANN adds a skip connection
 from the log of an initial model's prediction straight to the output
 node; the fixed variant pins the output combination at (1, 1, 0), the
 flexible variant trains it.
+
+All network math runs in one private kernel, `_Workspace`: a forward and
+a backward pass over preallocated arrays sized to the largest pass
+(max(batch, validation rows) in training), written in place, with the
+parameters and their gradients as views of two flat vectors that the
+flat `Adam` of `freqsev._optim` steps in place. `train_network` builds
+one workspace per call and writes the best parameters back to the
+`Network` once, at the end; `forward`, `loss_and_gradients` and
+`batch_loss` run the same kernel on a one-shot workspace.
 """
 
 from __future__ import annotations
