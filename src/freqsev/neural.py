@@ -274,7 +274,6 @@ class _Workspace:
         if net.cann_mode is not None:
             self.u, self.log_y_in = buf(), buf()
             self.sources.append(self.log_y_in)
-        self.layer_out = self.a
 
     def load(self, inputs, rows=None) -> int:
         """Copy `rows` (all when None) of the `_inputs` arrays into the
@@ -303,7 +302,7 @@ class _Workspace:
         for i, (w, b) in enumerate(zip(self.w, self.b)):
             a = np.matmul(h, w.T, out=self.a[i][:m])
             a += b
-            self._activate(a, self.row[:m])
+            self._activate(a)
             if dropout_rng is not None:
                 mask = dropout_rng.random(out=self.mask[i][:m])
                 flag = np.less(mask, keep, out=self.flag[:m])
@@ -350,7 +349,7 @@ class _Workspace:
                 np.matmul(dcodes.T, self.x_onehot[:m], out=self.g_enc_w)
                 np.sum(dcodes, axis=0, out=self.g_enc_b)
 
-    def _activate(self, z, row):
+    def _activate(self, z):
         """The layer activation of `z`, in place."""
         name = self.net.spec.activation
         if name == "relu":
@@ -361,6 +360,7 @@ class _Workspace:
             z += 1.0
             np.divide(1.0, z, out=z)
         else:  # softmax over the collection of all nodes in the layer
+            row = self.row[: len(z)]
             z -= np.max(z, axis=1, keepdims=True, out=row)
             np.exp(z, out=z)
             z /= np.sum(z, axis=1, keepdims=True, out=row)
