@@ -28,10 +28,8 @@ from .data import (
     write_csv,
 )
 from .evaluation import LossVector, diebold_mariano, get_family, write_dm_json
-from .gbm import BoostedModel
-from .glm import glm_from_json
 from .interpretation import partial_dependence, permutation_vip, write_pd_csv, write_vip_csv
-from .pipeline import RunConfig, load_config, load_fold_plan, run_pipeline, save_fold_plan
+from .pipeline import RunConfig, load_config, load_fold_plan, load_model, run_pipeline, save_fold_plan
 from .surrogate import SurrogateConfig, build_surrogate, write_selection_report
 from ._rand import derive_seed
 
@@ -69,17 +67,6 @@ def _read_predictions(path, stage="train"):
                 rows.append(len(preds))
                 preds.append(float(line[0]))
     return np.asarray(rows), np.asarray(preds)
-
-
-def _load_model(path, kind):
-    _require(path, "train")
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    if kind == "glm":
-        return glm_from_json(text)
-    if kind == "gbm":
-        return BoostedModel.from_json(text)
-    raise click.ClickException(f"unsupported model kind {kind!r} (use glm or gbm)")
 
 
 @click.group()
@@ -218,19 +205,22 @@ def evaluate(data, schema, claims, pred_a, pred_b, family, out):
 @main.command()
 @click.option("--data", required=True, type=click.Path())
 @click.option("--schema", required=True, type=click.Path())
+@click.option("--claims", type=click.Path(), default=None)
 @click.option("--model", "model_path", required=True, type=click.Path())
-@click.option("--kind", type=click.Choice(["glm", "gbm"]), required=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", required=True, type=click.Path())
-def interpret(data, schema, model_path, kind, seed, out):
-    """Permutation importance and partial dependence for a saved model."""
-    dataset = _load_data(data, schema)
-    model = _load_model(model_path, kind)
+def interpret(data, schema, claims, model_path, seed, out):
+    """Permutation importance and partial dependence for a saved model,
+    on the rows of its own response family (claimants for severity)."""
+    _require(model_path, "train")
+    model = load_model(model_path)
+    dataset = _load_data(data, schema, claims, model.family)
     os.makedirs(out, exist_ok=True)
     vip, relative = permutation_vip(model, dataset, seed=seed)
-    write_vip_csv(vip, relative, kind, os.path.join(out, "vip.csv"))
+    write_vip_csv(vip, relative, model.kind, os.path.join(out, "vip.csv"))
     curves = [
-        partial_dependence(model, dataset, v, model_id=kind) for v in dataset.feature_names
+        partial_dependence(model, dataset, v, model_id=model.kind)
+        for v in dataset.feature_names
     ]
     write_pd_csv(curves, os.path.join(out, "pd.csv"))
     click.echo(f"wrote importance and PD tables for {len(curves)} variables")
@@ -241,15 +231,14 @@ def interpret(data, schema, model_path, kind, seed, out):
 @click.option("--schema", required=True, type=click.Path())
 @click.option("--claims", type=click.Path(), default=None)
 @click.option("--model", "model_path", required=True, type=click.Path())
-@click.option("--kind", type=click.Choice(["glm", "gbm"]), required=True)
-@click.option("--family", type=click.Choice(["poisson_log", "gamma_log"]),
-              default="poisson_log", show_default=True)
 @click.option("--out", required=True, type=click.Path())
-def surrogate(data, schema, claims, model_path, kind, family, out):
-    """Distill a saved black-box model into a surrogate GLM tariff."""
-    dataset = _load_data(data, schema, claims, family)
-    model = _load_model(model_path, kind)
-    result = build_surrogate(model, dataset, family, SurrogateConfig())
+def surrogate(data, schema, claims, model_path, out):
+    """Distill a saved black-box model into a surrogate GLM tariff of the
+    model's own response family."""
+    _require(model_path, "train")
+    model = load_model(model_path)
+    dataset = _load_data(data, schema, claims, model.family)
+    result = build_surrogate(model, dataset, model.family, SurrogateConfig())
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "surrogate.json"), "w", encoding="utf-8") as fh:
         json.dump(

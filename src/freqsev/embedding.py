@@ -10,7 +10,6 @@ networks.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, replace
 
@@ -215,29 +214,4 @@ def scale_encoder(ae: Autoencoder, training_one_hot: np.ndarray) -> Autoencoder:
         w_enc=ae.w_enc / sigma[:, None],
         b_enc=(ae.b_enc - mu) / sigma,
         scaled=True,
-    )
-
-
-def autoencoder_to_json(ae: Autoencoder) -> str:
-    return json.dumps(
-        {
-            "w_enc": ae.w_enc.tolist(),
-            "b_enc": ae.b_enc.tolist(),
-            "w_dec": ae.w_dec.tolist(),
-            "b_dec": ae.b_dec.tolist(),
-            "blocks": [[name, width] for name, width in ae.blocks],
-            "scaled": ae.scaled,
-        }
-    )
-
-
-def autoencoder_from_json(text: str) -> Autoencoder:
-    d = json.loads(text)
-    return Autoencoder(
-        np.asarray(d["w_enc"]),
-        np.asarray(d["b_enc"]),
-        np.asarray(d["w_dec"]),
-        np.asarray(d["b_dec"]),
-        tuple((name, int(width)) for name, width in d["blocks"]),
-        d["scaled"],
     )

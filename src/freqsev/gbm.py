@@ -170,6 +170,8 @@ def _grow(codes, keys, layout, grad, count, depth, min_count):
 class BoostedModel:
     """Stagewise additive model on the log scale: exp(F0 + shrinkage * sum(trees))."""
 
+    kind = "gbm"  # the tag `to_json` writes and `pipeline.load_model` reads
+
     family: str
     f0: float
     shrinkage: float
@@ -210,7 +212,7 @@ class BoostedModel:
         return np.exp(self.log_scores(dataset, n_trees))
 
     def to_json(self) -> str:
-        d = {key: getattr(self, key) for key in _JSON_KEYS}
+        d = {"kind": self.kind, **{key: getattr(self, key) for key in _JSON_KEYS}}
         d["cuts"] = {name: c.tolist() for name, c in self.cuts.items()}
         d["width"] = self.trees[0].left.shape[1] if self.trees else 0
         # each go-left table is written as its bits, row after row, in hex

@@ -145,6 +145,8 @@ def build_design_matrix(dataset: Dataset, design: Design, references=None):
 class GlmModel:
     """A fitted log-link GLM over binned/categorical covariates."""
 
+    kind = "glm"  # the tag `to_json` writes and `pipeline.load_model` reads
+
     design: Design
     family: str
     coef: np.ndarray
@@ -166,6 +168,7 @@ class GlmModel:
 
     def to_json(self) -> str:
         payload = {
+            "kind": self.kind,
             "family": self.family,
             "main_effects": list(self.design.main_effects),
             "interactions": [list(p) for p in self.design.interactions],

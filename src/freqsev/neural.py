@@ -27,7 +27,6 @@ import numpy as np
 
 from ._optim import ADAM_LR, Adam, glorot
 from ._rand import substream
-from .data import Dataset, ScalingStats, normalize_continuous, one_hot
 from .embedding import Autoencoder
 from .evaluation import get_family
 
@@ -512,39 +511,6 @@ def train_network(
     net.set_flat_params(best_params)
     net.history = {"epochs": len(val_history) - 1, "best_val_loss": best_loss, "val_history": val_history}
     return net
-
-
-# -- dataset-level predictor --------------------------------------------
-
-
-@dataclass
-class NeuralModel:
-    """A trained network bundled with its preprocessing so it exposes the
-    uniform predict(dataset) interface."""
-
-    network: Network
-    stats: ScalingStats
-    initial_model: object = None  # predict(dataset) provider for CANN
-
-    def _prepare(self, dataset: Dataset):
-        normalized = normalize_continuous(dataset, self.stats)
-        x_cont = (
-            np.column_stack([normalized.columns[n] for n in normalized.continuous_names])
-            if normalized.continuous_names
-            else np.zeros((dataset.n, 0))
-        )
-        x_oh, _ = one_hot(dataset)
-        return x_cont, x_oh
-
-    def predict(self, dataset: Dataset) -> np.ndarray:
-        x_cont, x_oh = self._prepare(dataset)
-        log_y_in = None
-        if self.network.cann_mode is not None:
-            y_in = self.initial_model.predict(dataset)
-            if np.any(y_in <= 0):
-                raise NeuralError("initial model produced non-positive predictions")
-            log_y_in = np.log(y_in)
-        return forward(self.network, x_cont, x_oh, log_y_in)
 
 
 def network_to_json(net: Network) -> str:

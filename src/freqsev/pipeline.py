@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .data import (
 )
 from .embedding import scale_encoder, select_dimension
 from .evaluation import get_family
-from .glm import Design, GlmModel, fit_glm, tree_bin
+from .glm import Design, GlmModel, fit_glm, glm_from_json, tree_bin
 
 KNOWN_FAMILIES = (
     "glm",
@@ -130,11 +130,16 @@ def load_config(path) -> RunConfig:
 
 @dataclass
 class FoldContext:
-    """Everything derived from the training rows of one outer fold."""
+    """Everything derived from the training rows of one outer fold.
+
+    `autoencoder` is {"dim", "qualified"}: the encoder dimension chosen and
+    whether it reached the cross-entropy threshold; None without
+    categorical blocks."""
 
     fold: int
     stats: ScalingStats
     encoder: object | None
+    autoencoder: dict | None
     x_cont: np.ndarray  # full-data matrix, normalized with fold stats
     x_onehot: np.ndarray
     y: np.ndarray
@@ -145,11 +150,9 @@ def fold_deviance(predictions, dataset: Dataset, rows, family: str) -> float:
     return get_family(family, PipelineError).deviance(predictions, dataset.subset(rows))
 
 
-def build_fold_context(dataset: Dataset, family: str, fold_plan: FoldPlan, fold: int,
-                       preset: Preset, seed: int) -> FoldContext:
-    fam = get_family(family, PipelineError)
-    train_rows = fold_plan.train_rows(fold)
-    stats = scaling_stats(dataset, train_rows, train_fold=fold) if dataset.continuous_names else ScalingStats({}, {}, fold)
+def _network_inputs(dataset: Dataset, stats: ScalingStats):
+    """The continuous columns normalized with `stats`, the one-hot matrix
+    and its block structure."""
     normalized = normalize_continuous(dataset, stats)
     x_cont = (
         np.column_stack([normalized.columns[n] for n in dataset.continuous_names])
@@ -157,11 +160,22 @@ def build_fold_context(dataset: Dataset, family: str, fold_plan: FoldPlan, fold:
         else np.zeros((dataset.n, 0))
     )
     x_oh, blocks = one_hot(dataset)
-    encoder = None
+    return x_cont, x_oh, blocks
+
+
+def build_fold_context(dataset: Dataset, family: str, fold_plan: FoldPlan, fold: int,
+                       preset: Preset, seed: int) -> FoldContext:
+    fam = get_family(family, PipelineError)
+    train_rows = fold_plan.train_rows(fold)
+    stats = scaling_stats(dataset, train_rows, train_fold=fold)
+    x_cont, x_oh, blocks = _network_inputs(dataset, stats)
+    encoder = autoencoder = None
     if blocks:
+        # its warnings say what `dim` and `qualified` record: no candidate
+        # reached the threshold, or the dimension does not compress
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _, ae, _ = select_dimension(
+            dim, ae, qualified = select_dimension(
                 x_oh[train_rows],
                 blocks,
                 candidates=preset.ae_candidates,
@@ -169,10 +183,12 @@ def build_fold_context(dataset: Dataset, family: str, fold_plan: FoldPlan, fold:
                 max_epochs=preset.ae_max_epochs,
             )
         encoder = scale_encoder(ae, x_oh[train_rows])
+        autoencoder = {"dim": dim, "qualified": qualified}
     return FoldContext(
         fold=fold,
         stats=stats,
         encoder=encoder,
+        autoencoder=autoencoder,
         x_cont=x_cont,
         x_onehot=x_oh,
         y=np.asarray(dataset.response, dtype=float),
@@ -278,35 +294,67 @@ def tune_network_specs(ctx: FoldContext, dataset, family, fold_plan, cann_mode,
     return best[0], grid
 
 
+def _log_initial(initial_model, dataset: Dataset) -> np.ndarray:
+    y_in = initial_model.predict(dataset)
+    if np.any(y_in <= 0):
+        raise PipelineError("initial model produced non-positive predictions")
+    return np.log(y_in)
+
+
 @dataclass
 class AveragedNetworks:
-    """Repetition-averaged predictions of identically tuned networks.
+    """Repetition-averaged predictions of identically tuned networks,
+    with the scaling stats they were trained on and, for a CANN, the
+    initial model.
 
     `grid` holds every spec the tuning drew with its mean inner-CV
-    deviance; `spec` is the one chosen."""
+    deviance; `spec` is the one chosen. `autoencoder` is the fold's
+    {"dim", "qualified"} record, or None without categorical blocks."""
 
+    kind = "networks"  # the tag `to_json` writes and `load_model` reads
+
+    family: str
     members: list
     stats: ScalingStats
+    spec: nn.NetworkSpec
+    grid: list
     initial_model: object = None
-    spec: nn.NetworkSpec | None = None
-    grid: list = field(default_factory=list)
+    autoencoder: dict | None = None
 
     def predict(self, dataset: Dataset) -> np.ndarray:
-        preds = [
-            nn.NeuralModel(m, self.stats, self.initial_model).predict(dataset)
-            for m in self.members
-        ]
-        return np.mean(preds, axis=0)
+        x_cont, x_oh, _ = _network_inputs(dataset, self.stats)
+        log_y_in = None if self.initial_model is None else _log_initial(self.initial_model, dataset)
+        return np.mean([nn.forward(m, x_cont, x_oh, log_y_in) for m in self.members], axis=0)
+
+    def to_json(self) -> str:
+        return json.dumps({
+            "kind": self.kind,
+            "family": self.family,
+            "spec": vars(self.spec),
+            "grid": [{"spec": vars(spec), "inner_deviance": score} for spec, score in self.grid],
+            "members": [json.loads(nn.network_to_json(m)) for m in self.members],
+            "stats": {"means": self.stats.means, "stds": self.stats.stds},
+            "initial": None if self.initial_model is None else json.loads(self.initial_model.to_json()),
+            "autoencoder": self.autoencoder,
+        })
+
+    @classmethod
+    def from_json(cls, text: str) -> "AveragedNetworks":
+        d = json.loads(text)
+        return cls(
+            family=d["family"],
+            members=[nn.network_from_json(json.dumps(m)) for m in d["members"]],
+            stats=ScalingStats(d["stats"]["means"], d["stats"]["stds"]),
+            spec=nn.NetworkSpec(**d["spec"]),
+            grid=[(nn.NetworkSpec(**e["spec"]), e["inner_deviance"]) for e in d["grid"]],
+            initial_model=None if d["initial"] is None else _model_from_json(json.dumps(d["initial"])),
+            autoencoder=d["autoencoder"],
+        )
 
 
 def fit_fold_network(ctx: FoldContext, dataset, family, fold_plan, preset, seed,
                      cann_mode=None, initial_model=None) -> AveragedNetworks:
-    log_y_in = None
-    if cann_mode is not None:
-        y_in = initial_model.predict(dataset)
-        if np.any(y_in <= 0):
-            raise PipelineError("initial model produced non-positive predictions")
-        log_y_in = np.log(y_in)
+    log_y_in = None if cann_mode is None else _log_initial(initial_model, dataset)
     train_rows = fold_plan.train_rows(ctx.fold)
     spec, grid = tune_network_specs(ctx, dataset, family, fold_plan, cann_mode, log_y_in,
                                     preset, seed)
@@ -314,7 +362,29 @@ def fit_fold_network(ctx: FoldContext, dataset, family, fold_plan, preset, seed,
         _train_one(ctx, train_rows, spec, family, cann_mode, log_y_in, preset, seed, rep)
         for rep in range(preset.repetitions)
     ]
-    return AveragedNetworks(members, ctx.stats, initial_model, spec, grid)
+    return AveragedNetworks(family, members, ctx.stats, spec, grid, initial_model, ctx.autoencoder)
+
+
+_LOADERS = {
+    GlmModel.kind: glm_from_json,
+    gbm_mod.BoostedModel.kind: gbm_mod.BoostedModel.from_json,
+    AveragedNetworks.kind: AveragedNetworks.from_json,
+}
+
+
+def _model_from_json(text: str):
+    payload = json.loads(text)
+    kind = payload.get("kind") if isinstance(payload, dict) else None
+    if kind not in _LOADERS:
+        raise PipelineError(f"not a model payload: kind {kind!r}, expected one of {sorted(_LOADERS)}")
+    return _LOADERS[kind](text)
+
+
+def load_model(path):
+    """The fitted model a `model.json` holds, of whichever family: the
+    file's `kind` tag ("glm", "gbm" or "networks") picks the loader."""
+    with open(path, encoding="utf-8") as fh:
+        return _model_from_json(fh.read())
 
 
 # -- orchestration ---------------------------------------------------------
@@ -330,18 +400,6 @@ def _write_predictions(path, rows, predictions):
         fh.write("row_index,prediction\n")
         for r, p in zip(rows, predictions):
             fh.write(f"{int(r)},{float(p)!r}\n")
-
-
-def _serialize(name, model):
-    if name in ("glm", "gbm"):
-        return model.to_json()
-    payload = {
-        "spec": None if model.spec is None else vars(model.spec),
-        "grid": [{"spec": vars(spec), "inner_deviance": score} for spec, score in model.grid],
-        "members": [json.loads(nn.network_to_json(m)) for m in model.members],
-        "stats": {"means": model.stats.means, "stds": model.stats.stds},
-    }
-    return json.dumps(payload)
 
 
 def run_pipeline(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan | None = None):
@@ -405,7 +463,7 @@ def run_pipeline(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan | None
                 loss_rows.append({"model": name, "fold": fold, "deviance": loss})
                 fold_dir = os.path.join(config.outdir, f"fold_{fold}", name)
                 os.makedirs(fold_dir, exist_ok=True)
-                _write_json(os.path.join(fold_dir, "model.json"), _serialize(name, model))
+                _write_json(os.path.join(fold_dir, "model.json"), model.to_json())
                 _write_predictions(os.path.join(fold_dir, "predictions.csv"), test_rows, pred)
         except Exception as exc:  # noqa: BLE001 - re-raise with fold context
             raise PipelineError(f"fold {fold} failed: {exc}") from exc

@@ -3,6 +3,9 @@
 import csv
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,8 @@ from freqsev.cli import main
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """synth -> ingest -> folds -> train (glm) shared by the CLI tests."""
+    """synth -> ingest -> folds -> train (glm, and ffnn on its own) shared by
+    the CLI tests; `models` holds a fold-0 model.json of each."""
     root = tmp_path_factory.mktemp("cli")
     runner = CliRunner()
     data_dir = root / "data"
@@ -26,6 +30,8 @@ def workspace(tmp_path_factory):
         "claims": str(data_dir / "claims.csv"),
         "folds": str(root / "folds.json"),
         "train": str(root / "train"),
+        "models": {"glm": str(root / "train" / "fold_0" / "glm" / "model.json"),
+                   "ffnn": str(root / "train_ffnn" / "fold_0" / "ffnn" / "model.json")},
     }
     r = runner.invoke(main, ["folds", "--data", paths["data"], "--schema", paths["schema"],
                              "--out", paths["folds"]])
@@ -33,6 +39,10 @@ def workspace(tmp_path_factory):
     r = runner.invoke(main, ["train", "--data", paths["data"], "--schema", paths["schema"],
                              "--folds", paths["folds"], "--families", "glm",
                              "--preset", "desk", "--out", paths["train"]])
+    assert r.exit_code == 0, r.output
+    r = runner.invoke(main, ["train", "--data", paths["data"], "--schema", paths["schema"],
+                             "--folds", paths["folds"], "--families", "ffnn",
+                             "--preset", "desk", "--out", str(root / "train_ffnn")])
     assert r.exit_code == 0, r.output
     return paths
 
@@ -84,18 +94,22 @@ def test_evaluate_identical_predictions(workspace, tmp_path):
     assert verdict == "identical"
 
 
-def test_interpret_outputs(workspace, tmp_path):
+# The desk ffnn of fold 0 keeps its start weights here (early stopping found
+# no better epoch on these 800 rows), so it predicts a constant and every
+# importance is 0; a glm's relative importances sum to 1.
+@pytest.mark.parametrize("trained, vip_total", [("glm", 1.0), ("ffnn", 0.0)], ids=["glm", "ffnn"])
+def test_interpret_outputs(workspace, tmp_path, trained, vip_total):
     runner = CliRunner()
-    model = os.path.join(workspace["train"], "fold_0", "glm", "model.json")
+    model = workspace["models"][trained]
     out = tmp_path / "interp"
     r = runner.invoke(main, ["interpret", "--data", workspace["data"],
                              "--schema", workspace["schema"], "--model", model,
-                             "--kind", "glm", "--out", str(out)])
+                             "--out", str(out)])
     assert r.exit_code == 0, r.output
     with open(out / "vip.csv", newline="") as fh:
         vip_rows = list(csv.DictReader(fh))
     assert {r["variable"] for r in vip_rows} == {"age", "region", "cover"}
-    assert abs(sum(float(r["relative_vip"]) for r in vip_rows) - 1.0) < 1e-9
+    assert abs(sum(float(r["relative_vip"]) for r in vip_rows) - vip_total) < 1e-9
     with open(out / "pd.csv", newline="") as fh:
         pd_rows = list(csv.DictReader(fh))
     region = [r for r in pd_rows if r["variable"] == "region"]
@@ -103,13 +117,14 @@ def test_interpret_outputs(workspace, tmp_path):
     assert all(float(r["pd"]) > 0 for r in pd_rows)
 
 
-def test_surrogate_command(workspace, tmp_path):
+@pytest.mark.parametrize("trained", ["glm", "ffnn"])
+def test_surrogate_command(workspace, tmp_path, trained):
     runner = CliRunner()
-    model = os.path.join(workspace["train"], "fold_0", "glm", "model.json")
+    model = workspace["models"][trained]
     out = tmp_path / "surrogate"
     r = runner.invoke(main, ["surrogate", "--data", workspace["data"],
                              "--schema", workspace["schema"], "--model", model,
-                             "--kind", "glm", "--out", str(out)])
+                             "--out", str(out)])
     assert r.exit_code == 0, r.output
     payload = json.loads((out / "surrogate.json").read_text())
     assert "glm" in payload and "tariff" in payload
@@ -138,12 +153,47 @@ def test_severity_evaluate_and_surrogate(workspace, tmp_path):
     result = json.loads(out.read_text())["A_vs_B"]
     assert result["verdict"] in ("reject", "no_reject")
     assert np.isfinite(result["statistic"])
-    r = runner.invoke(main, ["surrogate", *inputs, "--family", "gamma_log",
+    r = runner.invoke(main, ["surrogate", *inputs,
                              "--model", str(train / "fold_0" / "glm" / "model.json"),
-                             "--kind", "glm", "--out", str(tmp_path / "surrogate")])
+                             "--out", str(tmp_path / "surrogate")])
     assert r.exit_code == 0, r.output
     payload = json.loads((tmp_path / "surrogate" / "surrogate.json").read_text())
     assert payload["glm"]["family"] == "gamma_log"
+
+
+def test_severity_interpret_uses_claimant_rows(workspace, tmp_path):
+    runner = CliRunner()
+    inputs = ["--data", workspace["data"], "--schema", workspace["schema"]]
+    train = tmp_path / "train"
+    r = runner.invoke(main, ["train", *inputs, "--claims", workspace["claims"],
+                             "--families", "glm", "--response-family", "gamma_log",
+                             "--out", str(train)])
+    assert r.exit_code == 0, r.output
+    model = str(train / "fold_0" / "glm" / "model.json")
+    out = tmp_path / "interp"
+    r = runner.invoke(main, ["interpret", *inputs, "--model", model, "--out", str(out)])
+    assert r.exit_code != 0
+    assert "severity modeling needs --claims" in r.output
+    r = runner.invoke(main, ["interpret", *inputs, "--claims", workspace["claims"],
+                             "--model", model, "--out", str(out)])
+    assert r.exit_code == 0, r.output
+    with open(out / "vip.csv", newline="") as fh:
+        assert {r["variable"] for r in csv.DictReader(fh)} == {"age", "region", "cover"}
+    with open(out / "pd.csv", newline="") as fh:
+        assert all(float(r["pd"]) > 0 for r in csv.DictReader(fh))
+
+
+def test_readme_commands_parse():
+    """Every `freqsev` line of the README's shell examples, joined across
+    backslash continuations, parses against the CLI as it is."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S):
+        lines += block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("freqsev ")]
+    assert {argv[1] for argv in commands} == set(main.commands)
+    for _, command, *args in commands:
+        main.commands[command].make_context(command, args)
 
 
 def test_tariff_command(workspace, tmp_path):

@@ -7,8 +7,6 @@ from freqsev.data import one_hot
 from freqsev.embedding import (
     Autoencoder,
     EmbeddingError,
-    autoencoder_from_json,
-    autoencoder_to_json,
     cross_entropy,
     decode_softmax,
     encode,
@@ -128,11 +126,3 @@ def test_scaled_codes_standardized(portfolio):
     codes = encode(scaled, x)
     assert np.all(np.abs(codes.mean(axis=0)) < 1e-6)
     assert np.all(np.abs(codes.std(axis=0) - 1.0) < 1e-6)
-
-
-def test_json_roundtrip():
-    ae = _tiny_ae()
-    clone = autoencoder_from_json(autoencoder_to_json(ae))
-    x = np.eye(5)
-    np.testing.assert_allclose(encode(clone, x), encode(ae, x))
-    assert clone.blocks == ae.blocks
