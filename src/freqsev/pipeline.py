@@ -5,7 +5,8 @@ only, pre-train and rescale the autoencoder, tune each model family on
 the inner folds (which are the other outer subsets), train the winner
 with the configured number of repetitions, and score the held-out fold.
 Stitching the six held-out prediction vectors together yields one
-out-of-sample prediction per data row.
+out-of-sample prediction per data row. Every fitted model is written as
+one `model.json` tagged with its kind, and `load_model` reads any of them.
 """
 
 from __future__ import annotations

@@ -12,6 +12,9 @@ import pytest
 from click.testing import CliRunner
 
 from freqsev.cli import main
+from freqsev.data import load_claims_csv, load_csv, load_schema, severity_view
+from freqsev.interpretation import partial_dependence
+from freqsev.pipeline import load_model
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +183,14 @@ def test_severity_interpret_uses_claimant_rows(workspace, tmp_path):
     with open(out / "vip.csv", newline="") as fh:
         assert {r["variable"] for r in csv.DictReader(fh)} == {"age", "region", "cover"}
     with open(out / "pd.csv", newline="") as fh:
-        assert all(float(r["pd"]) > 0 for r in csv.DictReader(fh))
+        pd_rows = list(csv.DictReader(fh))
+    assert all(float(r["pd"]) > 0 for r in pd_rows)
+    # the PD averages over the claimants, not over every policy
+    claimants = severity_view(load_csv(workspace["data"], load_schema(workspace["schema"])),
+                              load_claims_csv(workspace["claims"]))
+    expected = partial_dependence(load_model(model), claimants, "cover").values
+    written = [float(r["pd"]) for r in pd_rows if r["variable"] == "cover"]
+    np.testing.assert_array_equal(written, expected)
 
 
 def test_readme_commands_parse():
