@@ -29,8 +29,9 @@ from .data import (
 )
 from .evaluation import LossVector, diebold_mariano, get_family, write_dm_json
 from .interpretation import partial_dependence, permutation_vip, write_pd_csv, write_vip_csv
-from .pipeline import RunConfig, load_config, load_fold_plan, load_model, run_pipeline, save_fold_plan
-from .surrogate import SurrogateConfig, build_surrogate, write_selection_report
+from .pipeline import PipelineError, RunConfig, load_config, load_fold_plan, load_model
+from .pipeline import run_pipeline, save_fold_plan
+from .surrogate import build_surrogate, write_selection_report
 from ._rand import derive_seed
 
 
@@ -238,7 +239,7 @@ def surrogate(data, schema, claims, model_path, out):
     _require(model_path, "train")
     model = load_model(model_path)
     dataset = _load_data(data, schema, claims, model.family)
-    result = build_surrogate(model, dataset, model.family, SurrogateConfig())
+    result = build_surrogate(model, dataset, model.family)
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "surrogate.json"), "w", encoding="utf-8") as fh:
         json.dump(
@@ -280,7 +281,10 @@ def tariff(premium_specs, losses, out):
 def run(config_path, seed, preset, out):
     """Run the full pipeline from a JSON config file."""
     _require(config_path, "config")
-    config = load_config(config_path)
+    try:
+        config = load_config(config_path)
+    except PipelineError as exc:
+        raise click.ClickException(str(exc)) from exc
     overrides = {}
     if seed is not None:
         overrides["seed"] = seed

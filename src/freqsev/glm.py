@@ -76,69 +76,33 @@ class Design:
     binning: dict[str, BinningRule] = field(default_factory=dict)
 
 
-@dataclass
-class _Term:
-    name: str
-    labels: list[str]  # per dummy column, reference excluded
-    reference: int
-    level_index: dict  # level tuple/scalar -> column position or -1 for reference
-
-
-def _build_term(name, codes, labels, n, reference=None):
-    if reference is None:
-        counts = np.bincount(codes, minlength=len(labels))
-        reference = int(np.argmax(counts))
-    cols = []
-    col_labels = []
-    level_index = {}
-    pos = 0
-    for lvl in range(len(labels)):
-        if lvl == reference:
-            level_index[lvl] = -1
-            continue
-        level_index[lvl] = pos
-        cols.append((codes == lvl).astype(float))
-        col_labels.append(labels[lvl])
-        pos += 1
-    X = np.column_stack(cols) if cols else np.zeros((n, 0))
-    return X, _Term(name, col_labels, reference, level_index)
-
-
-def _interaction_codes(codes_a, labels_a, codes_b, labels_b):
-    combined = codes_a * len(labels_b) + codes_b
-    labels = [f"{la}*{lb}" for la in labels_a for lb in labels_b]
-    return combined, labels
-
-
 def build_design_matrix(dataset: Dataset, design: Design, references=None):
     """Design matrix with intercept and treatment-coded factor dummies.
 
-    Returns (X, column_names, terms). At fit time the reference level of
-    each term is its most populous level; `references` (term name -> level
-    index) freezes that choice so prediction frames reuse the training
-    coding regardless of their own level counts.
+    Returns (X, column_names, references). At fit time the reference level
+    of each term is its most populous level; `references` (term name ->
+    level index) freezes that choice so prediction frames reuse the
+    training coding regardless of their own level counts.
     """
-    n = dataset.n
     references = references or {}
-    blocks = [np.ones((n, 1))]
-    names = ["(Intercept)"]
-    terms = []
-    for var in design.main_effects:
-        codes, labels = _factor_codes(dataset, var, design.binning)
-        X, term = _build_term(var, codes, labels, n, references.get(var))
-        blocks.append(X)
-        names.extend(f"{var}[{lbl}]" for lbl in term.labels)
-        terms.append(term)
+    terms = [(var, *_factor_codes(dataset, var, design.binning)) for var in design.main_effects]
     for var_a, var_b in design.interactions:
         codes_a, labels_a = _factor_codes(dataset, var_a, design.binning)
         codes_b, labels_b = _factor_codes(dataset, var_b, design.binning)
-        codes, labels = _interaction_codes(codes_a, labels_a, codes_b, labels_b)
-        key = f"{var_a}:{var_b}"
-        X, term = _build_term(key, codes, labels, n, references.get(key))
-        blocks.append(X)
-        names.extend(f"{key}[{lbl}]" for lbl in term.labels)
-        terms.append(term)
-    return np.hstack(blocks), names, terms
+        labels = [f"{la}*{lb}" for la in labels_a for lb in labels_b]
+        terms.append((f"{var_a}:{var_b}", codes_a * len(labels_b) + codes_b, labels))
+    blocks = [np.ones((dataset.n, 1))]
+    names = ["(Intercept)"]
+    used = {}
+    for name, codes, labels in terms:
+        ref = references.get(name)
+        if ref is None:
+            ref = int(np.argmax(np.bincount(codes, minlength=len(labels))))
+        kept = np.delete(np.arange(len(labels)), ref)
+        blocks.append((codes[:, None] == kept).astype(float))
+        names.extend(f"{name}[{labels[lvl]}]" for lvl in kept)
+        used[name] = ref
+    return np.hstack(blocks), names, used
 
 
 @dataclass
@@ -223,9 +187,8 @@ def fit_glm(
     non-convergence.
     """
     fam = get_family(family, GlmError)
-    X, names, terms = build_design_matrix(dataset, design)
+    X, names, references = build_design_matrix(dataset, design)
     _check_rank(X, names)
-    references = {t.name: t.reference for t in terms}
     y = dataset.response
     n, k = X.shape
     obs_w = fam.obs_weight(dataset)

@@ -82,6 +82,12 @@ def default_pd_grid(dataset: Dataset, variable: str) -> np.ndarray:
     return x[0] + index * ((x[0] + step) - x[0])
 
 
+def _pinned(dataset: Dataset, variable: str, value) -> Dataset:
+    """The dataset with every row's `variable` set to `value`."""
+    dtype = np.int64 if variable in dataset.categorical_names else float
+    return dataset.with_column(variable, np.full(dataset.n, value, dtype=dtype))
+
+
 def partial_dependence(
     model, dataset: Dataset, variable: str, grid=None, model_id: str = ""
 ) -> PdCurve:
@@ -92,13 +98,11 @@ def partial_dependence(
     if grid is None:
         grid = default_pd_grid(dataset, variable)
     grid = np.asarray(grid)
-    categorical = variable in dataset.categorical_names
     values = np.empty(len(grid))
     for i, g in enumerate(grid):
-        pinned = np.full(dataset.n, g, dtype=np.int64 if categorical else float)
-        values[i] = float(np.mean(model.predict(dataset.with_column(variable, pinned))))
+        values[i] = float(np.mean(model.predict(_pinned(dataset, variable, g))))
     labels = None
-    if categorical:
+    if variable in dataset.categorical_names:
         levels = dataset.column_schema(variable).levels
         labels = tuple(levels[int(g)] for g in grid)
     return PdCurve(variable, grid, values, model_id, labels)
@@ -107,23 +111,15 @@ def partial_dependence(
 def partial_dependence_2d(
     model, dataset: Dataset, var_a: str, var_b: str, grid_a=None, grid_b=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two-way PD surface: (grid_a, grid_b, matrix of shape |a| x |b|)."""
+    """Two-way PD surface: (grid_a, grid_b, matrix of shape |a| x |b|).
+    Row i is the PD of `var_b` on the frame pinned at grid_a[i]."""
     if dataset.n == 0:
         raise InterpretationError("cannot compute partial dependence on an empty dataset")
     grid_a = default_pd_grid(dataset, var_a) if grid_a is None else np.asarray(grid_a)
     grid_b = default_pd_grid(dataset, var_b) if grid_b is None else np.asarray(grid_b)
-    cat_a = var_a in dataset.categorical_names
-    cat_b = var_b in dataset.categorical_names
     surface = np.empty((len(grid_a), len(grid_b)))
     for i, ga in enumerate(grid_a):
-        pinned_a = dataset.with_column(
-            var_a, np.full(dataset.n, ga, dtype=np.int64 if cat_a else float)
-        )
-        for j, gb in enumerate(grid_b):
-            pinned = pinned_a.with_column(
-                var_b, np.full(dataset.n, gb, dtype=np.int64 if cat_b else float)
-            )
-            surface[i, j] = float(np.mean(model.predict(pinned)))
+        surface[i] = partial_dependence(model, _pinned(dataset, var_a, ga), var_b, grid_b).values
     return grid_a, grid_b, surface
 
 

@@ -400,16 +400,13 @@ def forward(
     x_onehot: np.ndarray,
     log_y_in: np.ndarray | None = None,
     dropout_rng: np.random.Generator | None = None,
-    keep_cache: bool = False,
-):
+) -> np.ndarray:
     """Row predictions exp(u); dropout only when a dropout rng is given
-    (training), so inference is deterministic. With `keep_cache`, returns
-    (predictions, the workspace of the pass) for a backward pass."""
+    (training), so inference is deterministic."""
     dropout_rng = dropout_rng if net.spec.dropout > 0 else None
     inputs = _inputs(net, x_cont, x_onehot, log_y_in)
     ws = _Workspace(net, len(inputs[0]), dropout=dropout_rng is not None)
-    pred = ws.forward(ws.load(inputs), dropout_rng)
-    return (pred, ws) if keep_cache else pred
+    return ws.forward(ws.load(inputs), dropout_rng)
 
 
 def loss_and_gradients(
@@ -426,9 +423,12 @@ def loss_and_gradients(
     parameter, keyed like Network._trainable(). obs_weight: exposure
     (Poisson) or claim count (gamma)."""
     fam = get_family(family, NeuralError)
-    pred, ws = forward(net, x_cont, x_onehot, log_y_in, dropout_rng, keep_cache=True)
-    loss, du = fam.network_loss(pred, y, obs_weight)
-    ws.backward(len(pred), du)
+    dropout_rng = dropout_rng if net.spec.dropout > 0 else None
+    inputs = _inputs(net, x_cont, x_onehot, log_y_in)
+    ws = _Workspace(net, len(inputs[0]), dropout=dropout_rng is not None)
+    m = ws.load(inputs)
+    loss, du = fam.network_loss(ws.forward(m, dropout_rng), y, obs_weight)
+    ws.backward(m, du)
     return loss, net._split(ws.grad)
 
 

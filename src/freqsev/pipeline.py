@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -121,6 +121,10 @@ class RunConfig:
 def load_config(path) -> RunConfig:
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    accepted = [f.name for f in fields(RunConfig)]
+    unknown = sorted(set(raw) - set(accepted))
+    if unknown:
+        raise PipelineError(f"unknown config keys {unknown}; accepted keys: {accepted}")
     if "families" in raw:
         raw["families"] = tuple(raw["families"])
     return RunConfig(**raw)

@@ -1,10 +1,13 @@
 """Distill a black-box model into an interpretable GLM.
 
 Each variable's partial-dependence effect is segmented by optimal 1-D
-dynamic-programming clustering (weighted by data frequency), the data is
-recoded onto the segments, and candidate GLMs over the segmented
-variables are fitted and selected by BIC. The result carries the same
-tariff-table export as any other GLM.
+dynamic-programming clustering (weighted by data frequency). One DP table
+per variable yields both the segments at PENALTY and the k chosen at each
+penalty of PENALTY_GRID. Continuous segments are `glm.BinningRule`
+intervals (lo,cut], so a value equal to a cut falls in the segment whose
+label ends at it. The data is recoded onto the segments, and candidate
+GLMs over the segmented variables are fitted and selected by BIC. The
+result carries the same tariff-table export as any other GLM.
 """
 
 from __future__ import annotations
@@ -16,12 +19,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ColumnSchema, Dataset
-from .glm import Design, GlmError, GlmModel, fit_glm
+from .glm import BinningRule, Design, GlmError, GlmModel, fit_glm
 from .interpretation import (
     default_pd_grid,
     partial_dependence,
     partial_dependence_2d,
 )
+
+
+K_MAX = 6  # most segments per variable
+PENALTY = 1.0  # lambda in choose_k's penalty * k * ln(total weight)
+PENALTY_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)  # lambdas of the penalty_sensitivity report
+MAX_EXHAUSTIVE = 10  # most surviving variables searched over every subset
+INTERACTION_THRESHOLD = 0.05  # least log-additivity residual that screens a pair in
+INTERACTION_GRID = 8  # most grid points per variable of a 2-D PD surface
+MAX_INTERACTIONS = 3
 
 
 class SurrogateError(ValueError):
@@ -41,7 +53,9 @@ class DpSegments:
     cost: float
 
 
-def _sse_table(values, weights):
+def _dp_tables(values, weights, k_max):
+    """cost[m][j] = optimal cost of splitting grid[0..j] into m segments."""
+    n = len(values)
     w = np.concatenate([[0.0], np.cumsum(weights)])
     wv = np.concatenate([[0.0], np.cumsum(weights * values)])
     wv2 = np.concatenate([[0.0], np.cumsum(weights * values * values)])
@@ -53,13 +67,6 @@ def _sse_table(values, weights):
         s = wv[j + 1] - wv[i]
         return max(0.0, (wv2[j + 1] - wv2[i]) - s * s / tw)
 
-    return sse, w, wv
-
-
-def _dp_tables(values, weights, k_max):
-    """cost[m][j] = optimal cost of splitting grid[0..j] into m segments."""
-    n = len(values)
-    sse, _, _ = _sse_table(values, weights)
     cost = np.full((k_max + 1, n), np.inf)
     split = np.zeros((k_max + 1, n), dtype=int)
     for j in range(n):
@@ -76,14 +83,29 @@ def _dp_tables(values, weights, k_max):
     return cost, split
 
 
-def _backtrack(split, k, n):
-    bounds = []
-    j = n - 1
+def _read_segments(values, w, cost, split, k) -> DpSegments:
+    """The optimal k-segmentation held in a DP table with at least k rows."""
+    n = len(values)
+    bounds, j = [], n - 1
     for m in range(k, 0, -1):
         i = split[m, j] if m > 1 else 0
-        bounds.append((i, j))
+        bounds.insert(0, (i, j))
         j = i - 1
-    return tuple(reversed(bounds))
+    reps = []
+    for i, j in bounds:
+        tw = w[i : j + 1].sum()
+        if tw > 0:
+            reps.append(float(np.sum(w[i : j + 1] * values[i : j + 1]) / tw))
+        else:
+            reps.append(float(np.mean(values[i : j + 1])))
+    return DpSegments(tuple(bounds), tuple(reps), float(cost[k, n - 1]))
+
+
+def _best_k(cost, w, penalty: float) -> int:
+    """Smallest k of the table minimizing cost + penalty * k * ln(total weight)."""
+    total_w = max(float(w.sum()), 2.0)
+    scores = [cost[k, -1] + penalty * k * np.log(total_w) for k in range(1, len(cost))]
+    return int(np.argmin(scores)) + 1
 
 
 def dp_segment(pd_values, weights, k: int) -> DpSegments:
@@ -98,29 +120,17 @@ def dp_segment(pd_values, weights, k: int) -> DpSegments:
         raise SurrogateError("weights must be non-negative")
     if not 1 <= k <= n:
         raise SurrogateError(f"k must be in [1, {n}], got {k}")
-    cost, split = _dp_tables(values, w, k)
-    bounds = _backtrack(split, k, n)
-    reps = []
-    for i, j in bounds:
-        tw = w[i : j + 1].sum()
-        if tw > 0:
-            reps.append(float(np.sum(w[i : j + 1] * values[i : j + 1]) / tw))
-        else:
-            reps.append(float(np.mean(values[i : j + 1])))
-    return DpSegments(bounds, tuple(reps), float(cost[k, n - 1]))
+    return _read_segments(values, w, *_dp_tables(values, w, k), k)
 
 
-def choose_k(pd_values, weights, k_max: int, penalty: float = 1.0) -> int:
+def choose_k(pd_values, weights, k_max: int, penalty: float = PENALTY) -> int:
     """Smallest k minimizing DP cost + penalty * k * ln(total weight)."""
     if k_max < 1:
         raise SurrogateError("k_max must be >= 1")
     values = np.asarray(pd_values, dtype=float)
     w = np.asarray(weights, dtype=float)
-    k_max = min(k_max, len(values))
-    cost, _ = _dp_tables(values, w, k_max)
-    total_w = max(float(w.sum()), 2.0)
-    scores = [cost[k, len(values) - 1] + penalty * k * np.log(total_w) for k in range(1, k_max + 1)]
-    return int(np.argmin(scores)) + 1
+    cost, _ = _dp_tables(values, w, min(k_max, len(values)))
+    return _best_k(cost, w, penalty)
 
 
 # -- variable segmentation over PD effects -------------------------------
@@ -134,8 +144,10 @@ class VariableSegments:
     kind: str  # "continuous" | "categorical"
     labels: tuple[str, ...]
     representatives: tuple[float, ...]
-    cuts: tuple[float, ...] = ()  # continuous: searchsorted-right thresholds
+    cuts: tuple[float, ...] = ()  # continuous: BinningRule cuts of (lo,cut] segments
     level_to_segment: tuple[int, ...] = ()  # categorical: code -> segment
+    # the k choose_k picks at each penalty of PENALTY_GRID, from the same DP table
+    sensitivity: dict[float, int] = field(default_factory=dict, compare=False)
 
     @property
     def n_segments(self) -> int:
@@ -143,7 +155,7 @@ class VariableSegments:
 
     def assign(self, column: np.ndarray) -> np.ndarray:
         if self.kind == "continuous":
-            return np.searchsorted(np.asarray(self.cuts), column, side="right")
+            return BinningRule(self.variable, self.cuts).apply(column)
         return np.asarray(self.level_to_segment)[column]
 
 
@@ -161,17 +173,21 @@ def segment_variable(
     variable: str,
     pd_grid: np.ndarray,
     pd_values: np.ndarray,
-    k_max: int = 6,
-    penalty: float = 1.0,
+    k_max: int = K_MAX,
+    penalty: float = PENALTY,
 ) -> VariableSegments:
     """Segment one variable by its PD effect. Categorical levels are
     ordered by PD value before the contiguous DP; continuous grids keep
-    their natural order so segments stay intervals."""
-    weights = _grid_weights(dataset, variable, pd_grid)
-    if variable in dataset.categorical_names:
-        order = np.argsort(pd_values, kind="stable")
-        k = choose_k(pd_values[order], weights[order], k_max, penalty)
-        segs = dp_segment(pd_values[order], weights[order], k)
+    their natural order so segments stay intervals. The segments at
+    `penalty` and the `sensitivity` report are read from one DP table."""
+    categorical = variable in dataset.categorical_names
+    values = np.asarray(pd_values, dtype=float)
+    order = np.argsort(values, kind="stable") if categorical else np.arange(len(values))
+    values, w = values[order], _grid_weights(dataset, variable, pd_grid)[order]
+    cost, split = _dp_tables(values, w, min(k_max, len(values)))
+    sensitivity = {lam: _best_k(cost, w, lam) for lam in PENALTY_GRID}
+    segs = _read_segments(values, w, cost, split, _best_k(cost, w, penalty))
+    if categorical:
         levels = dataset.column_schema(variable).levels
         level_to_segment = np.empty(len(pd_grid), dtype=int)
         labels = []
@@ -185,15 +201,15 @@ def segment_variable(
             tuple(labels),
             segs.representatives,
             level_to_segment=tuple(int(s) for s in level_to_segment),
+            sensitivity=sensitivity,
         )
-    k = choose_k(pd_values, weights, k_max, penalty)
-    segs = dp_segment(pd_values, weights, k)
-    cuts = tuple(
-        float((pd_grid[j] + pd_grid[j + 1]) / 2.0) for _, j in segs.bounds[:-1]
+    rule = BinningRule(
+        variable, tuple(float((pd_grid[j] + pd_grid[j + 1]) / 2.0) for _, j in segs.bounds[:-1])
     )
-    edges = [-np.inf, *cuts, np.inf]
-    labels = tuple(f"({edges[i]:.6g},{edges[i + 1]:.6g}]" for i in range(len(edges) - 1))
-    return VariableSegments(variable, "continuous", labels, segs.representatives, cuts=cuts)
+    return VariableSegments(
+        variable, "continuous", tuple(rule.labels()), segs.representatives, cuts=rule.cuts,
+        sensitivity=sensitivity,
+    )
 
 
 def segmented_dataset(dataset: Dataset, segments: dict[str, VariableSegments]) -> Dataset:
@@ -214,17 +230,6 @@ def segmented_dataset(dataset: Dataset, segments: dict[str, VariableSegments]) -
 
 
 # -- surrogate construction ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class SurrogateConfig:
-    k_max: int = 6
-    penalty: float = 1.0
-    max_exhaustive: int = 10
-    interaction_threshold: float = 0.05
-    interaction_grid: int = 8
-    max_interactions: int = 3
-    penalty_grid: tuple[float, ...] = (0.1, 0.5, 1.0, 2.0, 5.0)
 
 
 @dataclass
@@ -252,14 +257,14 @@ class SurrogateModel:
         return table
 
 
-def _interaction_score(model, dataset, var_a, var_b, cap):
+def _interaction_score(model, dataset, var_a, var_b):
     """Deviation of the log 2-way PD surface from log-additivity of the
     1-way effects (max absolute residual)."""
 
     def thin(grid):
-        if len(grid) <= cap:
+        if len(grid) <= INTERACTION_GRID:
             return grid
-        return grid[np.round(np.linspace(0, len(grid) - 1, cap)).astype(int)]
+        return grid[np.round(np.linspace(0, len(grid) - 1, INTERACTION_GRID)).astype(int)]
 
     grid_a = thin(default_pd_grid(dataset, var_a))
     grid_b = thin(default_pd_grid(dataset, var_b))
@@ -281,35 +286,17 @@ def _fit_candidate(data, mains, interactions, family):
         return None, np.inf
 
 
-def build_surrogate(
-    model,
-    dataset: Dataset,
-    family: str,
-    config: SurrogateConfig = SurrogateConfig(),
-) -> SurrogateModel:
+def build_surrogate(model, dataset: Dataset, family: str) -> SurrogateModel:
     """PD computation, per-variable segmentation, then a BIC search over
-    main-effect subsets (exhaustive up to the configured size, greedy
+    main-effect subsets (exhaustive up to MAX_EXHAUSTIVE survivors, greedy
     forward beyond) plus screened pairwise interactions."""
     segments: dict[str, VariableSegments] = {}
     sensitivity: dict[str, dict[float, int]] = {}
     for variable in dataset.feature_names:
         grid = default_pd_grid(dataset, variable)
         curve = partial_dependence(model, dataset, variable, grid)
-        weights = _grid_weights(dataset, variable, grid)
-        sensitivity[variable] = {
-            lam: choose_k(
-                curve.values[np.argsort(curve.values, kind="stable")]
-                if variable in dataset.categorical_names
-                else curve.values,
-                weights[np.argsort(curve.values, kind="stable")]
-                if variable in dataset.categorical_names
-                else weights,
-                config.k_max,
-                lam,
-            )
-            for lam in config.penalty_grid
-        }
-        seg = segment_variable(dataset, variable, grid, curve.values, config.k_max, config.penalty)
+        seg = segment_variable(dataset, variable, grid, curve.values)
+        sensitivity[variable] = seg.sensitivity
         if seg.n_segments > 1:
             segments[variable] = seg
     report = {"segment_counts": {v: s.n_segments for v, s in segments.items()},
@@ -323,7 +310,7 @@ def build_surrogate(
         return SurrogateModel(glm, {}, report)
 
     best_model, best_bic, best_mains = None, np.inf, ()
-    if len(survivors) <= config.max_exhaustive:
+    if len(survivors) <= MAX_EXHAUSTIVE:
         subsets = itertools.chain.from_iterable(
             itertools.combinations(survivors, r) for r in range(len(survivors) + 1)
         )
@@ -350,12 +337,12 @@ def build_surrogate(
 
     scored_pairs = []
     for var_a, var_b in itertools.combinations(best_mains, 2):
-        score = _interaction_score(model, dataset, var_a, var_b, config.interaction_grid)
-        if score > config.interaction_threshold:
+        score = _interaction_score(model, dataset, var_a, var_b)
+        if score > INTERACTION_THRESHOLD:
             scored_pairs.append((score, (var_a, var_b)))
     scored_pairs.sort(reverse=True)
     interactions: tuple = ()
-    for _, pair in scored_pairs[: config.max_interactions]:
+    for _, pair in scored_pairs[:MAX_INTERACTIONS]:
         cand, cand_bic = _fit_candidate(data, best_mains, (*interactions, pair), family)
         report["candidates"].append(
             {"mains": list(best_mains), "interactions": [*interactions, pair], "bic": cand_bic}

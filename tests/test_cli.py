@@ -236,3 +236,12 @@ def test_missing_artifact_names_producing_stage(workspace, tmp_path):
                              "--out", str(tmp_path / "summary.json")])
     assert r.exit_code != 0
     assert "missing artifact" in r.output and "synth" in r.output
+
+
+def test_run_config_typo_is_a_one_line_error(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"familes": ["glm"]}), encoding="utf-8")
+    r = CliRunner().invoke(main, ["run", "--config", str(path)])
+    assert r.exit_code == 1
+    assert r.output.startswith("Error: unknown config keys ['familes']; accepted keys: [")
+    assert len(r.output.splitlines()) == 1

@@ -103,6 +103,30 @@ def test_json_roundtrip_and_tariff_table():
     assert all(v > 0 for v in table["relativities"].values())
 
 
+def test_interaction_columns_reference_and_prediction_coding():
+    # cell counts of (f, g): b*y is the most populous combination
+    cells = [(0, 0)] * 2 + [(0, 1)] * 3 + [(0, 2)] * 2 + [(1, 0)] * 3 + [(1, 1)] * 6 + [(1, 2)] * 2
+    f, g = (np.array(c, dtype=np.int64) for c in zip(*cells))
+    schema = (ColumnSchema("f", "categorical", ("a", "b")),
+              ColumnSchema("g", "categorical", ("x", "y", "z")),
+              ColumnSchema("exposure", "exposure"), ColumnSchema("claims", "response"))
+    ds = Dataset(schema, {"f": f, "g": g, "exposure": np.ones(len(f)),
+                          "claims": 1.0 + np.arange(len(f)) % 3})
+    X, names, references = build_design_matrix(ds, Design(("f", "g"), (("f", "g"),)))
+    assert names == ["(Intercept)", "f[a]", "g[x]", "g[z]",
+                     "f:g[a*x]", "f:g[a*y]", "f:g[a*z]", "f:g[b*x]", "f:g[b*z]"]
+    assert references == {"f": 1, "g": 1, "f:g": 4}
+    np.testing.assert_array_equal(X[:, 7], (f == 1) & (g == 0))
+
+    design = Design(interactions=(("f", "g"),))
+    model = fit_glm(ds, design, "poisson_log")
+    rows = np.flatnonzero(f == 0)  # a*y is the most populous combination here
+    frame = ds.subset(rows)
+    assert build_design_matrix(frame, design)[2] == {"f:g": 1}
+    assert build_design_matrix(frame, design, model.references)[1] == model.column_names
+    np.testing.assert_allclose(model.predict(frame), model.predict(ds)[rows], rtol=1e-12)
+
+
 def test_binning_rule_apply():
     rule = BinningRule("x", (10.0, 20.0))
     np.testing.assert_array_equal(rule.apply(np.array([5.0, 10.0, 15.0, 25.0])), [0, 0, 1, 2])

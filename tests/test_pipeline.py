@@ -106,3 +106,11 @@ def test_load_model_rejects_an_untagged_file(tmp_path):
     path.write_text(json.dumps({"spec": None, "members": []}), encoding="utf-8")
     with pytest.raises(pipeline.PipelineError, match="kind None"):
         pipeline.load_model(path)
+
+
+def test_load_config_names_unknown_keys(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"familes": ["glm"], "seed": 1}), encoding="utf-8")
+    with pytest.raises(pipeline.PipelineError, match=r"unknown config keys \['familes'\]") as err:
+        pipeline.load_config(path)
+    assert "'families'" in str(err.value) and "'seed'" in str(err.value)

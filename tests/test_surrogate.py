@@ -5,14 +5,20 @@ import itertools
 import numpy as np
 import pytest
 
-from freqsev.data import PortfolioSpec, generate_synthetic_portfolio
+from freqsev.data import ColumnSchema, Dataset, PortfolioSpec, generate_synthetic_portfolio
 from freqsev.glm import BinningRule, Design, fit_glm
+from freqsev.interpretation import default_pd_grid, partial_dependence
 from freqsev.surrogate import (
+    K_MAX,
+    PENALTY,
+    PENALTY_GRID,
     SurrogateError,
+    _grid_weights,
     build_surrogate,
     choose_k,
     dp_segment,
     segment_variable,
+    segmented_dataset,
 )
 
 from conftest import ConstantModel, LogLinearModel, small_portfolio
@@ -93,6 +99,28 @@ def test_segment_variable_groups_categorical_levels(portfolio):
     assert mapped[0] == mapped[1] != mapped[2]
 
 
+def test_value_at_a_cut_falls_in_the_segment_whose_label_ends_there():
+    # an integer column like engine power in kW: 64 of the 99 midpoints of
+    # its 100-point PD grid are data values, so a cut can equal a value
+    power = np.arange(10.0, 244.0)
+    schema = (ColumnSchema("power", "continuous"), ColumnSchema("exposure", "exposure"),
+              ColumnSchema("claim_count", "response"))
+    column = np.repeat(power, 5)
+    ds = Dataset(schema, {"power": column, "exposure": np.ones(len(column)),
+                          "claim_count": np.zeros(len(column))})
+    grid = default_pd_grid(ds, "power")
+    assert len(grid) == 100 and np.isin((grid[:-1] + grid[1:]) / 2.0, power).sum() == 64
+    seg = segment_variable(ds, "power", grid, np.where(grid <= 128.0, 1.0, 3.0))
+    assert seg.cuts == (129.0,) and seg.labels == ("(-inf,129]", "(129,inf]")
+    rule = BinningRule("power", seg.cuts)
+    np.testing.assert_array_equal(seg.assign(np.array([128.0, 129.0, 130.0])), [0, 0, 1])
+    np.testing.assert_array_equal(seg.assign(column), rule.apply(column))
+    recoded = segmented_dataset(ds, {"power": seg})
+    np.testing.assert_array_equal(recoded.columns["power"], rule.apply(column))
+    levels = recoded.column_schema("power").levels
+    assert {levels[c] for c in recoded.columns["power"][column == 129.0]} == {"(-inf,129]"}
+
+
 def _distillation_case(n=5000, seed=0):
     spec = PortfolioSpec(
         n=n,
@@ -158,3 +186,18 @@ def test_bic_optimality_over_candidates():
     best = surrogate.report["selected"]["bic"]
     for cand in surrogate.report["candidates"]:
         assert best <= cand["bic"] + 1e-9
+
+
+def test_sensitivity_report_matches_choose_k_on_the_same_pd():
+    ds, black_box = _distillation_case(n=2000, seed=6)
+    report = build_surrogate(black_box, ds, "poisson_log").report
+    assert list(report["penalty_sensitivity"]) == list(ds.feature_names)
+    for variable, by_penalty in report["penalty_sensitivity"].items():
+        grid = default_pd_grid(ds, variable)
+        values = partial_dependence(black_box, ds, variable, grid).values
+        weights = _grid_weights(ds, variable, grid)
+        if variable in ds.categorical_names:
+            order = np.argsort(values, kind="stable")
+            values, weights = values[order], weights[order]
+        assert by_penalty == {lam: choose_k(values, weights, K_MAX, lam) for lam in PENALTY_GRID}
+        assert report["segment_counts"].get(variable, 1) == choose_k(values, weights, K_MAX, PENALTY)
