@@ -10,7 +10,9 @@ cuts are the midpoints an exact search would try. Trees grow level by
 level from histograms of bag count and gradient per node and bin.
 Categorical splits order levels by the mean gradient inside the node and
 route levels absent from the node to the majority child. A tree is flat
-arrays over its nodes, and prediction moves all rows down a level at a time.
+arrays over its nodes. Prediction walks each distinct binned row once,
+moving blocks of trees' (tree, row) pairs down a level at a time, and
+adds leaf values tree after tree: each row gets a per-tree walk's sums.
 """
 
 from __future__ import annotations
@@ -61,18 +63,15 @@ def _cuts(x: np.ndarray) -> np.ndarray:
     return (values[:-1] + values[1:]) / 2.0
 
 
-def _descend(node, feature, left, child, codes, levels):
-    """Move every row `levels` levels down; rows at a leaf stay there.
+def _descend(node, rows, offset, right, left, codes):
+    """Move each (node, row) pair one level down; pairs at a leaf stay there.
 
-    `codes` is the feature-major (features, rows) code matrix, raveled."""
-    rows = np.arange(len(node))
-    offset = np.maximum(feature, 0) * len(node)  # where each node's feature starts in codes
-    left, right = left.ravel(), child + 1
-    width = len(left) // len(feature)
-    for _ in range(levels):
-        code = codes.take(offset.take(node) + rows)
-        node = right.take(node) - left.take(node * width + code)
-    return node
+    `codes` is the feature-major (features, rows) code matrix, `rows` each
+    pair's column in it and `offset` where each node's split feature
+    starts in it, raveled; `right` is each node's right child, which for
+    a leaf is its own index + 1."""
+    code = codes.take(offset.take(node) + rows)
+    return right.take(node) - left.take(node * left.shape[1] + code)
 
 
 class _Layout:
@@ -140,6 +139,7 @@ def _grow(codes, keys, layout, grad, count, depth, min_count):
     child = np.arange(capacity)
     count_w, grad_w = np.tile(count, len(layout.start)), np.tile(grad, len(layout.start))
     node = np.zeros(len(count), dtype=np.intp)
+    rows = np.arange(len(count))
     level = np.array([0])
     size = 1
     for _ in range(depth):
@@ -162,7 +162,7 @@ def _grow(codes, keys, layout, grad, count, depth, min_count):
         child[parents] = size + 2 * np.arange(k)
         level = np.arange(size, size + 2 * k)
         size += 2 * k
-        node = _descend(node, feature, left, child, codes, 1)
+        node = _descend(node, rows, np.maximum(feature, 0) * len(rows), child + 1, left, codes)
     return feature[:size], left[:size].copy(), child[:size], node
 
 
@@ -185,27 +185,52 @@ class BoostedModel:
     tuned: dict | None = None
 
     def _codes(self, dataset: Dataset) -> np.ndarray:
-        """Feature-major (features, rows) matrix, raveled: the bin of each
-        continuous value, the level code of each categorical one."""
+        """Feature-major (features, rows) matrix: the bin of each continuous
+        value, the level code of each categorical one."""
         columns = [
             np.searchsorted(self.cuts[name], dataset.columns[name], side="left")
             if name in self.cuts
             else dataset.columns[name]
             for name in self.features
         ]
-        return np.stack(columns).astype(np.intp, copy=False).ravel()
+        return np.stack(columns).astype(np.intp, copy=False)
 
-    def _add_trees(self, scores: np.ndarray, codes: np.ndarray, trees) -> None:
-        """Add each tree's shrunken output to the log scores, in place."""
-        root = np.zeros(len(scores), dtype=np.intp)
-        for tree in trees:
-            leaf = _descend(root, tree.feature, tree.left, tree.child, codes, self.depth)
-            scores += (self.shrinkage * tree.value).take(leaf)
+    def _distinct(self, dataset: Dataset):
+        """The code matrix of the distinct binned rows, and each row's index
+        among them."""
+        codes = self._codes(dataset)
+        key = np.zeros(dataset.n, dtype=np.int64)
+        for column in codes:  # dense after each feature, so the key cannot overflow
+            key = key * (column.max(initial=0) + 1) + column
+            _, first, key = np.unique(key, return_index=True, return_inverse=True)
+        return codes[:, first], key
+
+    def _add_trees(self, scores: np.ndarray, codes: np.ndarray, trees, n_rows: int) -> None:
+        """Add each tree's shrunken output to the log scores of the rows of
+        `codes`, in place and in tree order. Trees are walked in blocks of
+        at most `n_rows` (tree, row) pairs."""
+        u = len(scores)
+        block = max(1, n_rows // max(1, u))
+        rows = np.tile(np.arange(u), min(block, len(trees)))
+        sizes = np.array([len(t.feature) for t in trees], dtype=np.intp)
+        for start in range(0, len(trees), block):
+            part, size = trees[start : start + block], sizes[start : start + block]
+            root = np.cumsum(size) - size  # of each tree in the block's node arrays
+            feature = np.concatenate([t.feature for t in part])
+            left = np.concatenate([t.left for t in part])
+            right = np.concatenate([t.child for t in part]) + np.repeat(root + 1, size)
+            offset, node = np.maximum(feature, 0) * u, np.repeat(root, u)
+            for _ in range(self.depth):
+                node = _descend(node, rows[: len(node)], offset, right, left, codes)
+            value = self.shrinkage * np.concatenate([t.value for t in part])
+            for increment in value.take(node).reshape(len(part), u):
+                scores += increment
 
     def log_scores(self, dataset: Dataset, n_trees: int | None = None) -> np.ndarray:
-        scores = np.full(dataset.n, self.f0)
-        self._add_trees(scores, self._codes(dataset), self.trees[:n_trees])
-        return scores
+        codes, inverse = self._distinct(dataset)
+        scores = np.full(codes.shape[1], self.f0)
+        self._add_trees(scores, codes, self.trees[:n_trees], dataset.n)
+        return scores.take(inverse)
 
     def predict(self, dataset: Dataset, n_trees: int | None = None) -> np.ndarray:
         """Strictly positive predictions; exposure not applied."""
@@ -270,7 +295,7 @@ def fit_gbm(
             for name in features]
     layout = _Layout(size, np.array([name not in cuts for name in features], dtype=bool))
     codes = model._codes(dataset)
-    keys = codes.reshape(len(features), dataset.n) + layout.start[:, None]
+    keys = codes + layout.start[:, None]
 
     rng = substream(seed, "gbm-bagging")
     min_count = max(1, int(np.ceil(MIN_NODE_SHARE * dataset.n)))
@@ -302,12 +327,12 @@ def _cv_deviance(dataset, fam, fold_plan, outer_fold, n_trees_grid, depth, seed)
         train_idx = np.flatnonzero((fold_plan.outer != outer_fold) & (fold_plan.outer != k))
         model = fit_gbm(dataset.subset(train_idx), fam.name, max(n_trees_grid), depth, seed=seed)
         valid = dataset.subset(fold_plan.test_rows(k))
-        codes = model._codes(valid)
-        scores = np.full(valid.n, model.f0)
+        codes, inverse = model._distinct(valid)
+        scores = np.full(codes.shape[1], model.f0)
         done = 0
         for i, n_trees in enumerate(n_trees_grid):
-            model._add_trees(scores, codes, model.trees[done:n_trees])
-            losses[i] += fam.deviance(np.exp(scores), valid)
+            model._add_trees(scores, codes, model.trees[done:n_trees], valid.n)
+            losses[i] += fam.deviance(np.exp(scores.take(inverse)), valid)
             done = n_trees
     return losses / len(inner)
 

@@ -227,3 +227,87 @@ def test_level_absent_from_node_goes_to_majority_child():
     assert not np.any(in_node == 2)
     n_left = np.sum(levels_left[in_node])
     assert tree.left[low][2] == (n_left >= len(in_node) - n_left)
+
+
+def _reference_log_scores(model, dataset, n_trees=None):
+    """Every row through every tree, one tree after another: the plain walk."""
+    codes = np.stack([
+        np.searchsorted(model.cuts[name], dataset.columns[name], side="left")
+        if name in model.cuts else dataset.columns[name]
+        for name in model.features
+    ])
+    rows = np.arange(dataset.n)
+    scores = np.full(dataset.n, model.f0)
+    for tree in model.trees[:n_trees]:
+        node = np.zeros(dataset.n, dtype=np.intp)
+        for _ in range(model.depth):
+            go_left = tree.left[node, codes[np.maximum(tree.feature[node], 0), rows]]
+            node = np.where(go_left, tree.child[node], tree.child[node] + 1)
+        scores += model.shrinkage * tree.value[node]
+    return scores
+
+
+@pytest.mark.parametrize("depth", [1, 3, 5])
+def test_log_scores_match_per_tree_reference(depth):
+    """Walking each distinct binned row once, trees in blocks, ends on the
+    same bits as walking every row through every tree."""
+    p = small_portfolio(n=1500, seed=13)
+    train = p.dataset.subset(np.flatnonzero(p.dataset.columns["region"] != 2))
+    assert len(np.unique(train.columns["age"])) > MAX_BINS  # region 2 is unseen
+    model = fit_gbm(train, "poisson_log", n_trees=60, depth=depth, seed=0, shrinkage=0.1)
+    cuts = model.cuts["age"]
+    # one row per bin and level: ages exactly on each cut and beyond the last
+    ages = np.append(cuts, cuts[-1] + 1.0)
+    grid = p.dataset.subset(np.zeros(3 * len(ages), dtype=np.intp))
+    grid = grid.with_column("age", np.repeat(ages, 3))
+    grid = grid.with_column("region", np.tile(np.arange(3), len(ages)))
+    frames = {
+        "portfolio": p.dataset,  # many duplicate binned rows
+        "distinct": grid,
+        "repeated": grid.subset(np.tile(np.arange(100), 7)),  # blocks of 7 trees
+        "pinned": p.dataset.with_column("age", np.full(p.dataset.n, cuts[40])),
+        "one row": p.dataset.subset([5]),
+        "no rows": p.dataset.subset(np.array([], dtype=np.intp)),
+    }
+    for name, frame in frames.items():
+        for n_trees in (None, 50, 1):
+            scores = model.log_scores(frame, n_trees)
+            np.testing.assert_array_equal(
+                scores, _reference_log_scores(model, frame, n_trees), err_msg=name
+            )
+    assert model.log_scores(frames["no rows"]).shape == (0,)
+
+
+def test_prediction_memory_is_linear_in_rows():
+    """200,000 rows whose binned rows are all distinct: the walk stays
+    within a bound linear in the rows that one block of 100 trees by
+    200,000 rows (160 MB of leaf values alone) would break."""
+    import tracemalloc
+
+    rng = np.random.default_rng(14)
+    names = ("x1", "x2", "x3")
+    schema = tuple(ColumnSchema(name, "continuous") for name in names) + (
+        ColumnSchema("exposure", "exposure"),
+        ColumnSchema("claims", "response"),
+    )
+    m = 2000
+    train = {name: rng.uniform(0.0, 1.0, m) for name in names}
+    train.update(exposure=np.ones(m), claims=rng.poisson(0.3, m).astype(float))
+    model = fit_gbm(Dataset(schema, train), "poisson_log", n_trees=100, depth=2, seed=0)
+    n = 200_000
+    i = np.arange(n)
+    codes = (i % MAX_BINS, i // MAX_BINS % MAX_BINS, i // MAX_BINS**2)
+    columns = {}
+    for name, code in zip(names, codes):
+        cuts = model.cuts[name]
+        assert len(cuts) == MAX_BINS - 1
+        columns[name] = np.append(cuts, cuts[-1] + 1.0)[code]
+    columns.update(exposure=np.ones(n), claims=np.zeros(n))
+    frame = Dataset(schema, columns)
+    tracemalloc.start()
+    try:
+        model.predict(frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * n, peak
