@@ -27,7 +27,7 @@ from .data import (
     write_claims_csv,
     write_csv,
 )
-from .evaluation import LossVector, diebold_mariano, get_family, write_dm_json
+from .evaluation import EvaluationError, LossVector, diebold_mariano, get_family, write_dm_json
 from .interpretation import partial_dependence, permutation_vip, write_pd_csv, write_vip_csv
 from .pipeline import PipelineError, RunConfig, load_config, load_fold_plan, load_model
 from .pipeline import run_pipeline, save_fold_plan
@@ -196,9 +196,12 @@ def evaluate(data, schema, claims, pred_a, pred_b, family, out):
     sub = dataset.subset(rows_a)
     fam = get_family(family)
     y, w = sub.response, fam.obs_weight(sub)
-    la = fam.contributions(fa, y, w)
-    lb = fam.contributions(fb, y, w)
-    result = diebold_mariano(LossVector(la, "A"), LossVector(lb, "B"))
+    try:
+        la = fam.contributions(fa, y, w)
+        lb = fam.contributions(fb, y, w)
+        result = diebold_mariano(LossVector(la, "A"), LossVector(lb, "B"))
+    except EvaluationError as exc:
+        raise click.ClickException(str(exc)) from exc
     write_dm_json({"A_vs_B": result}, out)
     click.echo(f"DM verdict: {result.verdict} (p = {result.p_value:.4g})")
 

@@ -10,6 +10,7 @@ histograms. All functions are pure over immutable arrays.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,17 +238,23 @@ def diebold_mariano(loss_a: LossVector, loss_b: LossVector) -> DMResult:
 
     The alternative is predictive superiority of model B over model A;
     "reject" means p < 0.05. Plain sample variance, n-1 degrees of
-    freedom, no autocorrelation correction (cross-sectional data).
+    freedom, no autocorrelation correction (cross-sectional data). A
+    constant nonzero differential has no variance: its statistic is
+    +inf or -inf, with p-value 0 or 1.
     """
     la, lb = loss_a.contributions, loss_b.contributions
     if len(la) != len(lb):
         raise EvaluationError("loss vectors must cover the same observations")
+    n = len(la)
+    if n < 2:
+        raise EvaluationError("the Diebold-Mariano test needs at least 2 observations")
     d = la - lb
-    if np.all(d == 0):
-        return DMResult(0.0, 1.0, "identical")
-    n = len(d)
-    se = np.std(d, ddof=1) / np.sqrt(n)
-    statistic = float(np.mean(d) / se)
+    if np.all(d == d[0]):
+        if d[0] == 0:
+            return DMResult(0.0, 1.0, "identical")
+        statistic = math.copysign(math.inf, d[0])
+    else:
+        statistic = float(np.mean(d) / (np.std(d, ddof=1) / np.sqrt(n)))
     p_value = float(stats.t.sf(statistic, df=n - 1))
     verdict = "reject" if p_value < DM_ALPHA else "no_reject"
     return DMResult(statistic, p_value, verdict)
@@ -263,36 +270,71 @@ class MurphyCurve:
     model_id: str = ""
 
 
+def _sample(values, what) -> np.ndarray:
+    a = np.asarray(values, dtype=float)
+    if a.ndim != 1 or a.size == 0:
+        raise EvaluationError(f"{what} must be a non-empty 1-D array")
+    if not np.all(np.isfinite(a)):
+        raise EvaluationError(f"{what} must be finite")
+    return a
+
+
 def default_theta_grid(predictions, responses, n_fill: int = 501) -> np.ndarray:
     """All distinct values of {y} and {f} (the knots where the elementary
     score changes slope) plus uniform fill points for plotting."""
-    knots = np.union1d(np.unique(predictions), np.unique(responses))
+    f = _sample(predictions, "predictions")
+    y = _sample(responses, "responses")
+    knots = np.union1d(f, y)
     fill = np.linspace(knots[0], knots[-1], n_fill)
     return np.union1d(knots, fill)
 
 
+def _prefix_sums(v):
+    """Prefix sums of `v` from 0 as a pair (s, c) whose sum s + c carries
+    the rounding error of the running sum s (TwoSum per step), so that
+    differences of far-apart prefixes keep their low-order bits."""
+    s = np.concatenate(([0.0], np.cumsum(v)))
+    z = s[1:] - s[:-1]
+    c = np.cumsum((s[:-1] - (s[1:] - z)) + (v - z))
+    return s, np.concatenate(([0.0], c))
+
+
 def murphy_curve(predictions, responses, theta_grid=None, model_id: str = "") -> MurphyCurve:
     """Elementary score S_theta = mean |theta - y| 1{min(f,y) <= theta < max(f,y)}
-    evaluated over the grid."""
-    f = np.asarray(predictions, dtype=float)
-    y = np.asarray(responses, dtype=float)
-    if theta_grid is None:
-        theta_grid = default_theta_grid(f, y)
-    thetas = np.asarray(theta_grid, dtype=float)
-    if thetas.size == 0:
-        raise EvaluationError("theta grid is empty")
+    evaluated over the ascending grid, in O((n + m) log n) time and
+    O(n + m) memory for n rows and m grid points.
+
+    S is piecewise linear in theta. A row with y < f adds theta - y on
+    [y, f), one with f < y adds y - theta on [f, y), one with f = y adds
+    nothing. Each of the two groups sorts its interval ends once; binary
+    searches of every theta in them count the rows active at theta (k),
+    and compensated prefix sums of y in the same orders give their sum
+    (Sy), so the group adds +-(theta k - Sy). The exact-zero rule: a
+    group with k = 0 adds exactly 0.0, and rows with y = theta, which add
+    0, are left out of k, so a theta outside every row's interval, or on
+    the y end of each active one, scores exactly 0.0. Other scores carry
+    an absolute rounding error of about one unit in the last place of
+    theta, whatever n.
+    """
+    f = _sample(predictions, "predictions")
+    y = _sample(responses, "responses")
+    if len(f) != len(y):
+        raise EvaluationError("predictions and responses must have equal length")
+    thetas = default_theta_grid(f, y) if theta_grid is None else _sample(theta_grid, "theta grid")
     if np.any(np.diff(thetas) < 0):
         raise EvaluationError("theta grid must be sorted ascending")
-    lo = np.minimum(f, y)
-    hi = np.maximum(f, y)
-    scores = np.empty(len(thetas))
-    # chunk over theta to bound the n_obs x n_theta intermediate
-    chunk = max(1, int(5_000_000 / max(len(y), 1)))
-    for s in range(0, len(thetas), chunk):
-        th = thetas[s : s + chunk, None]
-        active = (lo[None, :] <= th) & (th < hi[None, :])
-        scores[s : s + chunk] = np.mean(np.abs(th - y[None, :]) * active, axis=1)
-    return MurphyCurve(thetas, scores, model_id)
+    total = np.zeros(len(thetas))
+    # (sign, rows, lower end, upper end, search side of the lower end)
+    for sign, rows, lo, hi, side in ((1.0, y < f, y, f, "left"), (-1.0, f < y, f, y, "right")):
+        lo, hi, yg = lo[rows], hi[rows], y[rows]
+        by_lo, by_hi = np.argsort(lo), np.argsort(hi)
+        a = np.searchsorted(lo[by_lo], thetas, side=side)
+        b = np.searchsorted(hi[by_hi], thetas, side="right")
+        (s_lo, c_lo), (s_hi, c_hi) = _prefix_sums(yg[by_lo]), _prefix_sums(yg[by_hi])
+        k = a - b
+        sum_y = (s_lo[a] - s_hi[b]) + (c_lo[a] - c_hi[b])
+        total += np.where(k > 0, sign * (thetas * k - sum_y), 0.0)
+    return MurphyCurve(thetas, total / len(y), model_id)
 
 
 def dominance(curve_a: MurphyCurve, curve_b: MurphyCurve, tol: float = 1e-12) -> str:

@@ -97,6 +97,16 @@ def test_evaluate_identical_predictions(workspace, tmp_path):
     assert verdict == "identical"
 
 
+def test_evaluate_one_row_is_a_usage_error(workspace, tmp_path):
+    pred = tmp_path / "one_row.csv"
+    pred.write_text("row,prediction\n0,0.1\n")
+    r = CliRunner().invoke(main, ["evaluate", "--data", workspace["data"],
+                                  "--schema", workspace["schema"], "--pred-a", str(pred),
+                                  "--pred-b", str(pred), "--out", str(tmp_path / "dm.json")])
+    assert r.exit_code == 1
+    assert "at least 2 observations" in r.output
+
+
 # The desk ffnn of fold 0 keeps its start weights here (early stopping found
 # no better epoch on these 800 rows), so it predicts a constant and every
 # importance is 0; a glm's relative importances sum to 1.

@@ -1,8 +1,10 @@
 """Deviances, Diebold-Mariano, Murphy diagrams, calibration, histograms."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freqsev.evaluation import (
@@ -67,6 +69,21 @@ def test_dm_identical_and_direction():
     assert flipped.verdict == "no_reject"
 
 
+def test_dm_needs_two_observations():
+    for n in (0, 1):
+        with pytest.raises(EvaluationError):
+            diebold_mariano(LossVector(np.ones(n)), LossVector(np.zeros(n)))
+
+
+def test_dm_constant_differential_is_defined():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        worse = diebold_mariano(LossVector(np.full(30, 0.1)), LossVector(np.zeros(30)))
+        better = diebold_mariano(LossVector(np.zeros(30)), LossVector(np.full(30, 0.1)))
+    assert (worse.statistic, worse.p_value, worse.verdict) == (np.inf, 0.0, "reject")
+    assert (better.statistic, better.p_value, better.verdict) == (-np.inf, 1.0, "no_reject")
+
+
 def test_murphy_single_observation():
     curve = murphy_curve([1.0], [0.0], theta_grid=[0.5])
     assert curve.scores[0] == 0.5
@@ -77,6 +94,128 @@ def test_murphy_zero_outside_interval():
     np.testing.assert_array_equal(curve.scores, 0.0)
     perfect = murphy_curve([1.0, 2.0], [1.0, 2.0], theta_grid=[0.5, 1.5, 2.5])
     np.testing.assert_array_equal(perfect.scores, 0.0)
+
+
+def _dense_murphy_reference(f, y, thetas):
+    """The elementary score straight from its definition, one theta x row
+    cell at a time."""
+    f, y, thetas = (np.asarray(a, dtype=float) for a in (f, y, thetas))
+    lo, hi = np.minimum(f, y), np.maximum(f, y)
+    th = thetas[:, None]
+    active = (lo[None, :] <= th) & (th < hi[None, :])
+    return np.mean(np.abs(th - y[None, :]) * active, axis=1)
+
+
+def _with_grid(f, y, between=()):
+    """(f, y, grid): every interval end, the given points and one point
+    below and one above all intervals."""
+    knots = np.union1d(f, y)
+    extra = np.concatenate([between, [knots[0] - 1.0, knots[-1] + 1.0]])
+    return np.asarray(f, dtype=float), np.asarray(y, dtype=float), np.union1d(knots, extra)
+
+
+@st.composite
+def _murphy_inputs(draw):
+    """Poisson counts or gamma-scale claim amounts, with ties f = y and
+    duplicates drawn from a small shared pool. The amounts stay below
+    4,096: scores carry an absolute rounding error of about one unit in
+    the last place of theta, which there is below the 1e-12 floor."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    if draw(st.booleans()):
+        response = st.integers(min_value=0, max_value=6).map(float)
+        prediction = st.floats(min_value=0.01, max_value=6.0)
+    else:
+        response = prediction = st.floats(min_value=1.0, max_value=4000.0)
+    pool = draw(st.lists(response, min_size=1, max_size=5))
+    shared = st.sampled_from(pool)
+    y = draw(st.lists(st.one_of(shared, response), min_size=n, max_size=n))
+    f = draw(st.lists(st.one_of(shared, prediction), min_size=n, max_size=n))
+    lo, hi = min(f + y), max(f + y)
+    return _with_grid(f, y, draw(st.lists(st.floats(min_value=lo, max_value=hi), max_size=20)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_murphy_inputs())
+# larger amounts, whose plain running sums drop low bits that the prefix sums keep
+@example(_with_grid([63349.358, 23349.886, 23349.886], [63349.886, 23349.886, 60779.073]))
+# at theta = 7.348 the only active row has y = theta and must add exactly 0
+@example(_with_grid([4.148, 9.187], [3.855, 7.348]))
+def test_murphy_matches_dense_reference(inputs):
+    f, y, thetas = inputs
+    scores = murphy_curve(f, y, thetas).scores
+    ref = _dense_murphy_reference(f, y, thetas)
+    assert np.all(scores >= 0.0)
+    np.testing.assert_array_equal(scores[ref == 0.0], 0.0)
+    assert np.all(np.abs(scores - ref) <= 1e-12 * np.maximum(ref, 1.0))
+
+
+def test_murphy_default_grid_matches_reference():
+    rng = np.random.default_rng(4)
+    f = rng.uniform(1.0, 4000.0, 300)
+    y = np.where(rng.random(300) < 0.2, f, rng.uniform(1.0, 4000.0, 300))
+    curve = murphy_curve(f, y)
+    np.testing.assert_array_equal(curve.thetas, default_theta_grid(f, y))
+    ref = _dense_murphy_reference(f, y, curve.thetas)
+    assert np.all(np.abs(curve.scores - ref) <= 1e-12 * np.maximum(ref, 1.0))
+
+
+@pytest.mark.parametrize(
+    "f, y",
+    [
+        ([0.5], [0.0, 1.0, 2.0]),  # would broadcast one prediction over three rows
+        ([[0.5, 1.0]], [[0.0, 1.0]]),
+        ([], []),
+        ([np.nan, 1.0], [0.0, 1.0]),
+        ([0.5, 1.0], [np.inf, 1.0]),
+    ],
+    ids=["unequal-length", "two-dimensional", "empty", "nan-prediction", "inf-response"],
+)
+def test_murphy_rejects_bad_samples(f, y):
+    with pytest.raises(EvaluationError):
+        murphy_curve(f, y, theta_grid=[0.5])
+    with pytest.raises(EvaluationError):
+        murphy_curve(f, y)
+
+
+@pytest.mark.parametrize(
+    "f, y",
+    [([], [1.0]), ([1.0], []), ([np.nan], [1.0]), ([1.0], [-np.inf]), ([[1.0]], [1.0])],
+    ids=["empty-predictions", "empty-responses", "nan-prediction", "inf-response", "2-D"],
+)
+def test_default_grid_rejects_bad_samples(f, y):
+    with pytest.raises(EvaluationError):
+        default_theta_grid(f, y)
+
+
+@pytest.mark.parametrize(
+    "grid", [[], [0.5, np.nan], [np.inf], [1.0, 0.5], [[0.5]]],
+    ids=["empty", "nan", "inf", "descending", "2-D"],
+)
+def test_murphy_rejects_bad_grids(grid):
+    with pytest.raises(EvaluationError):
+        murphy_curve([1.0, 2.0], [0.0, 3.0], theta_grid=grid)
+
+
+def test_murphy_memory_is_linear_in_rows_and_grid():
+    """100,000 rows on a grid of about as many points stay within a bound
+    linear in n + m that a theta x row mask, even one cut into chunks of
+    5 million cells, breaks."""
+    import tracemalloc
+
+    rng = np.random.default_rng(8)
+    n = 100_000
+    f = rng.uniform(0.01, 0.5, n)
+    y = rng.poisson(f).astype(float)
+    thetas = default_theta_grid(f, y)
+    m = len(thetas)
+    assert m > n
+    tracemalloc.start()
+    try:
+        murphy_curve(f, y, thetas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * (n + m), peak
 
 
 def test_default_grid_contains_knots():
