@@ -1,15 +1,18 @@
-"""Glorot initialization and the Adam optimizer shared by the
-autoencoder and the networks.
+"""Glorot initialization, flat parameter vectors, the Adam optimizer and
+the early-stopping loop shared by the autoencoder and the networks.
 
-Adam works on one flat parameter vector and steps it in place: a model
-keeps its parameter arrays as views of that vector and writes their
-gradients into views of one flat gradient vector. The step allocates
+A model keeps all its parameters in one flat vector `theta`; `views`
+lays its named arrays over that vector, and over the flat gradient
+vector of the same layout. Adam steps `theta` in place and allocates
 nothing; it runs the textbook update one operation at a time, in the
 order of the per-array formula, so every element gets the same bits as
-`p - lr * m_hat / (sqrt(v_hat) + eps)` would give it.
+`p - lr * m_hat / (sqrt(v_hat) + eps)` would give it. `early_stopping`
+runs the mini-batch epochs around it and restores the best parameters.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -17,11 +20,26 @@ ADAM_LR = 1e-3
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+PATIENCE = 20
+MAX_EPOCHS = 1000
 
 
 def glorot(rng, shape) -> np.ndarray:
     limit = np.sqrt(6.0 / (shape[0] + shape[1]))
     return rng.uniform(-limit, limit, shape)
+
+
+def views(flat: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:
+    """Views of `flat`, one per name in `shapes` (name -> shape), laid end
+    to end in the order of `shapes`; they must cover `flat` exactly."""
+    out, pos = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        out[name] = flat[pos : pos + size].reshape(shape)
+        pos += size
+    if pos != len(flat):
+        raise ValueError(f"flat vector has {len(flat)} elements, the layout {pos}")
+    return out
 
 
 class Adam:
@@ -53,3 +71,40 @@ class Adam:
         scale += ADAM_EPS
         step /= scale
         theta -= step
+
+
+def early_stopping(theta, grad, batch_gradient, validation_loss, n_rows, batch_size, rng,
+                   max_epochs, patience, lr):
+    """Mini-batch Adam on `theta`, in place, with early stopping.
+
+    Scores the start with `validation_loss()`. Each epoch then draws a
+    permutation of the `n_rows` training rows from `rng`, calls
+    `batch_gradient(rows)` for every `batch_size` of them in turn (it
+    writes the batch gradient at the current `theta` into `grad`), steps
+    Adam, and scores again. Stops after `patience` epochs in a row that do
+    not beat the best loss by more than 1e-12, or after
+    `max_epochs`. `theta` ends at the best parameters scored.
+
+    Returns the validation losses (the start's first) and the best one."""
+    adam = Adam(theta.size, lr)
+    best_loss = validation_loss()
+    best = theta.copy()
+    history = [best_loss]
+    bad = 0
+    for _ in range(max_epochs):
+        order = rng.permutation(n_rows)
+        for s in range(0, n_rows, batch_size):
+            batch_gradient(order[s : s + batch_size])
+            adam.step(theta, grad)
+        loss = validation_loss()
+        history.append(loss)
+        if loss < best_loss - 1e-12:
+            best_loss = loss
+            np.copyto(best, theta)
+            bad = 0
+        else:
+            bad += 1
+            if bad >= patience:
+                break
+    np.copyto(theta, best)
+    return history, best_loss

@@ -18,6 +18,8 @@ import numpy as np
 from ._rand import substream
 
 COLUMN_KINDS = ("continuous", "categorical", "exposure", "response", "claim_count")
+K_OUTER = 6  # outer cross-validation folds
+STRATUM_CAP = 2  # claim counts above it share one stratum
 
 
 class DataError(ValueError):
@@ -276,16 +278,6 @@ def one_hot(dataset: Dataset) -> tuple[np.ndarray, list[tuple[str, int]]]:
     return np.hstack(blocks), structure
 
 
-def one_hot_decode(matrix: np.ndarray, structure: list[tuple[str, int]]) -> dict[str, np.ndarray]:
-    """Recover level codes from a one-hot (or decoded probability) matrix
-    by per-block argmax."""
-    out, offset = {}, 0
-    for name, width in structure:
-        out[name] = np.argmax(matrix[:, offset : offset + width], axis=1)
-        offset += width
-    return out
-
-
 # -- severity view ----------------------------------------------------
 
 
@@ -346,44 +338,50 @@ class FoldPlan:
         """The inner cross-validation folds for outer fold `fold`."""
         return [k for k in range(self.k_outer) if k != fold]
 
+    def inner_train_rows(self, fold: int, inner: int) -> np.ndarray:
+        """Training rows of inner fold `inner` of outer fold `fold`: the
+        rows in neither; `test_rows(inner)` validates them."""
+        return np.flatnonzero((self.outer != fold) & (self.outer != inner))
 
-def stratification_key(dataset: Dataset, cap: int = 2) -> np.ndarray:
-    """Claim count capped at `cap`; severity views stratify on weights."""
+
+def stratification_key(dataset: Dataset) -> np.ndarray:
+    """Claim count capped at `STRATUM_CAP`; severity views stratify on
+    weights."""
     if dataset.weights is not None:
         counts = dataset.weights
     else:
         counts = dataset.response
-    return np.minimum(np.asarray(counts, dtype=np.int64), cap)
+    return np.minimum(np.asarray(counts, dtype=np.int64), STRATUM_CAP)
 
 
-def stratified_folds(dataset: Dataset, k_outer: int = 6, seed: int = 0) -> FoldPlan:
-    """Partition rows into `k_outer` disjoint subsets, stratified on the
+def stratified_folds(dataset: Dataset, seed: int = 0) -> FoldPlan:
+    """Partition rows into `K_OUTER` disjoint subsets, stratified on the
     capped claim count so each subset mirrors the global claim-count mix.
 
-    Deterministic under `seed`. Classes smaller than `k_outer` are merged
+    Deterministic under `seed`. Classes smaller than `K_OUTER` are merged
     into the next lower class with a warning.
     """
     key = stratification_key(dataset)
     classes, counts = np.unique(key, return_counts=True)
     for cls, cnt in zip(classes, counts):
-        if cnt < k_outer and cls > 0:
+        if cnt < K_OUTER and cls > 0:
             warnings.warn(
                 f"claim-count class {cls} has only {cnt} rows; merging into class {cls - 1}"
             )
             key = np.where(key == cls, cls - 1, key)
     rng = substream(seed, "folds")
     outer = np.empty(dataset.n, dtype=np.int64)
-    start = rng.integers(k_outer)
+    start = rng.integers(K_OUTER)
     pos = 0
     for cls in np.unique(key):
         rows = np.flatnonzero(key == cls)
         rng.shuffle(rows)
         # deal round-robin with a rotating offset so small classes do not
         # always favor subset 0
-        assignment = (np.arange(len(rows)) + start + pos) % k_outer
+        assignment = (np.arange(len(rows)) + start + pos) % K_OUTER
         outer[rows] = assignment
         pos += len(rows)
-    return FoldPlan(outer, k_outer, key, seed)
+    return FoldPlan(outer, K_OUTER, key, seed)
 
 
 # -- synthetic portfolios ---------------------------------------------

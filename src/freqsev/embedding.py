@@ -2,10 +2,12 @@
 
 A single linear encoding layer of dimension d and a linear decoding layer
 back to the one-hot width, with a per-variable softmax on the output and
-cross-entropy reconstruction loss. After training, the encoder weights
-are rescaled so the codes have zero mean and unit variance on the
-training rows; the scaled encoder is then grafted onto the downstream
-networks.
+cross-entropy reconstruction loss. Training keeps the four weight arrays
+as views of one flat vector and runs the `early_stopping` loop of
+`freqsev._optim`, the one the networks use. After training, the encoder
+weights are rescaled so the codes have zero mean and unit variance on
+the training rows; the scaled encoder is then grafted onto the
+downstream networks.
 """
 
 from __future__ import annotations
@@ -15,12 +17,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._optim import ADAM_LR, Adam, glorot
+from ._optim import ADAM_LR, MAX_EPOCHS, PATIENCE, early_stopping, glorot, views
 from ._rand import substream
 
 BATCH_SIZE = 1000
-PATIENCE = 20
-MAX_EPOCHS = 1000
 CE_THRESHOLD = 1e-3  # mean cross-entropy per observation
 DIM_CANDIDATES = (5, 10, 15)
 
@@ -103,14 +103,12 @@ def train_autoencoder(
     blocks,
     d: int,
     seed: int = 0,
-    batch_size: int = BATCH_SIZE,
     max_epochs: int = MAX_EPOCHS,
-    patience: int = PATIENCE,
     lr: float = ADAM_LR,
 ) -> Autoencoder:
-    """Adam-train to minimize the per-variable softmax cross-entropy,
-    with early stopping on a random 20% validation split and best-weights
-    restore."""
+    """Adam-train to minimize the per-variable softmax cross-entropy in
+    batches of `BATCH_SIZE` rows, with early stopping on a random 20%
+    validation split and best-weights restore (`early_stopping`)."""
     if d < 1:
         raise EmbeddingError("encoding dimension must be >= 1")
     x = np.asarray(one_hot_matrix, dtype=float)
@@ -128,47 +126,31 @@ def train_autoencoder(
         train_idx = perm
     x_train, x_val = x[train_idx], x[val_idx] if n_val else x[train_idx]
 
+    shapes = {"w_enc": (d, width), "b_enc": (d,), "w_dec": (width, d), "b_dec": (width,)}
     theta = np.concatenate(
         [glorot(rng, (d, width)).ravel(), np.zeros(d), glorot(rng, (width, d)).ravel(), np.zeros(width)]
     )
     grad = np.empty_like(theta)
-    w_enc, b_enc, w_dec, b_dec = _unflatten(theta, d, width)
-    g_w_enc, g_b_enc, g_w_dec, g_b_dec = _unflatten(grad, d, width)
-    adam = Adam(theta.size, lr)
+    p, g = views(theta, shapes), views(grad, shapes)
 
-    best = (np.inf, theta.copy())
-    bad_epochs = 0
-    for _ in range(max_epochs):
-        order = rng.permutation(len(x_train))
-        for s in range(0, len(order), batch_size):
-            xb = x_train[order[s : s + batch_size]]
-            codes = xb @ w_enc.T + b_enc
-            logits = codes @ w_dec.T + b_dec
-            probs = _block_softmax(logits, blocks)
-            dlogits = (probs - xb) / len(xb)  # softmax + CE shortcut per block
-            dcodes = dlogits @ w_dec
-            np.matmul(dcodes.T, xb, out=g_w_enc)
-            np.sum(dcodes, axis=0, out=g_b_enc)
-            np.matmul(dlogits.T, codes, out=g_w_dec)
-            np.sum(dlogits, axis=0, out=g_b_dec)
-            adam.step(theta, grad)
-        ae = Autoencoder(w_enc, b_enc, w_dec, b_dec, tuple(blocks))
-        val_loss = reconstruction_loss(ae, x_val)
-        if val_loss < best[0] - 1e-12:
-            best = (val_loss, theta.copy())
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= patience:
-                break
-    return Autoencoder(*_unflatten(best[1], d, width), tuple(blocks))
+    def batch_gradient(rows):
+        xb = x_train[rows]
+        codes = xb @ p["w_enc"].T + p["b_enc"]
+        logits = codes @ p["w_dec"].T + p["b_dec"]
+        probs = _block_softmax(logits, blocks)
+        dlogits = (probs - xb) / len(xb)  # softmax + CE shortcut per block
+        dcodes = dlogits @ p["w_dec"]
+        np.matmul(dcodes.T, xb, out=g["w_enc"])
+        np.sum(dcodes, axis=0, out=g["b_enc"])
+        np.matmul(dlogits.T, codes, out=g["w_dec"])
+        np.sum(dlogits, axis=0, out=g["b_dec"])
 
+    def validation_loss():
+        return reconstruction_loss(Autoencoder(**p, blocks=tuple(blocks)), x_val)
 
-def _unflatten(flat, d, width):
-    """(w_enc, b_enc, w_dec, b_dec) as views of one flat vector."""
-    sizes = np.cumsum([d * width, d, width * d])
-    w_enc, b_enc, w_dec, b_dec = np.split(flat, sizes)
-    return w_enc.reshape(d, width), b_enc, w_dec.reshape(width, d), b_dec
+    early_stopping(theta, grad, batch_gradient, validation_loss, len(x_train), BATCH_SIZE, rng,
+                   max_epochs, PATIENCE, lr)
+    return Autoencoder(**p, blocks=tuple(blocks))
 
 
 def select_dimension(
@@ -176,11 +158,10 @@ def select_dimension(
     blocks,
     candidates=DIM_CANDIDATES,
     seed: int = 0,
-    threshold: float = CE_THRESHOLD,
     **train_kwargs,
 ) -> tuple[int, Autoencoder, bool]:
     """Smallest candidate dimension whose training cross-entropy is below
-    the threshold. Falls back to the largest candidate with a warning
+    `CE_THRESHOLD`. Falls back to the largest candidate with a warning
     when none qualifies. Returns (d, trained autoencoder, qualified)."""
     candidates = sorted(candidates)
     last = None
@@ -188,10 +169,10 @@ def select_dimension(
         ae = train_autoencoder(one_hot_matrix, blocks, d, seed=seed, **train_kwargs)
         loss = reconstruction_loss(ae, one_hot_matrix)
         last = (d, ae)
-        if loss < threshold:
+        if loss < CE_THRESHOLD:
             return d, ae, True
     warnings.warn(
-        f"no candidate dimension reached cross-entropy < {threshold}; using {last[0]}"
+        f"no candidate dimension reached cross-entropy < {CE_THRESHOLD}; using {last[0]}"
     )
     return last[0], last[1], False
 

@@ -3,8 +3,8 @@
 Deviance losses for frequency (Poisson) and severity (gamma) with the
 `Family` object that owns each distribution's loss arithmetic, the
 Diebold-Mariano predictive-accuracy test, Murphy diagrams of elementary
-scores with dominance verdicts, calibration tables and prediction
-histograms. All functions are pure over immutable arrays.
+scores with dominance verdicts and calibration tables. All functions are
+pure over immutable arrays.
 """
 
 from __future__ import annotations
@@ -18,6 +18,9 @@ from scipy import stats
 from scipy.special import gammaln
 
 DM_ALPHA = 0.05
+THETA_FILL = 501  # uniform points added to the Murphy grid's knots
+DOMINANCE_TOL = 1e-12
+CALIBRATION_BINS = 10
 
 
 class EvaluationError(ValueError):
@@ -279,13 +282,13 @@ def _sample(values, what) -> np.ndarray:
     return a
 
 
-def default_theta_grid(predictions, responses, n_fill: int = 501) -> np.ndarray:
+def default_theta_grid(predictions, responses) -> np.ndarray:
     """All distinct values of {y} and {f} (the knots where the elementary
-    score changes slope) plus uniform fill points for plotting."""
+    score changes slope) plus `THETA_FILL` uniform points for plotting."""
     f = _sample(predictions, "predictions")
     y = _sample(responses, "responses")
     knots = np.union1d(f, y)
-    fill = np.linspace(knots[0], knots[-1], n_fill)
+    fill = np.linspace(knots[0], knots[-1], THETA_FILL)
     return np.union1d(knots, fill)
 
 
@@ -337,16 +340,16 @@ def murphy_curve(predictions, responses, theta_grid=None, model_id: str = "") ->
     return MurphyCurve(thetas, total / len(y), model_id)
 
 
-def dominance(curve_a: MurphyCurve, curve_b: MurphyCurve, tol: float = 1e-12) -> str:
-    """Pointwise comparison verdict: 'A_dominates', 'B_dominates',
-    'incomparable' or 'tied'."""
+def dominance(curve_a: MurphyCurve, curve_b: MurphyCurve) -> str:
+    """Pointwise comparison verdict, to `DOMINANCE_TOL`: 'A_dominates',
+    'B_dominates', 'incomparable' or 'tied'."""
     if len(curve_a.thetas) != len(curve_b.thetas) or np.any(
-        np.abs(curve_a.thetas - curve_b.thetas) > tol
+        np.abs(curve_a.thetas - curve_b.thetas) > DOMINANCE_TOL
     ):
         raise EvaluationError("Murphy curves evaluated on different grids")
     diff = curve_a.scores - curve_b.scores
-    a_leq = np.all(diff <= tol)
-    b_leq = np.all(diff >= -tol)
+    a_leq = np.all(diff <= DOMINANCE_TOL)
+    b_leq = np.all(diff >= -DOMINANCE_TOL)
     if a_leq and b_leq:
         return "tied"
     if a_leq:
@@ -368,11 +371,11 @@ class CalibrationTable:
     merged: np.ndarray  # True where an empty bin was merged rightward
 
 
-def calibration_bins(predictions, n_bins: int = 10) -> np.ndarray:
+def calibration_bins(predictions) -> np.ndarray:
     """Default bin spec: s_1 at the 10th and s_m at the 90th percentile,
-    equally spaced splitpoints in between, with open outer bins."""
+    `CALIBRATION_BINS` equal bins in between, with open outer bins."""
     s1, sm = np.percentile(predictions, [10, 90])
-    inner = np.linspace(s1, sm, n_bins + 1)
+    inner = np.linspace(s1, sm, CALIBRATION_BINS + 1)
     return np.concatenate([[-np.inf], inner, [np.inf]])
 
 
@@ -415,19 +418,6 @@ def calibration_curve(predictions, responses, bin_spec=None) -> CalibrationTable
         np.asarray(counts),
         np.asarray(merged),
     )
-
-
-def prediction_histogram(predictions, bin_width: float) -> tuple[np.ndarray, np.ndarray]:
-    """Counts per fixed-width bin, as plot data (edges, counts)."""
-    if bin_width <= 0:
-        raise EvaluationError("bin_width must be positive")
-    f = np.asarray(predictions, dtype=float)
-    lo = np.floor(f.min() / bin_width) * bin_width
-    hi = np.ceil(f.max() / bin_width) * bin_width
-    n_bins = max(1, int(round((hi - lo) / bin_width)))
-    edges = lo + bin_width * np.arange(n_bins + 1)
-    counts, _ = np.histogram(f, bins=edges)
-    return edges, counts
 
 
 # -- artifact emission -------------------------------------------------

@@ -324,7 +324,7 @@ def _cv_deviance(dataset, fam, fold_plan, outer_fold, n_trees_grid, depth, seed)
     losses = np.zeros(len(n_trees_grid))
     inner = fold_plan.inner_folds(outer_fold)
     for k in inner:
-        train_idx = np.flatnonzero((fold_plan.outer != outer_fold) & (fold_plan.outer != k))
+        train_idx = fold_plan.inner_train_rows(outer_fold, k)
         model = fit_gbm(dataset.subset(train_idx), fam.name, max(n_trees_grid), depth, seed=seed)
         valid = dataset.subset(fold_plan.test_rows(k))
         codes, inverse = model._distinct(valid)

@@ -23,6 +23,9 @@ from .evaluation import get_family, poisson_deviance_contributions  # noqa: F401
 
 MAX_ITER = 100
 REL_TOL = 1e-8
+TREE_BIN_LEAVES = 8  # the limits of `tree_bin`, as its docstring describes
+TREE_BIN_MIN_SHARE = 0.05
+TREE_BIN_MIN_GAIN = 0.01
 
 
 class GlmError(ValueError):
@@ -272,31 +275,26 @@ def tree_bin(
     variable: np.ndarray,
     response: np.ndarray,
     exposure: np.ndarray | None = None,
-    max_bins: int = 8,
     family: str = "poisson_log",
-    min_share: float = 0.05,
-    min_gain: float = 0.01,
     name: str = "x",
 ) -> BinningRule:
     """Cut points from a deviance regression tree on a single variable.
 
-    Best-first splitting until `max_bins` leaves; a split must reduce the
-    parent deviance by at least `min_gain` of the root deviance and leave
-    `min_share` of the observations on each side. A constant variable
-    yields a single bin with a warning.
+    Best-first splitting until `TREE_BIN_LEAVES` leaves; a split must
+    reduce the parent deviance by at least `TREE_BIN_MIN_GAIN` of the root
+    deviance and leave `TREE_BIN_MIN_SHARE` of the observations on each
+    side. A constant variable yields a single bin with a warning.
     """
     x = np.asarray(variable, dtype=float)
     y = np.asarray(response, dtype=float)
     w = np.ones(len(y)) if exposure is None else np.asarray(exposure, dtype=float)
-    if max_bins < 2:
-        raise GlmError("max_bins must be >= 2")
     fam = get_family(family, GlmError)
     if np.all(x == x[0]):
         warnings.warn(f"variable {name!r} is constant; single bin")
         return BinningRule(name, ())
 
     root_dev = float(np.sum(fam.contributions(np.full(len(y), fam.mean(y, w)), y, w)))
-    min_count = max(1, int(np.ceil(min_share * len(y))))
+    min_count = max(1, int(np.ceil(TREE_BIN_MIN_SHARE * len(y))))
 
     def best_split(rows):
         xv = x[rows]
@@ -324,11 +322,11 @@ def tree_bin(
     leaves = [np.arange(len(y))]
     cuts: list[float] = []
     candidates = {0: best_split(leaves[0])}
-    while len(leaves) < max_bins:
+    while len(leaves) < TREE_BIN_LEAVES:
         viable = {
             i: c
             for i, c in candidates.items()
-            if c is not None and c[0] > min_gain * max(root_dev, 1e-12)
+            if c is not None and c[0] > TREE_BIN_MIN_GAIN * max(root_dev, 1e-12)
         }
         if not viable:
             break

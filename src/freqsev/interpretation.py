@@ -1,14 +1,13 @@
 """Model-agnostic interpretation tools.
 
-Permutation variable importance, one- and two-way partial dependence
-and Monte-Carlo Shapley values, for any model exposing
-predict(dataset) -> positive per-row predictions.
+Permutation variable importance and one- and two-way partial
+dependence, for any model exposing predict(dataset) -> positive per-row
+predictions.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,6 @@ from ._rand import substream
 from .data import Dataset
 
 PD_GRID_CAP = 100
-SHAPLEY_BACKGROUND_CAP = 500
 
 
 class InterpretationError(ValueError):
@@ -121,56 +119,6 @@ def partial_dependence_2d(
     for i, ga in enumerate(grid_a):
         surface[i] = partial_dependence(model, _pinned(dataset, var_a, ga), var_b, grid_b).values
     return grid_a, grid_b, surface
-
-
-def shapley_mc(
-    model,
-    dataset: Dataset,
-    row: int,
-    n_permutations: int = 200,
-    seed: int = 0,
-    exhaustive: bool = False,
-) -> tuple[dict[str, float], float]:
-    """Monte-Carlo permutation-sampling Shapley contributions for one row.
-
-    Background is the evaluation frame (subsampled to 500 rows). Per
-    permutation the contributions telescope, so they sum exactly to
-    f(row) minus the background mean prediction. With `exhaustive` all
-    feature orderings are enumerated instead of sampled (exact Shapley).
-    Returns (contributions, base_value).
-    """
-    if n_permutations < 1:
-        raise InterpretationError("n_permutations must be >= 1")
-    if not 0 <= row < dataset.n:
-        raise InterpretationError(f"row {row} out of range")
-    rng = substream(seed, "shapley", row)
-    background = dataset
-    if dataset.n > SHAPLEY_BACKGROUND_CAP:
-        background = dataset.subset(
-            rng.choice(dataset.n, SHAPLEY_BACKGROUND_CAP, replace=False)
-        )
-    features = list(dataset.feature_names)
-    row_values = {v: dataset.columns[v][row] for v in features}
-    base_value = float(np.mean(model.predict(background)))
-    totals = {v: 0.0 for v in features}
-    if exhaustive:
-        orders = list(itertools.permutations(range(len(features))))
-        n_permutations = len(orders)
-    else:
-        orders = [rng.permutation(len(features)) for _ in range(n_permutations)]
-    for order in orders:
-        current = background
-        prev_mean = base_value
-        for k in order:
-            variable = features[k]
-            current = current.with_column(
-                variable, np.full(background.n, row_values[variable])
-            )
-            mean_now = float(np.mean(model.predict(current)))
-            totals[variable] += mean_now - prev_mean
-            prev_mean = mean_now
-    contributions = {v: totals[v] / n_permutations for v in features}
-    return contributions, base_value
 
 
 def write_vip_csv(vip: dict[str, float], relative: dict[str, float], model_id: str, path):

@@ -8,32 +8,36 @@ from the log of an initial model's prediction straight to the output
 node; the fixed variant pins the output combination at (1, 1, 0), the
 flexible variant trains it.
 
-All network math runs in one private kernel, `_Workspace`: a forward and
-a backward pass over preallocated arrays sized to the largest pass
-(max(batch, validation rows) in training), written in place, with the
-parameters and their gradients as views of two flat vectors that the
-flat `Adam` of `freqsev._optim` steps in place. `train_network` builds
-one workspace per call and writes the best parameters back to the
-`Network` once, at the end; `forward`, `loss_and_gradients` and
-`batch_loss` run the same kernel on a one-shot workspace.
+A network keeps all its parameters in one flat vector, `Network.theta`;
+`Network.params()` gives named views of it. All network math runs in one
+private kernel, `_Workspace`: a forward and a backward pass over
+preallocated arrays sized to the largest pass (max(batch, validation
+rows) in training), written in place, reading the parameters through
+views of `theta` and writing their gradients into views of one flat
+gradient vector of the same layout. `train_network` runs the shared
+`early_stopping` loop of `freqsev._optim`, whose Adam steps `theta` in
+place; `forward`, `loss_and_gradients` and `batch_loss` run the same
+kernel on a one-shot workspace.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._optim import ADAM_LR, Adam, glorot
+from ._optim import ADAM_LR, MAX_EPOCHS, PATIENCE, early_stopping, glorot, views
 from ._rand import substream
 from .embedding import Autoencoder
 from .evaluation import get_family
 
+# the paper's tuning ranges; only the batch-size range differs by response
+HIDDEN_LAYERS = (1, 4)
+NODES = (10, 50)
 ACTIVATIONS = ("relu", "sigmoid", "softmax")
-
-PATIENCE = 20
-MAX_EPOCHS = 1000
+DROPOUT = (0.0, 0.1)
 
 
 class NeuralError(ValueError):
@@ -52,44 +56,31 @@ class NetworkSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.hidden_layers <= 4:
-            raise NeuralError("hidden_layers must be in [1, 4]")
-        if not 10 <= self.nodes <= 50:
-            raise NeuralError("nodes per layer must be in [10, 50]")
+        if not HIDDEN_LAYERS[0] <= self.hidden_layers <= HIDDEN_LAYERS[1]:
+            raise NeuralError(f"hidden_layers must be in {list(HIDDEN_LAYERS)}")
+        if not NODES[0] <= self.nodes <= NODES[1]:
+            raise NeuralError(f"nodes per layer must be in {list(NODES)}")
         if self.activation not in ACTIVATIONS:
             raise NeuralError(f"activation must be one of {ACTIVATIONS}")
-        if not 0.0 <= self.dropout <= 0.1:
-            raise NeuralError("dropout rate must be in [0, 0.1]")
+        if not DROPOUT[0] <= self.dropout <= DROPOUT[1]:
+            raise NeuralError(f"dropout rate must be in {list(DROPOUT)}")
         if self.batch_size < 1:
             raise NeuralError("batch_size must be >= 1")
 
 
-@dataclass(frozen=True)
-class SearchSpace:
-    """Tuning ranges for the random grid search."""
-
-    hidden_layers: tuple[int, int] = (1, 4)
-    nodes: tuple[int, int] = (10, 50)
-    activations: tuple[str, ...] = ACTIVATIONS
-    dropout: tuple[float, float] = (0.0, 0.1)
-    batch_size: tuple[int, int] = (10_000, 50_000)  # frequency default
-
-
-FREQUENCY_SPACE = SearchSpace()
-
-
-def random_grid(space: SearchSpace, n: int = 40, seed: int = 0) -> list[NetworkSpec]:
-    """`n` independent uniform draws per tuning axis (integer axes rounded)."""
+def random_grid(batch_size: tuple[int, int], n: int = 40, seed: int = 0) -> list[NetworkSpec]:
+    """`n` independent uniform draws per tuning axis (integer axes rounded),
+    with batch sizes drawn from `batch_size` (the bounds included)."""
     rng = substream(seed, "random-grid")
     specs = []
     for i in range(n):
         specs.append(
             NetworkSpec(
-                hidden_layers=int(rng.integers(space.hidden_layers[0], space.hidden_layers[1] + 1)),
-                nodes=int(rng.integers(space.nodes[0], space.nodes[1] + 1)),
-                activation=str(rng.choice(space.activations)),
-                dropout=float(rng.uniform(*space.dropout)),
-                batch_size=int(rng.integers(space.batch_size[0], space.batch_size[1] + 1)),
+                hidden_layers=int(rng.integers(HIDDEN_LAYERS[0], HIDDEN_LAYERS[1] + 1)),
+                nodes=int(rng.integers(NODES[0], NODES[1] + 1)),
+                activation=str(rng.choice(ACTIVATIONS)),
+                dropout=float(rng.uniform(*DROPOUT)),
+                batch_size=int(rng.integers(batch_size[0], batch_size[1] + 1)),
                 seed=i,
             )
         )
@@ -99,76 +90,69 @@ def random_grid(space: SearchSpace, n: int = 40, seed: int = 0) -> list[NetworkS
 # -- network parameters -------------------------------------------------
 
 
+_FIXED_CANN_OUT = np.array([1.0, 1.0, 0.0])  # (w_NN, w_in, b): output = y_NN + log y_in
+
+
 @dataclass
 class Network:
-    """Parameter container; `forward` and `train_network` do the work.
+    """A network's layout and its parameters; `forward` and
+    `train_network` do the work.
 
-    `encoder` is the grafted (trainable) copy of a pre-trained scaled
-    encoder; when None, one-hot blocks feed the hidden layers directly.
-    `cann_mode` is None (plain FFNN), "fixed" or "flexible".
+    `theta` is the one flat vector that holds every trainable parameter;
+    `params()` gives named views of it. `encoder_dim` is the code length
+    of the grafted (trainable) copy of a pre-trained scaled encoder; when
+    None, one-hot blocks feed the hidden layers directly. `cann_mode` is
+    None (plain FFNN), "fixed" (output combination pinned at (1, 1, 0))
+    or "flexible" (the combination `cann_out` is trained). A new network
+    starts with `theta` all zero.
     """
 
     spec: NetworkSpec
     n_continuous: int
     onehot_width: int
-    encoder_w: np.ndarray | None
-    encoder_b: np.ndarray | None
-    hidden: list[tuple[np.ndarray, np.ndarray]]
-    out_w: np.ndarray  # (q,)
-    out_b: float
+    encoder_dim: int | None = None
     cann_mode: str | None = None
-    cann_out: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.0, 0.0]))
+    theta: np.ndarray | None = None
     history: dict = field(default_factory=dict)
 
-    # -- flat parameter vector (training workspace, gradient checks)
+    def __post_init__(self):
+        if self.cann_mode not in (None, "fixed", "flexible"):
+            raise NeuralError(f"unknown CANN mode {self.cann_mode!r}")
+        if self.theta is None:
+            self.theta = np.zeros(sum(math.prod(s) for s in self._trainable().values()))
 
-    def _trainable(self):
-        params = []
-        if self.encoder_w is not None:
-            params += [("encoder_w", None), ("encoder_b", None)]
-        for i in range(len(self.hidden)):
-            params += [("hidden", (i, 0)), ("hidden", (i, 1))]
-        params += [("out_w", None), ("out_b", None)]
+    def _trainable(self) -> dict[str, tuple[int, ...]]:
+        """Name and shape of every trainable parameter, in `theta` order:
+        `encoder_w`, `encoder_b`, then `w0`, `b0`, ... per hidden layer,
+        `out_w`, `out_b` and, for a flexible CANN, `cann_out`."""
+        shapes = {}
+        width = self.n_continuous + self.onehot_width
+        if self.encoder_dim is not None:
+            shapes["encoder_w"] = (self.encoder_dim, self.onehot_width)
+            shapes["encoder_b"] = (self.encoder_dim,)
+            width = self.n_continuous + self.encoder_dim
+        for i in range(self.spec.hidden_layers):
+            shapes[f"w{i}"], shapes[f"b{i}"] = (self.spec.nodes, width), (self.spec.nodes,)
+            width = self.spec.nodes
+        shapes["out_w"], shapes["out_b"] = (width,), (1,)
         if self.cann_mode == "flexible":
-            params.append(("cann_out", None))
-        return params
+            shapes["cann_out"] = (3,)
+        return shapes
 
-    def _get(self, key):
-        name, idx = key
-        if name == "hidden":
-            return self.hidden[idx[0]][idx[1]]
-        value = getattr(self, name)
-        return np.atleast_1d(np.asarray(value, dtype=float))
-
-    def _set(self, key, value):
-        name, idx = key
-        if name == "hidden":
-            w, b = self.hidden[idx[0]]
-            self.hidden[idx[0]] = (value, b) if idx[1] == 0 else (w, value)
-        elif name == "out_b":
-            self.out_b = float(value[0])
-        else:
-            setattr(self, name, value)
+    def params(self, flat: np.ndarray | None = None) -> dict[str, np.ndarray]:
+        """Named views of `flat` (of `theta` when None), keyed like
+        `_trainable()`."""
+        return views(self.theta if flat is None else flat, self._trainable())
 
     def get_flat_params(self) -> np.ndarray:
-        return np.concatenate([self._get(k).ravel() for k in self._trainable()])
-
-    def _split(self, flat: np.ndarray) -> dict:
-        """Views of `flat` shaped like the trainable parameters, keyed
-        like `_trainable()`."""
-        views, pos = {}, 0
-        for key in self._trainable():
-            shape = self._get(key).shape
-            size = int(np.prod(shape))
-            views[key] = flat[pos : pos + size].reshape(shape)
-            pos += size
-        if pos != flat.size:
-            raise NeuralError("flat parameter vector has wrong length")
-        return views
+        return self.theta.copy()
 
     def set_flat_params(self, flat: np.ndarray) -> None:
-        for key, value in self._split(flat).items():
-            self._set(key, value)
+        """Copy `flat` into `theta`; views of `theta` stay valid."""
+        flat = np.asarray(flat, dtype=float)
+        if flat.shape != self.theta.shape:
+            raise NeuralError("flat parameter vector has wrong length")
+        np.copyto(self.theta, flat)
 
 
 def build_network(
@@ -193,30 +177,19 @@ def build_network(
         if not encoder.scaled:
             raise NeuralError("grafted encoder must be scaled first")
         onehot_width = encoder.input_width
-        width_in = n_continuous + encoder.dim
-        enc_w, enc_b = encoder.w_enc.copy(), encoder.b_enc.copy()
-    else:
-        width_in = n_continuous + onehot_width
-        enc_w = enc_b = None
-    hidden = []
-    prev = width_in
-    for _ in range(spec.hidden_layers):
-        hidden.append((glorot(rng, (spec.nodes, prev)), np.zeros(spec.nodes)))
-        prev = spec.nodes
-    if cann_mode not in (None, "fixed", "flexible"):
-        raise NeuralError(f"unknown CANN mode {cann_mode!r}")
-    return Network(
-        spec=spec,
-        n_continuous=n_continuous,
-        onehot_width=onehot_width,
-        encoder_w=enc_w,
-        encoder_b=enc_b,
-        hidden=hidden,
-        out_w=glorot(rng, (1, prev))[0] if cann_mode == "flexible" else np.zeros(prev),
-        out_b=float(out_bias) if cann_mode is None else 0.0,
-        cann_mode=cann_mode,
-        cann_out=np.array([0.0, 1.0, 0.0]) if cann_mode == "flexible" else np.array([1.0, 1.0, 0.0]),
-    )
+    net = Network(spec, n_continuous, onehot_width,
+                  None if encoder is None else encoder.dim, cann_mode)
+    p = net.params()
+    if encoder is not None:
+        p["encoder_w"][...], p["encoder_b"][...] = encoder.w_enc, encoder.b_enc
+    for i in range(spec.hidden_layers):
+        p[f"w{i}"][...] = glorot(rng, p[f"w{i}"].shape)
+    if cann_mode == "flexible":
+        p["out_w"][...] = glorot(rng, (1, len(p["out_w"])))[0]
+        p["cann_out"][...] = (0.0, 1.0, 0.0)
+    elif cann_mode is None:
+        p["out_b"][...] = out_bias
+    return net
 
 
 # -- the forward/backward kernel -----------------------------------------
@@ -226,11 +199,11 @@ class _Workspace:
     """Forward and backward pass of one network over at most `rows` rows.
 
     Every array a pass writes is allocated here once; a pass over m rows
-    works on the `[:m]` views, each step writing in place. The parameters
-    are views of the flat vector `theta` and their gradients views of the
-    flat vector `grad`, both in `Network._trainable` order, so Adam steps
-    one vector in place. Each step runs the same floating-point operations
-    in the same order as the textbook formula it implements.
+    works on the `[:m]` views, each step writing in place. It reads the
+    parameters through `p`, the views of `net.theta`, so a step of Adam on
+    `theta` is seen at once, and writes their gradients into `g`, the same
+    views of the flat vector `grad`. Each step runs the same floating-point
+    operations in the same order as the textbook formula it implements.
 
     Usage: `m = load(inputs, rows)`, then `forward(m, dropout_rng)` and,
     for the gradient, `backward(m, du)` on the rows of that forward pass.
@@ -239,31 +212,19 @@ class _Workspace:
 
     def __init__(self, net: Network, rows: int, dropout: bool = False):
         self.net = net
-        self.theta = net.get_flat_params()
-        self.grad = np.zeros_like(self.theta)
-        p, g = net._split(self.theta), net._split(self.grad)
-        layers = range(len(net.hidden))
-        self.w = [p[("hidden", (i, 0))] for i in layers]
-        self.b = [p[("hidden", (i, 1))] for i in layers]
-        self.g_w = [g[("hidden", (i, 0))] for i in layers]
-        self.g_b = [g[("hidden", (i, 1))] for i in layers]
-        self.out_w, self.out_b = p[("out_w", None)], p[("out_b", None)]
-        self.g_out_w, self.g_out_b = g[("out_w", None)], g[("out_b", None)]
-        self.cann_out = p.get(("cann_out", None), net.cann_out)
-        self.g_cann_out = g.get(("cann_out", None))
-        self.enc_w, self.enc_b = p.get(("encoder_w", None)), p.get(("encoder_b", None))
-        self.g_enc_w, self.g_enc_b = g.get(("encoder_w", None)), g.get(("encoder_b", None))
+        self.grad = np.zeros_like(net.theta)
+        self.p, self.g = net.params(), net.params(self.grad)
 
         def buf(*shape, dtype=float):
             return np.empty((rows, *shape), dtype)
 
-        nodes = net.spec.nodes
-        self.h0 = buf(self.w[0].shape[1])
-        if self.enc_w is None:
+        nodes, layers = net.spec.nodes, range(net.spec.hidden_layers)
+        self.h0 = buf(self.p["w0"].shape[1])
+        if net.encoder_dim is None:
             self.sources = [self.h0]
         else:
             self.x_cont, self.x_onehot = buf(net.n_continuous), buf(net.onehot_width)
-            self.codes, self.dh0 = buf(len(self.enc_b)), buf(self.h0.shape[1])
+            self.codes, self.dh0 = buf(net.encoder_dim), buf(self.h0.shape[1])
             self.sources = [self.x_cont, self.x_onehot]
         self.a = [buf(nodes) for _ in layers]  # activations before dropout
         self.mask = [buf(nodes) for _ in layers] if dropout else None
@@ -289,18 +250,18 @@ class _Workspace:
     def forward(self, m: int, dropout_rng=None) -> np.ndarray:
         """Predictions exp(u) on the first m loaded rows; inverted dropout
         after every hidden layer when a dropout rng is given."""
-        net = self.net
+        net, p = self.net, self.p
         h = self.h0[:m]
-        if self.enc_w is not None:
-            codes = np.matmul(self.x_onehot[:m], self.enc_w.T, out=self.codes[:m])
-            codes += self.enc_b
+        if net.encoder_dim is not None:
+            codes = np.matmul(self.x_onehot[:m], p["encoder_w"].T, out=self.codes[:m])
+            codes += p["encoder_b"]
             h[:, : net.n_continuous] = self.x_cont[:m]
             h[:, net.n_continuous :] = codes
         self.layer_out = self.a if dropout_rng is None else self.dropped
         keep = 1.0 - net.spec.dropout
-        for i, (w, b) in enumerate(zip(self.w, self.b)):
-            a = np.matmul(h, w.T, out=self.a[i][:m])
-            a += b
+        for i in range(len(self.a)):
+            a = np.matmul(h, p[f"w{i}"].T, out=self.a[i][:m])
+            a += p[f"b{i}"]
             self._activate(a)
             if dropout_rng is not None:
                 mask = dropout_rng.random(out=self.mask[i][:m])
@@ -308,11 +269,11 @@ class _Workspace:
                 np.divide(flag, keep, out=mask)
                 a = np.multiply(a, mask, out=self.dropped[i][:m])
             h = a
-        y_nn = np.matmul(h, self.out_w, out=self.y_nn[:m])
-        y_nn += self.out_b
+        y_nn = np.matmul(h, p["out_w"], out=self.y_nn[:m])
+        y_nn += p["out_b"]
         u = y_nn
         if net.cann_mode is not None:
-            w_nn, w_in, b_c = self.cann_out
+            w_nn, w_in, b_c = p.get("cann_out", _FIXED_CANN_OUT)
             u = np.multiply(y_nn, w_nn, out=self.u[:m])
             u += np.multiply(self.log_y_in[:m], w_in, out=self.pred[:m])
             u += b_c
@@ -324,29 +285,30 @@ class _Workspace:
         """Gradients into `grad` from `du`, the loss gradient in u, on the
         rows of the last forward pass. Dropout layers differentiate the
         activation before the mask."""
-        if self.g_cann_out is not None:
-            self.g_cann_out[0] = du @ self.y_nn[:m]
-            self.g_cann_out[1] = du @ self.log_y_in[:m]
-            self.g_cann_out[2] = du.sum()
-            du = np.multiply(du, self.cann_out[0], out=self.dy[:m])
+        p, g = self.p, self.g
+        if "cann_out" in g:
+            g["cann_out"][0] = du @ self.y_nn[:m]
+            g["cann_out"][1] = du @ self.log_y_in[:m]
+            g["cann_out"][2] = du.sum()
+            du = np.multiply(du, p["cann_out"][0], out=self.dy[:m])
         # a plain network, or a fixed CANN with w_nn pinned at 1, passes du on
-        np.matmul(self.layer_out[-1][:m].T, du, out=self.g_out_w)
-        self.g_out_b[0] = du.sum()
-        dh, dz = np.outer(du, self.out_w, out=self.dh[:m]), self.dz[:m]
-        for i in range(len(self.w) - 1, -1, -1):
+        np.matmul(self.layer_out[-1][:m].T, du, out=g["out_w"])
+        g["out_b"][0] = du.sum()
+        dh, dz = np.outer(du, p["out_w"], out=self.dh[:m]), self.dz[:m]
+        for i in range(len(self.a) - 1, -1, -1):
             a = self.a[i][:m]
             if self.layer_out is self.dropped:
                 dh *= self.mask[i][:m]
             self._activate_backward(a, dh, dz)
             h_in = self.h0[:m] if i == 0 else self.layer_out[i - 1][:m]
-            np.matmul(dz.T, h_in, out=self.g_w[i])
-            np.sum(dz, axis=0, out=self.g_b[i])
+            np.matmul(dz.T, h_in, out=g[f"w{i}"])
+            np.sum(dz, axis=0, out=g[f"b{i}"])
             if i > 0:
-                np.matmul(dz, self.w[i], out=dh)
-            elif self.enc_w is not None:
-                dcodes = np.matmul(dz, self.w[0], out=self.dh0[:m])[:, self.net.n_continuous :]
-                np.matmul(dcodes.T, self.x_onehot[:m], out=self.g_enc_w)
-                np.sum(dcodes, axis=0, out=self.g_enc_b)
+                np.matmul(dz, p[f"w{i}"], out=dh)
+            elif "encoder_w" in g:
+                dcodes = np.matmul(dz, p["w0"], out=self.dh0[:m])[:, self.net.n_continuous :]
+                np.matmul(dcodes.T, self.x_onehot[:m], out=g["encoder_w"])
+                np.sum(dcodes, axis=0, out=g["encoder_b"])
 
     def _activate(self, z):
         """The layer activation of `z`, in place."""
@@ -383,7 +345,7 @@ def _inputs(net: Network, x_cont, x_onehot, log_y_in) -> list[np.ndarray]:
     """The row-aligned arrays a workspace loads: the first layer's input
     (with a grafted encoder, the continuous and one-hot blocks instead),
     then log_y_in for a CANN."""
-    if net.encoder_w is not None:
+    if net.encoder_dim is not None:
         arrays = [x_cont, x_onehot]
     else:
         arrays = [np.hstack([x_cont, x_onehot]) if net.onehot_width else x_cont]
@@ -429,7 +391,7 @@ def loss_and_gradients(
     m = ws.load(inputs)
     loss, du = fam.network_loss(ws.forward(m, dropout_rng), y, obs_weight)
     ws.backward(m, du)
-    return loss, net._split(ws.grad)
+    return loss, ws.g
 
 
 def batch_loss(net, x_cont, x_onehot, y, family, obs_weight, log_y_in=None) -> float:
@@ -451,21 +413,21 @@ def train_network(
     lr: float = ADAM_LR,
     max_epochs: int = MAX_EPOCHS,
     patience: int = PATIENCE,
-    validation_fraction: float = 0.2,
 ) -> Network:
     """Mini-batch Adam with inverted dropout, early stopping on a random
     20% validation split and best-weights restore. Gradients flow into the
-    grafted encoder. Raises when the loss turns non-finite.
+    grafted encoder.
 
-    Training runs on one workspace of max(batch, validation rows) rows,
-    with the parameters packed into its flat vector at the start and
-    written back to `net` once, at the end."""
+    Training steps `net.theta` in place on one workspace of max(batch,
+    validation rows) rows. A floating-point fault (overflow, division by
+    zero, invalid value) or a non-finite loss raises `NeuralError` with
+    `net` as it was before the call."""
     fam = get_family(family, NeuralError)
     rng = substream(seed, "train", net.spec.seed)
     dropout_rng = substream(seed, "dropout", net.spec.seed) if net.spec.dropout > 0 else None
     n = len(y)
     perm = rng.permutation(n)
-    n_val = int(round(validation_fraction * n))
+    n_val = int(round(0.2 * n))
     val, tr = perm[:n_val], perm[n_val:]
     if len(tr) == 0 or len(val) == 0:
         tr = val = perm
@@ -478,54 +440,47 @@ def train_network(
     val_in, y_v, w_v = split(val)
     batch = min(net.spec.batch_size, len(y_tr))
     ws = _Workspace(net, max(batch, len(val)), dropout=dropout_rng is not None)
-    adam = Adam(ws.theta.size, lr)
 
     def validation_loss():
         loss, _ = fam.network_loss(ws.forward(ws.load(val_in)), y_v, w_v)
         return loss
 
-    best_loss = validation_loss()
-    best_params = ws.theta.copy()
-    val_history = [best_loss]
-    bad = 0
-    for epoch in range(max_epochs):
-        order = rng.permutation(len(y_tr))
-        for s in range(0, len(order), batch):
-            idx = order[s : s + batch]
-            m = ws.load(tr_in, idx)
-            loss, du = fam.network_loss(ws.forward(m, dropout_rng), y_tr[idx], w_tr[idx])
-            if not np.isfinite(loss):
-                raise NeuralError(f"training diverged (non-finite loss) at epoch {epoch}")
-            ws.backward(m, du)
-            adam.step(ws.theta, ws.grad)
-        val_loss = validation_loss()
-        val_history.append(val_loss)
-        if val_loss < best_loss - 1e-12:
-            best_loss = val_loss
-            np.copyto(best_params, ws.theta)
-            bad = 0
-        else:
-            bad += 1
-            if bad >= patience:
-                break
-    net.set_flat_params(best_params)
+    def batch_gradient(idx):
+        m = ws.load(tr_in, idx)
+        loss, du = fam.network_loss(ws.forward(m, dropout_rng), y_tr[idx], w_tr[idx])
+        if not np.isfinite(loss):
+            raise NeuralError("non-finite loss")
+        ws.backward(m, du)
+
+    start = net.theta.copy()
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            val_history, best_loss = early_stopping(
+                net.theta, ws.grad, batch_gradient, validation_loss, len(y_tr), batch, rng,
+                max_epochs, patience, lr,
+            )
+    except (NeuralError, FloatingPointError) as err:
+        np.copyto(net.theta, start)
+        raise NeuralError(f"training diverged: {err}") from err
     net.history = {"epochs": len(val_history) - 1, "best_val_loss": best_loss, "val_history": val_history}
     return net
 
 
 def network_to_json(net: Network) -> str:
+    p = net.params()
+    encoder = net.encoder_dim is not None
     return json.dumps(
         {
             "spec": vars(net.spec),
             "n_continuous": net.n_continuous,
             "onehot_width": net.onehot_width,
-            "encoder_w": None if net.encoder_w is None else net.encoder_w.tolist(),
-            "encoder_b": None if net.encoder_b is None else net.encoder_b.tolist(),
-            "hidden": [[w.tolist(), b.tolist()] for w, b in net.hidden],
-            "out_w": net.out_w.tolist(),
-            "out_b": net.out_b,
+            "encoder_w": p["encoder_w"].tolist() if encoder else None,
+            "encoder_b": p["encoder_b"].tolist() if encoder else None,
+            "hidden": [[p[f"w{i}"].tolist(), p[f"b{i}"].tolist()] for i in range(net.spec.hidden_layers)],
+            "out_w": p["out_w"].tolist(),
+            "out_b": float(p["out_b"][0]),
             "cann_mode": net.cann_mode,
-            "cann_out": net.cann_out.tolist(),
+            "cann_out": p.get("cann_out", _FIXED_CANN_OUT).tolist(),
             "history": net.history,
         }
     )
@@ -533,19 +488,20 @@ def network_to_json(net: Network) -> str:
 
 def network_from_json(text: str) -> Network:
     d = json.loads(text)
-    return Network(
+    net = Network(
         spec=NetworkSpec(**d["spec"]),
         n_continuous=d["n_continuous"],
         onehot_width=d["onehot_width"],
-        encoder_w=None if d["encoder_w"] is None else np.asarray(d["encoder_w"]),
-        encoder_b=None if d["encoder_b"] is None else np.asarray(d["encoder_b"]),
-        hidden=[(np.asarray(w), np.asarray(b)) for w, b in d["hidden"]],
-        out_w=np.asarray(d["out_w"]),
-        out_b=d["out_b"],
+        encoder_dim=None if d["encoder_b"] is None else len(d["encoder_b"]),
         cann_mode=d["cann_mode"],
-        cann_out=np.asarray(d["cann_out"]),
         history=d["history"],
     )
+    stored = {name: d[name] for name in ("encoder_w", "encoder_b", "out_w", "out_b", "cann_out")}
+    for i, (w, b) in enumerate(d["hidden"]):
+        stored[f"w{i}"], stored[f"b{i}"] = w, b
+    for name, view in net.params().items():
+        view[...] = stored[name]
+    return net
 
 
 def cann_forward(net: Network, x_cont, x_onehot, y_in) -> np.ndarray:

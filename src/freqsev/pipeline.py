@@ -282,13 +282,13 @@ def tune_network_specs(ctx: FoldContext, dataset, family, fold_plan, cann_mode,
     Returns the spec with the lowest mean inner deviance (the first of
     equal ones) and the grid: every drawn spec with that score."""
     severity = get_family(family, PipelineError).severity
-    space = nn.SearchSpace(batch_size=preset.sev_batch if severity else preset.freq_batch)
-    specs = nn.random_grid(space, n=preset.grid_size, seed=derive_seed(seed, "grid", ctx.fold))
+    batch_size = preset.sev_batch if severity else preset.freq_batch
+    specs = nn.random_grid(batch_size, n=preset.grid_size, seed=derive_seed(seed, "grid", ctx.fold))
     grid = []
     for spec in specs:
         losses = []
         for k in fold_plan.inner_folds(ctx.fold):
-            sub_train = np.flatnonzero((fold_plan.outer != ctx.fold) & (fold_plan.outer != k))
+            sub_train = fold_plan.inner_train_rows(ctx.fold, k)
             valid = fold_plan.test_rows(k)
             net = _train_one(ctx, sub_train, spec, family, cann_mode, log_y_in, preset,
                              derive_seed(seed, "tune", k), 0)

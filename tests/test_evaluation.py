@@ -1,4 +1,4 @@
-"""Deviances, Diebold-Mariano, Murphy diagrams, calibration, histograms."""
+"""Deviances, Diebold-Mariano, Murphy diagrams, calibration."""
 
 import warnings
 
@@ -19,7 +19,6 @@ from freqsev.evaluation import (
     murphy_curve,
     poisson_deviance,
     poisson_deviance_contributions,
-    prediction_histogram,
 )
 
 
@@ -288,15 +287,6 @@ def test_calibration_custom_bin_spec():
     preds = np.linspace(22_010, 24_900, 300)
     table = calibration_curve(preds, preds, bin_spec=edges)
     assert table.counts.sum() == 300
-
-
-def test_prediction_histogram():
-    edges, counts = prediction_histogram(np.full(7, 0.42), 0.1)
-    assert counts.sum() == 7
-    assert (counts > 0).sum() == 1
-    grid = np.arange(0.05, 1.0, 0.1)
-    _, counts = prediction_histogram(grid, 0.1)
-    np.testing.assert_array_equal(counts, np.ones(10))
 
 
 @settings(max_examples=50, deadline=None)

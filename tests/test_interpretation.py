@@ -1,4 +1,4 @@
-"""Permutation importance, partial dependence, Monte-Carlo Shapley."""
+"""Permutation importance and partial dependence."""
 
 import itertools
 import tracemalloc
@@ -14,10 +14,9 @@ from freqsev.interpretation import (
     partial_dependence,
     partial_dependence_2d,
     permutation_vip,
-    shapley_mc,
 )
 
-from conftest import ConstantModel, LogLinearModel, small_portfolio, toy_dataset
+from conftest import ConstantModel, LogLinearModel, toy_dataset
 
 
 def test_vip_ignored_variable_is_zero(portfolio):
@@ -113,57 +112,6 @@ def test_two_way_pd_shape(portfolio):
     )
     assert surface.shape == (2, 3)
     np.testing.assert_allclose(surface, 1.0)
-
-
-def test_shapley_constant_model(portfolio):
-    contributions, base = shapley_mc(ConstantModel(1.5), portfolio.dataset, row=0,
-                                     n_permutations=5, seed=0)
-    assert base == 1.5
-    assert all(abs(c) < 1e-12 for c in contributions.values())
-
-
-def test_shapley_efficiency(portfolio):
-    model = LogLinearModel(intercept=-1.0, cont_coefs={"age": 0.02},
-                           cat_coefs={"region": [0.0, 0.4, -0.4]})
-    ds = portfolio.dataset
-    contributions, base = shapley_mc(model, ds, row=3, n_permutations=10, seed=1)
-    f_row = model.predict(ds.subset(np.array([3])))[0]
-    assert abs(sum(contributions.values()) + base - f_row) < 1e-10
-
-
-def test_shapley_two_feature_exact(toy):
-    # 2 features: the estimator with both orderings equals full enumeration
-    model = LogLinearModel(intercept=0.0, cont_coefs={"age": 0.01},
-                           cat_coefs={"region": [0.0, 0.2, -0.2]})
-    contributions, base = shapley_mc(model, toy, row=1, n_permutations=1, seed=2,
-                                     exhaustive=True)
-
-    features = ["age", "region"]
-    row_vals = {v: toy.columns[v][1] for v in features}
-
-    def value(subset):
-        ds = toy
-        for v in subset:
-            ds = ds.with_column(v, np.full(toy.n, row_vals[v]))
-        return float(np.mean(model.predict(ds)))
-
-    exact = {}
-    for v in features:
-        other = [f for f in features if f != v][0]
-        exact[v] = 0.5 * (value([v]) - value([])) + 0.5 * (
-            value([v, other]) - value([other])
-        )
-    for v in features:
-        assert abs(contributions[v] - exact[v]) < 1e-10
-
-
-def test_shapley_additive_convergence():
-    p = small_portfolio(n=400, seed=12)
-    model = LogLinearModel(intercept=0.0, cont_coefs={"age": 0.01})
-    contributions, base = shapley_mc(model, p.dataset, row=0, n_permutations=200, seed=3)
-    # only age matters; region contribution should be ~0
-    assert abs(contributions["region"]) < 1e-10
-    assert contributions["age"] != 0.0
 
 
 def _age_only(age):

@@ -1,6 +1,7 @@
 """Feed-forward and CANN networks: forward math, gradients, training."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from freqsev.data import one_hot, scaling_stats
 from freqsev.embedding import scale_encoder, train_autoencoder
 from freqsev.neural import (
-    FREQUENCY_SPACE,
     NetworkSpec,
     NeuralError,
     batch_loss,
@@ -45,12 +45,11 @@ def test_spec_range_enforcement():
 
 def test_forward_hand_computation():
     net = build_network(_spec(), n_continuous=2, onehot_width=0, seed=0)
-    w = np.zeros((10, 2))
-    w[0] = [1.0, -1.0]
-    net.hidden[0] = (w, np.zeros(10))
-    net.out_w = np.zeros(10)
-    net.out_w[0] = 2.0
-    net.out_b = 0.5
+    p = net.params()
+    p["w0"][...] = 0.0
+    p["w0"][0] = [1.0, -1.0]
+    p["out_w"][0] = 2.0
+    p["out_b"][...] = 0.5
     x = np.array([[3.0, 1.0]])
     # relu(3 - 1) = 2 -> u = 2*2 + 0.5 = 4.5
     np.testing.assert_allclose(forward(net, x, np.zeros((1, 0))), [np.exp(4.5)])
@@ -67,15 +66,16 @@ def test_positivity_random_weights():
     for _ in range(50):
         net = build_network(_spec(activation="sigmoid"), 2, onehot_width=0,
                             seed=int(rng.integers(1e6)))
-        net.out_w = rng.normal(size=net.out_w.shape)
-        net.out_b = float(rng.normal())
+        p = net.params()
+        p["out_w"][...] = rng.normal(size=p["out_w"].shape)
+        p["out_b"][...] = float(rng.normal())
         x = rng.normal(size=(5, 2))
         assert np.all(forward(net, x, np.zeros((5, 0))) > 0)
 
 
 def test_cann_forward_oracle():
     net = build_network(_spec(), 1, onehot_width=0, cann_mode="fixed", seed=0)
-    net.out_b = np.log(1.5)  # adjustment y_nn = ln 1.5
+    net.params()["out_b"][...] = np.log(1.5)  # adjustment y_nn = ln 1.5
     pred = cann_forward(net, np.zeros((1, 1)), np.zeros((1, 0)), [2.0])
     np.testing.assert_allclose(pred, [3.0])
     with pytest.raises(NeuralError):
@@ -93,7 +93,7 @@ def test_cann_identity_at_initialization():
 
 
 def test_random_grid_properties():
-    grid = random_grid(FREQUENCY_SPACE, n=40, seed=0)
+    grid = random_grid((10_000, 50_000), n=40, seed=0)
     assert len(grid) == 40
     for spec in grid:
         assert 1 <= spec.hidden_layers <= 4
@@ -101,7 +101,7 @@ def test_random_grid_properties():
         assert spec.activation in ("relu", "sigmoid", "softmax")
         assert 0.0 <= spec.dropout <= 0.1
         assert 10_000 <= spec.batch_size <= 50_000
-    again = random_grid(FREQUENCY_SPACE, n=40, seed=0)
+    again = random_grid((10_000, 50_000), n=40, seed=0)
     assert grid == again
     for axis in ("hidden_layers", "nodes"):
         values = {getattr(s, axis) for s in grid}
@@ -173,7 +173,8 @@ def test_intercept_only_capacity():
 
 def test_dropout_off_at_inference():
     net = build_network(_spec(dropout=0.1), 2, onehot_width=0, seed=9)
-    net.out_w = np.random.default_rng(1).normal(size=net.out_w.shape)
+    out_w = net.params()["out_w"]
+    out_w[...] = np.random.default_rng(1).normal(size=out_w.shape)
     x = np.random.default_rng(2).normal(size=(4, 2))
     a = forward(net, x, np.zeros((4, 0)))
     b = forward(net, x, np.zeros((4, 0)))
@@ -208,9 +209,51 @@ def test_json_roundtrip():
     oh = np.zeros((6, 3))
     oh[np.arange(6), rng.integers(0, 3, 6)] = 1.0
     lyi = rng.normal(size=6)
-    np.testing.assert_allclose(
-        forward(clone, x, oh, lyi), forward(net, x, oh, lyi), rtol=1e-14
-    )
+    np.testing.assert_array_equal(clone.theta, net.theta)
+    np.testing.assert_array_equal(forward(clone, x, oh, lyi), forward(net, x, oh, lyi))
+    assert network_to_json(clone) == network_to_json(net)
+
+
+@pytest.mark.parametrize("encoder", [False, True], ids=["one_hot", "encoder"])
+@pytest.mark.parametrize("cann_mode", [None, "fixed", "flexible"])
+def test_params_are_views_of_theta(grafted_encoder, encoder, cann_mode):
+    """Every named parameter is a view of `theta`, in `_trainable()` order
+    and covering it exactly; `set_flat_params` copies into `theta`."""
+    x_oh, ae = grafted_encoder
+    net = build_network(_spec(hidden_layers=2), 2, encoder=ae if encoder else None,
+                        onehot_width=x_oh.shape[1], cann_mode=cann_mode, seed=3)
+    p = net.params()
+    assert list(p) == list(net._trainable())
+    assert ("encoder_w" in p) == encoder and ("cann_out" in p) == (cann_mode == "flexible")
+    assert sum(v.size for v in p.values()) == net.theta.size
+    for name, view in p.items():
+        assert np.shares_memory(view, net.theta), name
+        view[...] = 7.0
+    np.testing.assert_array_equal(net.theta, 7.0)
+    flat = np.arange(net.theta.size, dtype=float)
+    net.set_flat_params(flat)
+    flat += 1.0  # a copy, not an alias
+    np.testing.assert_array_equal(np.concatenate([v.ravel() for v in p.values()]), flat - 1.0)
+    with pytest.raises(NeuralError):
+        net.set_flat_params(flat[1:])
+
+
+def test_diverging_fit_leaves_network_unchanged():
+    """A learning rate that blows the loss up raises NeuralError, with no
+    numpy warning on the way, and leaves the parameters as they were."""
+    rng = np.random.default_rng(30)
+    n = 200
+    x = rng.normal(size=(n, 2))
+    e = rng.uniform(0.5, 1.0, n)
+    y = rng.poisson(0.5 * e).astype(float)
+    net = build_network(_spec(batch_size=50), 2, onehot_width=0, out_bias=-0.7, seed=1)
+    before = net.get_flat_params()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NeuralError, match="diverged"):
+            train_network(net, x, np.zeros((n, 0)), y, "poisson_log", e, lr=1e6, max_epochs=50)
+    np.testing.assert_array_equal(net.theta, before)
+    assert net.history == {}
 
 
 def test_gradient_check_with_dropout():
@@ -272,46 +315,48 @@ def _ref_activate_backward(name, a, da):
 
 def _ref_loss_and_gradients(net, x_cont, x_onehot, y, fam, w, log_y_in, dropout_rng):
     """Fresh arrays at every step, gradients keyed like Network._trainable()."""
-    if net.encoder_w is not None:
-        codes = x_onehot @ net.encoder_w.T + net.encoder_b
+    p = net.params()
+    n_layers = net.spec.hidden_layers
+    if net.encoder_dim is not None:
+        codes = x_onehot @ p["encoder_w"].T + p["encoder_b"]
         h = np.hstack([x_cont, codes]) if net.n_continuous else codes
     else:
         h = np.hstack([x_cont, x_onehot]) if net.onehot_width else x_cont
     layers = []
-    for wt, b in net.hidden:
-        a = _ref_activate(net.spec.activation, h @ wt.T + b)
+    for i in range(n_layers):
+        a = _ref_activate(net.spec.activation, h @ p[f"w{i}"].T + p[f"b{i}"])
         mask = None
         if dropout_rng is not None:
             keep = 1.0 - net.spec.dropout
             mask = (dropout_rng.random(a.shape) < keep) / keep
         layers.append((a, mask, h))
         h = a if mask is None else a * mask
-    y_nn = h @ net.out_w + net.out_b
+    y_nn = h @ p["out_w"] + p["out_b"]
     if net.cann_mode is None:
         u = y_nn
     else:
-        w_nn, w_in, b_c = net.cann_out
+        w_nn, w_in, b_c = p.get("cann_out", np.array([1.0, 1.0, 0.0]))
         u = w_nn * y_nn + w_in * log_y_in + b_c
     loss, du = fam.network_loss(np.exp(u), y, w)
     grads = {}
     if net.cann_mode == "flexible":
-        grads[("cann_out", None)] = np.array([du @ y_nn, du @ log_y_in, du.sum()])
-        du = du * net.cann_out[0]
-    grads[("out_w", None)] = h.T @ du
-    grads[("out_b", None)] = np.array([du.sum()])
-    dh = np.outer(du, net.out_w)
-    for i in range(len(net.hidden) - 1, -1, -1):
+        grads["cann_out"] = np.array([du @ y_nn, du @ log_y_in, du.sum()])
+        du = du * p["cann_out"][0]
+    grads["out_w"] = h.T @ du
+    grads["out_b"] = np.array([du.sum()])
+    dh = np.outer(du, p["out_w"])
+    for i in range(n_layers - 1, -1, -1):
         a, mask, h_in = layers[i]
         if mask is not None:
             dh = dh * mask
         dz = _ref_activate_backward(net.spec.activation, a, dh)
-        grads[("hidden", (i, 0))] = dz.T @ h_in
-        grads[("hidden", (i, 1))] = dz.sum(axis=0)
-        dh = dz @ net.hidden[i][0]
-    if net.encoder_w is not None:
+        grads[f"w{i}"] = dz.T @ h_in
+        grads[f"b{i}"] = dz.sum(axis=0)
+        dh = dz @ p[f"w{i}"]
+    if net.encoder_dim is not None:
         dcodes = dh[:, net.n_continuous :]
-        grads[("encoder_w", None)] = dcodes.T @ x_onehot
-        grads[("encoder_b", None)] = dcodes.sum(axis=0)
+        grads["encoder_w"] = dcodes.T @ x_onehot
+        grads["encoder_b"] = dcodes.sum(axis=0)
     return loss, grads
 
 
@@ -334,9 +379,10 @@ def _ref_train(net, x_cont, x_onehot, y, family, w, log_y_in, seed, max_epochs, 
     def val_loss():
         return _ref_loss_and_gradients(net, *rows(val)[:3], fam, *rows(val)[3:], None)[0]
 
-    keys = net._trainable()
-    m = [np.zeros_like(net._get(k)) for k in keys]
-    v = [np.zeros_like(net._get(k)) for k in keys]
+    p = net.params()
+    keys = list(p)
+    m = [np.zeros_like(p[k]) for k in keys]
+    v = [np.zeros_like(p[k]) for k in keys]
     t = 0
     best_loss = val_loss()
     best, history, bad = net.get_flat_params(), [best_loss], 0
@@ -353,7 +399,7 @@ def _ref_train(net, x_cont, x_onehot, y, family, w, log_y_in, seed, max_epochs, 
                 v[j] = ADAM_BETA2 * v[j] + (1 - ADAM_BETA2) * g * g
                 m_hat = m[j] / (1 - ADAM_BETA1**t)
                 v_hat = v[j] / (1 - ADAM_BETA2**t)
-                net._set(k, net._get(k) - ADAM_LR * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+                p[k][...] = p[k] - ADAM_LR * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         loss = val_loss()
         history.append(loss)
         if loss < best_loss - 1e-12:
