@@ -70,7 +70,18 @@ def _read_predictions(path, stage="train"):
     return np.asarray(rows), np.asarray(preds)
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports a pipeline or evaluation error as a one-line `Error:`,
+    exit code 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (PipelineError, EvaluationError) as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Group)
 def main():
     """Frequency-severity insurance pricing models and tariff tools."""
 
@@ -196,12 +207,9 @@ def evaluate(data, schema, claims, pred_a, pred_b, family, out):
     sub = dataset.subset(rows_a)
     fam = get_family(family)
     y, w = sub.response, fam.obs_weight(sub)
-    try:
-        la = fam.contributions(fa, y, w)
-        lb = fam.contributions(fb, y, w)
-        result = diebold_mariano(LossVector(la, "A"), LossVector(lb, "B"))
-    except EvaluationError as exc:
-        raise click.ClickException(str(exc)) from exc
+    la = fam.contributions(fa, y, w)
+    lb = fam.contributions(fb, y, w)
+    result = diebold_mariano(LossVector(la, "A"), LossVector(lb, "B"))
     write_dm_json({"A_vs_B": result}, out)
     click.echo(f"DM verdict: {result.verdict} (p = {result.p_value:.4g})")
 
@@ -245,11 +253,7 @@ def surrogate(data, schema, claims, model_path, out):
     result = build_surrogate(model, dataset, model.family)
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "surrogate.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            {"glm": json.loads(result.glm.to_json()), "tariff": result.tariff_table},
-            fh,
-            indent=2,
-        )
+        json.dump({"glm": result.glm.to_dict(), "tariff": result.tariff_table}, fh, indent=2)
     write_selection_report(result, os.path.join(out, "report.txt"))
     click.echo(f"surrogate selected: {result.report['selected']['mains']}")
 
@@ -284,10 +288,7 @@ def tariff(premium_specs, losses, out):
 def run(config_path, seed, preset, out):
     """Run the full pipeline from a JSON config file."""
     _require(config_path, "config")
-    try:
-        config = load_config(config_path)
-    except PipelineError as exc:
-        raise click.ClickException(str(exc)) from exc
+    config = load_config(config_path)
     overrides = {}
     if seed is not None:
         overrides["seed"] = seed

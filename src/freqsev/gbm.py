@@ -17,7 +17,6 @@ adds leaf values tree after tree: each row gets a per-tree walk's sums.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -36,7 +35,7 @@ PAPER_TREE_GRID = (100, 300, 500, 1000, 1500, 2000, 2500, 3000, 3500, 4000, 4500
 PAPER_DEPTH_GRID = tuple(range(1, 11))
 DESK_TREE_GRID = (50, 100, 200, 400)
 DESK_DEPTH_GRID = (1, 2, 3, 4, 5)
-_JSON_KEYS = (
+_PAYLOAD_KEYS = (
     "family", "f0", "shrinkage", "n_trees", "depth", "seed", "train_fold", "features", "tuned"
 )
 
@@ -170,7 +169,7 @@ def _grow(codes, keys, layout, grad, count, depth, min_count):
 class BoostedModel:
     """Stagewise additive model on the log scale: exp(F0 + shrinkage * sum(trees))."""
 
-    kind = "gbm"  # the tag `to_json` writes and `pipeline.load_model` reads
+    kind = "gbm"  # the tag `to_dict` writes and `pipeline.load_model` reads
 
     family: str
     f0: float
@@ -236,8 +235,8 @@ class BoostedModel:
         """Strictly positive predictions; exposure not applied."""
         return np.exp(self.log_scores(dataset, n_trees))
 
-    def to_json(self) -> str:
-        d = {"kind": self.kind, **{key: getattr(self, key) for key in _JSON_KEYS}}
+    def to_dict(self) -> dict:
+        d = {"kind": self.kind, **{key: getattr(self, key) for key in _PAYLOAD_KEYS}}
         d["cuts"] = {name: c.tolist() for name, c in self.cuts.items()}
         d["width"] = self.trees[0].left.shape[1] if self.trees else 0
         # each go-left table is written as its bits, row after row, in hex
@@ -246,11 +245,10 @@ class BoostedModel:
              "child": t.child.tolist(), "value": t.value.tolist()}
             for t in self.trees
         ]
-        return json.dumps(d)
+        return d
 
     @classmethod
-    def from_json(cls, text: str) -> "BoostedModel":
-        d = json.loads(text)
+    def from_dict(cls, d: dict) -> "BoostedModel":
         trees = []
         for t in d["trees"]:
             shape = (len(t["feature"]), d["width"])
@@ -259,7 +257,7 @@ class BoostedModel:
             trees.append(Tree(np.array(t["feature"]), left.astype(bool).reshape(shape),
                               np.array(t["child"]), np.array(t["value"], dtype=float)))
         cuts = {name: np.array(c, dtype=float) for name, c in d["cuts"].items()}
-        return cls(trees=trees, cuts=cuts, **{key: d[key] for key in _JSON_KEYS})
+        return cls(trees=trees, cuts=cuts, **{key: d[key] for key in _PAYLOAD_KEYS})
 
 
 def fit_gbm(

@@ -3,13 +3,14 @@
 Poisson (frequency, with log-exposure offset) and gamma (severity, with
 claim-count weights) families over designs of categorical factors and
 tree-binned continuous covariates. Treatment coding with the most
-populous level as reference. Model export doubles as the technical
-tariff table interchange format.
+populous level as reference. `GlmModel.to_dict` is the model's payload
+(design, binning, coefficients and fit statistics in plain JSON types),
+and `GlmModel.from_dict` rebuilds it; the payload doubles as the
+technical tariff table interchange format.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -112,7 +113,7 @@ def build_design_matrix(dataset: Dataset, design: Design, references=None):
 class GlmModel:
     """A fitted log-link GLM over binned/categorical covariates."""
 
-    kind = "glm"  # the tag `to_json` writes and `pipeline.load_model` reads
+    kind = "glm"  # the tag `to_dict` writes and `pipeline.load_model` reads
 
     design: Design
     family: str
@@ -133,24 +134,31 @@ class GlmModel:
             raise GlmError("rows do not conform to the fitted design")
         return np.exp(X @ self.coef)
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "kind": self.kind,
             "family": self.family,
             "main_effects": list(self.design.main_effects),
             "interactions": [list(p) for p in self.design.interactions],
-            "binning": {
-                name: list(rule.cuts) for name, rule in self.design.binning.items()
-            },
+            "binning": {name: list(rule.cuts) for name, rule in self.design.binning.items()},
             "coefficients": dict(zip(self.column_names, map(float, self.coef))),
             "deviance": self.deviance,
+            "loglik": self.loglik,
             "bic": self.bic,
             "n_obs": self.n_obs,
             "dispersion": self.dispersion,
             "train_fold": self.train_fold,
             "references": self.references,
         }
-        return json.dumps(payload, indent=2)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "GlmModel":
+        binning = {name: BinningRule(name, tuple(cuts)) for name, cuts in d["binning"].items()}
+        design = Design(tuple(d["main_effects"]), tuple(map(tuple, d["interactions"])), binning)
+        names = list(d["coefficients"])
+        coef = np.array([d["coefficients"][k] for k in names], dtype=float)
+        return cls(design, d["family"], coef, names, d["deviance"], d["loglik"], d["bic"],
+                   d["n_obs"], d["dispersion"], d["train_fold"], d["references"])
 
     @property
     def tariff_table(self) -> dict:
@@ -238,33 +246,6 @@ def fit_glm(
         dispersion=dispersion,
         train_fold=train_fold,
         references=references,
-    )
-
-
-def glm_from_json(text: str) -> GlmModel:
-    payload = json.loads(text)
-    binning = {
-        name: BinningRule(name, tuple(cuts)) for name, cuts in payload["binning"].items()
-    }
-    design = Design(
-        tuple(payload["main_effects"]),
-        tuple(tuple(p) for p in payload["interactions"]),
-        binning,
-    )
-    names = list(payload["coefficients"])
-    coef = np.asarray([payload["coefficients"][k] for k in names])
-    return GlmModel(
-        design=design,
-        family=payload["family"],
-        coef=coef,
-        column_names=names,
-        deviance=payload["deviance"],
-        loglik=np.nan,
-        bic=payload["bic"],
-        n_obs=payload["n_obs"],
-        dispersion=payload.get("dispersion", 1.0),
-        train_fold=payload.get("train_fold"),
-        references=payload.get("references", {}),
     )
 
 

@@ -9,22 +9,22 @@ node; the fixed variant pins the output combination at (1, 1, 0), the
 flexible variant trains it.
 
 A network keeps all its parameters in one flat vector, `Network.theta`;
-`Network.params()` gives named views of it. All network math runs in one
-private kernel, `_Workspace`: a forward and a backward pass over
-preallocated arrays sized to the largest pass (max(batch, validation
-rows) in training), written in place, reading the parameters through
-views of `theta` and writing their gradients into views of one flat
-gradient vector of the same layout. `train_network` runs the shared
-`early_stopping` loop of `freqsev._optim`, whose Adam steps `theta` in
-place; `forward`, `loss_and_gradients` and `batch_loss` run the same
-kernel on a one-shot workspace.
+`Network.params()` gives named views of it, and `Network.to_dict` writes
+it as one list beside the layout fields `params()` reads it by. All
+network math runs in one private kernel, `_Workspace`: a forward and a
+backward pass over preallocated arrays sized to the largest pass
+(max(batch, validation rows) in training), written in place, reading the
+parameters through views of `theta` and writing their gradients into
+views of one flat gradient vector of the same layout. `train_network`
+runs the shared `early_stopping` loop of `freqsev._optim`, whose Adam
+steps `theta` in place; `forward`, `loss_and_gradients` and `batch_loss`
+run the same kernel on a one-shot workspace.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -104,7 +104,7 @@ class Network:
     None, one-hot blocks feed the hidden layers directly. `cann_mode` is
     None (plain FFNN), "fixed" (output combination pinned at (1, 1, 0))
     or "flexible" (the combination `cann_out` is trained). A new network
-    starts with `theta` all zero.
+    starts with `theta` all zero; a given `theta` must fit the layout.
     """
 
     spec: NetworkSpec
@@ -118,8 +118,11 @@ class Network:
     def __post_init__(self):
         if self.cann_mode not in (None, "fixed", "flexible"):
             raise NeuralError(f"unknown CANN mode {self.cann_mode!r}")
+        size = sum(math.prod(s) for s in self._trainable().values())
         if self.theta is None:
-            self.theta = np.zeros(sum(math.prod(s) for s in self._trainable().values()))
+            self.theta = np.zeros(size)
+        elif self.theta.shape != (size,):
+            raise NeuralError(f"theta has shape {self.theta.shape}; the layout needs ({size},)")
 
     def _trainable(self) -> dict[str, tuple[int, ...]]:
         """Name and shape of every trainable parameter, in `theta` order:
@@ -153,6 +156,23 @@ class Network:
         if flat.shape != self.theta.shape:
             raise NeuralError("flat parameter vector has wrong length")
         np.copyto(self.theta, flat)
+
+    def to_dict(self) -> dict:
+        return {
+            "spec": asdict(self.spec),
+            "n_continuous": self.n_continuous,
+            "onehot_width": self.onehot_width,
+            "encoder_dim": self.encoder_dim,
+            "cann_mode": self.cann_mode,
+            "theta": self.theta.tolist(),
+            "history": self.history,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Network":
+        return cls(NetworkSpec(**d["spec"]), d["n_continuous"], d["onehot_width"],
+                   d["encoder_dim"], d["cann_mode"], np.array(d["theta"], dtype=float),
+                   d["history"])
 
 
 def build_network(
@@ -214,11 +234,14 @@ class _Workspace:
         self.net = net
         self.grad = np.zeros_like(net.theta)
         self.p, self.g = net.params(), net.params(self.grad)
+        # each hidden layer's (w, b, grad w, grad b) views, looked up once
+        self.layers = [(self.p[f"w{i}"], self.p[f"b{i}"], self.g[f"w{i}"], self.g[f"b{i}"])
+                       for i in range(net.spec.hidden_layers)]
 
         def buf(*shape, dtype=float):
             return np.empty((rows, *shape), dtype)
 
-        nodes, layers = net.spec.nodes, range(net.spec.hidden_layers)
+        nodes = net.spec.nodes
         self.h0 = buf(self.p["w0"].shape[1])
         if net.encoder_dim is None:
             self.sources = [self.h0]
@@ -226,9 +249,9 @@ class _Workspace:
             self.x_cont, self.x_onehot = buf(net.n_continuous), buf(net.onehot_width)
             self.codes, self.dh0 = buf(net.encoder_dim), buf(self.h0.shape[1])
             self.sources = [self.x_cont, self.x_onehot]
-        self.a = [buf(nodes) for _ in layers]  # activations before dropout
-        self.mask = [buf(nodes) for _ in layers] if dropout else None
-        self.dropped = [buf(nodes) for _ in layers] if dropout else None
+        self.a = [buf(nodes) for _ in self.layers]  # activations before dropout
+        self.mask = [buf(nodes) for _ in self.layers] if dropout else None
+        self.dropped = [buf(nodes) for _ in self.layers] if dropout else None
         self.dz, self.dh, self.flag, self.row = buf(nodes), buf(nodes), buf(nodes, dtype=bool), buf(1)
         self.y_nn, self.pred, self.dy = buf(), buf(), buf()
         if net.cann_mode is not None:
@@ -259,9 +282,9 @@ class _Workspace:
             h[:, net.n_continuous :] = codes
         self.layer_out = self.a if dropout_rng is None else self.dropped
         keep = 1.0 - net.spec.dropout
-        for i in range(len(self.a)):
-            a = np.matmul(h, p[f"w{i}"].T, out=self.a[i][:m])
-            a += p[f"b{i}"]
+        for i, (w, b, _, _) in enumerate(self.layers):
+            a = np.matmul(h, w.T, out=self.a[i][:m])
+            a += b
             self._activate(a)
             if dropout_rng is not None:
                 mask = dropout_rng.random(out=self.mask[i][:m])
@@ -295,18 +318,19 @@ class _Workspace:
         np.matmul(self.layer_out[-1][:m].T, du, out=g["out_w"])
         g["out_b"][0] = du.sum()
         dh, dz = np.outer(du, p["out_w"], out=self.dh[:m]), self.dz[:m]
-        for i in range(len(self.a) - 1, -1, -1):
+        for i in range(len(self.layers) - 1, -1, -1):
+            w, _, grad_w, grad_b = self.layers[i]
             a = self.a[i][:m]
             if self.layer_out is self.dropped:
                 dh *= self.mask[i][:m]
             self._activate_backward(a, dh, dz)
             h_in = self.h0[:m] if i == 0 else self.layer_out[i - 1][:m]
-            np.matmul(dz.T, h_in, out=g[f"w{i}"])
-            np.sum(dz, axis=0, out=g[f"b{i}"])
+            np.matmul(dz.T, h_in, out=grad_w)
+            np.sum(dz, axis=0, out=grad_b)
             if i > 0:
-                np.matmul(dz, p[f"w{i}"], out=dh)
+                np.matmul(dz, w, out=dh)
             elif "encoder_w" in g:
-                dcodes = np.matmul(dz, p["w0"], out=self.dh0[:m])[:, self.net.n_continuous :]
+                dcodes = np.matmul(dz, w, out=self.dh0[:m])[:, self.net.n_continuous :]
                 np.matmul(dcodes.T, self.x_onehot[:m], out=g["encoder_w"])
                 np.sum(dcodes, axis=0, out=g["encoder_b"])
 
@@ -463,44 +487,6 @@ def train_network(
         np.copyto(net.theta, start)
         raise NeuralError(f"training diverged: {err}") from err
     net.history = {"epochs": len(val_history) - 1, "best_val_loss": best_loss, "val_history": val_history}
-    return net
-
-
-def network_to_json(net: Network) -> str:
-    p = net.params()
-    encoder = net.encoder_dim is not None
-    return json.dumps(
-        {
-            "spec": vars(net.spec),
-            "n_continuous": net.n_continuous,
-            "onehot_width": net.onehot_width,
-            "encoder_w": p["encoder_w"].tolist() if encoder else None,
-            "encoder_b": p["encoder_b"].tolist() if encoder else None,
-            "hidden": [[p[f"w{i}"].tolist(), p[f"b{i}"].tolist()] for i in range(net.spec.hidden_layers)],
-            "out_w": p["out_w"].tolist(),
-            "out_b": float(p["out_b"][0]),
-            "cann_mode": net.cann_mode,
-            "cann_out": p.get("cann_out", _FIXED_CANN_OUT).tolist(),
-            "history": net.history,
-        }
-    )
-
-
-def network_from_json(text: str) -> Network:
-    d = json.loads(text)
-    net = Network(
-        spec=NetworkSpec(**d["spec"]),
-        n_continuous=d["n_continuous"],
-        onehot_width=d["onehot_width"],
-        encoder_dim=None if d["encoder_b"] is None else len(d["encoder_b"]),
-        cann_mode=d["cann_mode"],
-        history=d["history"],
-    )
-    stored = {name: d[name] for name in ("encoder_w", "encoder_b", "out_w", "out_b", "cann_out")}
-    for i, (w, b) in enumerate(d["hidden"]):
-        stored[f"w{i}"], stored[f"b{i}"] = w, b
-    for name, view in net.params().items():
-        view[...] = stored[name]
     return net
 
 

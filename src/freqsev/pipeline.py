@@ -5,8 +5,9 @@ only, pre-train and rescale the autoencoder, tune each model family on
 the inner folds (which are the other outer subsets), train the winner
 with the configured number of repetitions, and score the held-out fold.
 Stitching the six held-out prediction vectors together yields one
-out-of-sample prediction per data row. Every fitted model is written as
-one `model.json` tagged with its kind, and `load_model` reads any of them.
+out-of-sample prediction per data row. `save_model` writes a model's
+`to_dict()` payload, tagged with its kind, as `model.json`; `load_model`
+reads any of them back through that kind's `from_dict`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .data import (
 )
 from .embedding import scale_encoder, select_dimension
 from .evaluation import get_family
-from .glm import Design, GlmModel, fit_glm, glm_from_json, tree_bin
+from .glm import Design, GlmModel, fit_glm, tree_bin
 
 KNOWN_FAMILIES = (
     "glm",
@@ -316,7 +317,7 @@ class AveragedNetworks:
     deviance; `spec` is the one chosen. `autoencoder` is the fold's
     {"dim", "qualified"} record, or None without categorical blocks."""
 
-    kind = "networks"  # the tag `to_json` writes and `load_model` reads
+    kind = "networks"  # the tag `to_dict` writes and `load_model` reads
 
     family: str
     members: list
@@ -331,28 +332,28 @@ class AveragedNetworks:
         log_y_in = None if self.initial_model is None else _log_initial(self.initial_model, dataset)
         return np.mean([nn.forward(m, x_cont, x_oh, log_y_in) for m in self.members], axis=0)
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_dict(self) -> dict:
+        return {
             "kind": self.kind,
             "family": self.family,
-            "spec": vars(self.spec),
-            "grid": [{"spec": vars(spec), "inner_deviance": score} for spec, score in self.grid],
-            "members": [json.loads(nn.network_to_json(m)) for m in self.members],
-            "stats": {"means": self.stats.means, "stds": self.stats.stds},
-            "initial": None if self.initial_model is None else json.loads(self.initial_model.to_json()),
+            "spec": asdict(self.spec),
+            "grid": [{"spec": asdict(spec), "inner_deviance": score} for spec, score in self.grid],
+            "members": [m.to_dict() for m in self.members],
+            "stats": asdict(self.stats),
+            "initial": None if self.initial_model is None else self.initial_model.to_dict(),
             "autoencoder": self.autoencoder,
-        })
+        }
 
     @classmethod
-    def from_json(cls, text: str) -> "AveragedNetworks":
-        d = json.loads(text)
+    def from_dict(cls, d: dict) -> "AveragedNetworks":
+        initial = d["initial"]
         return cls(
             family=d["family"],
-            members=[nn.network_from_json(json.dumps(m)) for m in d["members"]],
-            stats=ScalingStats(d["stats"]["means"], d["stats"]["stds"]),
+            members=[nn.Network.from_dict(m) for m in d["members"]],
+            stats=ScalingStats(d["stats"]["means"], d["stats"]["stds"], d["stats"]["train_fold"]),
             spec=nn.NetworkSpec(**d["spec"]),
             grid=[(nn.NetworkSpec(**e["spec"]), e["inner_deviance"]) for e in d["grid"]],
-            initial_model=None if d["initial"] is None else _model_from_json(json.dumps(d["initial"])),
+            initial_model=None if initial is None else _KINDS[initial["kind"]].from_dict(initial),
             autoencoder=d["autoencoder"],
         )
 
@@ -370,34 +371,38 @@ def fit_fold_network(ctx: FoldContext, dataset, family, fold_plan, preset, seed,
     return AveragedNetworks(family, members, ctx.stats, spec, grid, initial_model, ctx.autoencoder)
 
 
-_LOADERS = {
-    GlmModel.kind: glm_from_json,
-    gbm_mod.BoostedModel.kind: gbm_mod.BoostedModel.from_json,
-    AveragedNetworks.kind: AveragedNetworks.from_json,
-}
+_KINDS = {cls.kind: cls for cls in (GlmModel, gbm_mod.BoostedModel, AveragedNetworks)}
 
 
-def _model_from_json(text: str):
-    payload = json.loads(text)
-    kind = payload.get("kind") if isinstance(payload, dict) else None
-    if kind not in _LOADERS:
-        raise PipelineError(f"not a model payload: kind {kind!r}, expected one of {sorted(_LOADERS)}")
-    return _LOADERS[kind](text)
+def save_model(model, path) -> None:
+    """Write `model`'s payload as one line of JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(model.to_dict()))
 
 
 def load_model(path):
     """The fitted model a `model.json` holds, of whichever family: the
-    file's `kind` tag ("glm", "gbm" or "networks") picks the loader."""
+    file's `kind` tag ("glm", "gbm" or "networks") picks the class.
+
+    Raises `PipelineError` naming the file for anything that is not a
+    complete model payload."""
     with open(path, encoding="utf-8") as fh:
-        return _model_from_json(fh.read())
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise PipelineError(f"{path} is not JSON: {exc}") from exc
+    kind = payload.get("kind") if isinstance(payload, dict) else None
+    if kind not in _KINDS:
+        raise PipelineError(
+            f"{path} is not a model payload: kind {kind!r}, expected one of {sorted(_KINDS)}")
+    try:
+        return _KINDS[kind].from_dict(payload)
+    except (LookupError, TypeError, ValueError) as exc:
+        raise PipelineError(f"{path} is not a complete {kind!r} model: "
+                            f"{type(exc).__name__}: {exc}") from exc
 
 
 # -- orchestration ---------------------------------------------------------
-
-
-def _write_json(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def _write_predictions(path, rows, predictions):
@@ -419,6 +424,9 @@ def run_pipeline(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan | None
     family = config.response_family
     if fold_plan is None:
         fold_plan = stratified_folds(dataset, seed=derive_seed(config.seed, "folds"))
+    elif len(fold_plan.outer) != dataset.n:
+        raise PipelineError(
+            f"the fold plan assigns {len(fold_plan.outer)} rows, the dataset has {dataset.n}")
     os.makedirs(config.outdir, exist_ok=True)
     needs_nets = any(f not in ("glm", "gbm") for f in config.families)
     needs_glm = "glm" in config.families or any("cann_glm" in f for f in config.families)
@@ -468,7 +476,7 @@ def run_pipeline(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan | None
                 loss_rows.append({"model": name, "fold": fold, "deviance": loss})
                 fold_dir = os.path.join(config.outdir, f"fold_{fold}", name)
                 os.makedirs(fold_dir, exist_ok=True)
-                _write_json(os.path.join(fold_dir, "model.json"), model.to_json())
+                save_model(model, os.path.join(fold_dir, "model.json"))
                 _write_predictions(os.path.join(fold_dir, "predictions.csv"), test_rows, pred)
         except Exception as exc:  # noqa: BLE001 - re-raise with fold context
             raise PipelineError(f"fold {fold} failed: {exc}") from exc

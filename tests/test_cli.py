@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from click.testing import CliRunner
 from freqsev.cli import main
 from freqsev.data import load_claims_csv, load_csv, load_schema, severity_view
 from freqsev.interpretation import partial_dependence
-from freqsev.pipeline import load_model
+from freqsev.pipeline import load_fold_plan, load_model, save_fold_plan
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +247,28 @@ def test_missing_artifact_names_producing_stage(workspace, tmp_path):
                              "--out", str(tmp_path / "summary.json")])
     assert r.exit_code != 0
     assert "missing artifact" in r.output and "synth" in r.output
+
+
+@pytest.mark.parametrize("command", ["interpret", "surrogate"])
+def test_malformed_model_is_a_one_line_error(workspace, tmp_path, command):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"kind": "gbm", "family": "poisson_log"}), encoding="utf-8")
+    r = CliRunner().invoke(main, [command, "--data", workspace["data"],
+                                  "--schema", workspace["schema"], "--model", str(model),
+                                  "--out", str(tmp_path / "out")])
+    assert r.exit_code == 1
+    assert r.output == f"Error: {model} is not a complete 'gbm' model: KeyError: 'trees'\n"
+
+
+def test_fold_plan_of_another_length_is_a_one_line_error(workspace, tmp_path):
+    plan = load_fold_plan(workspace["folds"])
+    short = tmp_path / "folds.json"
+    save_fold_plan(replace(plan, outer=plan.outer[:500], strat_key=plan.strat_key[:500]), short)
+    r = CliRunner().invoke(main, ["train", "--data", workspace["data"],
+                                  "--schema", workspace["schema"], "--folds", str(short),
+                                  "--families", "glm", "--out", str(tmp_path / "train")])
+    assert r.exit_code == 1
+    assert r.output == "Error: the fold plan assigns 500 rows, the dataset has 800\n"
 
 
 def test_run_config_typo_is_a_one_line_error(tmp_path):

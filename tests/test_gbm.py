@@ -76,7 +76,7 @@ def test_bagging_reproducible():
     p = small_portfolio(n=700, seed=5)
     a = fit_gbm(p.dataset, "poisson_log", n_trees=20, depth=2, seed=9)
     b = fit_gbm(p.dataset, "poisson_log", n_trees=20, depth=2, seed=9)
-    assert a.to_json() == b.to_json()
+    assert a.to_dict() == b.to_dict()
 
 
 def test_unseen_level_routes_to_majority_child():
@@ -116,10 +116,10 @@ def test_json_roundtrip():
     p = small_portfolio(n=400, seed=7)
     model = fit_gbm(p.dataset, "poisson_log", n_trees=12, depth=3, seed=0)
     model.tuned = {"n_trees": 12, "depth": 3}
-    clone = BoostedModel.from_json(model.to_json())
+    clone = BoostedModel.from_dict(model.to_dict())
     np.testing.assert_array_equal(clone.predict(p.dataset), model.predict(p.dataset))
     assert clone.tuned == model.tuned
-    assert clone.to_json() == model.to_json()
+    assert clone.to_dict() == model.to_dict()
 
 
 def test_tune_single_point_and_membership():

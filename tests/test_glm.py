@@ -8,9 +8,9 @@ from freqsev.glm import (
     BinningRule,
     Design,
     GlmError,
+    GlmModel,
     build_design_matrix,
     fit_glm,
-    glm_from_json,
     tree_bin,
 )
 
@@ -96,8 +96,9 @@ def test_bic_penalizes_parameters():
 def test_json_roundtrip_and_tariff_table():
     ds = _counts_dataset([2.0, 0.0, 1.0, 3.0], [1.0, 0.5, 1.0, 1.5], codes=[0, 0, 1, 1])
     model = fit_glm(ds, Design(("f",)), "poisson_log")
-    clone = glm_from_json(model.to_json())
-    np.testing.assert_allclose(clone.predict(ds), model.predict(ds), rtol=1e-12)
+    clone = GlmModel.from_dict(model.to_dict())
+    np.testing.assert_array_equal(clone.predict(ds), model.predict(ds))
+    assert clone.to_dict() == model.to_dict()
     table = model.tariff_table
     assert table["base_level"] > 0
     assert all(v > 0 for v in table["relativities"].values())

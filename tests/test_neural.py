@@ -9,6 +9,7 @@ import pytest
 from freqsev.data import one_hot, scaling_stats
 from freqsev.embedding import scale_encoder, train_autoencoder
 from freqsev.neural import (
+    Network,
     NetworkSpec,
     NeuralError,
     batch_loss,
@@ -16,8 +17,6 @@ from freqsev.neural import (
     cann_forward,
     forward,
     loss_and_gradients,
-    network_from_json,
-    network_to_json,
     random_grid,
     train_network,
 )
@@ -204,14 +203,14 @@ def test_json_roundtrip():
                         seed=10)
     rng = np.random.default_rng(0)
     net.set_flat_params(rng.normal(size=net.get_flat_params().size))
-    clone = network_from_json(network_to_json(net))
+    clone = Network.from_dict(net.to_dict())
     x = rng.normal(size=(6, 2))
     oh = np.zeros((6, 3))
     oh[np.arange(6), rng.integers(0, 3, 6)] = 1.0
     lyi = rng.normal(size=6)
     np.testing.assert_array_equal(clone.theta, net.theta)
     np.testing.assert_array_equal(forward(clone, x, oh, lyi), forward(net, x, oh, lyi))
-    assert network_to_json(clone) == network_to_json(net)
+    assert clone.to_dict() == net.to_dict()
 
 
 @pytest.mark.parametrize("encoder", [False, True], ids=["one_hot", "encoder"])

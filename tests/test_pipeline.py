@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from freqsev import pipeline
-from freqsev.data import severity_view, stratified_folds
+from freqsev.data import ScalingStats, severity_view, stratified_folds
 from freqsev.evaluation import get_family
+from freqsev.glm import GlmModel
+from freqsev.neural import NetworkSpec, build_network
 
 from conftest import small_portfolio
 
@@ -32,7 +34,7 @@ def test_network_grid_written_beside_chosen_spec(tmp_path, monkeypatch):
         assert all(np.isfinite(scores))
         assert grid[int(np.argmin(scores))]["spec"] == written["spec"]
         encoder = written["autoencoder"]
-        assert encoder["dim"] == len(written["members"][0]["encoder_b"]) == FAST.ae_candidates[0]
+        assert encoder["dim"] == written["members"][0]["encoder_dim"] == FAST.ae_candidates[0]
         assert isinstance(encoder["qualified"], bool)
 
 
@@ -77,7 +79,9 @@ def test_network_fold_isolation(tmp_path, monkeypatch):
 
 def test_every_written_model_reloads_bit_identically(tmp_path, monkeypatch):
     """load_model on each fold's model.json predicts exactly what the
-    fitted model predicted and writes the same bytes again."""
+    fitted model predicted, keeps the fields no prediction reads (the
+    scaling stats' fold, the GLM log-likelihood) and saves the same bytes
+    again."""
     monkeypatch.setitem(pipeline.PRESETS, "desk", FAST)
     portfolio = small_portfolio(n=1200, seed=5, freq_intercept=-0.5)
     sev = severity_view(portfolio.dataset, portfolio.claims)
@@ -98,7 +102,15 @@ def test_every_written_model_reloads_bit_identically(tmp_path, monkeypatch):
                 assert model.family == family
                 np.testing.assert_array_equal(
                     model.predict(held_out), result["predictions"][name][plan.test_rows(fold)])
-                assert model.to_json() == path.read_text(encoding="utf-8"), (family, name, fold)
+                resaved = tmp_path / "resaved.json"
+                pipeline.save_model(model, resaved)
+                assert resaved.read_bytes() == path.read_bytes(), (family, name, fold)
+                fitted = result["fold_models"][fold][name]
+                if isinstance(fitted, pipeline.AveragedNetworks):
+                    assert model.stats == fitted.stats and model.stats.train_fold == fold
+                    model, fitted = model.initial_model, fitted.initial_model
+                if isinstance(fitted, GlmModel):
+                    assert model.loglik == fitted.loglik and np.isfinite(model.loglik)
 
 
 def test_load_model_rejects_an_untagged_file(tmp_path):
@@ -106,6 +118,47 @@ def test_load_model_rejects_an_untagged_file(tmp_path):
     path.write_text(json.dumps({"spec": None, "members": []}), encoding="utf-8")
     with pytest.raises(pipeline.PipelineError, match="kind None"):
         pipeline.load_model(path)
+
+
+def _networks_payload():
+    spec = NetworkSpec(hidden_layers=1, nodes=10, activation="relu", dropout=0.0, batch_size=64)
+    net = build_network(spec, 2, onehot_width=3, seed=0)
+    stats = ScalingStats({"age": 40.0}, {"age": 10.0}, 0)
+    return pipeline.AveragedNetworks("poisson_log", [net], stats, spec, []).to_dict()
+
+
+def _short_theta():
+    payload = _networks_payload()
+    payload["members"][0]["theta"].pop()
+    return payload
+
+
+@pytest.mark.parametrize("text, message", [
+    (json.dumps({"kind": "gbm", "family": "poisson_log"}),
+     "is not a complete 'gbm' model: KeyError: 'trees'"),
+    (json.dumps(_short_theta()), "is not a complete 'networks' model: NeuralError: theta has shape"),
+    (json.dumps({**_networks_payload(), "initial": {"kind": "tree"}}),
+     "is not a complete 'networks' model: KeyError: 'tree'"),
+    (json.dumps({**_networks_payload(), "stats": None}),
+     "is not a complete 'networks' model: TypeError"),
+    ("{not json", "is not JSON"),
+], ids=["gbm_without_trees", "short_theta", "unknown_initial_kind", "null_stats", "not_json"])
+def test_load_model_names_the_file_and_kind_of_a_malformed_payload(tmp_path, text, message):
+    path = tmp_path / "model.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(pipeline.PipelineError) as err:
+        pipeline.load_model(path)
+    assert str(err.value).startswith(f"{path} {message}")
+
+
+def test_run_pipeline_rejects_a_fold_plan_of_another_length(tmp_path):
+    plan = stratified_folds(small_portfolio(n=500, seed=2).dataset, seed=0)
+    config = pipeline.RunConfig(data_path="memory", schema_path="memory", families=("glm",),
+                                outdir=str(tmp_path / "run"))
+    with pytest.raises(pipeline.PipelineError,
+                       match="the fold plan assigns 500 rows, the dataset has 600"):
+        pipeline.run_pipeline(config, small_portfolio(n=600, seed=2).dataset, plan)
+    assert not (tmp_path / "run").exists()
 
 
 def test_load_config_names_unknown_keys(tmp_path):
