@@ -13,6 +13,7 @@ reads any of them back through that kind's `from_dict`.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import warnings
 from dataclasses import asdict, dataclass, fields
@@ -119,9 +120,16 @@ class RunConfig:
         get_family(self.response_family, PipelineError)
 
 
-def load_config(path) -> RunConfig:
+def _read_json(path):
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise PipelineError(f"{path} is not JSON: {exc}") from exc
+
+
+def load_config(path) -> RunConfig:
+    raw = _read_json(path)
     accepted = [f.name for f in fields(RunConfig)]
     unknown = sorted(set(raw) - set(accepted))
     if unknown:
@@ -177,10 +185,11 @@ def build_fold_context(dataset: Dataset, family: str, fold_plan: FoldPlan, fold:
     x_cont, x_oh, blocks = _network_inputs(dataset, stats)
     encoder = autoencoder = None
     if blocks:
-        # its warnings say what `dim` and `qualified` record: no candidate
+        # these warnings say what `dim` and `qualified` record: no candidate
         # reached the threshold, or the dimension does not compress
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.filterwarnings("ignore", "no candidate dimension reached ", UserWarning)
+            warnings.filterwarnings("ignore", ".*: no compression$", UserWarning)
             dim, ae, qualified = select_dimension(
                 x_oh[train_rows],
                 blocks,
@@ -210,13 +219,12 @@ def fit_fold_glm(dataset: Dataset, family: str, train_rows, fold: int) -> GlmMod
     binned by a single-variable deviance tree on the training rows."""
     train = dataset.subset(train_rows)
     obs_weight = get_family(family, PipelineError).obs_weight(train)
-    binning = {}
-    for name in train.continuous_names:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            binning[name] = tree_bin(
-                train.columns[name], train.response, obs_weight, family=family, name=name
-            )
+    # a constant column's single bin is recorded in the design's binning
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", ".* is constant; single bin$", UserWarning)
+        binning = {name: tree_bin(train.columns[name], train.response, obs_weight,
+                                  family=family, name=name)
+                   for name in train.continuous_names}
     design = Design(tuple(train.feature_names), (), binning)
     return fit_glm(train, design, family, train_fold=fold)
 
@@ -386,11 +394,7 @@ def load_model(path):
 
     Raises `PipelineError` naming the file for anything that is not a
     complete model payload."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:
-            raise PipelineError(f"{path} is not JSON: {exc}") from exc
+    payload = _read_json(path)
     kind = payload.get("kind") if isinstance(payload, dict) else None
     if kind not in _KINDS:
         raise PipelineError(
@@ -506,11 +510,24 @@ def save_fold_plan(fold_plan: FoldPlan, path) -> None:
 
 
 def load_fold_plan(path) -> FoldPlan:
-    with open(path, encoding="utf-8") as fh:
-        d = json.load(fh)
-    return FoldPlan(
-        np.asarray(d["outer"], dtype=np.int64),
-        d["k_outer"],
-        np.asarray(d["strat_key"], dtype=np.int64),
-        d["seed"],
-    )
+    """The fold plan `save_fold_plan` wrote. Raises `PipelineError` naming
+    the file for a missing key, k_outer < 2, an outer label that is not an
+    integer in 0..k_outer-1, a `strat_key` of another length or an empty
+    outer fold."""
+    d = _read_json(path)
+    try:
+        k_outer, outer = operator.index(d["k_outer"]), np.asarray(d["outer"])
+        strat_key, seed = np.asarray(d["strat_key"], dtype=np.int64), d["seed"]
+    except (LookupError, TypeError, ValueError) as exc:
+        raise PipelineError(f"{path} is not a fold plan: {type(exc).__name__}: {exc}") from exc
+    if k_outer < 2:
+        raise PipelineError(f"{path}: k_outer is {k_outer}, so no fold has training rows")
+    if (outer.ndim != 1 or (outer.size and outer.dtype.kind not in "iu")
+            or np.any(outer < 0) or np.any(outer >= k_outer)):
+        raise PipelineError(f"{path}: outer labels must be integers in 0..{k_outer - 1}")
+    if strat_key.shape != outer.shape:
+        raise PipelineError(f"{path}: strat_key has {strat_key.size} entries, outer {outer.size}")
+    empty = np.setdiff1d(np.arange(k_outer), outer).tolist()
+    if empty:
+        raise PipelineError(f"{path}: outer folds {empty} have no rows")
+    return FoldPlan(outer.astype(np.int64), k_outer, strat_key, seed)

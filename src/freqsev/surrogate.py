@@ -1,13 +1,14 @@
 """Distill a black-box model into an interpretable GLM.
 
-Each variable's partial-dependence effect is segmented by optimal 1-D
-dynamic-programming clustering (weighted by data frequency). One DP table
-per variable yields both the segments at PENALTY and the k chosen at each
+Each variable's partial-dependence (PD) effect is segmented by optimal
+1-D dynamic programming weighted by data frequency. One DP table per
+variable, built in O(L) numpy calls and O(K*L) memory for L grid points
+and K segments, gives the segments at PENALTY and the k chosen at each
 penalty of PENALTY_GRID. Continuous segments are `glm.BinningRule`
 intervals (lo,cut], so a value equal to a cut falls in the segment whose
-label ends at it. The data is recoded onto the segments, and candidate
-GLMs over the segmented variables are fitted and selected by BIC. The
-result carries the same tariff-table export as any other GLM.
+label ends at it. The surrogate's GLM is the BIC-selected candidate GLM
+over the segmented variables, as fitted; the interaction screen reuses
+the PD curves of the segmentation. It exports a tariff table like any GLM.
 """
 
 from __future__ import annotations
@@ -20,11 +21,7 @@ import numpy as np
 
 from .data import ColumnSchema, Dataset
 from .glm import BinningRule, Design, GlmError, GlmModel, fit_glm
-from .interpretation import (
-    default_pd_grid,
-    partial_dependence,
-    partial_dependence_2d,
-)
+from .interpretation import default_pd_grid, partial_dependence, partial_dependence_2d
 
 
 K_MAX = 6  # most segments per variable
@@ -54,32 +51,30 @@ class DpSegments:
 
 
 def _dp_tables(values, weights, k_max):
-    """cost[m][j] = optimal cost of splitting grid[0..j] into m segments."""
+    """cost[m][j] = optimal cost of splitting grid[0..j] into m segments;
+    split[m][j] = start of the last segment, the first minimizer on ties."""
     n = len(values)
     w = np.concatenate([[0.0], np.cumsum(weights)])
     wv = np.concatenate([[0.0], np.cumsum(weights * values)])
     wv2 = np.concatenate([[0.0], np.cumsum(weights * values * values)])
-
-    def sse(i, j):  # inclusive indices
-        tw = w[j + 1] - w[i]
-        if tw <= 0:
-            return 0.0
-        s = wv[j + 1] - wv[i]
-        return max(0.0, (wv2[j + 1] - wv2[i]) - s * s / tw)
-
     cost = np.full((k_max + 1, n), np.inf)
     split = np.zeros((k_max + 1, n), dtype=int)
     for j in range(n):
-        cost[1, j] = sse(0, j)
-    for m in range(2, k_max + 1):
-        for j in range(m - 1, n):
-            best, arg = np.inf, m - 1
-            for i in range(m - 1, j + 1):
-                c = cost[m - 1, i - 1] + sse(i, j)
-                if c < best:
-                    best, arg = c, i
-            cost[m, j] = best
-            split[m, j] = arg
+        # weighted SSE of segment i..j for every start i; 0 when it has no weight
+        tw = w[j + 1] - w[: j + 1]
+        s = wv[j + 1] - wv[: j + 1]
+        occupied = tw > 0
+        sse = (wv2[j + 1] - wv2[: j + 1]) - s * s / np.where(occupied, tw, 1.0)
+        sse = np.where(occupied, np.maximum(0.0, sse), 0.0)
+        cost[1, j] = sse[0]
+        top = min(k_max, j + 1)
+        if top > 1:
+            # row m-2, column i-1 is cost[m-1, i-1] + sse(i, j); starts i < m-1
+            # meet cost[m-1] columns still at inf, so they never win
+            c = cost[1:top, :j] + sse[1:]
+            arg = np.argmin(c, axis=1)
+            cost[2 : top + 1, j] = c[np.arange(top - 1), arg]
+            split[2 : top + 1, j] = arg + 1
     return cost, split
 
 
@@ -168,14 +163,8 @@ def _grid_weights(dataset: Dataset, variable: str, grid: np.ndarray) -> np.ndarr
     return np.bincount(idx, minlength=len(grid)).astype(float)
 
 
-def segment_variable(
-    dataset: Dataset,
-    variable: str,
-    pd_grid: np.ndarray,
-    pd_values: np.ndarray,
-    k_max: int = K_MAX,
-    penalty: float = PENALTY,
-) -> VariableSegments:
+def segment_variable(dataset: Dataset, variable: str, pd_grid: np.ndarray, pd_values: np.ndarray,
+                     k_max: int = K_MAX, penalty: float = PENALTY) -> VariableSegments:
     """Segment one variable by its PD effect. Categorical levels are
     ordered by PD value before the contiguous DP; continuous grids keep
     their natural order so segments stay intervals. The segments at
@@ -196,12 +185,8 @@ def segment_variable(
             level_to_segment[members] = s
             labels.append("+".join(levels[int(m)] for m in sorted(members)))
         return VariableSegments(
-            variable,
-            "categorical",
-            tuple(labels),
-            segs.representatives,
-            level_to_segment=tuple(int(s) for s in level_to_segment),
-            sensitivity=sensitivity,
+            variable, "categorical", tuple(labels), segs.representatives,
+            level_to_segment=tuple(int(s) for s in level_to_segment), sensitivity=sensitivity,
         )
     rule = BinningRule(
         variable, tuple(float((pd_grid[j] + pd_grid[j + 1]) / 2.0) for _, j in segs.bounds[:-1])
@@ -257,20 +242,19 @@ class SurrogateModel:
         return table
 
 
-def _interaction_score(model, dataset, var_a, var_b):
+def _interaction_score(model, dataset, curve_a, curve_b):
     """Deviation of the log 2-way PD surface from log-additivity of the
-    1-way effects (max absolute residual)."""
+    1-way PD curves (max absolute residual), each curve evenly thinned to
+    at most INTERACTION_GRID points."""
 
-    def thin(grid):
-        if len(grid) <= INTERACTION_GRID:
-            return grid
-        return grid[np.round(np.linspace(0, len(grid) - 1, INTERACTION_GRID)).astype(int)]
+    def thin(curve):
+        n = len(curve.grid)
+        idx = np.round(np.linspace(0, n - 1, min(n, INTERACTION_GRID))).astype(int)
+        return curve.grid[idx], curve.values[idx]
 
-    grid_a = thin(default_pd_grid(dataset, var_a))
-    grid_b = thin(default_pd_grid(dataset, var_b))
-    _, _, surface = partial_dependence_2d(model, dataset, var_a, var_b, grid_a, grid_b)
-    pd_a = partial_dependence(model, dataset, var_a, grid_a).values
-    pd_b = partial_dependence(model, dataset, var_b, grid_b).values
+    (grid_a, pd_a), (grid_b, pd_b) = thin(curve_a), thin(curve_b)
+    _, _, surface = partial_dependence_2d(
+        model, dataset, curve_a.variable, curve_b.variable, grid_a, grid_b)
     log_s = np.log(surface)
     additive = np.log(pd_a)[:, None] + np.log(pd_b)[None, :]
     resid = log_s - additive
@@ -292,9 +276,10 @@ def build_surrogate(model, dataset: Dataset, family: str) -> SurrogateModel:
     forward beyond) plus screened pairwise interactions."""
     segments: dict[str, VariableSegments] = {}
     sensitivity: dict[str, dict[float, int]] = {}
+    curves = {}
     for variable in dataset.feature_names:
         grid = default_pd_grid(dataset, variable)
-        curve = partial_dependence(model, dataset, variable, grid)
+        curve = curves[variable] = partial_dependence(model, dataset, variable, grid)
         seg = segment_variable(dataset, variable, grid, curve.values)
         sensitivity[variable] = seg.sensitivity
         if seg.n_segments > 1:
@@ -337,7 +322,7 @@ def build_surrogate(model, dataset: Dataset, family: str) -> SurrogateModel:
 
     scored_pairs = []
     for var_a, var_b in itertools.combinations(best_mains, 2):
-        score = _interaction_score(model, dataset, var_a, var_b)
+        score = _interaction_score(model, dataset, curves[var_a], curves[var_b])
         if score > INTERACTION_THRESHOLD:
             scored_pairs.append((score, (var_a, var_b)))
     scored_pairs.sort(reverse=True)
@@ -355,10 +340,7 @@ def build_surrogate(model, dataset: Dataset, family: str) -> SurrogateModel:
         "interactions": [list(p) for p in interactions],
         "bic": best_bic,
     }
-    kept = {v: segments[v] for v in best_mains}
-    refit_data = segmented_dataset(dataset, kept)
-    final = fit_glm(refit_data, Design(tuple(best_mains), interactions), family)
-    return SurrogateModel(final, kept, report)
+    return SurrogateModel(best_model, {v: segments[v] for v in best_mains}, report)
 
 
 def write_selection_report(surrogate: SurrogateModel, path) -> None:

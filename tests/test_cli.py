@@ -271,6 +271,28 @@ def test_fold_plan_of_another_length_is_a_one_line_error(workspace, tmp_path):
     assert r.output == "Error: the fold plan assigns 500 rows, the dataset has 800\n"
 
 
+def test_fold_plan_label_out_of_range_is_a_one_line_error(workspace, tmp_path):
+    plan = load_fold_plan(workspace["folds"])
+    outer = plan.outer.copy()
+    outer[0] = plan.k_outer
+    bad = tmp_path / "folds.json"
+    save_fold_plan(replace(plan, outer=outer), bad)
+    r = CliRunner().invoke(main, ["train", "--data", workspace["data"],
+                                  "--schema", workspace["schema"], "--folds", str(bad),
+                                  "--families", "glm", "--out", str(tmp_path / "train")])
+    assert r.exit_code == 1
+    assert r.output == f"Error: {bad}: outer labels must be integers in 0..5\n"
+
+
+def test_run_config_that_is_not_json_is_a_one_line_error(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text("{families: glm}", encoding="utf-8")
+    r = CliRunner().invoke(main, ["run", "--config", str(path)])
+    assert r.exit_code == 1
+    assert r.output.startswith(f"Error: {path} is not JSON: ")
+    assert len(r.output.splitlines()) == 1
+
+
 def test_run_config_typo_is_a_one_line_error(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"familes": ["glm"]}), encoding="utf-8")

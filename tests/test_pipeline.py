@@ -2,6 +2,7 @@
 the written models load back."""
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -159,6 +160,72 @@ def test_run_pipeline_rejects_a_fold_plan_of_another_length(tmp_path):
                        match="the fold plan assigns 500 rows, the dataset has 600"):
         pipeline.run_pipeline(config, small_portfolio(n=600, seed=2).dataset, plan)
     assert not (tmp_path / "run").exists()
+
+
+def test_warnings_other_than_the_recorded_outcomes_reach_the_caller(monkeypatch):
+    """The autoencoder and binning blocks silence only the warnings whose
+    outcome the fold's payload records."""
+    real_select, real_bin = pipeline.select_dimension, pipeline.tree_bin
+
+    def select_dimension(*args, **kwargs):
+        warnings.warn("encoding dimension 9 >= input width 4: no compression")
+        warnings.warn("no candidate dimension reached cross-entropy < 0.1; using 9")
+        warnings.warn("unrecorded autoencoder warning")
+        return real_select(*args, **kwargs)
+
+    def tree_bin(*args, name, **kwargs):
+        warnings.warn(f"variable {name!r} is constant; single bin")
+        warnings.warn("unrecorded binning warning", RuntimeWarning)
+        return real_bin(*args, name=name, **kwargs)
+
+    monkeypatch.setattr(pipeline, "select_dimension", select_dimension)
+    monkeypatch.setattr(pipeline, "tree_bin", tree_bin)
+    ds = small_portfolio(n=300, seed=1).dataset
+    plan = stratified_folds(ds, seed=0)
+    with pytest.warns(Warning) as record:
+        pipeline.build_fold_context(ds, "poisson_log", plan, 0, FAST, seed=0)
+        pipeline.fit_fold_glm(ds, "poisson_log", plan.train_rows(0), 0)
+    assert [(w.category, str(w.message)) for w in record] == [
+        (UserWarning, "unrecorded autoencoder warning"),
+        (RuntimeWarning, "unrecorded binning warning"),
+    ]
+
+
+def _plan_payload(**changes):
+    payload = {"outer": [0, 1, 2, 3, 4, 5] * 2, "k_outer": 6, "strat_key": [0, 1] * 6, "seed": 0}
+    return {**payload, **changes}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({k: v for k, v in _plan_payload().items() if k != "strat_key"},
+     " is not a fold plan: KeyError: 'strat_key'"),
+    (_plan_payload(k_outer="6"), " is not a fold plan: TypeError: 'str' object cannot be"),
+    (_plan_payload(outer=[0] * 12, k_outer=1), ": k_outer is 1, so no fold has training rows"),
+    (_plan_payload(outer=[0, 1, 2, 3, 4, 5, 0, 1.5, 2, 3, 4, 5]),
+     ": outer labels must be integers in 0..5"),
+    (_plan_payload(outer=[0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 6]),
+     ": outer labels must be integers in 0..5"),
+    (_plan_payload(outer=[-1, 1, 2, 3, 4, 5] * 2), ": outer labels must be integers in 0..5"),
+    (_plan_payload(outer=[[0, 1], 2, 3, 4, 5]), " is not a fold plan: ValueError: setting an"),
+    (_plan_payload(strat_key=[0] * 11), ": strat_key has 11 entries, outer 12"),
+    (_plan_payload(outer=[0, 1, 2, 3, 4, 0] * 2), ": outer folds [5] have no rows"),
+], ids=["missing_key", "k_outer_not_int", "one_fold", "float_label", "label_too_large", "negative_label",
+        "ragged_outer", "short_strat_key", "empty_fold"])
+def test_load_fold_plan_names_the_file_and_fault(tmp_path, payload, message):
+    path = tmp_path / "folds.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(pipeline.PipelineError) as err:
+        pipeline.load_fold_plan(path)
+    assert str(err.value).startswith(f"{path}{message}")
+
+
+def test_load_fold_plan_reads_what_save_fold_plan_wrote(tmp_path):
+    plan = stratified_folds(small_portfolio(n=300, seed=1).dataset, seed=4)
+    pipeline.save_fold_plan(plan, tmp_path / "folds.json")
+    loaded = pipeline.load_fold_plan(tmp_path / "folds.json")
+    np.testing.assert_array_equal(loaded.outer, plan.outer)
+    np.testing.assert_array_equal(loaded.strat_key, plan.strat_key)
+    assert (loaded.k_outer, loaded.seed) == (plan.k_outer, plan.seed)
 
 
 def test_load_config_names_unknown_keys(tmp_path):

@@ -4,15 +4,19 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqsev.data import ColumnSchema, Dataset, PortfolioSpec, generate_synthetic_portfolio
 from freqsev.glm import BinningRule, Design, fit_glm
 from freqsev.interpretation import default_pd_grid, partial_dependence
 from freqsev.surrogate import (
     K_MAX,
+    MAX_EXHAUSTIVE,
     PENALTY,
     PENALTY_GRID,
     SurrogateError,
+    _dp_tables,
     _grid_weights,
     build_surrogate,
     choose_k,
@@ -38,6 +42,60 @@ def brute_force_cost(values, weights, k):
                 cost += float(np.sum(w * (v - mean) ** 2))
         best = min(best, cost)
     return best
+
+
+def reference_dp_tables(values, weights, k_max):
+    """The DP as a plain triple loop over segment count, end point and the
+    start of the last segment; a strict `<` keeps the first minimizer."""
+    n = len(values)
+    w = np.concatenate([[0.0], np.cumsum(weights)])
+    wv = np.concatenate([[0.0], np.cumsum(weights * values)])
+    wv2 = np.concatenate([[0.0], np.cumsum(weights * values * values)])
+
+    def sse(i, j):  # inclusive indices
+        tw = w[j + 1] - w[i]
+        if tw <= 0:
+            return 0.0
+        s = wv[j + 1] - wv[i]
+        return max(0.0, (wv2[j + 1] - wv2[i]) - s * s / tw)
+
+    cost = np.full((k_max + 1, n), np.inf)
+    split = np.zeros((k_max + 1, n), dtype=int)
+    for j in range(n):
+        cost[1, j] = sse(0, j)
+    for m in range(2, k_max + 1):
+        for j in range(m - 1, n):
+            best, arg = np.inf, m - 1
+            for i in range(m - 1, j + 1):
+                c = cost[m - 1, i - 1] + sse(i, j)
+                if c < best:
+                    best, arg = c, i
+            cost[m, j] = best
+            split[m, j] = arg
+    return cost, split
+
+
+@st.composite
+def _dp_inputs(draw):
+    """Values drawn from a pool of 1..n distinct numbers, so constant and
+    repeated values are common; weights are counts or reals, often zero."""
+    n = draw(st.integers(1, 60))
+    pool = draw(st.lists(st.floats(-100, 100, allow_subnormal=False),
+                         min_size=1, max_size=draw(st.integers(1, n))))
+    values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    weight = st.one_of(st.just(0.0), st.integers(1, 50).map(float), st.floats(0.01, 100))
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
+    return np.array(values), np.array(weights), draw(st.integers(1, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dp_inputs())
+def test_dp_tables_equal_the_triple_loop(case):
+    values, weights, k_max = case
+    cost, split = _dp_tables(values, weights, k_max)
+    ref_cost, ref_split = reference_dp_tables(values, weights, k_max)
+    np.testing.assert_array_equal(cost, ref_cost)
+    np.testing.assert_array_equal(split, ref_split)
 
 
 def test_dp_trivial_cases():
@@ -201,3 +259,23 @@ def test_sensitivity_report_matches_choose_k_on_the_same_pd():
             values, weights = values[order], weights[order]
         assert by_penalty == {lam: choose_k(values, weights, K_MAX, lam) for lam in PENALTY_GRID}
         assert report["segment_counts"].get(variable, 1) == choose_k(values, weights, K_MAX, PENALTY)
+
+
+def test_greedy_search_selects_exactly_the_real_effects():
+    # 12 variables the black box moves, more than MAX_EXHAUSTIVE, so the
+    # search is greedy; the claims respond to the first 4 only
+    names = [f"x{i}" for i in range(12)]
+    spec = PortfolioSpec(
+        n=4000,
+        categorical={name: {"a": 0.5, "b": 0.5} for name in names},
+        freq_intercept=-1.0,
+        freq_coefs={name: {"b": 0.6} for name in names[:4]},
+        exposure_range=(1.0, 1.0),
+    )
+    ds = generate_synthetic_portfolio(spec, seed=3).dataset
+    black_box = LogLinearModel(intercept=-1.0, cat_coefs={name: [0.0, 0.6] for name in names})
+    report = build_surrogate(black_box, ds, "poisson_log").report
+    assert len(report["segment_counts"]) == 12 > MAX_EXHAUSTIVE
+    assert sorted(report["selected"]["mains"]) == names[:4]
+    assert report["selected"]["interactions"] == []
+    assert all(report["selected"]["bic"] <= cand["bic"] for cand in report["candidates"])
