@@ -13,6 +13,14 @@ route levels absent from the node to the majority child. A tree is flat
 arrays over its nodes. Prediction walks each distinct binned row once,
 moving blocks of trees' (tree, row) pairs down a level at a time, and
 adds leaf values tree after tree: each row gets a per-tree walk's sums.
+
+Tuning grows, in each inner fold, one model per depth of the grid as one
+forest: the models share the cuts and each round's bag, and each level is
+one histogram pass and one split search over the open nodes of every model
+still below its depth. The inner fold's validation rows go down each tree
+as it is grown, their log scores add the trees in order, and their deviance
+is read at every tree count of the grid, so tuning keeps no tree. Every
+loss equals that of a separate fit per depth, to the bit.
 """
 
 from __future__ import annotations
@@ -73,6 +81,20 @@ def _descend(node, rows, offset, right, left, codes):
     return right.take(node) - left.take(node * left.shape[1] + code)
 
 
+def _route(codes, rows, feature, left, child, depths):
+    """The leaf of each (root, row) pair, root-major, for the columns
+    `rows` of `codes` in trees whose roots are nodes 0, 1, ... and stop at
+    `depths`, which do not increase from root to root."""
+    n = len(rows)
+    node = np.repeat(np.arange(len(depths)), n)
+    rows = np.tile(rows, len(depths))
+    offset, right = np.maximum(feature, 0) * codes.shape[1], child + 1
+    for d in range(depths[0]):
+        pairs = n * sum(limit > d for limit in depths)
+        node[:pairs] = _descend(node[:pairs], rows[:pairs], offset, right, left, codes)
+    return node
+
+
 class _Layout:
     """The histogram's bin axis: every feature's bins or levels, end to end."""
 
@@ -108,8 +130,9 @@ def _best_splits(counts, sums, layout, min_count):
     cs = np.zeros((m, n_bins + 1))
     np.cumsum(counts, axis=1, out=cn[:, 1:])
     np.cumsum(sums, axis=1, out=cs[:, 1:])
-    n, total = cn[:, layout.end[:1]], cs[:, layout.end[:1]]
-    nl, sl = cn[:, 1:] - cn[:, first], cs[:, 1:] - cs[:, first]
+    e = layout.end[0]  # every feature's bins hold all the node's rows
+    n, total = cn[:, e : e + 1], cs[:, e : e + 1]
+    nl, sl = cn[:, 1:] - cn.take(first, axis=1), cs[:, 1:] - cs.take(first, axis=1)
     nr, sr = n - nl, total - sl
     ok = (nl >= min_count) & (nr >= min_count)
     # squared-error gain of splitting on the mean-fitted residuals
@@ -123,31 +146,47 @@ def _best_splits(counts, sums, layout, min_count):
     f = layout.owner[best]
     bins = layout.start[f][:, None] + np.arange(layout.width)
     valid = bins < layout.end[f][:, None]
-    return np.where(gain[at_best] > 0, f, -1), valid & go_left[rows, np.where(valid, bins, 0)]
+    window = go_left.ravel().take(np.where(valid, bins, 0) + rows * n_bins)
+    return np.where(gain[at_best] > 0, f, -1), valid & window
 
 
-def _grow(codes, keys, layout, grad, count, depth, min_count):
-    """Grow one tree level by level on the rows with positive `count`.
+def _grow(codes, keys, layout, grad, count, depths, min_count):
+    """Grow one tree per root level by level on the rows with positive
+    `count`; root r fits row r of the (roots, rows) `grad` and stops at
+    `depths[r]`, which must not increase from root to root.
 
-    Returns the tree without leaf values and every row's leaf."""
+    Children are numbered after every node made before them, so the trees
+    share one set of node arrays and a single root's tree is numbered as
+    if it grew alone. Returns the node arrays without leaf values and the
+    leaf of every (root, row) pair, root-major."""
+    n_roots, n = grad.shape
     n_bins = len(layout.owner)
     # every leaf but a lone root holds at least min_count bag rows
-    capacity = min(2 ** (depth + 1), 2 * max(1, int(count.sum()) // min_count)) - 1
+    most = 2 * max(1, int(count.sum()) // min_count)
+    capacity = sum(min(2 ** (d + 1), most) - 1 for d in depths)
     feature = np.full(capacity, -1)
     left = np.ones((capacity, layout.width), dtype=bool)
     child = np.arange(capacity)
-    count_w, grad_w = np.tile(count, len(layout.start)), np.tile(grad, len(layout.start))
-    node = np.zeros(len(count), dtype=np.intp)
-    rows = np.arange(len(count))
-    level = np.array([0])
-    size = 1
-    for _ in range(depth):
+    root = np.zeros(capacity, dtype=np.intp)  # the root of each node
+    root[:n_roots] = np.arange(n_roots)
+    # (root, feature, row) order: each (node, bin) bucket sums its rows in order
+    count_w = np.tile(count, n_roots * len(layout.start))
+    grad_w = np.repeat(grad, len(layout.start), axis=0).ravel()
+    node = np.repeat(np.arange(n_roots), n)
+    rows = np.tile(np.arange(n), n_roots)
+    level = np.arange(n_roots)
+    size = n_roots
+    for d in range(depths[0]):
+        growing = sum(limit > d for limit in depths)  # the first roots grow on
+        if growing < n_roots:
+            level = level[root.take(level) < growing]
         m = len(level)
+        pairs = growing * n
         slot = np.full(size, m)  # rows at leaves fill slot m, which is dropped
         slot[level] = np.arange(m)
-        key = (keys + slot.take(node) * n_bins).ravel()
-        counts = np.bincount(key, count_w, (m + 1) * n_bins)[: m * n_bins]
-        sums = np.bincount(key, grad_w, (m + 1) * n_bins)[: m * n_bins]
+        key = (keys + (slot.take(node[:pairs]) * n_bins).reshape(growing, 1, n)).ravel()
+        counts = np.bincount(key, count_w[: len(key)], (m + 1) * n_bins)[: m * n_bins]
+        sums = np.bincount(key, grad_w[: len(key)], (m + 1) * n_bins)[: m * n_bins]
         split_feature, go_left = _best_splits(
             counts.reshape(m, n_bins), sums.reshape(m, n_bins), layout, min_count
         )
@@ -160,8 +199,10 @@ def _grow(codes, keys, layout, grad, count, depth, min_count):
         left[parents] = go_left[split]
         child[parents] = size + 2 * np.arange(k)
         level = np.arange(size, size + 2 * k)
+        root[level] = root.take(parents).repeat(2)
         size += 2 * k
-        node = _descend(node, rows, np.maximum(feature, 0) * len(rows), child + 1, left, codes)
+        offset = np.maximum(feature, 0) * n
+        node[:pairs] = _descend(node[:pairs], rows[:pairs], offset, child + 1, left, codes)
     return feature[:size], left[:size].copy(), child[:size], node
 
 
@@ -260,6 +301,60 @@ class BoostedModel:
         return cls(trees=trees, cuts=cuts, **{key: d[key] for key in _PAYLOAD_KEYS})
 
 
+def _start(dataset: Dataset, family: str, n_trees: int, depth: int, seed: int,
+           shrinkage: float, train_fold=None) -> BoostedModel:
+    """A model without trees on a checked training frame: its intercept,
+    at the family's weighted mean response, and its cuts."""
+    if dataset.n == 0:
+        raise GbmError("empty training data")
+    if not dataset.feature_names:
+        raise GbmError("no feature columns to split on")
+    fam = get_family(family, GbmError)
+    y = dataset.response
+    fam.check_response(y, GbmError)
+    f0 = float(np.log(fam.mean(y, fam.obs_weight(dataset))))
+    cuts = {name: _cuts(dataset.columns[name]) for name in dataset.continuous_names}
+    return BoostedModel(family, f0, shrinkage, [], n_trees, depth, seed, train_fold,
+                        dataset.feature_names, cuts)
+
+
+def _boost(model: BoostedModel, dataset: Dataset, depths, bagging_fraction: float):
+    """Boost one model per depth of `depths` (deepest first) on `dataset`,
+    the frame `model` was started on, for `model.n_trees` rounds. All
+    share the cuts and the bag of each round; each round yields the node
+    arrays of its trees, roots in the order of `depths`, with log-scale
+    leaf values from one Newton step."""
+    fam = get_family(model.family, GbmError)
+    y = dataset.response
+    w = fam.obs_weight(dataset)
+    size = [len(model.cuts[name]) + 1 if name in model.cuts
+            else len(dataset.column_schema(name).levels) for name in model.features]
+    categorical = np.array([name not in model.cuts for name in model.features], dtype=bool)
+    layout = _Layout(size, categorical)
+    codes = model._codes(dataset)
+    keys = codes + layout.start[:, None]
+
+    rng = substream(model.seed, "gbm-bagging")
+    min_count = max(1, int(np.ceil(MIN_NODE_SHARE * dataset.n)))
+    current = np.full((len(depths), dataset.n), model.f0)  # log-scale score, excluding offset
+    n_bag = max(1, int(round(bagging_fraction * dataset.n)))
+    for _ in range(model.n_trees):
+        if n_bag < dataset.n:
+            in_bag = np.zeros(dataset.n)
+            in_bag[rng.choice(dataset.n, size=n_bag, replace=False)] = 1.0
+        else:
+            in_bag = np.ones(dataset.n)
+        pred = np.exp(current)
+        grad = fam.gradient(pred, y, w) * in_bag
+        hess = fam.hessian(pred, y, w) * in_bag
+        feature, left, child, leaf = _grow(codes, keys, layout, grad, in_bag, depths, min_count)
+        g = np.bincount(leaf, grad.ravel(), len(feature))
+        h = np.bincount(leaf, hess.ravel(), len(feature))
+        value = np.divide(g, h, out=np.zeros(len(feature)), where=h > 0)
+        current += (model.shrinkage * value).take(leaf).reshape(current.shape)
+        yield feature, left, child, value
+
+
 def fit_gbm(
     dataset: Dataset,
     family: str,
@@ -275,63 +370,37 @@ def fit_gbm(
     as weights (gamma)."""
     if n_trees < 1 or depth < 1:
         raise GbmError("n_trees and depth must be >= 1")
-    if dataset.n == 0:
-        raise GbmError("empty training data")
-    if not dataset.feature_names:
-        raise GbmError("no feature columns to split on")
-    fam = get_family(family, GbmError)
-    y = dataset.response
-    fam.check_response(y, GbmError)
-    w = fam.obs_weight(dataset)
-    f0 = float(np.log(fam.mean(y, w)))
-
-    features = dataset.feature_names
-    cuts = {name: _cuts(dataset.columns[name]) for name in dataset.continuous_names}
-    model = BoostedModel(family, f0, shrinkage, [], n_trees, depth, seed, train_fold,
-                         features, cuts)
-    size = [len(cuts[name]) + 1 if name in cuts else len(dataset.column_schema(name).levels)
-            for name in features]
-    layout = _Layout(size, np.array([name not in cuts for name in features], dtype=bool))
-    codes = model._codes(dataset)
-    keys = codes + layout.start[:, None]
-
-    rng = substream(seed, "gbm-bagging")
-    min_count = max(1, int(np.ceil(MIN_NODE_SHARE * dataset.n)))
-    current = np.full(dataset.n, f0)  # log-scale score, excluding offset
-    n_bag = max(1, int(round(bagging_fraction * dataset.n)))
-    for _ in range(n_trees):
-        if n_bag < dataset.n:
-            in_bag = np.zeros(dataset.n)
-            in_bag[rng.choice(dataset.n, size=n_bag, replace=False)] = 1.0
-        else:
-            in_bag = np.ones(dataset.n)
-        pred = np.exp(current)
-        grad = fam.gradient(pred, y, w) * in_bag
-        hess = fam.hessian(pred, y, w) * in_bag
-        feature, left, child, leaf = _grow(codes, keys, layout, grad, in_bag, depth, min_count)
-        g = np.bincount(leaf, grad, len(feature))
-        h = np.bincount(leaf, hess, len(feature))
-        value = np.divide(g, h, out=np.zeros(len(feature)), where=h > 0)
-        model.trees.append(Tree(feature, left, child, value))
-        current += (shrinkage * value).take(leaf)
+    model = _start(dataset, family, n_trees, depth, seed, shrinkage, train_fold)
+    model.trees = [Tree(*nodes) for nodes in _boost(model, dataset, (depth,), bagging_fraction)]
     return model
 
 
-def _cv_deviance(dataset, fam, fold_plan, outer_fold, n_trees_grid, depth, seed):
-    """Average validation deviance per n_trees value, over the inner folds."""
-    losses = np.zeros(len(n_trees_grid))
+def _inner_losses(dataset, family, fold_plan, outer_fold, trees, depths, seed):
+    """Mean validation deviance over the inner folds, per depth of
+    `depths` (deepest first) and tree count of `trees` (ascending).
+
+    Each inner fold grows the depths as one forest, and its validation
+    rows go down every tree as it is grown: their log scores add f0, then
+    each tree's shrunken leaf value in tree order, and their deviance is
+    read at each tree count."""
+    fam = get_family(family, GbmError)
+    losses = np.zeros((len(depths), len(trees)))
     inner = fold_plan.inner_folds(outer_fold)
     for k in inner:
-        train_idx = fold_plan.inner_train_rows(outer_fold, k)
-        model = fit_gbm(dataset.subset(train_idx), fam.name, max(n_trees_grid), depth, seed=seed)
+        train = dataset.subset(fold_plan.inner_train_rows(outer_fold, k))
         valid = dataset.subset(fold_plan.test_rows(k))
-        codes, inverse = model._distinct(valid)
-        scores = np.full(codes.shape[1], model.f0)
-        done = 0
-        for i, n_trees in enumerate(n_trees_grid):
-            model._add_trees(scores, codes, model.trees[done:n_trees], valid.n)
-            losses[i] += fam.deviance(np.exp(scores.take(inverse)), valid)
-            done = n_trees
+        model = _start(train, family, trees[-1], depths[0], seed, SHRINKAGE)
+        codes, rows = model._codes(valid), np.arange(valid.n)
+        scores = np.full((len(depths), valid.n), model.f0)
+        i = 0
+        for t, (feature, left, child, value) in enumerate(
+            _boost(model, train, depths, BAGGING_FRACTION), 1
+        ):
+            node = _route(codes, rows, feature, left, child, depths)
+            scores += (SHRINKAGE * value).take(node).reshape(scores.shape)
+            while i < len(trees) and trees[i] == t:
+                losses[:, i] += [fam.deviance(np.exp(s), valid) for s in scores]
+                i += 1
     return losses / len(inner)
 
 
@@ -343,19 +412,27 @@ def tune_gbm(
     n_trees_grid=DESK_TREE_GRID,
     depth_grid=DESK_DEPTH_GRID,
     seed: int = 0,
-) -> tuple[int, int]:
+) -> tuple[tuple[int, int], list[dict]]:
     """Minimize inner 5-fold cross-validation deviance over the grid.
 
-    Trees are grown once per depth at the largest grid value and evaluated
-    at every prefix, so the n_trees axis costs one fit."""
+    In each inner fold every depth grows in one forest up to the largest
+    tree count, and the validation deviance is read at every tree count
+    as the trees are grown; no tree is kept. Returns the chosen
+    `(n_trees, depth)` and the grid: one `{"n_trees", "depth",
+    "inner_deviance"}` entry per cell, depths in the given order and tree
+    counts ascending. The choice is the grid's first minimum."""
     if not n_trees_grid or not depth_grid:
         raise GbmError("empty tuning grid")
-    fam = get_family(family, GbmError)
-    n_trees_grid = tuple(sorted(n_trees_grid))
-    best = None
-    for depth in depth_grid:
-        losses = _cv_deviance(dataset, fam, fold_plan, outer_fold, n_trees_grid, depth, seed)
-        for n_trees, loss in zip(n_trees_grid, losses):
-            if best is None or loss < best[0]:
-                best = (loss, n_trees, depth)
-    return best[1], best[2]
+    for value in (*n_trees_grid, *depth_grid):
+        if not isinstance(value, (int, np.integer)) or value < 1:
+            raise GbmError(f"tuning grid values must be positive integers, got {value!r}")
+    trees = tuple(sorted(int(t) for t in n_trees_grid))
+    depths = sorted({int(d) for d in depth_grid}, reverse=True)
+    losses = _inner_losses(dataset, family, fold_plan, outer_fold, trees, depths, seed)
+    grid = [
+        {"n_trees": t, "depth": int(d), "inner_deviance": float(loss)}
+        for d in depth_grid
+        for t, loss in zip(trees, losses[depths.index(d)])
+    ]
+    best = min(grid, key=lambda entry: entry["inner_deviance"])
+    return (best["n_trees"], best["depth"]), grid

@@ -231,7 +231,7 @@ def fit_fold_glm(dataset: Dataset, family: str, train_rows, fold: int) -> GlmMod
 
 def fit_fold_gbm(dataset: Dataset, family: str, fold_plan: FoldPlan, fold: int,
                  preset: Preset, seed: int):
-    n_trees, depth = gbm_mod.tune_gbm(
+    (n_trees, depth), grid = gbm_mod.tune_gbm(
         dataset,
         family,
         fold_plan,
@@ -244,7 +244,7 @@ def fit_fold_gbm(dataset: Dataset, family: str, fold_plan: FoldPlan, fold: int,
     model = gbm_mod.fit_gbm(
         train, family, n_trees, depth, seed=derive_seed(seed, "gbm", fold), train_fold=fold
     )
-    model.tuned = {"n_trees": n_trees, "depth": depth}
+    model.tuned = {"n_trees": n_trees, "depth": depth, "grid": grid}
     return model
 
 

@@ -103,27 +103,33 @@ def _best_k(cost, w, penalty: float) -> int:
     return int(np.argmin(scores)) + 1
 
 
-def dp_segment(pd_values, weights, k: int) -> DpSegments:
-    """Globally optimal contiguous k-segmentation of grid-ordered values,
-    minimizing the weighted within-segment sum of squared deviations."""
+def _segment_input(pd_values, weights):
+    """Grid-ordered values and their weights as float arrays, once checked."""
     values = np.asarray(pd_values, dtype=float)
     w = np.asarray(weights, dtype=float)
-    n = len(values)
-    if len(w) != n:
+    if len(values) == 0:
+        raise SurrogateError("no values to segment")
+    if len(w) != len(values):
         raise SurrogateError("weights and values must align")
     if np.any(w < 0):
         raise SurrogateError("weights must be non-negative")
-    if not 1 <= k <= n:
-        raise SurrogateError(f"k must be in [1, {n}], got {k}")
+    return values, w
+
+
+def dp_segment(pd_values, weights, k: int) -> DpSegments:
+    """Globally optimal contiguous k-segmentation of grid-ordered values,
+    minimizing the weighted within-segment sum of squared deviations."""
+    values, w = _segment_input(pd_values, weights)
+    if not 1 <= k <= len(values):
+        raise SurrogateError(f"k must be in [1, {len(values)}], got {k}")
     return _read_segments(values, w, *_dp_tables(values, w, k), k)
 
 
 def choose_k(pd_values, weights, k_max: int, penalty: float = PENALTY) -> int:
     """Smallest k minimizing DP cost + penalty * k * ln(total weight)."""
+    values, w = _segment_input(pd_values, weights)
     if k_max < 1:
         raise SurrogateError("k_max must be >= 1")
-    values = np.asarray(pd_values, dtype=float)
-    w = np.asarray(weights, dtype=float)
     cost, _ = _dp_tables(values, w, min(k_max, len(values)))
     return _best_k(cost, w, penalty)
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from freqsev.data import ColumnSchema, Dataset, stratified_folds
-from freqsev.evaluation import poisson_deviance
+from freqsev import gbm
+from freqsev.data import ColumnSchema, Dataset, severity_view, stratified_folds
+from freqsev.evaluation import get_family, poisson_deviance
 from freqsev.gbm import MAX_BINS, BoostedModel, GbmError, fit_gbm, tune_gbm
 
 from conftest import small_portfolio
@@ -100,8 +101,6 @@ def test_unseen_level_routes_to_majority_child():
 
 def test_gamma_boosting_improves_on_mean():
     p = small_portfolio(n=2500, seed=6)
-    from freqsev.data import severity_view
-
     sev = severity_view(p.dataset, p.claims)
     model = fit_gbm(sev, "gamma_log", n_trees=80, depth=2, seed=0, shrinkage=0.05)
     from freqsev.evaluation import gamma_deviance
@@ -125,12 +124,116 @@ def test_json_roundtrip():
 def test_tune_single_point_and_membership():
     p = small_portfolio(n=600, seed=8)
     plan = stratified_folds(p.dataset, seed=1)
-    pair = tune_gbm(p.dataset, "poisson_log", plan, 0, n_trees_grid=(10,), depth_grid=(2,))
+    pair, grid = tune_gbm(p.dataset, "poisson_log", plan, 0, n_trees_grid=(10,), depth_grid=(2,))
     assert pair == (10, 2)
-    pair = tune_gbm(
-        p.dataset, "poisson_log", plan, 0, n_trees_grid=(5, 15), depth_grid=(1, 2)
+    assert [(e["n_trees"], e["depth"]) for e in grid] == [(10, 2)]
+    pair, grid = tune_gbm(
+        p.dataset, "poisson_log", plan, 0, n_trees_grid=(15, 5), depth_grid=(2, 1)
     )
     assert pair[0] in (5, 15) and pair[1] in (1, 2)
+    assert [(e["n_trees"], e["depth"]) for e in grid] == [(5, 2), (15, 2), (5, 1), (15, 1)]
+
+
+def reference_cv_deviance(dataset, family, fold_plan, outer_fold, n_trees_grid, depth_grid, seed):
+    """The loss grid as one `fit_gbm` per depth and inner fold, the
+    validation rows scored through each fit's stored trees at every
+    prefix: rows in the order of `depth_grid`, tree counts ascending."""
+    fam = get_family(family)
+    trees = sorted(n_trees_grid)
+    inner = fold_plan.inner_folds(outer_fold)
+    grid = []
+    for depth in depth_grid:
+        losses = np.zeros(len(trees))
+        for k in inner:
+            train_idx = fold_plan.inner_train_rows(outer_fold, k)
+            model = fit_gbm(dataset.subset(train_idx), family, max(trees), depth, seed=seed)
+            valid = dataset.subset(fold_plan.test_rows(k))
+            codes, inverse = model._distinct(valid)
+            scores = np.full(codes.shape[1], model.f0)
+            done = 0
+            for i, n_trees in enumerate(trees):
+                model._add_trees(scores, codes, model.trees[done:n_trees], valid.n)
+                losses[i] += fam.deviance(np.exp(scores.take(inverse)), valid)
+                done = n_trees
+        grid.append(losses / len(inner))
+    return np.array(grid)
+
+
+@pytest.mark.parametrize("frame, depth_grid", [
+    ("frequency", (1, 2, 3, 4, 5)),
+    ("severity", (1, 2, 3, 4, 5)),
+    ("frequency", (3, 1, 3)),
+])
+def test_tune_grid_equals_one_fit_per_depth(frame, depth_grid):
+    """Growing the depths as one forest and scoring the validation rows
+    inside it ends on the bits of one fit per depth and inner fold."""
+    p = small_portfolio(n=900, seed=15)
+    family, ds = "poisson_log", p.dataset
+    if frame == "severity":
+        family, ds = "gamma_log", severity_view(p.dataset, p.claims)
+    plan = stratified_folds(ds, seed=2)
+    if frame == "severity":
+        assert len({len(plan.inner_train_rows(0, k)) for k in plan.inner_folds(0)}) > 1
+    trees = (20, 5, 12)
+    (n_trees, depth), grid = tune_gbm(ds, family, plan, 0, trees, depth_grid, seed=3)
+    expected = reference_cv_deviance(ds, family, plan, 0, trees, depth_grid, seed=3)
+    losses = np.array([e["inner_deviance"] for e in grid]).reshape(expected.shape)
+    np.testing.assert_array_equal(losses, expected)
+    cells = [(e["n_trees"], e["depth"]) for e in grid]
+    assert cells == [(t, d) for d in depth_grid for t in sorted(trees)]
+    assert (n_trees, depth) == cells[int(np.argmin(losses.ravel()))]
+
+
+def test_a_deep_root_that_stops_early_leaves_the_others_growing():
+    """A depth-3 root with no gradient never splits; the depth-1 root
+    beside it grows the tree it grows alone, numbered after both roots."""
+    ds = small_portfolio(n=600, seed=1).dataset
+    model = gbm._start(ds, "poisson_log", 1, 3, 0, 0.01)
+    size = [len(model.cuts[name]) + 1 if name in model.cuts
+            else len(ds.column_schema(name).levels) for name in model.features]
+    layout = gbm._Layout(size, np.array([name not in model.cuts for name in model.features]))
+    codes = model._codes(ds)
+    keys = codes + layout.start[:, None]
+    grad = ds.response - ds.exposure * np.exp(model.f0)
+    count = np.ones(ds.n)
+    feature, _, _, leaf = gbm._grow(
+        codes, keys, layout, np.stack([np.zeros(ds.n), grad]), count, (3, 1), 5)
+    alone, _, _, alone_leaf = gbm._grow(codes, keys, layout, grad[None], count, (1,), 5)
+    assert feature[0] == -1 and alone[0] >= 0
+    np.testing.assert_array_equal(feature[1:], alone)
+    assert np.all(leaf[: ds.n] == 0)
+    np.testing.assert_array_equal(leaf[ds.n :], alone_leaf + 1)
+
+
+@pytest.mark.parametrize("grids", [
+    ((-5, 10), (1, 2)), ((0, 10), (1, 2)), ((10,), (0,)), ((10.0,), (1,)), ((10,), (2, -1)),
+])
+def test_tune_rejects_grid_values_that_are_not_positive_integers(grids, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit started before the grid was checked")
+
+    monkeypatch.setattr(gbm, "_start", no_fit)
+    p = small_portfolio(n=300, seed=8)
+    plan = stratified_folds(p.dataset, seed=1)
+    with pytest.raises(GbmError, match="positive integers"):
+        tune_gbm(p.dataset, "poisson_log", plan, 0, *grids)
+
+
+def test_tune_memory_does_not_grow_with_the_tree_count():
+    """No tuning tree is kept: the peak is the same at 50 trees and 400."""
+    import tracemalloc
+
+    p = small_portfolio(n=1500, seed=16)
+    plan = stratified_folds(p.dataset, seed=1)
+    peaks = []
+    for trees in ((50,), (50, 400)):
+        tracemalloc.start()
+        try:
+            tune_gbm(p.dataset, "poisson_log", plan, 0, trees, (1, 2, 3, 4, 5))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def test_rejects_bad_inputs():

@@ -39,6 +39,26 @@ def test_network_grid_written_beside_chosen_spec(tmp_path, monkeypatch):
         assert isinstance(encoder["qualified"], bool)
 
 
+def test_gbm_grid_written_beside_tuned_pair(tmp_path):
+    """The GBM's inner-CV grid: one cell per depth and tree count, depths
+    as given and tree counts ascending, whose first minimum is the tuned
+    pair; load_model keeps it."""
+    ds = small_portfolio(n=600, seed=2).dataset
+    plan = stratified_folds(ds, seed=0)
+    preset = replace(FAST, gbm_tree_grid=(20, 10), gbm_depth_grid=(2, 1, 3))
+    model = pipeline.fit_fold_gbm(ds, "poisson_log", plan, 0, preset, seed=1)
+    grid = model.tuned["grid"]
+    assert [(e["n_trees"], e["depth"]) for e in grid] == [
+        (t, d) for d in (2, 1, 3) for t in (10, 20)]
+    scores = [e["inner_deviance"] for e in grid]
+    assert all(np.isfinite(scores))
+    best = grid[int(np.argmin(scores))]
+    assert (best["n_trees"], best["depth"]) == (model.tuned["n_trees"], model.tuned["depth"])
+    assert (model.n_trees, model.depth) == (best["n_trees"], best["depth"])
+    pipeline.save_model(model, tmp_path / "model.json")
+    assert pipeline.load_model(tmp_path / "model.json").tuned == model.tuned
+
+
 def test_plain_severity_network_starts_at_claim_weighted_mean():
     """With no training epochs a plain gamma network predicts its start
     value, the claim-weighted mean sum(w*y) / sum(w) of the training rows."""

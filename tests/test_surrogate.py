@@ -133,6 +133,18 @@ def test_dp_errors():
         dp_segment([1.0], [1.0], 0)
 
 
+@pytest.mark.parametrize("values, weights, message", [
+    ([1.0, 2.0, 3.0, 10.0], [1.0, -5.0, 1.0, 1.0], "non-negative"),
+    ([1.0, 2.0, 3.0], [1.0, 1.0], "align"),
+    ([], [], "no values"),
+])
+def test_choose_k_checks_its_input_as_dp_segment_does(values, weights, message):
+    with pytest.raises(SurrogateError, match=message):
+        dp_segment(values, weights, 2)
+    with pytest.raises(SurrogateError, match=message):
+        choose_k(values, weights, 3)
+
+
 def test_choose_k_flat_curve():
     assert choose_k(np.full(10, 0.3), np.full(10, 100.0), k_max=5) == 1
 
