@@ -8,15 +8,25 @@ Stitching the six held-out prediction vectors together yields one
 out-of-sample prediction per data row. `save_model` writes a model's
 `to_dict()` payload, tagged with its kind, as `model.json`; `load_model`
 reads any of them back through that kind's `from_dict`.
+
+The outer folds are independent, so `run_pipeline` runs them in forked
+worker processes, one per usable CPU (in-process on one CPU, without
+fork or while other threads run). Each worker holds its own copy of the dataset and of the fold's
+arrays. The same files are written, the same warnings and errors reach
+the caller, in fold order, as when the folds run one after another.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import operator
 import os
+import threading
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -289,7 +299,13 @@ def tune_network_specs(ctx: FoldContext, dataset, family, fold_plan, cann_mode,
     """Random-grid search scored by inner cross-validation deviance.
 
     Returns the spec with the lowest mean inner deviance (the first of
-    equal ones) and the grid: every drawn spec with that score."""
+    equal ones) and the grid: every drawn spec with that score.
+
+    A CANN's `log_y_in` comes from the initial model `fit_fold_network`
+    was given, fit once on every training row of the outer fold. It is not
+    refit per inner fold, so the inner validation rows were seen by the
+    initial model, though not by the network being tuned; refitting
+    it per inner fold would cost one more GLM or GBM fit per inner fold."""
     severity = get_family(family, PipelineError).severity
     batch_size = preset.sev_batch if severity else preset.freq_batch
     specs = nn.random_grid(batch_size, n=preset.grid_size, seed=derive_seed(seed, "grid", ctx.fold))
@@ -416,33 +432,28 @@ def _write_predictions(path, rows, predictions):
             fh.write(f"{int(r)},{float(p)!r}\n")
 
 
-def run_pipeline(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan | None = None):
-    """Train every requested family on every outer fold and collect the
-    held-out loss table and the stitched out-of-sample predictions.
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Returns {"loss_table": rows, "predictions": {family: vector},
-    "fold_models": {fold: {family: model}}}. Artifacts for completed
-    stages are kept on disk even when a later stage fails.
-    """
+
+def _run_fold(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan, fold: int):
+    """Fit every requested family on one outer fold, write each one's
+    `model.json` and `predictions.csv` and score it on the held-out rows.
+
+    Returns ({family: model}, loss rows, {family: test-row predictions},
+    warnings), the warnings the fold raised as (category, message,
+    filename, lineno). A failure raises `PipelineError` naming the fold;
+    its `warnings` holds those raised before it."""
     preset = PRESETS[config.preset]
     family = config.response_family
-    if fold_plan is None:
-        fold_plan = stratified_folds(dataset, seed=derive_seed(config.seed, "folds"))
-    elif len(fold_plan.outer) != dataset.n:
-        raise PipelineError(
-            f"the fold plan assigns {len(fold_plan.outer)} rows, the dataset has {dataset.n}")
-    os.makedirs(config.outdir, exist_ok=True)
     needs_nets = any(f not in ("glm", "gbm") for f in config.families)
     needs_glm = "glm" in config.families or any("cann_glm" in f for f in config.families)
     needs_gbm = "gbm" in config.families or any("cann_gbm" in f for f in config.families)
-
-    loss_rows = []
-    predictions = {f: np.full(dataset.n, np.nan) for f in config.families}
-    fold_models: dict[int, dict[str, object]] = {}
-    for fold in range(fold_plan.k_outer):
-        fold_models[fold] = {}
-        test_rows = fold_plan.test_rows(fold)
-        train_rows = fold_plan.train_rows(fold)
+    test_rows, train_rows = fold_plan.test_rows(fold), fold_plan.train_rows(fold)
+    models, loss_rows, predictions = {}, [], {}
+    with warnings.catch_warnings(record=True) as caught:
         try:
             ctx = (
                 build_fold_context(dataset, family, fold_plan, fold, preset, config.seed)
@@ -473,9 +484,8 @@ def run_pipeline(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan | None
                         ctx, dataset, family, fold_plan, preset,
                         derive_seed(config.seed, name), cann_mode, initial,
                     )
-                fold_models[fold][name] = model
-                pred = model.predict(dataset.subset(test_rows))
-                predictions[name][test_rows] = pred
+                models[name] = model
+                pred = predictions[name] = model.predict(dataset.subset(test_rows))
                 loss = fold_deviance(pred, dataset, test_rows, family)
                 loss_rows.append({"model": name, "fold": fold, "deviance": loss})
                 fold_dir = os.path.join(config.outdir, f"fold_{fold}", name)
@@ -483,7 +493,70 @@ def run_pipeline(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan | None
                 save_model(model, os.path.join(fold_dir, "model.json"))
                 _write_predictions(os.path.join(fold_dir, "predictions.csv"), test_rows, pred)
         except Exception as exc:  # noqa: BLE001 - re-raise with fold context
-            raise PipelineError(f"fold {fold} failed: {exc}") from exc
+            error = PipelineError(f"fold {fold} failed: {exc}")
+            error.warnings = _plain(caught)
+            raise error from exc
+    return models, loss_rows, predictions, _plain(caught)
+
+
+def _plain(caught) -> list:
+    """Recorded warnings as (category, message, filename, lineno), which
+    pickle whatever the warning carried."""
+    return [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+def _reissue(caught) -> None:
+    for category, message, filename, lineno in caught:
+        warnings.warn_explicit(message, category, filename, lineno)
+
+
+def run_pipeline(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan | None = None):
+    """Train every requested family on every outer fold and collect the
+    held-out loss table and the stitched out-of-sample predictions.
+
+    Folds run in forked worker processes, one per usable CPU, or in this
+    process on one CPU, where fork does not exist or while other threads
+    run. Either way the same files are written, each fold's warnings are
+    re-issued in fold order and the lowest failing fold's `PipelineError`
+    is raised; no worker is left running.
+
+    Returns {"loss_table": rows, "predictions": {family: vector},
+    "fold_models": {fold: {family: model}}}. Artifacts for completed
+    stages are kept on disk even when a later stage fails.
+    """
+    if fold_plan is None:
+        fold_plan = stratified_folds(dataset, seed=derive_seed(config.seed, "folds"))
+    elif len(fold_plan.outer) != dataset.n:
+        raise PipelineError(
+            f"the fold plan assigns {len(fold_plan.outer)} rows, the dataset has {dataset.n}")
+    os.makedirs(config.outdir, exist_ok=True)
+
+    loss_rows = []
+    predictions = {f: np.full(dataset.n, np.nan) for f in config.families}
+    fold_models: dict[int, dict[str, object]] = {}
+    folds = range(fold_plan.k_outer)
+    workers = min(fold_plan.k_outer, _usable_cpus())
+    pool = None
+    # fork: workers inherit the caller's warning filters and module state and
+    # need not import numpy again; it is unsafe while other threads run
+    if (workers > 1 and threading.active_count() == 1
+            and "fork" in multiprocessing.get_all_start_methods()):
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        outcomes = (pool.map if pool else map)(
+            _run_fold, repeat(config), repeat(dataset), repeat(fold_plan), folds)
+        for fold, (models, rows, fold_predictions, caught) in zip(folds, outcomes):
+            _reissue(caught)
+            fold_models[fold] = models
+            loss_rows.extend(rows)
+            for name, pred in fold_predictions.items():
+                predictions[name][fold_plan.test_rows(fold)] = pred
+    except PipelineError as exc:
+        _reissue(getattr(exc, "warnings", ()))
+        raise
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
     with open(os.path.join(config.outdir, "loss_table.csv"), "w", encoding="utf-8") as fh:
         fh.write("model,fold,deviance\n")

@@ -364,8 +364,10 @@ def test_log_scores_match_per_tree_reference(depth):
     grid = p.dataset.subset(np.zeros(3 * len(ages), dtype=np.intp))
     grid = grid.with_column("age", np.repeat(ages, 3))
     grid = grid.with_column("region", np.tile(np.arange(3), len(ages)))
+    _, first = np.unique(model._distinct(p.dataset)[1], return_index=True)
     frames = {
         "portfolio": p.dataset,  # many duplicate binned rows
+        "unrepeated": p.dataset.subset(np.sort(first)),  # blocks of one tree
         "distinct": grid,
         "repeated": grid.subset(np.tile(np.arange(100), 7)),  # blocks of 7 trees
         "pinned": p.dataset.with_column("age", np.full(p.dataset.n, cuts[40])),

@@ -2,6 +2,8 @@
 the written models load back."""
 
 import json
+import multiprocessing
+import os
 import warnings
 from dataclasses import replace
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from freqsev import pipeline
+from freqsev._rand import derive_seed
 from freqsev.data import ScalingStats, severity_view, stratified_folds
 from freqsev.evaluation import get_family
 from freqsev.glm import GlmModel
@@ -182,15 +185,16 @@ def test_run_pipeline_rejects_a_fold_plan_of_another_length(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
-def test_warnings_other_than_the_recorded_outcomes_reach_the_caller(monkeypatch):
+def test_warnings_other_than_the_recorded_outcomes_reach_the_caller(tmp_path, monkeypatch):
     """The autoencoder and binning blocks silence only the warnings whose
-    outcome the fold's payload records."""
+    outcome the fold's payload records; `run_pipeline` re-issues the rest
+    in fold order, from forked workers as from its own process."""
     real_select, real_bin = pipeline.select_dimension, pipeline.tree_bin
 
     def select_dimension(*args, **kwargs):
         warnings.warn("encoding dimension 9 >= input width 4: no compression")
         warnings.warn("no candidate dimension reached cross-entropy < 0.1; using 9")
-        warnings.warn("unrecorded autoencoder warning")
+        warnings.warn(f"unrecorded autoencoder warning (seed {kwargs['seed']})")
         return real_select(*args, **kwargs)
 
     def tree_bin(*args, name, **kwargs):
@@ -202,13 +206,94 @@ def test_warnings_other_than_the_recorded_outcomes_reach_the_caller(monkeypatch)
     monkeypatch.setattr(pipeline, "tree_bin", tree_bin)
     ds = small_portfolio(n=300, seed=1).dataset
     plan = stratified_folds(ds, seed=0)
+
+    def unrecorded(fold):
+        return [(UserWarning, "unrecorded autoencoder warning "
+                              f"(seed {derive_seed(0, 'autoencoder', fold)})"),
+                (RuntimeWarning, "unrecorded binning warning")]
+
     with pytest.warns(Warning) as record:
         pipeline.build_fold_context(ds, "poisson_log", plan, 0, FAST, seed=0)
         pipeline.fit_fold_glm(ds, "poisson_log", plan.train_rows(0), 0)
-    assert [(w.category, str(w.message)) for w in record] == [
-        (UserWarning, "unrecorded autoencoder warning"),
-        (RuntimeWarning, "unrecorded binning warning"),
-    ]
+    assert [(w.category, str(w.message)) for w in record] == unrecorded(0)
+
+    monkeypatch.setitem(pipeline.PRESETS, "desk", FAST)
+    for cpus in (2, 1):  # forked workers, then this process
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        config = pipeline.RunConfig(data_path="memory", schema_path="memory", seed=0,
+                                    families=("glm", "ffnn"), outdir=str(tmp_path / str(cpus)))
+        with pytest.warns(Warning) as record:
+            pipeline.run_pipeline(config, ds, plan)
+        assert [(w.category, str(w.message)) for w in record] == [
+            warning for fold in range(6) for warning in unrecorded(fold)], cpus
+        assert {w.filename for w in record} == {__file__}
+
+
+def _written(outdir):
+    return {str(p.relative_to(outdir)): p.read_bytes()
+            for p in sorted(outdir.rglob("*")) if p.is_file()}
+
+
+def test_pooled_and_in_process_runs_write_the_same_bytes(tmp_path, monkeypatch):
+    """Folds mapped over forked workers and folds run one after another in
+    this process write the same files and return the same predictions."""
+    monkeypatch.setitem(pipeline.PRESETS, "desk", FAST)
+    portfolio = small_portfolio(n=800, seed=5, freq_intercept=-0.5)
+    sev = severity_view(portfolio.dataset, portfolio.claims)
+    runs = [(portfolio.dataset, "poisson_log", pipeline.KNOWN_FAMILIES),
+            (sev, "gamma_log", ("ffnn", "cann_glm_fixed"))]
+    for ds, family, families in runs:
+        written, predictions = {}, {}
+        for cpus in (2, 1):
+            monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+            outdir = tmp_path / f"{family}-{cpus}"
+            config = pipeline.RunConfig(data_path="memory", schema_path="memory", seed=1,
+                                        families=families, outdir=str(outdir),
+                                        response_family=family)
+            predictions[cpus] = pipeline.run_pipeline(config, ds)["predictions"]
+            written[cpus] = _written(outdir)
+        # two files per fold and family, the loss table, one OOS file per family
+        assert len(written[1]) == 6 * 2 * len(families) + 1 + len(families)
+        assert sorted(written[2]) == sorted(written[1])
+        for name, data in written[1].items():
+            assert written[2][name] == data, (family, name)
+        for name in families:
+            np.testing.assert_array_equal(predictions[2][name], predictions[1][name])
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["pooled", "in_process"])
+def test_lowest_failing_fold_is_raised_and_no_worker_outlives_the_run(tmp_path, monkeypatch,
+                                                                      cpus):
+    """Two workers fit the folds in other processes, one CPU fits them in
+    this one; either way the lowest failing fold's error and the warnings
+    raised before it reach the caller, and no child process is left."""
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    ds = small_portfolio(n=600, seed=2).dataset
+    plan = stratified_folds(ds, seed=0)
+    config = pipeline.RunConfig(data_path="memory", schema_path="memory", seed=0,
+                                families=("glm",), outdir=str(tmp_path / "ok"))
+    real_fit, failing = pipeline.fit_fold_glm, []
+
+    def fit_fold_glm(dataset, family, train_rows, fold):
+        (tmp_path / f"pid_{fold}").write_text(str(os.getpid()))
+        if fold in failing:
+            warnings.warn(f"fold {fold} is about to fail")
+            raise ValueError(f"no GLM on fold {fold}")
+        return real_fit(dataset, family, train_rows, fold)
+
+    monkeypatch.setattr(pipeline, "fit_fold_glm", fit_fold_glm)
+    pipeline.run_pipeline(config, ds, plan)
+    assert multiprocessing.active_children() == []
+    pids = {int((tmp_path / f"pid_{fold}").read_text()) for fold in range(6)}
+    pooled = cpus > 1 and "fork" in multiprocessing.get_all_start_methods()
+    assert (os.getpid() in pids) != pooled, pids
+
+    failing.extend([2, 4])
+    with pytest.warns(UserWarning) as record, pytest.raises(
+            pipeline.PipelineError, match=r"^fold 2 failed: no GLM on fold 2$"):
+        pipeline.run_pipeline(replace(config, outdir=str(tmp_path / "failing")), ds, plan)
+    assert [str(w.message) for w in record] == ["fold 2 is about to fail"]
+    assert multiprocessing.active_children() == []
 
 
 def _plan_payload(**changes):
