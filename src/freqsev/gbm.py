@@ -247,30 +247,27 @@ class BoostedModel:
 
     def _add_trees(self, scores: np.ndarray, codes: np.ndarray, trees, n_rows: int) -> None:
         """Add each tree's shrunken output to the log scores of the rows of
-        `codes`, in place and in tree order. Trees are walked in blocks of
-        at most `n_rows` (tree, row) pairs; a block of one tree is walked on
-        that tree's own arrays."""
+        `codes`, in place and in tree order. The trees' node arrays are
+        joined once; trees are walked in blocks of at most `n_rows`
+        (tree, row) pairs."""
+        if not trees:
+            return
         u = len(scores)
         block = max(1, n_rows // max(1, u))
         rows = np.tile(np.arange(u), min(block, len(trees)))
         sizes = np.array([len(t.feature) for t in trees], dtype=np.intp)
+        root = np.cumsum(sizes) - sizes  # of each tree in the joined node arrays
+        feature = np.concatenate([t.feature for t in trees])
+        left = np.concatenate([t.left for t in trees])
+        right = np.concatenate([t.child for t in trees]) + np.repeat(root + 1, sizes)
+        offset = np.maximum(feature, 0) * u
+        value = self.shrinkage * np.concatenate([t.value for t in trees])
         for start in range(0, len(trees), block):
-            part, size = trees[start : start + block], sizes[start : start + block]
-            if len(part) == 1:
-                (tree,) = part
-                feature, left, value = tree.feature, tree.left, tree.value
-                right, node = tree.child + 1, np.zeros(u, dtype=np.intp)
-            else:
-                root = np.cumsum(size) - size  # of each tree in the block's node arrays
-                feature = np.concatenate([t.feature for t in part])
-                left = np.concatenate([t.left for t in part])
-                right = np.concatenate([t.child for t in part]) + np.repeat(root + 1, size)
-                value, node = np.concatenate([t.value for t in part]), np.repeat(root, u)
-            offset = np.maximum(feature, 0) * u
+            roots = root[start : start + block]
+            node = np.repeat(roots, u)
             for _ in range(self.depth):
                 node = _descend(node, rows[: len(node)], offset, right, left, codes)
-            value = self.shrinkage * value
-            for increment in value.take(node).reshape(len(part), u):
+            for increment in value.take(node).reshape(len(roots), u):
                 scores += increment
 
     def log_scores(self, dataset: Dataset, n_trees: int | None = None) -> np.ndarray:

@@ -10,10 +10,14 @@ out-of-sample prediction per data row. `save_model` writes a model's
 reads any of them back through that kind's `from_dict`.
 
 The outer folds are independent, so `run_pipeline` runs them in forked
-worker processes, one per usable CPU (in-process on one CPU, without
-fork or while other threads run). Each worker holds its own copy of the dataset and of the fold's
-arrays. The same files are written, the same warnings and errors reach
-the caller, in fold order, as when the folds run one after another.
+worker processes, one per usable CPU (in process on one CPU, without
+fork or while other threads run). Workers read the run's arguments from
+the memory they inherit at fork, and each holds its own copy of the
+fold's arrays. The same files are written and the same errors reach the
+caller as when the folds run one after another; a worker's warnings are
+re-issued in fold order from their own file and line, and through their
+module's registry, so a warning repeated in several folds is shown once
+under the default filter.
 """
 
 from __future__ import annotations
@@ -22,10 +26,12 @@ import json
 import multiprocessing
 import operator
 import os
+import sys
 import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -442,10 +448,8 @@ def _run_fold(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan, fold: in
     """Fit every requested family on one outer fold, write each one's
     `model.json` and `predictions.csv` and score it on the held-out rows.
 
-    Returns ({family: model}, loss rows, {family: test-row predictions},
-    warnings), the warnings the fold raised as (category, message,
-    filename, lineno). A failure raises `PipelineError` naming the fold;
-    its `warnings` holds those raised before it."""
+    Returns ({family: model}, loss rows, {family: test-row predictions}).
+    A failure raises `PipelineError` naming the fold."""
     preset = PRESETS[config.preset]
     family = config.response_family
     needs_nets = any(f not in ("glm", "gbm") for f in config.families)
@@ -453,50 +457,70 @@ def _run_fold(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan, fold: in
     needs_gbm = "gbm" in config.families or any("cann_gbm" in f for f in config.families)
     test_rows, train_rows = fold_plan.test_rows(fold), fold_plan.train_rows(fold)
     models, loss_rows, predictions = {}, [], {}
+    try:
+        ctx = (
+            build_fold_context(dataset, family, fold_plan, fold, preset, config.seed)
+            if needs_nets
+            else None
+        )
+        glm_model = (
+            fit_fold_glm(dataset, family, train_rows, fold) if needs_glm else None
+        )
+        gbm_model = (
+            fit_fold_gbm(dataset, family, fold_plan, fold, preset, config.seed)
+            if needs_gbm
+            else None
+        )
+        for name in config.families:
+            if name == "glm":
+                model = glm_model
+            elif name == "gbm":
+                model = gbm_model
+            else:
+                cann_mode = None
+                initial = None
+                if name.startswith("cann_"):
+                    _, source, mode = name.split("_")
+                    cann_mode = mode
+                    initial = glm_model if source == "glm" else gbm_model
+                model = fit_fold_network(
+                    ctx, dataset, family, fold_plan, preset,
+                    derive_seed(config.seed, name), cann_mode, initial,
+                )
+            models[name] = model
+            pred = predictions[name] = model.predict(dataset.subset(test_rows))
+            loss = fold_deviance(pred, dataset, test_rows, family)
+            loss_rows.append({"model": name, "fold": fold, "deviance": loss})
+            fold_dir = os.path.join(config.outdir, f"fold_{fold}", name)
+            os.makedirs(fold_dir, exist_ok=True)
+            save_model(model, os.path.join(fold_dir, "model.json"))
+            _write_predictions(os.path.join(fold_dir, "predictions.csv"), test_rows, pred)
+    except Exception as exc:  # noqa: BLE001 - re-raise with fold context
+        raise PipelineError(f"fold {fold} failed: {exc}") from exc
+    return models, loss_rows, predictions
+
+
+_FORKED_RUN = None  # a worker's (config, dataset, fold_plan), set as it starts
+
+
+def _inherit_run(config, dataset, fold_plan) -> None:
+    """Worker initializer. Under fork its arguments are the parent's objects,
+    inherited without pickling."""
+    global _FORKED_RUN
+    _FORKED_RUN = (config, dataset, fold_plan)
+
+
+def _run_forked_fold(fold: int):
+    """`_run_fold` in a worker, with the warnings the fold raised recorded
+    as (category, message, filename, lineno); on failure they ride on the
+    `PipelineError` as its `warnings`."""
     with warnings.catch_warnings(record=True) as caught:
         try:
-            ctx = (
-                build_fold_context(dataset, family, fold_plan, fold, preset, config.seed)
-                if needs_nets
-                else None
-            )
-            glm_model = (
-                fit_fold_glm(dataset, family, train_rows, fold) if needs_glm else None
-            )
-            gbm_model = (
-                fit_fold_gbm(dataset, family, fold_plan, fold, preset, config.seed)
-                if needs_gbm
-                else None
-            )
-            for name in config.families:
-                if name == "glm":
-                    model = glm_model
-                elif name == "gbm":
-                    model = gbm_model
-                else:
-                    cann_mode = None
-                    initial = None
-                    if name.startswith("cann_"):
-                        _, source, mode = name.split("_")
-                        cann_mode = mode
-                        initial = glm_model if source == "glm" else gbm_model
-                    model = fit_fold_network(
-                        ctx, dataset, family, fold_plan, preset,
-                        derive_seed(config.seed, name), cann_mode, initial,
-                    )
-                models[name] = model
-                pred = predictions[name] = model.predict(dataset.subset(test_rows))
-                loss = fold_deviance(pred, dataset, test_rows, family)
-                loss_rows.append({"model": name, "fold": fold, "deviance": loss})
-                fold_dir = os.path.join(config.outdir, f"fold_{fold}", name)
-                os.makedirs(fold_dir, exist_ok=True)
-                save_model(model, os.path.join(fold_dir, "model.json"))
-                _write_predictions(os.path.join(fold_dir, "predictions.csv"), test_rows, pred)
-        except Exception as exc:  # noqa: BLE001 - re-raise with fold context
-            error = PipelineError(f"fold {fold} failed: {exc}")
-            error.warnings = _plain(caught)
-            raise error from exc
-    return models, loss_rows, predictions, _plain(caught)
+            outcome = _run_fold(*_FORKED_RUN, fold)
+        except PipelineError as exc:
+            exc.warnings = _plain(caught)
+            raise
+    return outcome, _plain(caught)
 
 
 def _plain(caught) -> list:
@@ -506,8 +530,20 @@ def _plain(caught) -> list:
 
 
 def _reissue(caught) -> None:
+    """Issue warnings recorded in a worker from their own file and line, with
+    the module and registry `warnings.warn` would use there, so the
+    caller's filters and once-per-location rule apply to them."""
+    if not caught:
+        return
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
     for category, message, filename, lineno in caught:
-        warnings.warn_explicit(message, category, filename, lineno)
+        module = modules.get(filename)
+        if module is None:
+            warnings.warn_explicit(message, category, filename, lineno)
+        else:
+            registry = vars(module).setdefault("__warningregistry__", {})
+            warnings.warn_explicit(message, category, filename, lineno,
+                                   module.__name__, registry)
 
 
 def run_pipeline(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan | None = None):
@@ -516,9 +552,9 @@ def run_pipeline(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan | None
 
     Folds run in forked worker processes, one per usable CPU, or in this
     process on one CPU, where fork does not exist or while other threads
-    run. Either way the same files are written, each fold's warnings are
-    re-issued in fold order and the lowest failing fold's `PipelineError`
-    is raised; no worker is left running.
+    run. Either way the same files are written and the lowest failing
+    fold's `PipelineError` is raised; a worker's warnings are re-issued in
+    fold order, as `_reissue` says, and no worker is left running.
 
     Returns {"loss_table": rows, "predictions": {family: vector},
     "fold_models": {fold: {family: model}}}. Artifacts for completed
@@ -537,15 +573,21 @@ def run_pipeline(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan | None
     folds = range(fold_plan.k_outer)
     workers = min(fold_plan.k_outer, _usable_cpus())
     pool = None
-    # fork: workers inherit the caller's warning filters and module state and
-    # need not import numpy again; it is unsafe while other threads run
+    # fork: workers inherit the caller's warning filters, module state and
+    # the run's arguments, and need not import numpy again; it is unsafe
+    # while other threads run
     if (workers > 1 and threading.active_count() == 1
             and "fork" in multiprocessing.get_all_start_methods()):
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_inherit_run,
+                                   initargs=(config, dataset, fold_plan))
     try:
-        outcomes = (pool.map if pool else map)(
-            _run_fold, repeat(config), repeat(dataset), repeat(fold_plan), folds)
-        for fold, (models, rows, fold_predictions, caught) in zip(folds, outcomes):
+        if pool is None:  # warnings reach the caller as they are raised
+            run_fold = partial(_run_fold, config, dataset, fold_plan)
+            outcomes = zip(map(run_fold, folds), repeat(()))
+        else:
+            outcomes = pool.map(_run_forked_fold, folds)
+        for fold, ((models, rows, fold_predictions), caught) in zip(folds, outcomes):
             _reissue(caught)
             fold_models[fold] = models
             loss_rows.extend(rows)

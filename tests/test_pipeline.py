@@ -12,7 +12,7 @@ import pytest
 
 from freqsev import pipeline
 from freqsev._rand import derive_seed
-from freqsev.data import ScalingStats, severity_view, stratified_folds
+from freqsev.data import Dataset, ScalingStats, severity_view, stratified_folds
 from freqsev.evaluation import get_family
 from freqsev.glm import GlmModel
 from freqsev.neural import NetworkSpec, build_network
@@ -228,6 +228,25 @@ def test_warnings_other_than_the_recorded_outcomes_reach_the_caller(tmp_path, mo
             warning for fold in range(6) for warning in unrecorded(fold)], cpus
         assert {w.filename for w in record} == {__file__}
 
+    # the same text from the same line in every fold is shown once under the
+    # default filter; a GBM-only fold changes no filter, which would reset
+    # Python's once-per-location registry in process too
+    real_gbm = pipeline.fit_fold_gbm
+
+    def fit_fold_gbm(*args):
+        warnings.warn("the same warning in every fold")
+        return real_gbm(*args)
+
+    monkeypatch.setattr(pipeline, "fit_fold_gbm", fit_fold_gbm)
+    for cpus in (2, 1):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        config = pipeline.RunConfig(data_path="memory", schema_path="memory", seed=0,
+                                    families=("gbm",), outdir=str(tmp_path / f"gbm{cpus}"))
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("default")
+            pipeline.run_pipeline(config, ds, plan)
+        assert [str(w.message) for w in record] == ["the same warning in every fold"], cpus
+
 
 def _written(outdir):
     return {str(p.relative_to(outdir)): p.read_bytes()
@@ -264,10 +283,16 @@ def test_pooled_and_in_process_runs_write_the_same_bytes(tmp_path, monkeypatch):
 @pytest.mark.parametrize("cpus", [2, 1], ids=["pooled", "in_process"])
 def test_lowest_failing_fold_is_raised_and_no_worker_outlives_the_run(tmp_path, monkeypatch,
                                                                       cpus):
-    """Two workers fit the folds in other processes, one CPU fits them in
+    """Two workers fit the folds in other processes, reading the dataset
+    they inherited at fork rather than a pickled copy, one CPU fits them in
     this one; either way the lowest failing fold's error and the warnings
     raised before it reach the caller, and no child process is left."""
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+
+    def unpicklable(self, protocol):
+        raise TypeError("a Dataset was pickled")
+
+    monkeypatch.setattr(Dataset, "__reduce_ex__", unpicklable)
     ds = small_portfolio(n=600, seed=2).dataset
     plan = stratified_folds(ds, seed=0)
     config = pipeline.RunConfig(data_path="memory", schema_path="memory", seed=0,
