@@ -20,17 +20,21 @@ one histogram pass and one split search over the open nodes of every model
 still below its depth. The inner fold's validation rows go down each tree
 as it is grown, their log scores add the trees in order, and their deviance
 is read at every tree count of the grid, so tuning keeps no tree. Every
-loss equals that of a separate fit per depth, to the bit.
+loss equals that of a separate fit per depth, to the bit. The inner folds
+run through `_workers.fork_map` and their losses are added in fold order,
+so the grid is the same in forked workers as in process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from ._rand import substream
+from ._workers import fork_map
 from .data import Dataset, FoldPlan
 from .evaluation import get_family
 
@@ -380,32 +384,40 @@ def fit_gbm(
 
 
 def _inner_losses(dataset, family, fold_plan, outer_fold, trees, depths, seed):
-    """Mean validation deviance over the inner folds, per depth of
-    `depths` (deepest first) and tree count of `trees` (ascending).
+    """Mean validation deviance over the inner folds, added in fold order,
+    per depth of `depths` (deepest first) and tree count of `trees`."""
+    inner = fold_plan.inner_folds(outer_fold)
+    losses = np.zeros((len(depths), len(trees)))
+    for fold_losses in fork_map(partial(_inner_fold_losses, dataset, family, fold_plan,
+                                        outer_fold, trees, depths, seed), inner):
+        losses += fold_losses
+    return losses / len(inner)
 
-    Each inner fold grows the depths as one forest, and its validation
-    rows go down every tree as it is grown: their log scores add f0, then
-    each tree's shrunken leaf value in tree order, and their deviance is
-    read at each tree count."""
+
+def _inner_fold_losses(dataset, family, fold_plan, outer_fold, trees, depths, seed, k):
+    """Validation deviance of inner fold `k` per depth and tree count.
+
+    The fold grows the depths as one forest, and its validation rows go
+    down every tree as it is grown: their log scores add f0, then each
+    tree's shrunken leaf value in tree order, and their deviance is read
+    at each tree count."""
     fam = get_family(family, GbmError)
     losses = np.zeros((len(depths), len(trees)))
-    inner = fold_plan.inner_folds(outer_fold)
-    for k in inner:
-        train = dataset.subset(fold_plan.inner_train_rows(outer_fold, k))
-        valid = dataset.subset(fold_plan.test_rows(k))
-        model = _start(train, family, trees[-1], depths[0], seed, SHRINKAGE)
-        codes, rows = model._codes(valid), np.arange(valid.n)
-        scores = np.full((len(depths), valid.n), model.f0)
-        i = 0
-        for t, (feature, left, child, value) in enumerate(
-            _boost(model, train, depths, BAGGING_FRACTION), 1
-        ):
-            node = _route(codes, rows, feature, left, child, depths)
-            scores += (SHRINKAGE * value).take(node).reshape(scores.shape)
-            while i < len(trees) and trees[i] == t:
-                losses[:, i] += [fam.deviance(np.exp(s), valid) for s in scores]
-                i += 1
-    return losses / len(inner)
+    train = dataset.subset(fold_plan.inner_train_rows(outer_fold, k))
+    valid = dataset.subset(fold_plan.test_rows(k))
+    model = _start(train, family, trees[-1], depths[0], seed, SHRINKAGE)
+    codes, rows = model._codes(valid), np.arange(valid.n)
+    scores = np.full((len(depths), valid.n), model.f0)
+    i = 0
+    for t, (feature, left, child, value) in enumerate(
+        _boost(model, train, depths, BAGGING_FRACTION), 1
+    ):
+        node = _route(codes, rows, feature, left, child, depths)
+        scores += (SHRINKAGE * value).take(node).reshape(scores.shape)
+        while i < len(trees) and trees[i] == t:
+            losses[:, i] = [fam.deviance(np.exp(s), valid) for s in scores]
+            i += 1
+    return losses
 
 
 def tune_gbm(
@@ -421,7 +433,8 @@ def tune_gbm(
 
     In each inner fold every depth grows in one forest up to the largest
     tree count, and the validation deviance is read at every tree count
-    as the trees are grown; no tree is kept. Returns the chosen
+    as the trees are grown; no tree is kept. Inner folds run in forked
+    workers, with the lowest failing fold's error raised. Returns the chosen
     `(n_trees, depth)` and the grid: one `{"n_trees", "depth",
     "inner_deviance"}` entry per cell, depths in the given order and tree
     counts ascending. The choice is the grid's first minimum."""

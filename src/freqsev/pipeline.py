@@ -9,36 +9,31 @@ out-of-sample prediction per data row. `save_model` writes a model's
 `to_dict()` payload, tagged with its kind, as `model.json`; `load_model`
 reads any of them back through that kind's `from_dict`.
 
-The outer folds are independent, so `run_pipeline` runs them in forked
-worker processes, one per usable CPU (in process on one CPU, without
-fork or while other threads run). Workers read the run's arguments from
-the memory they inherit at fork, and each holds its own copy of the
-fold's arrays. The same files are written and the same errors reach the
-caller as when the folds run one after another; a worker's warnings are
-re-issued in fold order from their own file and line, and through their
-module's registry, so a warning repeated in several folds is shown once
-under the default filter.
+The outer folds are independent, so `run_pipeline` maps them over forked
+workers with `_workers.fork_map`. The inner cross-validation of
+`tune_network_specs` and `gbm.tune_gbm` is mapped the same way when a fold
+runs on its own, and in process inside a fold worker. Workers read their
+arguments from the memory they inherit at fork. The same files, results,
+errors and warnings reach the caller as when everything runs in one
+process; a warning repeated in several folds is shown once under the
+default filter.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import operator
 import os
-import sys
-import threading
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import partial
-from itertools import repeat
 
 import numpy as np
 
 from . import gbm as gbm_mod
 from . import neural as nn
 from ._rand import derive_seed, substream
+from ._workers import fork_map
 from .data import (
     Dataset,
     FoldPlan,
@@ -305,7 +300,9 @@ def tune_network_specs(ctx: FoldContext, dataset, family, fold_plan, cann_mode,
     """Random-grid search scored by inner cross-validation deviance.
 
     Returns the spec with the lowest mean inner deviance (the first of
-    equal ones) and the grid: every drawn spec with that score.
+    equal ones) and the grid: every drawn spec with that score. The
+    (spec, inner fold) cells run through `fork_map`; each spec's mean
+    takes its cells in inner-fold order, as in one process.
 
     A CANN's `log_y_in` comes from the initial model `fit_fold_network`
     was given, fit once on every training row of the outer fold. It is not
@@ -315,19 +312,22 @@ def tune_network_specs(ctx: FoldContext, dataset, family, fold_plan, cann_mode,
     severity = get_family(family, PipelineError).severity
     batch_size = preset.sev_batch if severity else preset.freq_batch
     specs = nn.random_grid(batch_size, n=preset.grid_size, seed=derive_seed(seed, "grid", ctx.fold))
-    grid = []
-    for spec in specs:
-        losses = []
-        for k in fold_plan.inner_folds(ctx.fold):
-            sub_train = fold_plan.inner_train_rows(ctx.fold, k)
-            valid = fold_plan.test_rows(k)
-            net = _train_one(ctx, sub_train, spec, family, cann_mode, log_y_in, preset,
-                             derive_seed(seed, "tune", k), 0)
-            pred = _net_predictions(net, ctx, valid, log_y_in)
-            losses.append(fold_deviance(pred, dataset, valid, family))
-        grid.append((spec, float(np.mean(losses))))
+    inner = fold_plan.inner_folds(ctx.fold)
+    losses = fork_map(partial(_inner_deviance, ctx, dataset, family, fold_plan, cann_mode,
+                              log_y_in, preset, seed), [(s, k) for s in specs for k in inner])
+    grid = [(spec, float(np.mean(losses[i * len(inner) : (i + 1) * len(inner)])))
+            for i, spec in enumerate(specs)]
     best = min(grid, key=lambda entry: entry[1])
     return best[0], grid
+
+
+def _inner_deviance(ctx, dataset, family, fold_plan, cann_mode, log_y_in, preset, seed, cell):
+    """Validation deviance of `spec` trained on inner fold `k`'s training rows."""
+    spec, k = cell
+    valid = fold_plan.test_rows(k)
+    net = _train_one(ctx, fold_plan.inner_train_rows(ctx.fold, k), spec, family, cann_mode,
+                     log_y_in, preset, derive_seed(seed, "tune", k), 0)
+    return fold_deviance(_net_predictions(net, ctx, valid, log_y_in), dataset, valid, family)
 
 
 def _log_initial(initial_model, dataset: Dataset) -> np.ndarray:
@@ -438,12 +438,6 @@ def _write_predictions(path, rows, predictions):
             fh.write(f"{int(r)},{float(p)!r}\n")
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _run_fold(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan, fold: int):
     """Fit every requested family on one outer fold, write each one's
     `model.json` and `predictions.csv` and score it on the held-out rows.
@@ -500,61 +494,13 @@ def _run_fold(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan, fold: in
     return models, loss_rows, predictions
 
 
-_FORKED_RUN = None  # a worker's (config, dataset, fold_plan), set as it starts
-
-
-def _inherit_run(config, dataset, fold_plan) -> None:
-    """Worker initializer. Under fork its arguments are the parent's objects,
-    inherited without pickling."""
-    global _FORKED_RUN
-    _FORKED_RUN = (config, dataset, fold_plan)
-
-
-def _run_forked_fold(fold: int):
-    """`_run_fold` in a worker, with the warnings the fold raised recorded
-    as (category, message, filename, lineno); on failure they ride on the
-    `PipelineError` as its `warnings`."""
-    with warnings.catch_warnings(record=True) as caught:
-        try:
-            outcome = _run_fold(*_FORKED_RUN, fold)
-        except PipelineError as exc:
-            exc.warnings = _plain(caught)
-            raise
-    return outcome, _plain(caught)
-
-
-def _plain(caught) -> list:
-    """Recorded warnings as (category, message, filename, lineno), which
-    pickle whatever the warning carried."""
-    return [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
-
-
-def _reissue(caught) -> None:
-    """Issue warnings recorded in a worker from their own file and line, with
-    the module and registry `warnings.warn` would use there, so the
-    caller's filters and once-per-location rule apply to them."""
-    if not caught:
-        return
-    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
-    for category, message, filename, lineno in caught:
-        module = modules.get(filename)
-        if module is None:
-            warnings.warn_explicit(message, category, filename, lineno)
-        else:
-            registry = vars(module).setdefault("__warningregistry__", {})
-            warnings.warn_explicit(message, category, filename, lineno,
-                                   module.__name__, registry)
-
-
 def run_pipeline(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan | None = None):
     """Train every requested family on every outer fold and collect the
     held-out loss table and the stitched out-of-sample predictions.
 
-    Folds run in forked worker processes, one per usable CPU, or in this
-    process on one CPU, where fork does not exist or while other threads
-    run. Either way the same files are written and the lowest failing
-    fold's `PipelineError` is raised; a worker's warnings are re-issued in
-    fold order, as `_reissue` says, and no worker is left running.
+    Folds run through `fork_map`, in forked workers or in process; either
+    way the same files are written, the lowest failing fold's
+    `PipelineError` is raised and no worker is left running.
 
     Returns {"loss_table": rows, "predictions": {family: vector},
     "fold_models": {fold: {family: model}}}. Artifacts for completed
@@ -570,35 +516,12 @@ def run_pipeline(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan | None
     loss_rows = []
     predictions = {f: np.full(dataset.n, np.nan) for f in config.families}
     fold_models: dict[int, dict[str, object]] = {}
-    folds = range(fold_plan.k_outer)
-    workers = min(fold_plan.k_outer, _usable_cpus())
-    pool = None
-    # fork: workers inherit the caller's warning filters, module state and
-    # the run's arguments, and need not import numpy again; it is unsafe
-    # while other threads run
-    if (workers > 1 and threading.active_count() == 1
-            and "fork" in multiprocessing.get_all_start_methods()):
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_inherit_run,
-                                   initargs=(config, dataset, fold_plan))
-    try:
-        if pool is None:  # warnings reach the caller as they are raised
-            run_fold = partial(_run_fold, config, dataset, fold_plan)
-            outcomes = zip(map(run_fold, folds), repeat(()))
-        else:
-            outcomes = pool.map(_run_forked_fold, folds)
-        for fold, ((models, rows, fold_predictions), caught) in zip(folds, outcomes):
-            _reissue(caught)
-            fold_models[fold] = models
-            loss_rows.extend(rows)
-            for name, pred in fold_predictions.items():
-                predictions[name][fold_plan.test_rows(fold)] = pred
-    except PipelineError as exc:
-        _reissue(getattr(exc, "warnings", ()))
-        raise
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+    outcomes = fork_map(partial(_run_fold, config, dataset, fold_plan), range(fold_plan.k_outer))
+    for fold, (models, rows, fold_predictions) in enumerate(outcomes):
+        fold_models[fold] = models
+        loss_rows.extend(rows)
+        for name, pred in fold_predictions.items():
+            predictions[name][fold_plan.test_rows(fold)] = pred
 
     with open(os.path.join(config.outdir, "loss_table.csv"), "w", encoding="utf-8") as fh:
         fh.write("model,fold,deviance\n")

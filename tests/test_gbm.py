@@ -1,9 +1,12 @@
 """Deviance-boosted trees: fitting, prediction, tuning, serialization."""
 
+import multiprocessing
+import warnings
+
 import numpy as np
 import pytest
 
-from freqsev import gbm
+from freqsev import _workers, gbm
 from freqsev.data import ColumnSchema, Dataset, severity_view, stratified_folds
 from freqsev.evaluation import get_family, poisson_deviance
 from freqsev.gbm import MAX_BINS, BoostedModel, GbmError, fit_gbm, tune_gbm
@@ -159,14 +162,21 @@ def reference_cv_deviance(dataset, family, fold_plan, outer_fold, n_trees_grid, 
     return np.array(grid)
 
 
+def _unpicklable(self, protocol):
+    raise TypeError("a Dataset was pickled")
+
+
 @pytest.mark.parametrize("frame, depth_grid", [
     ("frequency", (1, 2, 3, 4, 5)),
     ("severity", (1, 2, 3, 4, 5)),
     ("frequency", (3, 1, 3)),
 ])
-def test_tune_grid_equals_one_fit_per_depth(frame, depth_grid):
+def test_tune_grid_equals_one_fit_per_depth(frame, depth_grid, monkeypatch):
     """Growing the depths as one forest and scoring the validation rows
-    inside it ends on the bits of one fit per depth and inner fold."""
+    inside it ends on the bits of one fit per depth and inner fold, with
+    the inner folds in forked workers, which read the dataset they
+    inherited, and in this process."""
+    monkeypatch.setattr(Dataset, "__reduce_ex__", _unpicklable)
     p = small_portfolio(n=900, seed=15)
     family, ds = "poisson_log", p.dataset
     if frame == "severity":
@@ -175,13 +185,15 @@ def test_tune_grid_equals_one_fit_per_depth(frame, depth_grid):
     if frame == "severity":
         assert len({len(plan.inner_train_rows(0, k)) for k in plan.inner_folds(0)}) > 1
     trees = (20, 5, 12)
-    (n_trees, depth), grid = tune_gbm(ds, family, plan, 0, trees, depth_grid, seed=3)
     expected = reference_cv_deviance(ds, family, plan, 0, trees, depth_grid, seed=3)
-    losses = np.array([e["inner_deviance"] for e in grid]).reshape(expected.shape)
-    np.testing.assert_array_equal(losses, expected)
-    cells = [(e["n_trees"], e["depth"]) for e in grid]
-    assert cells == [(t, d) for d in depth_grid for t in sorted(trees)]
-    assert (n_trees, depth) == cells[int(np.argmin(losses.ravel()))]
+    for cpus in (2, 1):  # forked workers, then this process
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
+        (n_trees, depth), grid = tune_gbm(ds, family, plan, 0, trees, depth_grid, seed=3)
+        losses = np.array([e["inner_deviance"] for e in grid]).reshape(expected.shape)
+        np.testing.assert_array_equal(losses, expected)
+        cells = [(e["n_trees"], e["depth"]) for e in grid]
+        assert cells == [(t, d) for d in depth_grid for t in sorted(trees)]
+        assert (n_trees, depth) == cells[int(np.argmin(losses.ravel()))]
 
 
 def test_a_deep_root_that_stops_early_leaves_the_others_growing():
@@ -219,10 +231,12 @@ def test_tune_rejects_grid_values_that_are_not_positive_integers(grids, monkeypa
         tune_gbm(p.dataset, "poisson_log", plan, 0, *grids)
 
 
-def test_tune_memory_does_not_grow_with_the_tree_count():
-    """No tuning tree is kept: the peak is the same at 50 trees and 400."""
+def test_tune_memory_does_not_grow_with_the_tree_count(monkeypatch):
+    """No tuning tree is kept: the peak is the same at 50 trees and 400.
+    tracemalloc sees this process only, so the inner folds run in it."""
     import tracemalloc
 
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
     p = small_portfolio(n=1500, seed=16)
     plan = stratified_folds(p.dataset, seed=1)
     peaks = []
@@ -234,6 +248,45 @@ def test_tune_memory_does_not_grow_with_the_tree_count():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["pooled", "in_process"])
+def test_lowest_failing_inner_fold_is_raised_after_its_warnings(monkeypatch, cpus):
+    """Inner folds in forked workers or in this process: a warning every
+    fold raises is shown once under the default filter, and when folds 2
+    and 4 fail, fold 2's error is raised after the warnings up to it; no
+    child process is left."""
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
+    p = small_portfolio(n=600, seed=8)
+    plan = stratified_folds(p.dataset, seed=1)
+    assert plan.inner_folds(0)[:2] == [1, 2]
+    real, failing = gbm._inner_fold_losses, []
+
+    def inner_fold_losses(*args):
+        k = args[-1]
+        warnings.warn("the same warning in every inner fold")
+        if k in failing:
+            warnings.warn(f"inner fold {k} is about to fail")
+            raise GbmError(f"no forest on inner fold {k}")
+        return real(*args)
+
+    monkeypatch.setattr(gbm, "_inner_fold_losses", inner_fold_losses)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("default")
+        tune_gbm(p.dataset, "poisson_log", plan, 0, (5,), (1, 2))
+    assert [str(w.message) for w in record] == ["the same warning in every inner fold"]
+    assert multiprocessing.active_children() == []
+
+    failing.extend([2, 4])
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        with pytest.raises(GbmError, match=r"^no forest on inner fold 2$"):
+            tune_gbm(p.dataset, "poisson_log", plan, 0, (5,), (1, 2))
+    assert [str(w.message) for w in record] == [
+        "the same warning in every inner fold", "the same warning in every inner fold",
+        "inner fold 2 is about to fail"]
+    assert {w.filename for w in record} == {__file__}
+    assert multiprocessing.active_children() == []
 
 
 def test_rejects_bad_inputs():

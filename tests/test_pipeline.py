@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from freqsev import pipeline
+from freqsev import _workers, gbm, pipeline
 from freqsev._rand import derive_seed
 from freqsev.data import Dataset, ScalingStats, severity_view, stratified_folds
 from freqsev.evaluation import get_family
@@ -219,7 +219,7 @@ def test_warnings_other_than_the_recorded_outcomes_reach_the_caller(tmp_path, mo
 
     monkeypatch.setitem(pipeline.PRESETS, "desk", FAST)
     for cpus in (2, 1):  # forked workers, then this process
-        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
         config = pipeline.RunConfig(data_path="memory", schema_path="memory", seed=0,
                                     families=("glm", "ffnn"), outdir=str(tmp_path / str(cpus)))
         with pytest.warns(Warning) as record:
@@ -239,7 +239,7 @@ def test_warnings_other_than_the_recorded_outcomes_reach_the_caller(tmp_path, mo
 
     monkeypatch.setattr(pipeline, "fit_fold_gbm", fit_fold_gbm)
     for cpus in (2, 1):
-        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
         config = pipeline.RunConfig(data_path="memory", schema_path="memory", seed=0,
                                     families=("gbm",), outdir=str(tmp_path / f"gbm{cpus}"))
         with warnings.catch_warnings(record=True) as record:
@@ -264,7 +264,7 @@ def test_pooled_and_in_process_runs_write_the_same_bytes(tmp_path, monkeypatch):
     for ds, family, families in runs:
         written, predictions = {}, {}
         for cpus in (2, 1):
-            monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
             outdir = tmp_path / f"{family}-{cpus}"
             config = pipeline.RunConfig(data_path="memory", schema_path="memory", seed=1,
                                         families=families, outdir=str(outdir),
@@ -280,6 +280,10 @@ def test_pooled_and_in_process_runs_write_the_same_bytes(tmp_path, monkeypatch):
             np.testing.assert_array_equal(predictions[2][name], predictions[1][name])
 
 
+def _unpicklable(self, protocol):
+    raise TypeError("a Dataset was pickled")
+
+
 @pytest.mark.parametrize("cpus", [2, 1], ids=["pooled", "in_process"])
 def test_lowest_failing_fold_is_raised_and_no_worker_outlives_the_run(tmp_path, monkeypatch,
                                                                       cpus):
@@ -287,12 +291,9 @@ def test_lowest_failing_fold_is_raised_and_no_worker_outlives_the_run(tmp_path, 
     they inherited at fork rather than a pickled copy, one CPU fits them in
     this one; either way the lowest failing fold's error and the warnings
     raised before it reach the caller, and no child process is left."""
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
 
-    def unpicklable(self, protocol):
-        raise TypeError("a Dataset was pickled")
-
-    monkeypatch.setattr(Dataset, "__reduce_ex__", unpicklable)
+    monkeypatch.setattr(Dataset, "__reduce_ex__", _unpicklable)
     ds = small_portfolio(n=600, seed=2).dataset
     plan = stratified_folds(ds, seed=0)
     config = pipeline.RunConfig(data_path="memory", schema_path="memory", seed=0,
@@ -318,6 +319,75 @@ def test_lowest_failing_fold_is_raised_and_no_worker_outlives_the_run(tmp_path, 
             pipeline.PipelineError, match=r"^fold 2 failed: no GLM on fold 2$"):
         pipeline.run_pipeline(replace(config, outdir=str(tmp_path / "failing")), ds, plan)
     assert [str(w.message) for w in record] == ["fold 2 is about to fail"]
+    assert multiprocessing.active_children() == []
+
+
+def test_network_tuning_over_workers_equals_tuning_in_process(monkeypatch):
+    """The (spec, inner fold) cells in forked workers, which read the
+    dataset they inherited, give the spec and grid of one process."""
+    monkeypatch.setattr(Dataset, "__reduce_ex__", _unpicklable)
+    ds = small_portfolio(n=600, seed=2).dataset
+    plan = stratified_folds(ds, seed=0)
+    ctx = pipeline.build_fold_context(ds, "poisson_log", plan, 0, FAST, seed=0)
+    initial = pipeline.fit_fold_glm(ds, "poisson_log", plan.train_rows(0), 0)
+    for cann_mode, log_y_in in ((None, None), ("fixed", pipeline._log_initial(initial, ds))):
+        tuned = {}
+        for cpus in (2, 1):
+            monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
+            tuned[cpus] = pipeline.tune_network_specs(ctx, ds, "poisson_log", plan, cann_mode,
+                                                      log_y_in, FAST, seed=3)
+        assert len(tuned[1][1]) == FAST.grid_size
+        assert tuned[2] == tuned[1], cann_mode
+
+
+def test_inner_cv_forks_for_a_lone_fold_and_stays_in_a_fold_worker(tmp_path, monkeypatch):
+    """A fold fitted on its own maps its tuning tasks over forked workers; in
+    a pooled `run_pipeline` every tuning task runs in its fold's worker, so
+    no worker forks again."""
+    monkeypatch.setitem(pipeline.PRESETS, "desk", FAST)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
+    log = tmp_path / "pids"
+    log.mkdir()
+    real_gbm, real_net = gbm._inner_fold_losses, pipeline._inner_deviance
+    real_context = pipeline.build_fold_context
+
+    def record(kind, fold):
+        (log / f"{kind}_{fold}_{os.getpid()}").touch()
+
+    def inner_fold_losses(*args):
+        record("task", args[3])
+        return real_gbm(*args)
+
+    def inner_deviance(ctx, *args):
+        record("task", ctx.fold)
+        return real_net(ctx, *args)
+
+    def build_fold_context(dataset, family, fold_plan, fold, *args):
+        record("fold", fold)
+        return real_context(dataset, family, fold_plan, fold, *args)
+
+    def pids(kind, fold):
+        return {int(p.name.split("_")[2]) for p in log.glob(f"{kind}_{fold}_*")}
+
+    monkeypatch.setattr(gbm, "_inner_fold_losses", inner_fold_losses)
+    monkeypatch.setattr(pipeline, "_inner_deviance", inner_deviance)
+    monkeypatch.setattr(pipeline, "build_fold_context", build_fold_context)
+    ds = small_portfolio(n=600, seed=2).dataset
+    plan = stratified_folds(ds, seed=0)
+    pipeline.fit_fold_gbm(ds, "poisson_log", plan, 0, FAST, seed=1)
+    ctx = real_context(ds, "poisson_log", plan, 0, FAST, seed=1)
+    pipeline.fit_fold_network(ctx, ds, "poisson_log", plan, FAST, seed=1)
+    assert pids("task", 0) and os.getpid() not in pids("task", 0)
+    for path in log.iterdir():
+        path.unlink()
+
+    config = pipeline.RunConfig(data_path="memory", schema_path="memory", seed=1,
+                                families=("gbm", "ffnn"), outdir=str(tmp_path / "run"))
+    pipeline.run_pipeline(config, ds, plan)
+    for fold in range(plan.k_outer):
+        worker = pids("fold", fold)
+        assert len(worker) == 1 and os.getpid() not in worker, fold
+        assert pids("task", fold) == worker, fold
     assert multiprocessing.active_children() == []
 
 
