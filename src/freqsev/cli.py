@@ -8,15 +8,15 @@ testable. `run` executes the whole pipeline in one go.
 from __future__ import annotations
 
 import csv
-import json
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import click
 import numpy as np
 
 from . import tariff as tariff_mod
 from .data import (
+    DataError,
     PortfolioSpec,
     generate_synthetic_portfolio,
     load_claims_csv,
@@ -26,8 +26,10 @@ from .data import (
     stratified_folds,
     write_claims_csv,
     write_csv,
+    write_json,
+    write_schema,
 )
-from .evaluation import EvaluationError, LossVector, diebold_mariano, get_family, write_dm_json
+from .evaluation import EvaluationError, LossVector, diebold_mariano, get_family
 from .interpretation import partial_dependence, permutation_vip, write_pd_csv, write_vip_csv
 from .pipeline import PipelineError, RunConfig, load_config, load_fold_plan, load_model
 from .pipeline import run_pipeline, save_fold_plan
@@ -71,13 +73,13 @@ def _read_predictions(path, stage="train"):
 
 
 class _Group(click.Group):
-    """Reports a pipeline or evaluation error as a one-line `Error:`,
-    exit code 1."""
+    """Reports a data, pipeline or evaluation error as a one-line
+    `Error:`, exit code 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (PipelineError, EvaluationError) as exc:
+        except (DataError, PipelineError, EvaluationError) as exc:
             raise click.ClickException(str(exc)) from exc
 
 
@@ -112,14 +114,7 @@ def synth(rows, seed, out):
     os.makedirs(out, exist_ok=True)
     write_csv(portfolio.dataset, os.path.join(out, "portfolio.csv"))
     write_claims_csv(portfolio.claims, os.path.join(out, "claims.csv"))
-    with open(os.path.join(out, "schema.txt"), "w", encoding="utf-8") as fh:
-        fh.write(
-            "age:continuous\n"
-            "region:categorical:north,south,east\n"
-            "cover:categorical:basic,full\n"
-            "exposure:exposure\n"
-            "claim_count:response\n"
-        )
+    write_schema(portfolio.dataset.schema, os.path.join(out, "schema.txt"))
     click.echo(f"wrote {rows}-row synthetic portfolio to {out}")
 
 
@@ -138,8 +133,7 @@ def ingest(data, schema, out):
         if dataset.exposure is None
         else float(np.sum(dataset.exposure)),
     }
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
+    write_json(out, summary, indent=2)
     click.echo(f"validated {dataset.n} rows")
 
 
@@ -210,7 +204,7 @@ def evaluate(data, schema, claims, pred_a, pred_b, family, out):
     la = fam.contributions(fa, y, w)
     lb = fam.contributions(fb, y, w)
     result = diebold_mariano(LossVector(la, "A"), LossVector(lb, "B"))
-    write_dm_json({"A_vs_B": result}, out)
+    write_json(out, {"A_vs_B": asdict(result)}, indent=2)
     click.echo(f"DM verdict: {result.verdict} (p = {result.p_value:.4g})")
 
 
@@ -252,8 +246,8 @@ def surrogate(data, schema, claims, model_path, out):
     dataset = _load_data(data, schema, claims, model.family)
     result = build_surrogate(model, dataset, model.family)
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "surrogate.json"), "w", encoding="utf-8") as fh:
-        json.dump({"glm": result.glm.to_dict(), "tariff": result.tariff_table}, fh, indent=2)
+    write_json(os.path.join(out, "surrogate.json"),
+               {"glm": result.glm.to_dict(), "tariff": result.tariff_table}, indent=2)
     write_selection_report(result, os.path.join(out, "report.txt"))
     click.echo(f"surrogate selected: {result.report['selected']['mains']}")
 

@@ -10,6 +10,7 @@ codes into the schema's level list.
 from __future__ import annotations
 
 import csv
+import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from ._rand import substream
 
-COLUMN_KINDS = ("continuous", "categorical", "exposure", "response", "claim_count")
+COLUMN_KINDS = ("continuous", "categorical", "exposure", "response")
 K_OUTER = 6  # outer cross-validation folds
 STRATUM_CAP = 2  # claim counts above it share one stratum
 
@@ -55,8 +56,6 @@ def validate_schema(schema: list[ColumnSchema]) -> None:
         raise DataError(f"schema must declare exactly one response column, got {n_resp}")
     if sum(c.kind == "exposure" for c in schema) > 1:
         raise DataError("schema declares more than one exposure column")
-    if sum(c.kind == "claim_count" for c in schema) > 1:
-        raise DataError("schema declares more than one claim_count column")
 
 
 def load_schema(path) -> list[ColumnSchema]:
@@ -81,6 +80,13 @@ def load_schema(path) -> list[ColumnSchema]:
                 raise DataError(f"malformed schema line: {line!r}")
     validate_schema(schema)
     return schema
+
+
+def write_schema(schema, path) -> None:
+    """Write `schema` in the format `load_schema` reads."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for c in schema:
+            fh.write(f"{c.name}:{c.kind}" + (f":{','.join(c.levels)}\n" if c.levels else "\n"))
 
 
 @dataclass(frozen=True)
@@ -464,27 +470,39 @@ def generate_synthetic_portfolio(spec: PortfolioSpec, seed: int = 0) -> Syntheti
     return SyntheticPortfolio(dataset, claims, true_rate, true_sev)
 
 
+# -- file formats -------------------------------------------------------
+
+
+def write_rows(path, header, rows) -> None:
+    """Write a CSV file: UTF-8, the header and then one line per row, a
+    tuple of one cell per header name, every line ended by LF. A cell is
+    written as `str(cell)`, which for a float, numpy float64 too, is
+    `repr(float(x))`. Cells are not quoted: one holding a comma, a quote or
+    a line break raises `DataError`, a row of another width `TypeError`."""
+    fmt = ",".join(["%s"] * len(header))
+    lines = [fmt % tuple(header), *map(fmt.__mod__, rows)]
+    text = "\n".join(lines) + "\n"
+    if (text.count(",") != len(lines) * (len(header) - 1) or text.count("\n") != len(lines)
+            or '"' in text or "\r" in text):
+        raise DataError(f"{path}: a cell holds a comma, a quote or a line break")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def write_json(path, payload, indent=None) -> None:
+    """Write `payload` as JSON: on one line, or indented by `indent`."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, indent=indent))
+
+
 def write_csv(dataset: Dataset, path) -> None:
     """Write a Dataset back to CSV with labels for categorical columns."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        names = [c.name for c in dataset.schema]
-        writer.writerow(names)
-        for i in range(dataset.n):
-            row = []
-            for col in dataset.schema:
-                v = dataset.columns[col.name][i]
-                if col.kind == "categorical":
-                    row.append(col.levels[int(v)])
-                else:
-                    row.append(repr(float(v)))
-            writer.writerow(row)
+    columns = [np.asarray(c.levels)[dataset.columns[c.name]] if c.kind == "categorical"
+               else np.asarray(dataset.columns[c.name], dtype=float) for c in dataset.schema]
+    write_rows(path, [c.name for c in dataset.schema], zip(*(c.tolist() for c in columns)))
 
 
 def write_claims_csv(claims: dict[int, list[float]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row_id", "amount"])
-        for row_id in sorted(claims):
-            for amount in claims[row_id]:
-                writer.writerow([row_id, repr(float(amount))])
+    """Write a claims table CSV with columns (row_id, amount)."""
+    rows = [(r, float(a)) for r in sorted(claims) for a in claims[r]]
+    write_rows(path, ["row_id", "amount"], rows)

@@ -9,7 +9,6 @@ pure over immutable arrays.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -222,7 +221,6 @@ class LossVector:
 
     contributions: np.ndarray
     model_id: str = ""
-    fold_id: object = None
 
     def __post_init__(self):
         if np.any(~np.isfinite(self.contributions)):
@@ -419,14 +417,3 @@ def calibration_curve(predictions, responses, bin_spec=None) -> CalibrationTable
         np.asarray(merged),
     )
 
-
-# -- artifact emission -------------------------------------------------
-
-
-def write_dm_json(verdicts: dict[str, DMResult], path) -> None:
-    payload = {
-        key: {"statistic": r.statistic, "p_value": r.p_value, "verdict": r.verdict}
-        for key, r in verdicts.items()
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)

@@ -3,7 +3,8 @@
 Poisson (frequency, with log-exposure offset) and gamma (severity, with
 claim-count weights) families over designs of categorical factors and
 tree-binned continuous covariates. Treatment coding with the most
-populous level as reference. `GlmModel.to_dict` is the model's payload
+populous level as reference; an interaction multiplies the non-reference
+dummies of its two factors. `GlmModel.to_dict` is the model's payload
 (design, binning, coefficients and fit statistics in plain JSON types),
 and `GlmModel.from_dict` rebuilds it; the payload doubles as the
 technical tariff table interchange format.
@@ -84,28 +85,29 @@ def build_design_matrix(dataset: Dataset, design: Design, references=None):
     """Design matrix with intercept and treatment-coded factor dummies.
 
     Returns (X, column_names, references). At fit time the reference level
-    of each term is its most populous level; `references` (term name ->
+    of each factor is its most populous level; `references` (factor name ->
     level index) freezes that choice so prediction frames reuse the
-    training coding regardless of their own level counts.
+    training coding regardless of their own level counts. An interaction
+    a:b holds the products of the non-reference dummies of a and b.
     """
     references = references or {}
-    terms = [(var, *_factor_codes(dataset, var, design.binning)) for var in design.main_effects]
-    for var_a, var_b in design.interactions:
-        codes_a, labels_a = _factor_codes(dataset, var_a, design.binning)
-        codes_b, labels_b = _factor_codes(dataset, var_b, design.binning)
-        labels = [f"{la}*{lb}" for la in labels_a for lb in labels_b]
-        terms.append((f"{var_a}:{var_b}", codes_a * len(labels_b) + codes_b, labels))
-    blocks = [np.ones((dataset.n, 1))]
-    names = ["(Intercept)"]
-    used = {}
-    for name, codes, labels in terms:
-        ref = references.get(name)
+    used, dummies = {}, {}
+    for var in dict.fromkeys([*design.main_effects, *sum(design.interactions, ())]):
+        codes, labels = _factor_codes(dataset, var, design.binning)
+        ref = references.get(var)
         if ref is None:
             ref = int(np.argmax(np.bincount(codes, minlength=len(labels))))
+        used[var] = ref
         kept = np.delete(np.arange(len(labels)), ref)
-        blocks.append((codes[:, None] == kept).astype(float))
-        names.extend(f"{name}[{labels[lvl]}]" for lvl in kept)
-        used[name] = ref
+        dummies[var] = (codes[:, None] == kept).astype(float), [labels[k] for k in kept]
+    blocks, names = [np.ones((dataset.n, 1))], ["(Intercept)"]
+    for var in design.main_effects:
+        blocks.append(dummies[var][0])
+        names.extend(f"{var}[{label}]" for label in dummies[var][1])
+    for var_a, var_b in design.interactions:
+        (block_a, labels_a), (block_b, labels_b) = dummies[var_a], dummies[var_b]
+        blocks.append((block_a[:, :, None] * block_b[:, None, :]).reshape(dataset.n, -1))
+        names.extend(f"{var_a}:{var_b}[{la}*{lb}]" for la in labels_a for lb in labels_b)
     return np.hstack(blocks), names, used
 
 

@@ -7,13 +7,12 @@ predictions.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._rand import substream
-from .data import Dataset
+from .data import Dataset, write_rows
 
 PD_GRID_CAP = 100
 
@@ -37,27 +36,19 @@ class PdCurve:
             raise InterpretationError("one PD value per grid point required")
 
 
-def permutation_vip(
-    model, dataset: Dataset, seed: int = 0, repeats: int = 1
-) -> tuple[dict[str, float], dict[str, float]]:
+def permutation_vip(model, dataset: Dataset,
+                    seed: int = 0) -> tuple[dict[str, float], dict[str, float]]:
     """Sum of absolute prediction changes when one variable is permuted.
 
-    One permutation draw per variable per repeat; repeats > 1 averages
-    draws for variance reduction. Returns (vip, relative_vip); relative
-    values are normalized to sum 1 (all zero stays all zero).
+    One permutation draw per variable. Returns (vip, relative_vip);
+    relative values are normalized to sum 1 (all zero stays all zero).
     """
-    if repeats < 1:
-        raise InterpretationError("repeats must be >= 1")
     base = model.predict(dataset)
     vip = {}
     for variable in dataset.feature_names:
-        rng = substream(seed, "vip", variable)
-        total = 0.0
-        for _ in range(repeats):
-            perm = rng.permutation(dataset.n)
-            shuffled = dataset.with_column(variable, dataset.columns[variable][perm])
-            total += float(np.sum(np.abs(base - model.predict(shuffled))))
-        vip[variable] = total / repeats
+        perm = substream(seed, "vip", variable).permutation(dataset.n)
+        shuffled = dataset.with_column(variable, dataset.columns[variable][perm])
+        vip[variable] = float(np.sum(np.abs(base - model.predict(shuffled))))
     grand = sum(vip.values())
     relative = {v: (x / grand if grand > 0 else 0.0) for v, x in vip.items()}
     return vip, relative
@@ -122,18 +113,14 @@ def partial_dependence_2d(
 
 
 def write_vip_csv(vip: dict[str, float], relative: dict[str, float], model_id: str, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model_id", "variable", "vip", "relative_vip"])
-        for variable in sorted(vip, key=vip.get, reverse=True):
-            writer.writerow([model_id, variable, repr(vip[variable]), repr(relative[variable])])
+    rows = [(model_id, v, vip[v], relative[v]) for v in sorted(vip, key=vip.get, reverse=True)]
+    write_rows(path, ["model_id", "variable", "vip", "relative_vip"], rows)
 
 
 def write_pd_csv(curves: list[PdCurve], path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model_id", "variable", "grid", "label", "pd"])
-        for curve in curves:
-            labels = curve.labels or [""] * len(curve.grid)
-            for g, label, value in zip(curve.grid, labels, curve.values):
-                writer.writerow([curve.model_id, curve.variable, g, label, repr(float(value))])
+    rows = []
+    for curve in curves:
+        labels = curve.labels or [""] * len(curve.grid)
+        rows += [(curve.model_id, curve.variable, *point)
+                 for point in zip(curve.grid.tolist(), labels, curve.values.tolist())]
+    write_rows(path, ["model_id", "variable", "grid", "label", "pd"], rows)

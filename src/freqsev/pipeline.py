@@ -42,6 +42,8 @@ from .data import (
     one_hot,
     scaling_stats,
     stratified_folds,
+    write_json,
+    write_rows,
 )
 from .embedding import scale_encoder, select_dimension
 from .evaluation import get_family
@@ -67,7 +69,6 @@ class Preset:
     """Scale knobs: the desk preset shrinks grids and epoch caps for
     laptop-sized data, the paper preset keeps the full search."""
 
-    name: str
     grid_size: int
     repetitions: int
     net_max_epochs: int
@@ -81,7 +82,6 @@ class Preset:
 
 
 DESK = Preset(
-    name="desk",
     grid_size=4,
     repetitions=1,
     net_max_epochs=20,
@@ -95,7 +95,6 @@ DESK = Preset(
 )
 
 PAPER = Preset(
-    name="paper",
     grid_size=40,
     repetitions=3,
     net_max_epochs=nn.MAX_EPOCHS,
@@ -406,8 +405,7 @@ _KINDS = {cls.kind: cls for cls in (GlmModel, gbm_mod.BoostedModel, AveragedNetw
 
 def save_model(model, path) -> None:
     """Write `model`'s payload as one line of JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(model.to_dict()))
+    write_json(path, model.to_dict())
 
 
 def load_model(path):
@@ -432,10 +430,7 @@ def load_model(path):
 
 
 def _write_predictions(path, rows, predictions):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("row_index,prediction\n")
-        for r, p in zip(rows, predictions):
-            fh.write(f"{int(r)},{float(p)!r}\n")
+    write_rows(path, ["row_index", "prediction"], zip(rows.tolist(), predictions.tolist()))
 
 
 def _run_fold(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan, fold: int):
@@ -523,10 +518,9 @@ def run_pipeline(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan | None
         for name, pred in fold_predictions.items():
             predictions[name][fold_plan.test_rows(fold)] = pred
 
-    with open(os.path.join(config.outdir, "loss_table.csv"), "w", encoding="utf-8") as fh:
-        fh.write("model,fold,deviance\n")
-        for row in loss_rows:
-            fh.write(f"{row['model']},{row['fold']},{row['deviance']!r}\n")
+    header = ["model", "fold", "deviance"]
+    write_rows(os.path.join(config.outdir, "loss_table.csv"), header,
+               [tuple(row[key] for key in header) for row in loss_rows])
     for name in config.families:
         _write_predictions(
             os.path.join(config.outdir, f"oos_predictions_{name}.csv"),
@@ -543,8 +537,7 @@ def save_fold_plan(fold_plan: FoldPlan, path) -> None:
         "strat_key": fold_plan.strat_key.tolist(),
         "seed": fold_plan.seed,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    write_json(path, payload)
 
 
 def load_fold_plan(path) -> FoldPlan:

@@ -8,12 +8,11 @@ picks the tariff whose worst challenger Gini is smallest.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_rows
 
 
 class TariffError(ValueError):
@@ -180,31 +179,21 @@ def compare_tariffs(premiums: dict[str, np.ndarray], losses) -> TariffComparison
 
 
 def write_balance_csv(comparison: TariffComparison, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model_id", "balance_ratio"])
-        for m in comparison.models:
-            writer.writerow([m, repr(comparison.balance[m])])
+    rows = [(m, comparison.balance[m]) for m in comparison.models]
+    write_rows(path, ["model_id", "balance_ratio"], rows)
 
 
 def write_gini_csv(comparison: TariffComparison, path) -> None:
     """Gini matrix with a flag marking each row's maximum and the
     min-max selected row."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["benchmark", *comparison.models, "row_max", "selected"])
-        for i, a in enumerate(comparison.models):
-            row = [repr(float(comparison.gini[i, j])) for j in range(len(comparison.models))]
-            writer.writerow(
-                [a, *row, repr(float(comparison.row_maxima[i])), int(a == comparison.selected)]
-            )
+    rows = [(a, *gini, row_max, int(a == comparison.selected)) for a, gini, row_max in
+            zip(comparison.models, comparison.gini.tolist(), comparison.row_maxima.tolist())]
+    write_rows(path, ["benchmark", *comparison.models, "row_max", "selected"], rows)
 
 
 def write_lorenz_csv(comparison: TariffComparison, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model_id", "s", "lorenz"])
-        for m in comparison.models:
-            s, lc = comparison.lorenz[m]
-            for si, li in zip(s, lc):
-                writer.writerow([m, repr(float(si)), repr(float(li))])
+    rows = []
+    for m in comparison.models:
+        s, lc = comparison.lorenz[m]
+        rows += [(m, *point) for point in zip(s.tolist(), lc.tolist())]
+    write_rows(path, ["model_id", "s", "lorenz"], rows)

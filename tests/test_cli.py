@@ -51,9 +51,18 @@ def workspace(tmp_path_factory):
     return paths
 
 
+def assert_lines_end_in_lf(directory):
+    """Every CSV file under `directory` ends its lines with LF alone."""
+    written = sorted(Path(directory).rglob("*.csv"))
+    assert written
+    for path in written:
+        assert b"\r" not in path.read_bytes(), path
+
+
 def test_synth_and_ingest(workspace, tmp_path):
     for key in ("data", "schema", "claims"):
         assert os.path.exists(workspace[key])
+    assert_lines_end_in_lf(Path(workspace["data"]).parent)
     runner = CliRunner()
     out = tmp_path / "summary.json"
     r = runner.invoke(main, ["ingest", "--data", workspace["data"],
@@ -129,6 +138,7 @@ def test_interpret_outputs(workspace, tmp_path, trained, vip_total):
     region = [r for r in pd_rows if r["variable"] == "region"]
     assert [r["label"] for r in region] == ["north", "south", "east"]
     assert all(float(r["pd"]) > 0 for r in pd_rows)
+    assert_lines_end_in_lf(out)
 
 
 @pytest.mark.parametrize("trained", ["glm", "ffnn"])
@@ -231,6 +241,22 @@ def test_tariff_command(workspace, tmp_path):
     # identical premium vectors: every pairwise Gini is zero
     assert all(abs(float(r["glm"])) < 1e-12 and abs(float(r["copy"])) < 1e-12 for r in rows)
     assert os.path.exists(out / "balance.csv") and os.path.exists(out / "lorenz.csv")
+    assert_lines_end_in_lf(out)
+
+
+def test_data_errors_are_one_line_errors(workspace, tmp_path):
+    oos = os.path.join(workspace["train"], "oos_predictions_glm.csv")
+    r = CliRunner().invoke(main, ["tariff", "--premiums", f"glm,v2={oos}", "--premiums",
+                                  f"glm={oos}", "--losses", oos, "--out", str(tmp_path)])
+    assert r.exit_code == 1
+    assert r.output == (f"Error: {tmp_path / 'gini.csv'}: "
+                        "a cell holds a comma, a quote or a line break\n")
+    schema = tmp_path / "schema.txt"
+    schema.write_text(Path(workspace["schema"]).read_text() + "n:claim_count\n")
+    r = CliRunner().invoke(main, ["ingest", "--data", workspace["data"], "--schema", str(schema),
+                                  "--out", str(tmp_path / "summary.json")])
+    assert r.exit_code == 1
+    assert r.output == "Error: unknown column kind 'claim_count' for 'n'\n"
 
 
 def test_missing_artifact_names_producing_stage(workspace, tmp_path):

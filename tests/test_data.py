@@ -1,4 +1,8 @@
-"""Dataset construction, ingestion, preprocessing, folds, synthesis."""
+"""Dataset construction, ingestion, preprocessing, folds, synthesis and
+the file writers."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,9 @@ from freqsev.data import (
     stratified_folds,
     write_claims_csv,
     write_csv,
+    write_json,
+    write_rows,
+    write_schema,
 )
 
 from conftest import small_portfolio, toy_dataset
@@ -77,6 +84,57 @@ def test_schema_file_parsing(tmp_path):
     schema = load_schema(path)
     assert [c.name for c in schema] == ["age", "region", "exposure", "claims"]
     assert schema[1].levels == ("a", "b")
+    path.write_text("claims:response\nn:claim_count\n")
+    with pytest.raises(DataError, match="unknown column kind 'claim_count'"):
+        load_schema(path)
+
+
+def test_write_schema_round_trip(tmp_path):
+    path = tmp_path / "schema.txt"
+    for schema in (toy_dataset().schema, small_portfolio(n=10).dataset.schema):
+        write_schema(schema, path)
+        assert load_schema(path) == list(schema)
+    assert path.read_bytes() == (b"age:continuous\nregion:categorical:north,south,east\n"
+                                 b"exposure:exposure\nclaim_count:response\n")
+
+
+def test_write_rows_format(tmp_path):
+    path = tmp_path / "t.csv"
+    write_rows(path, ["a", "b", "c"], [("x", 1, 0.1), ("y", np.int64(2), np.float64(1e-5))])
+    assert path.read_bytes() == b"a,b,c\nx,1,0.1\ny,2,1e-05\n"
+    for bad in ("x,y", 'x"y', "x\ny", "x\ry"):
+        with pytest.raises(DataError, match="comma, a quote or a line break"):
+            write_rows(path, ["a", "b"], [(bad, 1.0)])
+    with pytest.raises(TypeError):
+        write_rows(path, ["a", "b"], [("x", 1.0), ("y",)])
+
+
+def test_write_json_layout(tmp_path):
+    path = tmp_path / "t.json"
+    write_json(path, {"a": [1, 0.1]})
+    assert path.read_bytes() == b'{"a": [1, 0.1]}'
+    write_json(path, {"a": [1, 0.1]}, indent=2)
+    assert path.read_bytes() == b'{\n  "a": [\n    1,\n    0.1\n  ]\n}'
+
+
+def test_only_data_writes_csv_and_json():
+    """Every CSV and JSON file goes through `data.write_rows` and
+    `data.write_json`: no other module calls csv.writer or json.dump(s)."""
+    src = Path(__file__).resolve().parents[1] / "src" / "freqsev"
+    writers = {("csv", "writer"), ("json", "dump"), ("json", "dumps")}
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "data.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                used = {(node.value.id, node.attr)}
+            elif isinstance(node, ast.ImportFrom):
+                used = {(node.module, alias.name) for alias in node.names}
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {'.'.join(u)}" for u in used & writers]
+    assert offenders == []
 
 
 def test_normalization_hand_example():

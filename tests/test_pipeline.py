@@ -105,7 +105,7 @@ def test_every_written_model_reloads_bit_identically(tmp_path, monkeypatch):
     """load_model on each fold's model.json predicts exactly what the
     fitted model predicted, keeps the fields no prediction reads (the
     scaling stats' fold, the GLM log-likelihood) and saves the same bytes
-    again."""
+    again. Every CSV file of the run ends its lines with LF alone."""
     monkeypatch.setitem(pipeline.PRESETS, "desk", FAST)
     portfolio = small_portfolio(n=1200, seed=5, freq_intercept=-0.5)
     sev = severity_view(portfolio.dataset, portfolio.claims)
@@ -118,6 +118,9 @@ def test_every_written_model_reloads_bit_identically(tmp_path, monkeypatch):
                                     response_family=family)
         plan = stratified_folds(ds, seed=0)
         result = pipeline.run_pipeline(config, ds, plan)
+        written = sorted(outdir.rglob("*.csv"))
+        assert len(written) == (plan.k_outer + 1) * len(families) + 1
+        assert not [path for path in written if b"\r" in path.read_bytes()]
         for fold in range(plan.k_outer):
             held_out = ds.subset(plan.test_rows(fold))
             for name in families:

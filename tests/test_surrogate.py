@@ -191,7 +191,7 @@ def test_value_at_a_cut_falls_in_the_segment_whose_label_ends_there():
     assert {levels[c] for c in recoded.columns["power"][column == 129.0]} == {"(-inf,129]"}
 
 
-def _distillation_case(n=5000, seed=0):
+def _distillation_case(n=5000, seed=0, joint=0.0):
     spec = PortfolioSpec(
         n=n,
         continuous={"age": (18.0, 80.0)},
@@ -207,11 +207,27 @@ def _distillation_case(n=5000, seed=0):
     ds = ds.with_column("age", age)
     rng = np.random.default_rng(seed + 1)
     bump = np.where(age <= 40.0, 0.0, np.where(age <= 60.0, 0.8, 1.6))
-    rate = p.true_rate * np.exp(bump)
+    rate = p.true_rate * np.exp(bump + joint * _older_south(ds))
     ds = ds.with_column("claim_count", rng.poisson(ds.exposure * rate).astype(float))
     design = Design(("age", "region"), binning={"age": BinningRule("age", (40.0, 60.0))})
     black_box = fit_glm(ds, design, "poisson_log")
+    if joint:
+        black_box = _JointEffect(black_box, joint)
     return ds, black_box
+
+
+def _older_south(dataset):
+    return (dataset.columns["age"] > 50.0) & (dataset.columns["region"] == 1)
+
+
+class _JointEffect:
+    """`base` times e^joint on the rows over 50 in the south."""
+
+    def __init__(self, base, joint):
+        self.base, self.joint = base, joint
+
+    def predict(self, dataset):
+        return self.base.predict(dataset) * np.exp(self.joint * _older_south(dataset))
 
 
 def test_self_distillation_recovers_black_box():
@@ -220,6 +236,16 @@ def test_self_distillation_recovers_black_box():
     assert set(surrogate.report["selected"]["mains"]) == {"age", "region"}
     ratio = surrogate.predict(ds) / black_box.predict(ds)
     assert np.max(np.abs(ratio - 1.0)) < 0.01
+
+
+def test_surrogate_selects_an_interaction_the_black_box_has():
+    ds, black_box = _distillation_case(n=2000, seed=6, joint=0.8)
+    report = build_surrogate(black_box, ds, "poisson_log").report
+    assert set(report["selected"]["mains"]) == {"age", "region"}
+    assert report["selected"]["interactions"] == [["age", "region"]]
+    pair = [c for c in report["candidates"] if c.get("interactions")]
+    assert len(pair) == 1 and np.isfinite(pair[0]["bic"])
+    assert pair[0]["bic"] == report["selected"]["bic"]
 
 
 def test_flat_model_gives_intercept_only(portfolio):
