@@ -57,18 +57,18 @@ def _load_data(data, schema, claims=None, family="poisson_log"):
 
 
 def _read_predictions(path, stage="train"):
+    """The row indices and predictions of a `row_index,prediction` file."""
     _require(path, stage)
     rows, preds = [], []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        if len(next(reader, ())) < 2:
+            raise click.ClickException(
+                f"{path}: a prediction file needs a row index and a prediction column"
+            )
         for line in reader:
-            if len(header) >= 2:
-                rows.append(int(line[0]))
-                preds.append(float(line[1]))
-            else:
-                rows.append(len(preds))
-                preds.append(float(line[0]))
+            rows.append(int(line[0]))
+            preds.append(float(line[1]))
     return np.asarray(rows), np.asarray(preds)
 
 

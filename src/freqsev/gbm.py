@@ -9,8 +9,10 @@ most MAX_BINS quantile bins; with at most MAX_BINS distinct values the
 cuts are the midpoints an exact search would try. Trees grow level by
 level from histograms of bag count and gradient per node and bin.
 Categorical splits order levels by the mean gradient inside the node and
-route levels absent from the node to the majority child. A tree is flat
-arrays over its nodes. Prediction walks each distinct binned row once,
+route levels absent from the node to the majority child. A model keeps
+its trees as one `Forest`: flat node arrays joined once, when it is fitted
+or loaded, with each tree's root offset, so a prefix of the trees is a
+prefix of the roots. Prediction walks each distinct binned row once,
 moving blocks of trees' (tree, row) pairs down a level at a time, and
 adds leaf values tree after tree: each row gets a per-tree walk's sums.
 
@@ -27,7 +29,7 @@ so the grid is the same in forked workers as in process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -42,6 +44,9 @@ SHRINKAGE = 0.01
 BAGGING_FRACTION = 0.75
 MIN_NODE_SHARE = 0.0075
 MAX_BINS = 255
+# A strided cumulative sum over a block of trees beats a loop over them up
+# to about this many rows; both add each row's values in the same order.
+_CUMSUM_ROWS = 32
 
 PAPER_TREE_GRID = (100, 300, 500, 1000, 1500, 2000, 2500, 3000, 3500, 4000, 4500, 5000)
 PAPER_DEPTH_GRID = tuple(range(1, 11))
@@ -61,6 +66,49 @@ class Tree(NamedTuple):
     left: np.ndarray  # (nodes, width) bool: does this bin or level go left
     child: np.ndarray  # left child, the right one follows; a leaf is its own left child
     value: np.ndarray  # log-scale leaf value, 0 at split nodes
+
+
+@dataclass(frozen=True, eq=False)
+class Forest:
+    """Trees joined into one set of node arrays. Tree i holds nodes
+    `bounds[i]` (its root) to `bounds[i + 1]`, and `right` is each node's
+    right child in forest numbering, a leaf's own index + 1.
+
+    A sequence of `Tree`s with local child indices: an index gives one, a
+    slice of consecutive trees is a forest over the same arrays."""
+
+    feature: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    bounds: np.ndarray
+
+    @classmethod
+    def join(cls, trees) -> "Forest":
+        """One forest of `(feature, left, child, value)` trees, in order."""
+        trees = list(trees)
+        sizes = np.array([len(t[0]) for t in trees], dtype=np.intp)
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        if not trees:
+            return cls(bounds[:0], np.ones((0, 0), dtype=bool), bounds[:0], np.zeros(0), bounds)
+        feature, left, child, value = (np.concatenate(part) for part in zip(*trees))
+        return cls(feature, left, child + np.repeat(bounds[:-1] + 1, sizes), value, bounds)
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            start, stop, step = i.indices(len(self))
+            if step != 1:
+                return Forest.join(map(self.__getitem__, range(start, stop, step)))
+            return replace(self, bounds=self.bounds[start : max(start, stop) + 1])
+        i = range(len(self))[i]  # from the end when negative; IndexError when out of range
+        a, b = self.bounds[i], self.bounds[i + 1]
+        return Tree(self.feature[a:b], self.left[a:b], self.right[a:b] - (a + 1), self.value[a:b])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 def _cuts(x: np.ndarray) -> np.ndarray:
@@ -212,14 +260,17 @@ def _grow(codes, keys, layout, grad, count, depths, min_count):
 
 @dataclass
 class BoostedModel:
-    """Stagewise additive model on the log scale: exp(F0 + shrinkage * sum(trees))."""
+    """Stagewise additive model on the log scale: exp(F0 + shrinkage * sum(trees)).
+
+    `trees` is one `Forest`, joined once when the model is fitted or
+    loaded; any sequence of `Tree`s assigned to it is joined into one."""
 
     kind = "gbm"  # the tag `to_dict` writes and `pipeline.load_model` reads
 
     family: str
     f0: float
     shrinkage: float
-    trees: list[Tree] = field(default_factory=list)
+    trees: Forest = field(default_factory=list)
     n_trees: int = 0
     depth: int = 0
     seed: int = 0
@@ -227,6 +278,11 @@ class BoostedModel:
     features: list[str] = field(default_factory=list)
     cuts: dict[str, np.ndarray] = field(default_factory=dict)  # continuous features only
     tuned: dict | None = None
+
+    def __setattr__(self, name, value):
+        if name == "trees" and not isinstance(value, Forest):
+            value = Forest.join(value)
+        super().__setattr__(name, value)
 
     def _codes(self, dataset: Dataset) -> np.ndarray:
         """Feature-major (features, rows) matrix: the bin of each continuous
@@ -240,41 +296,53 @@ class BoostedModel:
         return np.stack(columns).astype(np.intp, copy=False)
 
     def _distinct(self, dataset: Dataset):
-        """The code matrix of the distinct binned rows, and each row's index
-        among them."""
+        """The code matrix of the distinct binned rows, in lexicographic
+        order, and each row's index among them."""
         codes = self._codes(dataset)
-        key = np.zeros(dataset.n, dtype=np.int64)
-        for column in codes:  # dense after each feature, so the key cannot overflow
-            key = key * (column.max(initial=0) + 1) + column
-            _, first, key = np.unique(key, return_index=True, return_inverse=True)
+        key, bound = np.zeros(dataset.n, dtype=np.int64), 1
+        for column in codes:  # a mixed-radix key, made dense only where it could overflow
+            radix = int(column.max(initial=0)) + 1
+            if bound * radix > 2**62:
+                values, key = np.unique(key, return_inverse=True)
+                bound = len(values)
+            key = key * radix + column
+            bound *= radix
+        _, first, key = np.unique(key, return_index=True, return_inverse=True)
         return codes[:, first], key
 
-    def _add_trees(self, scores: np.ndarray, codes: np.ndarray, trees, n_rows: int) -> None:
+    def _add_trees(self, scores: np.ndarray, codes: np.ndarray, trees: Forest,
+                   n_rows: int) -> None:
         """Add each tree's shrunken output to the log scores of the rows of
-        `codes`, in place and in tree order. The trees' node arrays are
-        joined once; trees are walked in blocks of at most `n_rows`
-        (tree, row) pairs."""
+        `codes`, in place and in tree order. The forest's trees are walked
+        in blocks of at most `n_rows` (tree, row) pairs, tree-major; each
+        row adds its block's values one after another, by a cumulative sum
+        over the block for at most `_CUMSUM_ROWS` rows, a loop over its
+        trees otherwise."""
         if not trees:
             return
         u = len(scores)
         block = max(1, n_rows // max(1, u))
         rows = np.tile(np.arange(u), min(block, len(trees)))
-        sizes = np.array([len(t.feature) for t in trees], dtype=np.intp)
-        root = np.cumsum(sizes) - sizes  # of each tree in the joined node arrays
-        feature = np.concatenate([t.feature for t in trees])
-        left = np.concatenate([t.left for t in trees])
-        right = np.concatenate([t.child for t in trees]) + np.repeat(root + 1, sizes)
-        offset = np.maximum(feature, 0) * u
-        value = self.shrinkage * np.concatenate([t.value for t in trees])
+        root = trees.bounds[:-1]
+        offset = np.maximum(trees.feature, 0) * u
+        value = self.shrinkage * trees.value
         for start in range(0, len(trees), block):
             roots = root[start : start + block]
             node = np.repeat(roots, u)
             for _ in range(self.depth):
-                node = _descend(node, rows[: len(node)], offset, right, left, codes)
-            for increment in value.take(node).reshape(len(roots), u):
-                scores += increment
+                node = _descend(node, rows[: len(node)], offset, trees.right, trees.left, codes)
+            increments = value.take(node).reshape(len(roots), u)
+            if u <= _CUMSUM_ROWS:
+                scores[:] = np.cumsum(np.vstack((scores, increments)), axis=0)[-1]
+            else:
+                for increment in increments:
+                    scores += increment
 
     def log_scores(self, dataset: Dataset, n_trees: int | None = None) -> np.ndarray:
+        """F0 plus the shrunken outputs of the first `n_trees` trees (all
+        when None) on each row of `dataset`."""
+        if n_trees is not None and n_trees < 0:
+            raise GbmError(f"n_trees must be >= 0, got {n_trees}")
         codes, inverse = self._distinct(dataset)
         scores = np.full(codes.shape[1], self.f0)
         self._add_trees(scores, codes, self.trees[:n_trees], dataset.n)

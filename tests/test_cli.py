@@ -117,6 +117,23 @@ def test_evaluate_one_row_is_a_usage_error(workspace, tmp_path):
     assert "at least 2 observations" in r.output
 
 
+
+def test_one_column_prediction_file_is_a_one_line_error(workspace, tmp_path):
+    """A file without row indices cannot say which rows it predicts."""
+    oos = os.path.join(workspace["train"], "oos_predictions_glm.csv")
+    pred = tmp_path / "one_column.csv"
+    pred.write_text("prediction\n0.1\n0.2\n")
+    message = f"Error: {pred}: a prediction file needs a row index and a prediction column\n"
+    r = CliRunner().invoke(main, ["evaluate", "--data", workspace["data"],
+                                  "--schema", workspace["schema"], "--pred-a", oos,
+                                  "--pred-b", str(pred), "--out", str(tmp_path / "dm.json")])
+    assert r.exit_code == 1
+    assert r.output == message
+    r = CliRunner().invoke(main, ["tariff", "--premiums", f"glm={pred}", "--losses", oos,
+                                  "--out", str(tmp_path / "tariff")])
+    assert r.exit_code == 1
+    assert r.output == message
+
 # The desk ffnn of fold 0 keeps its start weights here (early stopping found
 # no better epoch on these 800 rows), so it predicts a constant and every
 # importance is 0; a glm's relative importances sum to 1.

@@ -9,7 +9,9 @@ import pytest
 from freqsev import _workers, gbm
 from freqsev.data import ColumnSchema, Dataset, severity_view, stratified_folds
 from freqsev.evaluation import get_family, poisson_deviance
-from freqsev.gbm import MAX_BINS, BoostedModel, GbmError, fit_gbm, tune_gbm
+from freqsev.gbm import (
+    MAX_BINS, SHRINKAGE, BoostedModel, Forest, GbmError, Tree, fit_gbm, tune_gbm
+)
 
 from conftest import small_portfolio
 
@@ -435,6 +437,86 @@ def test_log_scores_match_per_tree_reference(depth):
             )
     assert model.log_scores(frames["no rows"]).shape == (0,)
 
+
+
+def test_truncated_trees_predict_as_a_prefix():
+    """Assigning a slice or a list of trees re-joins the forest: predictions
+    follow the new trees, never arrays joined for the old ones."""
+    p = small_portfolio(n=1200, seed=15)
+    model = fit_gbm(p.dataset, "poisson_log", n_trees=30, depth=3, seed=0, shrinkage=0.1)
+    expected = {k: model.log_scores(p.dataset, k) for k in (12, 5)}
+    trees = list(model.trees)
+    model.trees = model.trees[:12]
+    assert len(model.trees) == 12
+    np.testing.assert_array_equal(model.log_scores(p.dataset), expected[12])
+    np.testing.assert_array_equal(model.log_scores(p.dataset), _reference_log_scores(model, p.dataset))
+    model.trees = trees[:5]  # a list of `Tree`s is joined into one forest
+    assert isinstance(model.trees, Forest) and len(model.trees) == 5
+    np.testing.assert_array_equal(model.log_scores(p.dataset), expected[5])
+    np.testing.assert_array_equal(model.log_scores(p.dataset), _reference_log_scores(model, p.dataset))
+    assert len(BoostedModel.from_dict(model.to_dict()).trees) == 5
+
+
+def test_forest_indexes_and_slices_as_trees():
+    p = small_portfolio(n=800, seed=16)
+    model = fit_gbm(p.dataset, "poisson_log", n_trees=9, depth=2, seed=0)
+    forest = model.trees
+    trees = list(forest)
+    assert len(trees) == 9 and all(isinstance(t, Tree) for t in trees)
+    for a, b in zip(trees[::-4], forest[::-4]):
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
+    for x, y in zip(forest[-1], trees[8]):
+        np.testing.assert_array_equal(x, y)
+    assert forest[2:5].feature is forest.feature  # a run of trees shares the arrays
+    assert [len(t.feature) for t in forest[2:5]] == [len(t.feature) for t in trees[2:5]]
+    assert len(forest[5:2]) == 0 and len(forest[:0]) == 0
+    with pytest.raises(IndexError):
+        forest[9]
+    joined = Forest.join(trees)
+    for name in ("feature", "left", "right", "value", "bounds"):
+        np.testing.assert_array_equal(getattr(joined, name), getattr(forest, name))
+
+
+def test_negative_tree_count_is_rejected():
+    p = small_portfolio(n=600, seed=17)
+    model = fit_gbm(p.dataset, "poisson_log", n_trees=20, depth=2, seed=0)
+    for n_trees in (-1, -25):
+        with pytest.raises(GbmError, match="n_trees"):
+            model.log_scores(p.dataset, n_trees)
+        with pytest.raises(GbmError, match="n_trees"):
+            model.predict(p.dataset, n_trees)
+    np.testing.assert_array_equal(model.log_scores(p.dataset, 0), np.full(p.dataset.n, model.f0))
+
+
+def test_distinct_rows_of_a_key_that_would_overflow():
+    """Ten continuous features of 255 bins each: the mixed-radix key passes
+    2**62, so it is made dense on the way. The distinct rows, their order
+    and each row's index equal those of densifying after every feature."""
+    names = tuple(f"x{j}" for j in range(10))
+    schema = tuple(ColumnSchema(name, "continuous") for name in names) + (
+        ColumnSchema("exposure", "exposure"),
+        ColumnSchema("claims", "response"),
+    )
+    rng = np.random.default_rng(18)
+    prototypes = rng.integers(0, MAX_BINS, size=(400, len(names)))
+    prototypes[0] = MAX_BINS - 1  # every feature reaches its last bin
+    values = prototypes[rng.integers(0, len(prototypes), 3000)].astype(float)
+    columns = {name: values[:, j] for j, name in enumerate(names)}
+    columns.update(exposure=np.ones(len(values)), claims=np.zeros(len(values)))
+    frame = Dataset(schema, columns)
+    cuts = {name: np.arange(MAX_BINS - 1) + 0.5 for name in names}
+    model = BoostedModel("poisson_log", 0.0, SHRINKAGE, features=list(names), cuts=cuts)
+    codes = model._codes(frame)
+    assert np.prod([float(c.max()) + 1 for c in codes]) > 2.0**62
+    key = np.zeros(frame.n, dtype=np.int64)
+    for column in codes:
+        key = key * (column.max() + 1) + column
+        _, first, key = np.unique(key, return_index=True, return_inverse=True)
+    distinct, inverse = model._distinct(frame)
+    np.testing.assert_array_equal(distinct, codes[:, first])
+    np.testing.assert_array_equal(inverse, key)
+    np.testing.assert_array_equal(distinct.T, np.unique(values, axis=0))
 
 def test_prediction_memory_is_linear_in_rows():
     """200,000 rows whose binned rows are all distinct: the walk stays
