@@ -446,14 +446,12 @@ def test_truncated_trees_predict_as_a_prefix():
     model = fit_gbm(p.dataset, "poisson_log", n_trees=30, depth=3, seed=0, shrinkage=0.1)
     expected = {k: model.log_scores(p.dataset, k) for k in (12, 5)}
     trees = list(model.trees)
-    model.trees = model.trees[:12]
-    assert len(model.trees) == 12
-    np.testing.assert_array_equal(model.log_scores(p.dataset), expected[12])
-    np.testing.assert_array_equal(model.log_scores(p.dataset), _reference_log_scores(model, p.dataset))
-    model.trees = trees[:5]  # a list of `Tree`s is joined into one forest
-    assert isinstance(model.trees, Forest) and len(model.trees) == 5
-    np.testing.assert_array_equal(model.log_scores(p.dataset), expected[5])
-    np.testing.assert_array_equal(model.log_scores(p.dataset), _reference_log_scores(model, p.dataset))
+    for k, truncated in ((12, model.trees[:12]), (5, trees[:5])):  # a list is joined
+        model.trees = truncated
+        assert isinstance(model.trees, Forest) and len(model.trees) == k
+        scores = model.log_scores(p.dataset)
+        np.testing.assert_array_equal(scores, expected[k])
+        np.testing.assert_array_equal(scores, _reference_log_scores(model, p.dataset))
     assert len(BoostedModel.from_dict(model.to_dict()).trees) == 5
 
 
