@@ -73,13 +73,13 @@ def _read_predictions(path, stage="train"):
 
 
 class _Group(click.Group):
-    """Reports a data, pipeline or evaluation error as a one-line
+    """Reports a data, pipeline, evaluation or tariff error as a one-line
     `Error:`, exit code 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (DataError, PipelineError, EvaluationError) as exc:
+        except (DataError, PipelineError, EvaluationError, tariff_mod.TariffError) as exc:
             raise click.ClickException(str(exc)) from exc
 
 

@@ -12,9 +12,12 @@ Categorical splits order levels by the mean gradient inside the node and
 route levels absent from the node to the majority child. A model keeps
 its trees as one `Forest`: flat node arrays joined once, when it is fitted
 or loaded, with each tree's root offset, so a prefix of the trees is a
-prefix of the roots. Prediction walks each distinct binned row once,
-moving blocks of trees' (tree, row) pairs down a level at a time, and
-adds leaf values tree after tree: each row gets a per-tree walk's sums.
+prefix of the roots. Prediction finds the distinct binned rows, by
+counting their keys when the key range is small and by sorting them
+otherwise, and walks each once. It moves blocks of (tree, row) pairs down
+a level at a time, at least 2**16 pairs or one per row of the frame, so a
+small frame walks a few blocks and memory stays linear in rows. Each row
+adds its leaf values tree after tree: it gets a per-tree walk's sums.
 
 Tuning grows, in each inner fold, one model per depth of the grid as one
 forest: the models share the cuts and each round's bag, and each level is
@@ -29,6 +32,7 @@ so the grid is the same in forked workers as in process.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import NamedTuple
@@ -47,6 +51,9 @@ MAX_BINS = 255
 # A strided cumulative sum over a block of trees beats a loop over them up
 # to about this many rows; both add each row's values in the same order.
 _CUMSUM_ROWS = 32
+# Prediction's scratch arrays may hold this many elements however few rows
+# a frame has; past it they grow with the rows, so memory stays linear.
+_SCRATCH = 2**16
 
 PAPER_TREE_GRID = (100, 300, 500, 1000, 1500, 2000, 2500, 3000, 3500, 4000, 4500, 5000)
 PAPER_DEPTH_GRID = tuple(range(1, 11))
@@ -297,31 +304,46 @@ class BoostedModel:
 
     def _distinct(self, dataset: Dataset):
         """The code matrix of the distinct binned rows, in lexicographic
-        order, and each row's index among them."""
+        order, and each row's index among them.
+
+        Each row's mixed-radix key orders the rows lexicographically. When
+        the keys span at most `_SCRATCH` values or one per row, the distinct
+        keys are found by counting and each one's codes decoded from it;
+        otherwise by `np.unique`, with the key made dense on the way
+        wherever it could overflow."""
         codes = self._codes(dataset)
+        radices = [int(column.max(initial=0)) + 1 for column in codes]
+        counted = math.prod(radices) <= max(dataset.n, _SCRATCH)
         key, bound = np.zeros(dataset.n, dtype=np.int64), 1
-        for column in codes:  # a mixed-radix key, made dense only where it could overflow
-            radix = int(column.max(initial=0)) + 1
+        for column, radix in zip(codes, radices):
             if bound * radix > 2**62:
                 values, key = np.unique(key, return_inverse=True)
                 bound = len(values)
             key = key * radix + column
             bound *= radix
-        _, first, key = np.unique(key, return_index=True, return_inverse=True)
-        return codes[:, first], key
+        if not counted:
+            _, first, key = np.unique(key, return_index=True, return_inverse=True)
+            return codes[:, first], key
+        present = np.bincount(key, minlength=bound) > 0
+        inverse = (np.cumsum(present) - 1).take(key)
+        key = np.flatnonzero(present)
+        distinct = np.empty((len(codes), len(key)), dtype=np.intp)
+        for j in reversed(range(len(codes))):
+            key, distinct[j] = np.divmod(key, radices[j])
+        return distinct, inverse
 
     def _add_trees(self, scores: np.ndarray, codes: np.ndarray, trees: Forest,
                    n_rows: int) -> None:
         """Add each tree's shrunken output to the log scores of the rows of
         `codes`, in place and in tree order. The forest's trees are walked
-        in blocks of at most `n_rows` (tree, row) pairs, tree-major; each
-        row adds its block's values one after another, by a cumulative sum
-        over the block for at most `_CUMSUM_ROWS` rows, a loop over its
-        trees otherwise."""
+        in blocks of at most `max(n_rows, _SCRATCH)` (tree, row) pairs, and
+        at least one tree, tree-major; each row adds its block's values one
+        after another, by a cumulative sum over the block for at most
+        `_CUMSUM_ROWS` rows, a loop over its trees otherwise."""
         if not trees:
             return
         u = len(scores)
-        block = max(1, n_rows // max(1, u))
+        block = max(1, max(n_rows, _SCRATCH) // max(1, u))
         rows = np.tile(np.arange(u), min(block, len(trees)))
         root = trees.bounds[:-1]
         offset = np.maximum(trees.feature, 0) * u

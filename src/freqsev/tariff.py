@@ -4,6 +4,11 @@ Premiums are frequency times severity predictions. Comparison works
 through risk scores (ECDF of premiums), Lorenz curves, relativities and
 ordered Lorenz curves, a pairwise Gini matrix, and the min-max rule that
 picks the tariff whose worst challenger Gini is smallest.
+
+Premiums, scores and losses must be finite; each function raises
+`TariffError` on a NaN or infinite value. Rows are ordered by numpy's
+default sort, with tied values put back in row order, which for finite
+values is the order of a stable sort.
 """
 
 from __future__ import annotations
@@ -19,11 +24,37 @@ class TariffError(ValueError):
     pass
 
 
+def _finite(values, what: str) -> np.ndarray:
+    x = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise TariffError(f"{what} must be finite")
+    return x
+
+
+def _stable_order(values: np.ndarray) -> np.ndarray:
+    """`np.argsort(values, kind="stable")` for finite `values`: numpy's
+    default sort, then tied values back in row order by sorting the
+    distinct keys `block * n + row`, where `block` numbers the runs of
+    equal sorted values."""
+    order = np.argsort(values)
+    ranked = values[order]
+    n = len(values)
+    key = order.copy()
+    key[1:] += np.cumsum(ranked[1:] != ranked[:-1]) * n
+    key.sort()
+    return key % max(n, 1)
+
+
+def _last_of_block(ranked: np.ndarray) -> np.ndarray:
+    """Whether each sorted value is the last of its run of equal values."""
+    return np.append(ranked[1:] != ranked[:-1], True)
+
+
 def technical_premium(freq_model, sev_model, dataset: Dataset) -> np.ndarray:
     """Per-row expected claim count times expected severity (per unit
     exposure; multiply by exposure for a policy-period premium)."""
-    freq = np.asarray(freq_model.predict(dataset), dtype=float)
-    sev = np.asarray(sev_model.predict(dataset), dtype=float)
+    freq = _finite(freq_model.predict(dataset), "premium components")
+    sev = _finite(sev_model.predict(dataset), "premium components")
     if np.any(freq <= 0) or np.any(sev <= 0):
         raise TariffError("premium components must be strictly positive")
     return freq * sev
@@ -31,8 +62,8 @@ def technical_premium(freq_model, sev_model, dataset: Dataset) -> np.ndarray:
 
 def balance_ratio(premiums, observed_losses) -> float:
     """Total predicted over total observed losses."""
-    premiums = np.asarray(premiums, dtype=float)
-    losses = np.asarray(observed_losses, dtype=float)
+    premiums = _finite(premiums, "premiums")
+    losses = _finite(observed_losses, "losses")
     if len(premiums) != len(losses):
         raise TariffError("premiums and losses must cover the same rows")
     total = losses.sum()
@@ -44,35 +75,40 @@ def balance_ratio(premiums, observed_losses) -> float:
 def risk_scores(premiums) -> np.ndarray:
     """Empirical CDF of the premiums evaluated at each premium
     (right-continuous; tied premiums share the upper value)."""
-    p = np.asarray(premiums, dtype=float)
+    p = _finite(premiums, "premiums")
     if len(p) == 0:
         raise TariffError("no premiums given")
-    return np.searchsorted(np.sort(p), p, side="right") / len(p)
+    order = np.argsort(p)  # tied rows get one value, so their order does not matter
+    end = np.flatnonzero(_last_of_block(p[order])) + 1  # rows at or below each block
+    scores = np.empty(len(p))
+    scores[order] = np.repeat(end, np.diff(end, prepend=0)) / len(p)
+    return scores
 
 
 def lorenz_curve(scores, losses, s_grid=None) -> tuple[np.ndarray, np.ndarray]:
     """Share of losses on policies with risk score <= s, over the grid
     (default: 0 plus the distinct observed scores)."""
-    r = np.asarray(scores, dtype=float)
-    losses = np.asarray(losses, dtype=float)
+    r = _finite(scores, "scores")
+    losses = _finite(losses, "losses")
     if np.any(losses < 0):
         raise TariffError("losses must be non-negative")
     total = losses.sum()
     if total <= 0:
         raise TariffError("losses sum must be positive")
+    order = _stable_order(r)
+    ranked = r[order]
     if s_grid is None:
-        s_grid = np.concatenate([[0.0], np.unique(r)])
+        s_grid = np.concatenate([[0.0], ranked[_last_of_block(ranked)]])
     s = np.asarray(s_grid, dtype=float)
-    order = np.argsort(r, kind="stable")
     cum = np.concatenate([[0.0], np.cumsum(losses[order])]) / total
-    idx = np.searchsorted(r[order], s, side="right")
+    idx = np.searchsorted(ranked, s, side="right")
     return s, cum[idx]
 
 
 def relativities(premiums_a, premiums_b) -> np.ndarray:
     """Per-row premium ratio of model B over model A."""
-    a = np.asarray(premiums_a, dtype=float)
-    b = np.asarray(premiums_b, dtype=float)
+    a = _finite(premiums_a, "premiums")
+    b = _finite(premiums_b, "premiums")
     if np.any(a <= 0):
         raise TariffError("reference premiums must be strictly positive")
     return b / a
@@ -86,20 +122,19 @@ def ordered_lorenz(premiums_a, premiums_b, losses) -> tuple[np.ndarray, np.ndarr
     per distinct relativity), which makes the B = A comparison land
     exactly on the diagonal.
     """
-    a = np.asarray(premiums_a, dtype=float)
-    losses = np.asarray(losses, dtype=float)
     rel = relativities(premiums_a, premiums_b)
+    a = np.asarray(premiums_a, dtype=float)
+    losses = _finite(losses, "losses")
     if np.any(losses < 0):
         raise TariffError("losses must be non-negative")
     if a.sum() <= 0 or losses.sum() <= 0:
         raise TariffError("premium and loss totals must be positive")
-    order = np.argsort(rel, kind="stable")
-    rel_sorted = rel[order]
+    order = _stable_order(rel)
     prem_cum = np.cumsum(a[order])
     prem_cum /= prem_cum[-1]  # normalize by the running total so the curve ends at 1 exactly
     loss_cum = np.cumsum(losses[order])
     loss_cum /= loss_cum[-1]
-    last_of_block = np.concatenate([rel_sorted[1:] != rel_sorted[:-1], [True]])
+    last_of_block = _last_of_block(rel[order])
     x = np.concatenate([[0.0], prem_cum[last_of_block]])
     y = np.concatenate([[0.0], loss_cum[last_of_block]])
     return x, y

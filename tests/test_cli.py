@@ -261,6 +261,18 @@ def test_tariff_command(workspace, tmp_path):
     assert_lines_end_in_lf(out)
 
 
+def test_non_finite_premium_file_is_a_one_line_error(workspace, tmp_path):
+    oos = os.path.join(workspace["train"], "oos_predictions_glm.csv")
+    pred = tmp_path / "nan.csv"
+    pred.write_text("row_index,prediction\n0,0.1\n1,nan\n")
+    losses = tmp_path / "losses.csv"
+    losses.write_text("row_index,loss\n0,1.0\n1,2.0\n")
+    r = CliRunner().invoke(main, ["tariff", "--premiums", f"glm={pred}", "--losses",
+                                  str(losses), "--out", str(tmp_path / "tariff")])
+    assert r.exit_code == 1
+    assert r.output == "Error: premiums must be finite\n"
+
+
 def test_data_errors_are_one_line_errors(workspace, tmp_path):
     oos = os.path.join(workspace["train"], "oos_predictions_glm.csv")
     r = CliRunner().invoke(main, ["tariff", "--premiums", f"glm,v2={oos}", "--premiums",

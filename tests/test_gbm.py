@@ -405,10 +405,37 @@ def _reference_log_scores(model, dataset, n_trees=None):
     return scores
 
 
+def _uniform_model(n_trees, depth):
+    """A model on three uniform continuous features, each cut into
+    MAX_BINS bins, and a function from a (rows, 3) code matrix to a frame
+    whose rows fall in those bins."""
+    rng = np.random.default_rng(14)
+    names = ("x1", "x2", "x3")
+    schema = tuple(ColumnSchema(name, "continuous") for name in names) + (
+        ColumnSchema("exposure", "exposure"),
+        ColumnSchema("claims", "response"),
+    )
+    m = 2000
+    train = {name: rng.uniform(0.0, 1.0, m) for name in names}
+    train.update(exposure=np.ones(m), claims=rng.poisson(0.3, m).astype(float))
+    model = fit_gbm(Dataset(schema, train), "poisson_log", n_trees=n_trees, depth=depth, seed=0)
+    assert all(len(model.cuts[name]) == MAX_BINS - 1 for name in names)
+
+    def frame(codes):
+        columns = {name: np.append(model.cuts[name], model.cuts[name][-1] + 1.0)[code]
+                   for name, code in zip(names, codes.T)}
+        columns.update(exposure=np.ones(len(codes)), claims=np.zeros(len(codes)))
+        return Dataset(schema, columns)
+
+    return model, frame
+
+
 @pytest.mark.parametrize("depth", [1, 3, 5])
-def test_log_scores_match_per_tree_reference(depth):
+def test_log_scores_match_per_tree_reference(depth, monkeypatch):
     """Walking each distinct binned row once, trees in blocks, ends on the
-    same bits as walking every row through every tree."""
+    same bits as walking every row through every tree: in one block, in
+    several blocks of several trees, in one-tree blocks and, for a few
+    distinct rows, by a cumulative sum over each block."""
     p = small_portfolio(n=1500, seed=13)
     train = p.dataset.subset(np.flatnonzero(p.dataset.columns["region"] != 2))
     assert len(np.unique(train.columns["age"])) > MAX_BINS  # region 2 is unseen
@@ -420,23 +447,42 @@ def test_log_scores_match_per_tree_reference(depth):
     grid = grid.with_column("age", np.repeat(ages, 3))
     grid = grid.with_column("region", np.tile(np.arange(3), len(ages)))
     _, first = np.unique(model._distinct(p.dataset)[1], return_index=True)
-    frames = {
-        "portfolio": p.dataset,  # many duplicate binned rows
-        "unrepeated": p.dataset.subset(np.sort(first)),  # blocks of one tree
-        "distinct": grid,
-        "repeated": grid.subset(np.tile(np.arange(100), 7)),  # blocks of 7 trees
-        "pinned": p.dataset.with_column("age", np.full(p.dataset.n, cuts[40])),
-        "one row": p.dataset.subset([5]),
-        "no rows": p.dataset.subset(np.array([], dtype=np.intp)),
+    uniform, coded = _uniform_model(60, depth)
+    i = np.arange(70_000)
+    codes = np.column_stack((i % MAX_BINS, i // MAX_BINS % MAX_BINS, i // MAX_BINS**2))
+    cases = {  # name: (model, frame, blocks walked by all 60 trees)
+        "portfolio": (model, p.dataset, 1),  # many duplicate binned rows
+        "unrepeated": (model, p.dataset.subset(np.sort(first)), 1),
+        "distinct": (model, grid, 1),
+        "repeated": (model, grid.subset(np.tile(np.arange(100), 7)), 1),
+        "pinned": (model, p.dataset.with_column("age", np.full(p.dataset.n, cuts[40])), 1),
+        "one row": (model, p.dataset.subset([5]), 1),
+        "no rows": (model, p.dataset.subset(np.array([], dtype=np.intp)), 1),
+        "several blocks": (uniform, coded(codes[np.repeat(np.arange(5000), 2)]), 5),
+        "one-tree blocks": (uniform, coded(codes), 60),
     }
-    for name, frame in frames.items():
-        for n_trees in (None, 50, 1):
-            scores = model.log_scores(frame, n_trees)
-            np.testing.assert_array_equal(
-                scores, _reference_log_scores(model, frame, n_trees), err_msg=name
-            )
-    assert model.log_scores(frames["no rows"]).shape == (0,)
+    # 5,000 distinct rows walk 2**16 // 5,000 = 13 trees a block
+    assert gbm._SCRATCH // 5000 == 13
+    descents, descend = [], gbm._descend
 
+    def counted_descend(*args):
+        descents.append(1)
+        return descend(*args)
+
+    monkeypatch.setattr(gbm, "_descend", counted_descend)
+    for name, (m, frame, blocks) in cases.items():
+        for n_trees in (None, 50, 1):
+            descents.clear()
+            scores = m.log_scores(frame, n_trees)
+            np.testing.assert_array_equal(
+                scores, _reference_log_scores(m, frame, n_trees), err_msg=name
+            )
+            if n_trees is None:
+                assert len(descents) == blocks * depth, name
+    for name in ("pinned", "one row"):
+        assert cases[name][1].n > 0
+        assert model._distinct(cases[name][1])[0].shape[1] <= gbm._CUMSUM_ROWS
+    assert model.log_scores(cases["no rows"][1]).shape == (0,)
 
 
 def test_truncated_trees_predict_as_a_prefix():
@@ -515,6 +561,47 @@ def test_distinct_rows_of_a_key_that_would_overflow():
     np.testing.assert_array_equal(distinct, codes[:, first])
     np.testing.assert_array_equal(inverse, key)
     np.testing.assert_array_equal(distinct.T, np.unique(values, axis=0))
+
+@pytest.mark.parametrize("rows, radices, counted", [
+    (3000, (256, 256), True),  # 2**16 keys
+    (3000, (256, 257), False),
+    (70_000, (280, 250), True),  # one key per row
+    (70_000, (280, 251), False),
+    (1, (1, 1), True),
+    (0, (1, 1), True),
+])
+def test_distinct_rows_by_counting_equal_those_by_sorting(rows, radices, counted, monkeypatch):
+    """Up to 2**16 keys or one per row, the distinct rows are counted and
+    decoded from their keys, past it sorted: either way the distinct rows,
+    their order and each row's index equal `np.unique`'s."""
+    names = ("x1", "x2")
+    schema = tuple(ColumnSchema(name, "continuous") for name in names) + (
+        ColumnSchema("exposure", "exposure"),
+        ColumnSchema("claims", "response"),
+    )
+    rng = np.random.default_rng(19)
+    codes = np.column_stack([rng.integers(0, radix, rows) for radix in radices])
+    if rows > 1:
+        codes[0] = np.array(radices) - 1  # every feature reaches its radix
+    columns = {name: codes[:, j].astype(float) for j, name in enumerate(names)}
+    columns.update(exposure=np.ones(rows), claims=np.zeros(rows))
+    frame = Dataset(schema, columns)
+    cuts = {name: np.arange(radix - 1) + 0.5 for name, radix in zip(names, radices)}
+    model = BoostedModel("poisson_log", 0.0, SHRINKAGE, features=list(names), cuts=cuts)
+    _, first, inverse = np.unique(codes, axis=0, return_index=True, return_inverse=True)
+    sorts, unique = [], np.unique
+
+    def counted_unique(*args, **kwargs):
+        sorts.append(1)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted_unique)
+    distinct, index = model._distinct(frame)
+    assert bool(sorts) != counted
+    np.testing.assert_array_equal(distinct, codes[first].T)
+    np.testing.assert_array_equal(index, inverse.ravel())
+    assert distinct.dtype == np.intp and distinct.shape == (2, len(first))
+
 
 def test_prediction_memory_is_linear_in_rows():
     """200,000 rows whose binned rows are all distinct: the walk stays

@@ -8,6 +8,7 @@ import pytest
 from freqsev.glm import Design, fit_glm
 from freqsev.tariff import (
     TariffError,
+    _stable_order,
     balance_ratio,
     compare_tariffs,
     gini_index,
@@ -70,6 +71,51 @@ def test_lorenz_uninformative_scores_near_diagonal():
     losses = rng.uniform(0.0, 1.0, n)  # independent of premiums
     s, lc = lorenz_curve(risk_scores(premiums), losses)
     assert np.max(np.abs(lc - s)) < 0.05
+
+
+_TIES = np.random.default_rng(4).choice([0.5, 1.25, 2.0, 3.0], 10_000)
+
+
+@pytest.mark.parametrize("values", [
+    _TIES,
+    np.full(7, 2.5),
+    np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0, 0.0]),
+    np.array([3.0]),
+    np.array([]),
+], ids=["ties", "all equal", "signed zeros", "one", "none"])
+def test_stable_order_is_a_stable_argsort(values):
+    """The default sort with ties put back in row order equals a stable
+    sort; the risk scores and the Lorenz grid read from it equal the
+    searched and the `np.unique` ones."""
+    order = _stable_order(values)
+    np.testing.assert_array_equal(order, np.argsort(values, kind="stable"))
+    assert order.dtype == np.intp
+    if len(values):
+        expected = np.searchsorted(np.sort(values), values, side="right") / len(values)
+        np.testing.assert_array_equal(risk_scores(values), expected)
+        s, _ = lorenz_curve(values, np.ones(len(values)))
+        np.testing.assert_array_equal(s, np.concatenate([[0.0], np.unique(values)]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_premiums_scores_and_losses_are_rejected(bad, toy):
+    good = np.array([1.0, 2.0, 3.0])
+    spoilt = np.array([1.0, bad, 3.0])
+    with pytest.raises(TariffError, match="finite"):
+        technical_premium(ConstantModel(bad), ConstantModel(2000.0), toy)
+    with pytest.raises(TariffError, match="finite"):
+        technical_premium(ConstantModel(0.1), ConstantModel(bad), toy)
+    calls = [
+        (balance_ratio, spoilt, good), (balance_ratio, good, spoilt),
+        (risk_scores, spoilt),
+        (lorenz_curve, spoilt, good), (lorenz_curve, good / 3, spoilt),
+        (relativities, spoilt, good), (relativities, good, spoilt),
+        (ordered_lorenz, spoilt, good, good), (ordered_lorenz, good, spoilt, good),
+        (ordered_lorenz, good, good, spoilt),
+    ]
+    for fn, *args in calls:
+        with pytest.raises(TariffError, match="finite"):
+            fn(*args)
 
 
 def test_relativities_and_errors():
