@@ -2,12 +2,12 @@
 
 Each pipeline stage is a subcommand reading the previous stage's
 artifacts and writing its own, so stages are resumable and individually
-testable. `run` executes the whole pipeline in one go.
+testable. `run` cross-validates the model families set by a JSON config
+file, by flags, or by both.
 """
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import asdict, replace
 
@@ -22,6 +22,7 @@ from .data import (
     load_claims_csv,
     load_csv,
     load_schema,
+    read_rows,
     severity_view,
     stratified_folds,
     write_claims_csv,
@@ -56,20 +57,22 @@ def _load_data(data, schema, claims=None, family="poisson_log"):
     return dataset
 
 
-def _read_predictions(path, stage="train"):
+def _read_predictions(path):
     """The row indices and predictions of a `row_index,prediction` file."""
-    _require(path, stage)
+    _require(path, "run")
+    header, lines = read_rows(path)
+    if len(header) < 2:
+        raise click.ClickException(
+            f"{path}: a prediction file needs a row index and a prediction column"
+        )
     rows, preds = [], []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if len(next(reader, ())) < 2:
-            raise click.ClickException(
-                f"{path}: a prediction file needs a row index and a prediction column"
-            )
-        for line in reader:
+    for i, line in enumerate(lines, start=1):
+        try:
             rows.append(int(line[0]))
             preds.append(float(line[1]))
-    return np.asarray(rows), np.asarray(preds)
+        except ValueError as exc:
+            raise click.ClickException(f"{path}: row {i}: {exc}") from None
+    return np.asarray(rows, dtype=np.int64), np.asarray(preds)
 
 
 class _Group(click.Group):
@@ -151,35 +154,37 @@ def folds(data, schema, seed, out):
 
 
 @main.command()
-@click.option("--data", required=True, type=click.Path())
-@click.option("--schema", required=True, type=click.Path())
-@click.option("--claims", type=click.Path(), default=None)
-@click.option("--folds", "folds_path", type=click.Path(), default=None)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--preset", type=click.Choice(["desk", "paper"]), default="desk", show_default=True)
-@click.option("--families", default="glm,gbm", show_default=True)
-@click.option("--response-family", type=click.Choice(["poisson_log", "gamma_log"]),
-              default="poisson_log", show_default=True)
-@click.option("--out", required=True, type=click.Path())
-def train(data, schema, claims, folds_path, seed, preset, families, response_family, out):
-    """Run cross-validated training for the requested model families."""
-    dataset = _load_data(data, schema, claims, response_family)
+@click.option("--config", "config_path", type=click.Path(), help="JSON file of RunConfig fields")
+@click.option("--data", "data_path", type=click.Path())
+@click.option("--schema", "schema_path", type=click.Path())
+@click.option("--claims", "claims_path", type=click.Path())
+@click.option("--folds", "folds_path", type=click.Path())
+@click.option("--seed", type=int)
+@click.option("--preset", type=click.Choice(["desk", "paper"]))
+@click.option("--families", help="comma-separated, e.g. glm,gbm",
+              callback=lambda ctx, param, value: value and tuple(value.split(",")))
+@click.option("--response-family", type=click.Choice(["poisson_log", "gamma_log"]))
+@click.option("--out", "outdir", type=click.Path())
+def run(config_path, folds_path, **flags):
+    """Cross-validate the requested model families and write per-fold
+    artifacts plus a loss table; a flag overrides its --config field."""
+    if config_path is not None:
+        _require(config_path, "config")
+        config = load_config(config_path)
+    elif flags["data_path"] is None or flags["schema_path"] is None:
+        raise click.ClickException("run needs --config, or --data and --schema")
+    else:
+        config = RunConfig()
+    config = replace(config, **{k: v for k, v in flags.items() if v is not None})
+    dataset = _load_data(
+        config.data_path, config.schema_path, config.claims_path, config.response_family
+    )
     plan = None
     if folds_path is not None:
         _require(folds_path, "folds")
         plan = load_fold_plan(folds_path)
-    config = RunConfig(
-        data_path=data,
-        schema_path=schema,
-        claims_path=claims,
-        seed=seed,
-        families=tuple(families.split(",")),
-        preset=preset,
-        outdir=out,
-        response_family=response_family,
-    )
     result = run_pipeline(config, dataset, plan)
-    click.echo(f"wrote {len(result['loss_table'])} loss rows to {out}/loss_table.csv")
+    click.echo(f"wrote {len(result['loss_table'])} loss rows to {config.outdir}/loss_table.csv")
 
 
 @main.command()
@@ -198,6 +203,9 @@ def evaluate(data, schema, claims, pred_a, pred_b, family, out):
     rows_b, fb = _read_predictions(pred_b)
     if not np.array_equal(rows_a, rows_b):
         raise click.ClickException("prediction files cover different rows")
+    if np.any((rows_a < 0) | (rows_a >= dataset.n)) or np.unique(rows_a).size != rows_a.size:
+        raise click.ClickException(
+            f"{pred_a}: row indices must be unique and lie in 0..{dataset.n - 1}")
     sub = dataset.subset(rows_a)
     fam = get_family(family)
     y, w = sub.response, fam.obs_weight(sub)
@@ -218,7 +226,7 @@ def evaluate(data, schema, claims, pred_a, pred_b, family, out):
 def interpret(data, schema, claims, model_path, seed, out):
     """Permutation importance and partial dependence for a saved model,
     on the rows of its own response family (claimants for severity)."""
-    _require(model_path, "train")
+    _require(model_path, "run")
     model = load_model(model_path)
     dataset = _load_data(data, schema, claims, model.family)
     os.makedirs(out, exist_ok=True)
@@ -241,7 +249,7 @@ def interpret(data, schema, claims, model_path, seed, out):
 def surrogate(data, schema, claims, model_path, out):
     """Distill a saved black-box model into a surrogate GLM tariff of the
     model's own response family."""
-    _require(model_path, "train")
+    _require(model_path, "run")
     model = load_model(model_path)
     dataset = _load_data(data, schema, claims, model.family)
     result = build_surrogate(model, dataset, model.family)
@@ -259,44 +267,21 @@ def surrogate(data, schema, claims, model_path, out):
 @click.option("--out", required=True, type=click.Path())
 def tariff(premium_specs, losses, out):
     """Pairwise tariff comparison: Gini matrix, balance ratios, Lorenz curves."""
+    loss_rows, loss_values = _read_predictions(losses)
     premiums = {}
     for spec in premium_specs:
         if "=" not in spec:
             raise click.ClickException("--premiums expects NAME=PATH")
         name, path = spec.split("=", 1)
-        _, premiums[name] = _read_predictions(path)
-    _, loss_values = _read_predictions(losses, stage="train/evaluate")
+        rows, premiums[name] = _read_predictions(path)
+        if not np.array_equal(rows, loss_rows):
+            raise click.ClickException(f"{path} and {losses} cover different rows")
     comparison = tariff_mod.compare_tariffs(premiums, loss_values)
     os.makedirs(out, exist_ok=True)
     tariff_mod.write_gini_csv(comparison, os.path.join(out, "gini.csv"))
     tariff_mod.write_balance_csv(comparison, os.path.join(out, "balance.csv"))
     tariff_mod.write_lorenz_csv(comparison, os.path.join(out, "lorenz.csv"))
     click.echo(f"min-max selection: {comparison.selected}")
-
-
-@main.command()
-@click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--seed", type=int, default=None)
-@click.option("--preset", type=click.Choice(["desk", "paper"]), default=None)
-@click.option("--out", type=click.Path(), default=None)
-def run(config_path, seed, preset, out):
-    """Run the full pipeline from a JSON config file."""
-    _require(config_path, "config")
-    config = load_config(config_path)
-    overrides = {}
-    if seed is not None:
-        overrides["seed"] = seed
-    if preset is not None:
-        overrides["preset"] = preset
-    if out is not None:
-        overrides["outdir"] = out
-    if overrides:
-        config = replace(config, **overrides)
-    dataset = _load_data(
-        config.data_path, config.schema_path, config.claims_path, config.response_family
-    )
-    result = run_pipeline(config, dataset)
-    click.echo(f"pipeline complete: {len(result['loss_table'])} loss rows in {config.outdir}")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""Portfolio data handling: schema, CSV ingestion, preprocessing and folds.
+"""Portfolio data handling: schema, CSV ingestion, preprocessing and folds,
+and the readers and writers of every CSV and JSON file.
 
 A `Dataset` is the single source for both the frequency view (response =
 claim count, with exposure) and the severity view derived from it
@@ -173,34 +174,31 @@ def load_csv(path, schema: list[ColumnSchema]) -> Dataset:
     excluded).
     """
     validate_schema(schema)
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c.name for c in schema if c.name not in header]
-        if missing:
-            raise DataError(f"missing columns in {path}: {missing}")
-        raw = {c.name: [] for c in schema}
-        for i, row in enumerate(reader, start=1):
-            for col in schema:
-                cell = row[col.name]
-                if cell is None or cell == "":
-                    raise DataError(f"missing value for {col.name!r} in row {i}")
-                if col.kind == "categorical":
-                    if cell not in col.levels:
-                        raise DataError(
-                            f"unknown level {cell!r} for {col.name!r} in row {i}"
-                        )
-                    raw[col.name].append(col.levels.index(cell))
-                else:
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise DataError(
-                            f"unparseable value {cell!r} for {col.name!r} in row {i}"
-                        ) from None
-                    if col.kind == "exposure" and value <= 0:
-                        raise DataError(f"non-positive exposure in row {i}")
-                    raw[col.name].append(value)
+    header, rows = read_rows(path)
+    missing = [c.name for c in schema if c.name not in header]
+    if missing:
+        raise DataError(f"missing columns in {path}: {missing}")
+    position = {name: j for j, name in enumerate(header)}
+    raw = {c.name: [] for c in schema}
+    for i, row in enumerate(rows, start=1):
+        for col in schema:
+            cell = row[position[col.name]]
+            if cell == "":
+                raise DataError(f"missing value for {col.name!r} in row {i}")
+            if col.kind == "categorical":
+                if cell not in col.levels:
+                    raise DataError(f"unknown level {cell!r} for {col.name!r} in row {i}")
+                raw[col.name].append(col.levels.index(cell))
+            else:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"unparseable value {cell!r} for {col.name!r} in row {i}"
+                    ) from None
+                if col.kind == "exposure" and value <= 0:
+                    raise DataError(f"non-positive exposure in row {i}")
+                raw[col.name].append(value)
     columns = {}
     for col in schema:
         dtype = np.int64 if col.kind == "categorical" else np.float64
@@ -210,13 +208,16 @@ def load_csv(path, schema: list[ColumnSchema]) -> Dataset:
 
 def load_claims_csv(path) -> dict[int, list[float]]:
     """Read a claims table CSV with columns (row_id, amount)."""
+    header, rows = read_rows(path)
+    if not {"row_id", "amount"} <= set(header):
+        raise DataError(f"claims table {path} must have columns row_id, amount")
+    r, a = header.index("row_id"), header.index("amount")
     claims: dict[int, list[float]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if not reader.fieldnames or not {"row_id", "amount"} <= set(reader.fieldnames):
-            raise DataError(f"claims table {path} must have columns row_id, amount")
-        for row in reader:
-            claims.setdefault(int(row["row_id"]), []).append(float(row["amount"]))
+    for i, row in enumerate(rows, start=1):
+        try:
+            claims.setdefault(int(row[r]), []).append(float(row[a]))
+        except ValueError as exc:
+            raise DataError(f"{path}: row {i}: {exc}") from None
     return claims
 
 
@@ -292,8 +293,12 @@ def severity_view(dataset: Dataset, claims: dict[int, list[float]]) -> Dataset:
     claim amount, weight = claim count, exposure dropped.
 
     Rows whose claim amounts are all non-positive are excluded with a
-    warning; individual non-positive amounts are dropped likewise.
+    warning; individual non-positive amounts are dropped likewise. A claim
+    whose row id is not a row of `dataset` raises `DataError`.
     """
+    outside = sorted(int(r) for r in claims if not 0 <= r < dataset.n)
+    if outside:
+        raise DataError(f"claims name rows {outside[:5]} outside the {dataset.n}-row portfolio")
     keep_rows, responses, weights = [], [], []
     rejected = 0
     for i in range(dataset.n):
@@ -471,6 +476,31 @@ def generate_synthetic_portfolio(spec: PortfolioSpec, seed: int = 0) -> Syntheti
 
 
 # -- file formats -------------------------------------------------------
+
+
+def read_rows(path) -> tuple[list[str], list[list[str]]]:
+    """The header and rows of a CSV file as lists of strings, the inverse of
+    `write_rows`; quoted cells are read as `csv.reader` reads them and blank
+    lines skipped. A line of another width than the header raises `DataError`."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = []
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise DataError(f"{path}: line {reader.line_num} has {len(row)} cells, "
+                                f"the header {len(header)}")
+            rows.append(row)
+    return header, rows
+
+
+def read_json(path, error=DataError):
+    """The JSON value in `path`; `error`, naming the file, if it is not JSON."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise error(f"{path} is not JSON: {exc}") from exc
 
 
 def write_rows(path, header, rows) -> None:

@@ -21,7 +21,6 @@ default filter.
 
 from __future__ import annotations
 
-import json
 import operator
 import os
 import warnings
@@ -40,6 +39,7 @@ from .data import (
     ScalingStats,
     normalize_continuous,
     one_hot,
+    read_json,
     scaling_stats,
     stratified_folds,
     write_json,
@@ -130,16 +130,8 @@ class RunConfig:
         get_family(self.response_family, PipelineError)
 
 
-def _read_json(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise PipelineError(f"{path} is not JSON: {exc}") from exc
-
-
 def load_config(path) -> RunConfig:
-    raw = _read_json(path)
+    raw = read_json(path, PipelineError)
     accepted = [f.name for f in fields(RunConfig)]
     unknown = sorted(set(raw) - set(accepted))
     if unknown:
@@ -414,7 +406,7 @@ def load_model(path):
 
     Raises `PipelineError` naming the file for anything that is not a
     complete model payload."""
-    payload = _read_json(path)
+    payload = read_json(path, PipelineError)
     kind = payload.get("kind") if isinstance(payload, dict) else None
     if kind not in _KINDS:
         raise PipelineError(
@@ -545,7 +537,7 @@ def load_fold_plan(path) -> FoldPlan:
     the file for a missing key, k_outer < 2, an outer label that is not an
     integer in 0..k_outer-1, a `strat_key` of another length or an empty
     outer fold."""
-    d = _read_json(path)
+    d = read_json(path, PipelineError)
     try:
         k_outer, outer = operator.index(d["k_outer"]), np.asarray(d["outer"])
         strat_key, seed = np.asarray(d["strat_key"], dtype=np.int64), d["seed"]

@@ -195,6 +195,7 @@ def compare_tariffs(premiums: dict[str, np.ndarray], losses) -> TariffComparison
     models = tuple(premiums)
     if not models:
         raise TariffError("no models to compare")
+    premiums = {m: _finite(premiums[m], f"premiums of {m!r}") for m in models}
     losses = np.asarray(losses, dtype=float)
     k = len(models)
     gini = np.zeros((k, k))

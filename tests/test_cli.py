@@ -20,7 +20,7 @@ from freqsev.pipeline import load_fold_plan, load_model, save_fold_plan
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """synth -> ingest -> folds -> train (glm, and ffnn on its own) shared by
+    """synth -> ingest -> folds -> run (glm, and ffnn on its own) shared by
     the CLI tests; `models` holds a fold-0 model.json of each."""
     root = tmp_path_factory.mktemp("cli")
     runner = CliRunner()
@@ -40,11 +40,11 @@ def workspace(tmp_path_factory):
     r = runner.invoke(main, ["folds", "--data", paths["data"], "--schema", paths["schema"],
                              "--out", paths["folds"]])
     assert r.exit_code == 0, r.output
-    r = runner.invoke(main, ["train", "--data", paths["data"], "--schema", paths["schema"],
+    r = runner.invoke(main, ["run", "--data", paths["data"], "--schema", paths["schema"],
                              "--folds", paths["folds"], "--families", "glm",
                              "--preset", "desk", "--out", paths["train"]])
     assert r.exit_code == 0, r.output
-    r = runner.invoke(main, ["train", "--data", paths["data"], "--schema", paths["schema"],
+    r = runner.invoke(main, ["run", "--data", paths["data"], "--schema", paths["schema"],
                              "--folds", paths["folds"], "--families", "ffnn",
                              "--preset", "desk", "--out", str(root / "train_ffnn")])
     assert r.exit_code == 0, r.output
@@ -177,7 +177,7 @@ def test_severity_evaluate_and_surrogate(workspace, tmp_path):
     inputs = ["--data", workspace["data"], "--schema", workspace["schema"],
               "--claims", workspace["claims"]]
     train = tmp_path / "train"
-    r = runner.invoke(main, ["train", *inputs, "--families", "glm",
+    r = runner.invoke(main, ["run", *inputs, "--families", "glm",
                              "--response-family", "gamma_log", "--out", str(train)])
     assert r.exit_code == 0, r.output
     oos = str(train / "oos_predictions_glm.csv")
@@ -206,7 +206,7 @@ def test_severity_interpret_uses_claimant_rows(workspace, tmp_path):
     runner = CliRunner()
     inputs = ["--data", workspace["data"], "--schema", workspace["schema"]]
     train = tmp_path / "train"
-    r = runner.invoke(main, ["train", *inputs, "--claims", workspace["claims"],
+    r = runner.invoke(main, ["run", *inputs, "--claims", workspace["claims"],
                              "--families", "glm", "--response-family", "gamma_log",
                              "--out", str(train)])
     assert r.exit_code == 0, r.output
@@ -270,7 +270,7 @@ def test_non_finite_premium_file_is_a_one_line_error(workspace, tmp_path):
     r = CliRunner().invoke(main, ["tariff", "--premiums", f"glm={pred}", "--losses",
                                   str(losses), "--out", str(tmp_path / "tariff")])
     assert r.exit_code == 1
-    assert r.output == "Error: premiums must be finite\n"
+    assert r.output == "Error: premiums of 'glm' must be finite\n"
 
 
 def test_data_errors_are_one_line_errors(workspace, tmp_path):
@@ -290,7 +290,7 @@ def test_data_errors_are_one_line_errors(workspace, tmp_path):
 
 def test_missing_artifact_names_producing_stage(workspace, tmp_path):
     runner = CliRunner()
-    r = runner.invoke(main, ["train", "--data", workspace["data"],
+    r = runner.invoke(main, ["run", "--data", workspace["data"],
                              "--schema", workspace["schema"],
                              "--folds", str(tmp_path / "nope.json"),
                              "--out", str(tmp_path / "train")])
@@ -319,7 +319,7 @@ def test_fold_plan_of_another_length_is_a_one_line_error(workspace, tmp_path):
     plan = load_fold_plan(workspace["folds"])
     short = tmp_path / "folds.json"
     save_fold_plan(replace(plan, outer=plan.outer[:500], strat_key=plan.strat_key[:500]), short)
-    r = CliRunner().invoke(main, ["train", "--data", workspace["data"],
+    r = CliRunner().invoke(main, ["run", "--data", workspace["data"],
                                   "--schema", workspace["schema"], "--folds", str(short),
                                   "--families", "glm", "--out", str(tmp_path / "train")])
     assert r.exit_code == 1
@@ -332,7 +332,7 @@ def test_fold_plan_label_out_of_range_is_a_one_line_error(workspace, tmp_path):
     outer[0] = plan.k_outer
     bad = tmp_path / "folds.json"
     save_fold_plan(replace(plan, outer=outer), bad)
-    r = CliRunner().invoke(main, ["train", "--data", workspace["data"],
+    r = CliRunner().invoke(main, ["run", "--data", workspace["data"],
                                   "--schema", workspace["schema"], "--folds", str(bad),
                                   "--families", "glm", "--out", str(tmp_path / "train")])
     assert r.exit_code == 1
@@ -355,3 +355,69 @@ def test_run_config_typo_is_a_one_line_error(tmp_path):
     assert r.exit_code == 1
     assert r.output.startswith("Error: unknown config keys ['familes']; accepted keys: [")
     assert len(r.output.splitlines()) == 1
+
+
+# Each case: the command, the bad file's role and content, and the message
+# after `Error: `, where {bad} is the bad file and {losses} the loss file.
+BAD_FILES = {
+    "row index abc": ("evaluate", "pred", "row_index,prediction\nabc,0.1\n",
+                      "{bad}: row 1: invalid literal for int() with base 10: 'abc'"),
+    "short line": ("tariff", "pred", "row_index,prediction\n0,0.1\n0\n",
+                   "{bad}: line 3 has 1 cells, the header 2"),
+    "row index 900": ("evaluate", "pred", "row_index,prediction\n0,0.1\n900,0.2\n",
+                      "{bad}: row indices must be unique and lie in 0..799"),
+    "row index -1": ("evaluate", "pred", "row_index,prediction\n0,0.1\n-1,0.2\n",
+                     "{bad}: row indices must be unique and lie in 0..799"),
+    "duplicate row index": ("evaluate", "pred", "row_index,prediction\n3,0.1\n3,0.2\n",
+                            "{bad}: row indices must be unique and lie in 0..799"),
+    "premiums for other rows": ("tariff", "pred", "row_index,prediction\n1,0.1\n0,0.2\n",
+                                "{bad} and {losses} cover different rows"),
+    "claim amount abc": ("run", "claims", "row_id,amount\n3,10.0\n4,abc\n",
+                         "{bad}: row 2: could not convert string to float: 'abc'"),
+    "claim of row 99999": ("run", "claims", "row_id,amount\n3,10.0\n99999,5.0\n",
+                           "claims name rows [99999] outside the 800-row portfolio"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_FILES)
+def test_bad_input_file_is_a_one_line_error(workspace, tmp_path, case):
+    command, role, content, message = BAD_FILES[case]
+    bad, losses = tmp_path / "bad.csv", tmp_path / "losses.csv"
+    bad.write_text(content)
+    losses.write_text("row_index,loss\n0,1.0\n1,2.0\n")
+    inputs = ["--data", workspace["data"], "--schema", workspace["schema"]]
+    argv = {
+        "evaluate": ["evaluate", *inputs, "--pred-a", str(bad), "--pred-b", str(bad),
+                     "--out", str(tmp_path / "dm.json")],
+        "tariff": ["tariff", "--premiums", f"glm={bad}", "--losses", str(losses),
+                   "--out", str(tmp_path / "tariff")],
+        "run": ["run", *inputs, "--claims", str(bad), "--response-family", "gamma_log",
+                "--families", "glm", "--out", str(tmp_path / "run")],
+    }[command]
+    r = CliRunner().invoke(main, argv)
+    assert r.exit_code == 1
+    assert r.output == f"Error: {message.format(bad=bad, losses=losses)}\n"
+
+
+def test_run_from_config_and_from_flags_write_the_same_bytes(workspace, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "data_path": workspace["data"], "schema_path": workspace["schema"],
+        "claims_path": workspace["claims"], "seed": 3, "families": ["glm"],
+        "preset": "desk", "outdir": str(tmp_path / "from_config"),
+        "response_family": "gamma_log"}), encoding="utf-8")
+    runner = CliRunner()
+    r = runner.invoke(main, ["run", "--config", str(config)])
+    assert r.exit_code == 0, r.output
+    r = runner.invoke(main, ["run", "--data", workspace["data"], "--schema", workspace["schema"],
+                             "--claims", workspace["claims"], "--seed", "3", "--families", "glm",
+                             "--preset", "desk", "--response-family", "gamma_log",
+                             "--out", str(tmp_path / "from_flags")])
+    assert r.exit_code == 0, r.output
+    trees = [{p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+             for root in (tmp_path / "from_config", tmp_path / "from_flags")]
+    assert len(trees[0]) == 6 * 2 + 2
+    assert trees[0] == trees[1]
+    r = runner.invoke(main, ["run", "--data", workspace["data"], "--out", str(tmp_path / "x")])
+    assert r.exit_code == 1
+    assert r.output == "Error: run needs --config, or --data and --schema\n"

@@ -2,6 +2,7 @@
 the file writers."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,8 @@ from freqsev.data import (
     load_schema,
     normalize_continuous,
     one_hot,
+    read_json,
+    read_rows,
     scaling_stats,
     severity_view,
     stratified_folds,
@@ -117,11 +120,37 @@ def test_write_json_layout(tmp_path):
     assert path.read_bytes() == b'{\n  "a": [\n    1,\n    0.1\n  ]\n}'
 
 
-def test_only_data_writes_csv_and_json():
-    """Every CSV and JSON file goes through `data.write_rows` and
-    `data.write_json`: no other module calls csv.writer or json.dump(s)."""
+def test_read_rows_inverts_write_rows(tmp_path):
+    path = tmp_path / "t.csv"
+    write_rows(path, ["a", "b"], [("x", 0.1), ("y", 2)])
+    assert read_rows(path) == (["a", "b"], [["x", "0.1"], ["y", "2"]])
+    path.write_text('a,b\r\n"x,1",2\r\n\r\n"y ""z""",3\r\n', encoding="utf-8")
+    assert read_rows(path) == (["a", "b"], [["x,1", "2"], ['y "z"', "3"]])
+    path.write_text("")
+    assert read_rows(path) == ([], [])
+    path.write_text("a,b\n1,2\n\n3,4,5\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 4 has 3 cells, the header 2$"):
+        read_rows(path)
+
+
+def test_read_json_raises_the_given_error(tmp_path):
+    path = tmp_path / "t.json"
+    write_json(path, {"a": [1, 0.1]})
+    assert read_json(path) == {"a": [1, 0.1]}
+    path.write_text("{a: 1}")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))} is not JSON: "):
+        read_json(path)
+    with pytest.raises(KeyError):
+        read_json(path, KeyError)
+
+
+def test_only_data_reads_and_writes_csv_and_json():
+    """Every CSV and JSON file is read and written in `freqsev.data`: no
+    other module names csv.reader, csv.DictReader, csv.writer, json.load(s)
+    or json.dump(s)."""
     src = Path(__file__).resolve().parents[1] / "src" / "freqsev"
-    writers = {("csv", "writer"), ("json", "dump"), ("json", "dumps")}
+    formats = {("csv", "reader"), ("csv", "DictReader"), ("csv", "writer"),
+               ("json", "load"), ("json", "loads"), ("json", "dump"), ("json", "dumps")}
     offenders = []
     for path in sorted(src.glob("*.py")):
         if path.name == "data.py":
@@ -133,7 +162,7 @@ def test_only_data_writes_csv_and_json():
                 used = {(node.module, alias.name) for alias in node.names}
             else:
                 continue
-            offenders += [f"{path.name}:{node.lineno} {'.'.join(u)}" for u in used & writers]
+            offenders += [f"{path.name}:{node.lineno} {'.'.join(u)}" for u in used & formats]
     assert offenders == []
 
 
@@ -271,6 +300,14 @@ def test_claims_csv_roundtrip(tmp_path):
     path = tmp_path / "claims.csv"
     write_claims_csv(claims, path)
     assert load_claims_csv(path) == claims
+    path.write_text("row_id,amount\n0,10.0\nx,5.5\n")
+    with pytest.raises(DataError, match="row 2: invalid literal for int"):
+        load_claims_csv(path)
+
+
+def test_severity_view_rejects_claims_of_unknown_rows(toy):
+    with pytest.raises(DataError, match=r"claims name rows \[-1, 5\] outside the 5-row portfolio"):
+        severity_view(toy, {1: [10.0], 5: [1.0], -1: [2.0]})
 
 
 @settings(max_examples=25, deadline=None)

@@ -116,6 +116,8 @@ def test_non_finite_premiums_scores_and_losses_are_rejected(bad, toy):
     for fn, *args in calls:
         with pytest.raises(TariffError, match="finite"):
             fn(*args)
+    with pytest.raises(TariffError, match="premiums of 'b' must be finite"):
+        compare_tariffs({"a": good, "b": spoilt}, good)
 
 
 def test_relativities_and_errors():
