@@ -16,7 +16,6 @@ import numpy as np
 
 from . import tariff as tariff_mod
 from .data import (
-    DataError,
     PortfolioSpec,
     generate_synthetic_portfolio,
     load_claims_csv,
@@ -30,10 +29,10 @@ from .data import (
     write_json,
     write_schema,
 )
-from .evaluation import EvaluationError, LossVector, diebold_mariano, get_family
+from .evaluation import LossVector, diebold_mariano, get_family
 from .interpretation import partial_dependence, permutation_vip, write_pd_csv, write_vip_csv
-from .pipeline import PipelineError, RunConfig, load_config, load_fold_plan, load_model
-from .pipeline import run_pipeline, save_fold_plan
+from .pipeline import RunConfig, load_config, load_fold_plan, load_model
+from .pipeline import run_pipeline, save_fold_plan, save_model
 from .surrogate import build_surrogate, write_selection_report
 from ._rand import derive_seed
 
@@ -72,17 +71,23 @@ def _read_predictions(path):
             preds.append(float(line[1]))
         except ValueError as exc:
             raise click.ClickException(f"{path}: row {i}: {exc}") from None
-    return np.asarray(rows, dtype=np.int64), np.asarray(preds)
+    rows = np.asarray(rows, dtype=np.int64)
+    unique, counts = np.unique(rows, return_counts=True)
+    if np.any(counts > 1):
+        raise click.ClickException(f"{path}: row index {unique[counts > 1][0]} is listed twice")
+    return rows, np.asarray(preds)
 
 
 class _Group(click.Group):
-    """Reports a data, pipeline, evaluation or tariff error as a one-line
-    `Error:`, exit code 1."""
+    """Reports an exception of a class that a freqsev module defines, such
+    as `DataError` or `GlmError`, as a one-line `Error:`, exit code 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (DataError, PipelineError, EvaluationError, tariff_mod.TariffError) as exc:
+        except Exception as exc:
+            if not type(exc).__module__.startswith(f"{__package__}."):
+                raise
             raise click.ClickException(str(exc)) from exc
 
 
@@ -203,9 +208,8 @@ def evaluate(data, schema, claims, pred_a, pred_b, family, out):
     rows_b, fb = _read_predictions(pred_b)
     if not np.array_equal(rows_a, rows_b):
         raise click.ClickException("prediction files cover different rows")
-    if np.any((rows_a < 0) | (rows_a >= dataset.n)) or np.unique(rows_a).size != rows_a.size:
-        raise click.ClickException(
-            f"{pred_a}: row indices must be unique and lie in 0..{dataset.n - 1}")
+    if np.any((rows_a < 0) | (rows_a >= dataset.n)):
+        raise click.ClickException(f"{pred_a}: row indices must lie in 0..{dataset.n - 1}")
     sub = dataset.subset(rows_a)
     fam = get_family(family)
     y, w = sub.response, fam.obs_weight(sub)
@@ -247,15 +251,15 @@ def interpret(data, schema, claims, model_path, seed, out):
 @click.option("--model", "model_path", required=True, type=click.Path())
 @click.option("--out", required=True, type=click.Path())
 def surrogate(data, schema, claims, model_path, out):
-    """Distill a saved black-box model into a surrogate GLM tariff of the
-    model's own response family."""
+    """Distill a saved black-box model into a surrogate GLM of the model's
+    own response family: its model.json, tariff table and selection report."""
     _require(model_path, "run")
     model = load_model(model_path)
     dataset = _load_data(data, schema, claims, model.family)
     result = build_surrogate(model, dataset, model.family)
     os.makedirs(out, exist_ok=True)
-    write_json(os.path.join(out, "surrogate.json"),
-               {"glm": result.glm.to_dict(), "tariff": result.tariff_table}, indent=2)
+    save_model(result.glm, os.path.join(out, "model.json"))
+    write_json(os.path.join(out, "tariff.json"), result.glm.tariff_table, indent=2)
     write_selection_report(result, os.path.join(out, "report.txt"))
     click.echo(f"surrogate selected: {result.report['selected']['mains']}")
 

@@ -2,12 +2,14 @@
 
 Poisson (frequency, with log-exposure offset) and gamma (severity, with
 claim-count weights) families over designs of categorical factors and
-tree-binned continuous covariates. Treatment coding with the most
-populous level as reference; an interaction multiplies the non-reference
-dummies of its two factors. `GlmModel.to_dict` is the model's payload
-(design, binning, coefficients and fit statistics in plain JSON types),
-and `GlmModel.from_dict` rebuilds it; the payload doubles as the
-technical tariff table interchange format.
+tree-binned continuous covariates; a design may also group a
+categorical's levels (`LevelGroups`), and still predicts from the
+original columns. Treatment coding with the most populous level as
+reference; an interaction multiplies the non-reference dummies of its
+two factors. `GlmModel.to_dict` is the model's payload (design, binning,
+coefficients and fit statistics in plain JSON types), and
+`GlmModel.from_dict` rebuilds it; the payload doubles as the technical
+tariff table interchange format.
 """
 
 from __future__ import annotations
@@ -57,28 +59,69 @@ class BinningRule:
         return [f"({edges[i]:.6g},{edges[i + 1]:.6g}]" for i in range(len(edges) - 1)]
 
 
-def _factor_codes(dataset: Dataset, name: str, binning: dict[str, BinningRule]):
-    """Level codes and labels for a factor variable (categorical column or
-    binned continuous column)."""
-    col = dataset.column_schema(name)
-    if col.kind == "categorical":
+@dataclass(frozen=True)
+class LevelGroups:
+    """Groups of a categorical variable's levels, as the group of each
+    level code; a group's label joins its levels in code order by `+`."""
+
+    variable: str
+    level_to_segment: tuple[int, ...]
+
+    def __post_init__(self):
+        groups = set(self.level_to_segment)
+        if not all(type(g) is int for g in groups) or groups != set(range(len(groups))):
+            raise GlmError(f"level groups for {self.variable!r} must be the integers 0..k-1, "
+                           f"each used, got {list(self.level_to_segment)}")
+
+    def apply(self, codes: np.ndarray) -> np.ndarray:
+        return np.asarray(self.level_to_segment)[codes]
+
+    def labels(self, levels) -> list[str]:
+        groups = self.level_to_segment
+        if len(levels) != len(groups):
+            raise GlmError(f"level groups for {self.variable!r} cover {len(groups)} levels, "
+                           f"the column has {len(levels)}")
+        return ["+".join(lv for lv, g in zip(levels, groups) if g == s)
+                for s in range(max(groups) + 1)]
+
+
+def _rule_payload(rule):
+    if isinstance(rule, LevelGroups):
+        return {"level_to_segment": list(rule.level_to_segment)}
+    return list(rule.cuts)
+
+
+def _rule_from_payload(name, payload):
+    if isinstance(payload, dict):
+        return LevelGroups(name, tuple(payload["level_to_segment"]))
+    return BinningRule(name, tuple(payload))
+
+
+def _factor_codes(dataset: Dataset, name: str, binning: dict):
+    """Level codes and labels for a factor variable (categorical column,
+    optionally grouped, or binned continuous column)."""
+    col, rule = dataset.column_schema(name), binning.get(name)
+    if col.kind == "categorical" and rule is None:
         return dataset.columns[name], list(col.levels)
-    if col.kind == "continuous":
-        if name not in binning:
-            raise GlmError(f"continuous variable {name!r} needs a BinningRule in the design")
-        rule = binning[name]
+    if col.kind == "categorical" and isinstance(rule, LevelGroups):
+        return rule.apply(dataset.columns[name]), rule.labels(col.levels)
+    if col.kind == "continuous" and isinstance(rule, BinningRule):
         return rule.apply(dataset.columns[name]), rule.labels()
-    raise GlmError(f"column {name!r} of kind {col.kind} cannot enter a GLM design")
+    if col.kind == "continuous" and rule is None:
+        raise GlmError(f"continuous variable {name!r} needs a BinningRule in the design")
+    raise GlmError(f"column {name!r} of kind {col.kind} cannot enter a GLM design"
+                   + (f" with a {type(rule).__name__}" if rule else ""))
 
 
 @dataclass(frozen=True)
 class Design:
     """GLM design: intercept plus main effects and pairwise interactions
-    over factor variables."""
+    over factor variables. `binning` holds a `BinningRule` for each
+    continuous factor and a `LevelGroups` for each grouped categorical."""
 
     main_effects: tuple[str, ...] = ()
     interactions: tuple[tuple[str, str], ...] = ()
-    binning: dict[str, BinningRule] = field(default_factory=dict)
+    binning: dict[str, BinningRule | LevelGroups] = field(default_factory=dict)
 
 
 def build_design_matrix(dataset: Dataset, design: Design, references=None):
@@ -142,7 +185,7 @@ class GlmModel:
             "family": self.family,
             "main_effects": list(self.design.main_effects),
             "interactions": [list(p) for p in self.design.interactions],
-            "binning": {name: list(rule.cuts) for name, rule in self.design.binning.items()},
+            "binning": {name: _rule_payload(rule) for name, rule in self.design.binning.items()},
             "coefficients": dict(zip(self.column_names, map(float, self.coef))),
             "deviance": self.deviance,
             "loglik": self.loglik,
@@ -155,7 +198,7 @@ class GlmModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GlmModel":
-        binning = {name: BinningRule(name, tuple(cuts)) for name, cuts in d["binning"].items()}
+        binning = {name: _rule_from_payload(name, rule) for name, rule in d["binning"].items()}
         design = Design(tuple(d["main_effects"]), tuple(map(tuple, d["interactions"])), binning)
         names = list(d["coefficients"])
         coef = np.array([d["coefficients"][k] for k in names], dtype=float)
@@ -173,7 +216,7 @@ class GlmModel:
         return {
             "base_level": float(np.exp(self.coef[0])),
             "relativities": factors,
-            "binning": {n: list(r.cuts) for n, r in self.design.binning.items()},
+            "binning": {n: _rule_payload(r) for n, r in self.design.binning.items()},
         }
 
 

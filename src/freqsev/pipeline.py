@@ -132,6 +132,8 @@ class RunConfig:
 
 def load_config(path) -> RunConfig:
     raw = read_json(path, PipelineError)
+    if not isinstance(raw, dict):
+        raise PipelineError(f"{path} is not a JSON object of RunConfig fields")
     accepted = [f.name for f in fields(RunConfig)]
     unknown = sorted(set(raw) - set(accepted))
     if unknown:

@@ -6,9 +6,12 @@ variable, built in O(L) numpy calls and O(K*L) memory for L grid points
 and K segments, gives the segments at PENALTY and the k chosen at each
 penalty of PENALTY_GRID. Continuous segments are `glm.BinningRule`
 intervals (lo,cut], so a value equal to a cut falls in the segment whose
-label ends at it. The surrogate's GLM is the BIC-selected candidate GLM
-over the segmented variables, as fitted; the interaction screen reuses
-the PD curves of the segmentation. It exports a tariff table like any GLM.
+label ends at it; categorical segments are `glm.LevelGroups`. Every
+candidate GLM is fitted on the original frame with those rules in its
+design, so the BIC-selected one, kept as fitted, is a plain `GlmModel`:
+it predicts from a raw portfolio, saves and loads like any GLM and
+exports its tariff table. The interaction screen reuses the PD curves of
+the segmentation.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ColumnSchema, Dataset
-from .glm import BinningRule, Design, GlmError, GlmModel, fit_glm
+from .data import Dataset
+from .glm import BinningRule, Design, GlmError, GlmModel, LevelGroups, fit_glm
 from .interpretation import default_pd_grid, partial_dependence, partial_dependence_2d
 
 
@@ -139,7 +142,7 @@ def choose_k(pd_values, weights, k_max: int, penalty: float = PENALTY) -> int:
 
 @dataclass(frozen=True)
 class VariableSegments:
-    """Recoding of one original variable onto its PD segments."""
+    """One original variable's PD segments."""
 
     variable: str
     kind: str  # "continuous" | "categorical"
@@ -154,10 +157,12 @@ class VariableSegments:
     def n_segments(self) -> int:
         return len(self.labels)
 
-    def assign(self, column: np.ndarray) -> np.ndarray:
+    @property
+    def rule(self) -> BinningRule | LevelGroups:
+        """The design rule that recodes the variable onto its segments."""
         if self.kind == "continuous":
-            return BinningRule(self.variable, self.cuts).apply(column)
-        return np.asarray(self.level_to_segment)[column]
+            return BinningRule(self.variable, self.cuts)
+        return LevelGroups(self.variable, self.level_to_segment)
 
 
 def _grid_weights(dataset: Dataset, variable: str, grid: np.ndarray) -> np.ndarray:
@@ -183,16 +188,14 @@ def segment_variable(dataset: Dataset, variable: str, pd_grid: np.ndarray, pd_va
     sensitivity = {lam: _best_k(cost, w, lam) for lam in PENALTY_GRID}
     segs = _read_segments(values, w, cost, split, _best_k(cost, w, penalty))
     if categorical:
-        levels = dataset.column_schema(variable).levels
         level_to_segment = np.empty(len(pd_grid), dtype=int)
-        labels = []
         for s, (i, j) in enumerate(segs.bounds):
-            members = order[i : j + 1]
-            level_to_segment[members] = s
-            labels.append("+".join(levels[int(m)] for m in sorted(members)))
+            level_to_segment[order[i : j + 1]] = s
+        groups = LevelGroups(variable, tuple(int(s) for s in level_to_segment))
         return VariableSegments(
-            variable, "categorical", tuple(labels), segs.representatives,
-            level_to_segment=tuple(int(s) for s in level_to_segment), sensitivity=sensitivity,
+            variable, "categorical", tuple(groups.labels(dataset.column_schema(variable).levels)),
+            segs.representatives, level_to_segment=groups.level_to_segment,
+            sensitivity=sensitivity,
         )
     rule = BinningRule(
         variable, tuple(float((pd_grid[j] + pd_grid[j + 1]) / 2.0) for _, j in segs.bounds[:-1])
@@ -203,49 +206,20 @@ def segment_variable(dataset: Dataset, variable: str, pd_grid: np.ndarray, pd_va
     )
 
 
-def segmented_dataset(dataset: Dataset, segments: dict[str, VariableSegments]) -> Dataset:
-    """Recode the selected variables as segment-level categoricals; other
-    feature columns are dropped, bookkeeping columns pass through."""
-    schema, columns = [], {}
-    for col in dataset.schema:
-        if col.kind in ("continuous", "categorical"):
-            seg = segments.get(col.name)
-            if seg is None:
-                continue
-            schema.append(ColumnSchema(col.name, "categorical", seg.labels))
-            columns[col.name] = seg.assign(dataset.columns[col.name]).astype(np.int64)
-        else:
-            schema.append(col)
-            columns[col.name] = dataset.columns[col.name]
-    return Dataset(tuple(schema), columns, dataset.weights)
-
-
 # -- surrogate construction ----------------------------------------------
 
 
 @dataclass
 class SurrogateModel:
-    """BIC-selected GLM over PD-segmented inputs; predicts from the
-    original (unsegmented) frame."""
+    """The BIC-selected GLM, whose design holds the segments of its
+    variables, with those segments and the selection report."""
 
     glm: GlmModel
     segments: dict[str, VariableSegments]
     report: dict = field(default_factory=dict)
 
-    def transform(self, dataset: Dataset) -> Dataset:
-        return segmented_dataset(dataset, self.segments)
-
     def predict(self, dataset: Dataset) -> np.ndarray:
-        return self.glm.predict(self.transform(dataset))
-
-    @property
-    def tariff_table(self) -> dict:
-        table = self.glm.tariff_table
-        table["segments"] = {
-            v: {"labels": list(s.labels), "cuts": list(s.cuts)}
-            for v, s in self.segments.items()
-        }
-        return table
+        return self.glm.predict(dataset)
 
 
 def _interaction_score(model, dataset, curve_a, curve_b):
@@ -268,9 +242,10 @@ def _interaction_score(model, dataset, curve_a, curve_b):
     return float(np.max(np.abs(resid)))
 
 
-def _fit_candidate(data, mains, interactions, family):
+def _fit_candidate(dataset, segments, mains, interactions, family):
+    binning = {v: segments[v].rule for v in mains}
     try:
-        model = fit_glm(data, Design(tuple(mains), tuple(interactions)), family)
+        model = fit_glm(dataset, Design(tuple(mains), tuple(interactions), binning), family)
         return model, model.bic
     except GlmError:
         return None, np.inf
@@ -292,11 +267,10 @@ def build_surrogate(model, dataset: Dataset, family: str) -> SurrogateModel:
             segments[variable] = seg
     report = {"segment_counts": {v: s.n_segments for v, s in segments.items()},
               "penalty_sensitivity": sensitivity, "candidates": []}
-    data = segmented_dataset(dataset, segments)
     survivors = sorted(segments)
     if not survivors:
         warnings.warn("all partial-dependence effects are flat; intercept-only surrogate")
-        glm = fit_glm(data, Design(), family)
+        glm = fit_glm(dataset, Design(), family)
         report["selected"] = {"mains": [], "interactions": [], "bic": glm.bic}
         return SurrogateModel(glm, {}, report)
 
@@ -306,20 +280,20 @@ def build_surrogate(model, dataset: Dataset, family: str) -> SurrogateModel:
             itertools.combinations(survivors, r) for r in range(len(survivors) + 1)
         )
         for mains in subsets:
-            cand, cand_bic = _fit_candidate(data, mains, (), family)
+            cand, cand_bic = _fit_candidate(dataset, segments, mains, (), family)
             report["candidates"].append({"mains": list(mains), "bic": cand_bic})
             if cand_bic < best_bic:
                 best_model, best_bic, best_mains = cand, cand_bic, mains
     else:
         mains: tuple = ()
-        best_model, best_bic = _fit_candidate(data, mains, (), family)
+        best_model, best_bic = _fit_candidate(dataset, segments, mains, (), family)
         improved = True
         while improved:
             improved = False
             for variable in survivors:
                 if variable in mains:
                     continue
-                cand, cand_bic = _fit_candidate(data, (*mains, variable), (), family)
+                cand, cand_bic = _fit_candidate(dataset, segments, (*mains, variable), (), family)
                 report["candidates"].append({"mains": [*mains, variable], "bic": cand_bic})
                 if cand_bic < best_bic:
                     best_model, best_bic, mains = cand, cand_bic, (*mains, variable)
@@ -334,7 +308,8 @@ def build_surrogate(model, dataset: Dataset, family: str) -> SurrogateModel:
     scored_pairs.sort(reverse=True)
     interactions: tuple = ()
     for _, pair in scored_pairs[:MAX_INTERACTIONS]:
-        cand, cand_bic = _fit_candidate(data, best_mains, (*interactions, pair), family)
+        cand, cand_bic = _fit_candidate(
+            dataset, segments, best_mains, (*interactions, pair), family)
         report["candidates"].append(
             {"mains": list(best_mains), "interactions": [*interactions, pair], "bic": cand_bic}
         )

@@ -1,8 +1,11 @@
 """End-to-end CLI flow on a small synthetic portfolio."""
 
 import csv
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import re
 import shlex
 from dataclasses import replace
@@ -12,6 +15,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import freqsev
 from freqsev.cli import main
 from freqsev.data import load_claims_csv, load_csv, load_schema, severity_view
 from freqsev.interpretation import partial_dependence
@@ -167,9 +171,14 @@ def test_surrogate_command(workspace, tmp_path, trained):
                              "--schema", workspace["schema"], "--model", model,
                              "--out", str(out)])
     assert r.exit_code == 0, r.output
-    payload = json.loads((out / "surrogate.json").read_text())
-    assert "glm" in payload and "tariff" in payload
+    assert sorted(p.name for p in out.iterdir()) == ["model.json", "report.txt", "tariff.json"]
+    surrogate = load_model(out / "model.json")
+    assert json.loads((out / "tariff.json").read_text()) == surrogate.tariff_table
     assert (out / "report.txt").read_text().startswith("surrogate GLM selection report")
+    r = runner.invoke(main, ["interpret", "--data", workspace["data"],
+                             "--schema", workspace["schema"], "--model", str(out / "model.json"),
+                             "--out", str(tmp_path / "interp")])
+    assert r.exit_code == 0, r.output
 
 
 def test_severity_evaluate_and_surrogate(workspace, tmp_path):
@@ -198,8 +207,7 @@ def test_severity_evaluate_and_surrogate(workspace, tmp_path):
                              "--model", str(train / "fold_0" / "glm" / "model.json"),
                              "--out", str(tmp_path / "surrogate")])
     assert r.exit_code == 0, r.output
-    payload = json.loads((tmp_path / "surrogate" / "surrogate.json").read_text())
-    assert payload["glm"]["family"] == "gamma_log"
+    assert load_model(tmp_path / "surrogate" / "model.json").family == "gamma_log"
 
 
 def test_severity_interpret_uses_claimant_rows(workspace, tmp_path):
@@ -348,6 +356,15 @@ def test_run_config_that_is_not_json_is_a_one_line_error(tmp_path):
     assert len(r.output.splitlines()) == 1
 
 
+@pytest.mark.parametrize("text", ["5", '["glm"]'], ids=["number", "list"])
+def test_run_config_that_is_not_an_object_is_a_one_line_error(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    r = CliRunner().invoke(main, ["run", "--config", str(path)])
+    assert r.exit_code == 1
+    assert r.output == f"Error: {path} is not a JSON object of RunConfig fields\n"
+
+
 def test_run_config_typo_is_a_one_line_error(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"familes": ["glm"]}), encoding="utf-8")
@@ -365,11 +382,13 @@ BAD_FILES = {
     "short line": ("tariff", "pred", "row_index,prediction\n0,0.1\n0\n",
                    "{bad}: line 3 has 1 cells, the header 2"),
     "row index 900": ("evaluate", "pred", "row_index,prediction\n0,0.1\n900,0.2\n",
-                      "{bad}: row indices must be unique and lie in 0..799"),
+                      "{bad}: row indices must lie in 0..799"),
     "row index -1": ("evaluate", "pred", "row_index,prediction\n0,0.1\n-1,0.2\n",
-                     "{bad}: row indices must be unique and lie in 0..799"),
+                     "{bad}: row indices must lie in 0..799"),
     "duplicate row index": ("evaluate", "pred", "row_index,prediction\n3,0.1\n3,0.2\n",
-                            "{bad}: row indices must be unique and lie in 0..799"),
+                            "{bad}: row index 3 is listed twice"),
+    "duplicate premium row index": ("tariff", "pred", "row_index,prediction\n0,0.1\n0,0.2\n",
+                                    "{bad}: row index 0 is listed twice"),
     "premiums for other rows": ("tariff", "pred", "row_index,prediction\n1,0.1\n0,0.2\n",
                                 "{bad} and {losses} cover different rows"),
     "claim amount abc": ("run", "claims", "row_id,amount\n3,10.0\n4,abc\n",
@@ -397,6 +416,34 @@ def test_bad_input_file_is_a_one_line_error(workspace, tmp_path, case):
     r = CliRunner().invoke(main, argv)
     assert r.exit_code == 1
     assert r.output == f"Error: {message.format(bad=bad, losses=losses)}\n"
+
+
+def test_interpret_on_a_portfolio_without_rows_is_a_one_line_error(workspace, tmp_path):
+    empty = tmp_path / "portfolio.csv"
+    empty.write_text(Path(workspace["data"]).read_text().splitlines()[0] + "\n")
+    r = CliRunner().invoke(main, ["interpret", "--data", str(empty),
+                                  "--schema", workspace["schema"],
+                                  "--model", workspace["models"]["glm"],
+                                  "--out", str(tmp_path / "interp")])
+    assert r.exit_code == 1
+    assert r.output == "Error: cannot compute partial dependence on an empty dataset\n"
+
+
+def test_every_freqsev_error_is_a_one_line_error(monkeypatch):
+    """Each exception class a freqsev module defines, raised inside a
+    command, ends it with a one-line `Error:` and exit code 1."""
+    errors = [cls for info in pkgutil.iter_modules(freqsev.__path__)
+              for _, cls in inspect.getmembers(importlib.import_module(f"freqsev.{info.name}"),
+                                               inspect.isclass)
+              if issubclass(cls, Exception) and cls.__module__ == f"freqsev.{info.name}"]
+    assert len(errors) >= 10
+    for cls in errors:
+        def fail(**params):
+            raise cls("the message")
+
+        monkeypatch.setattr(main.commands["synth"], "callback", fail)
+        r = CliRunner().invoke(main, ["synth", "--out", "unused"])
+        assert (r.exit_code, r.output) == (1, "Error: the message\n"), cls
 
 
 def test_run_from_config_and_from_flags_write_the_same_bytes(workspace, tmp_path):

@@ -9,6 +9,7 @@ from freqsev.glm import (
     Design,
     GlmError,
     GlmModel,
+    LevelGroups,
     build_design_matrix,
     fit_glm,
     tree_bin,
@@ -102,6 +103,30 @@ def test_json_roundtrip_and_tariff_table():
     table = model.tariff_table
     assert table["base_level"] > 0
     assert all(v > 0 for v in table["relativities"].values())
+
+
+def test_level_groups_fit_as_a_frame_holding_the_groups():
+    """A design that groups a categorical's levels codes each group as one
+    level, labelled by its members in code order joined by `+`: the fit
+    is the fit on a frame whose column holds the groups."""
+    y, e = [2.0, 0.0, 1.0, 3.0, 0.0, 1.0, 1.0, 0.0], [1.0, 0.5, 1.0, 1.5, 1.0, 1.0, 0.5, 1.0]
+    ds = _counts_dataset(y, e, codes=[0, 0, 1, 1, 1, 2, 2, 0], levels=("a", "b", "c"))
+    groups = LevelGroups("f", (0, 1, 0))
+    model = fit_glm(ds, Design(("f",), binning={"f": groups}), "poisson_log")
+    grouped = _counts_dataset(y, e, codes=groups.apply(ds.columns["f"]), levels=("a+c", "b"))
+    plain = fit_glm(grouped, Design(("f",)), "poisson_log")
+    assert model.column_names == plain.column_names == ["(Intercept)", "f[b]"]
+    assert model.references == plain.references == {"f": 0}
+    np.testing.assert_array_equal(model.coef, plain.coef)
+    clone = GlmModel.from_dict(model.to_dict())
+    assert clone.design == model.design
+    np.testing.assert_array_equal(clone.predict(ds), model.predict(ds))
+    assert model.tariff_table["binning"] == {"f": {"level_to_segment": [0, 1, 0]}}
+    with pytest.raises(GlmError, match="cover 3 levels, the column has 2"):
+        model.predict(_counts_dataset(y, e, codes=[0, 1] * 4))
+    for bad in ((0, 2, 2), (1, 1, 1), (0, 1.0, 0)):
+        with pytest.raises(GlmError, match="must be the integers 0..k-1"):
+            LevelGroups("f", bad)
 
 
 def test_interaction_columns_reference_and_prediction_coding():

@@ -168,8 +168,11 @@ def _short_theta():
      "is not a complete 'networks' model: KeyError: 'tree'"),
     (json.dumps({**_networks_payload(), "stats": None}),
      "is not a complete 'networks' model: TypeError"),
+    (json.dumps({"kind": "glm", "binning": {"region": {"level_to_segment": [0, 2, 2]}}}),
+     "is not a complete 'glm' model: GlmError: level groups for 'region' must be"),
     ("{not json", "is not JSON"),
-], ids=["gbm_without_trees", "short_theta", "unknown_initial_kind", "null_stats", "not_json"])
+], ids=["gbm_without_trees", "short_theta", "unknown_initial_kind", "null_stats",
+        "level_groups_with_a_gap", "not_json"])
 def test_load_model_names_the_file_and_kind_of_a_malformed_payload(tmp_path, text, message):
     path = tmp_path / "model.json"
     path.write_text(text, encoding="utf-8")

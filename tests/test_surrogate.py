@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqsev.data import ColumnSchema, Dataset, PortfolioSpec, generate_synthetic_portfolio
-from freqsev.glm import BinningRule, Design, fit_glm
+from freqsev.glm import BinningRule, Design, build_design_matrix, fit_glm
 from freqsev.interpretation import default_pd_grid, partial_dependence
+from freqsev.pipeline import load_model, save_model
 from freqsev.surrogate import (
     K_MAX,
     MAX_EXHAUSTIVE,
@@ -22,7 +23,6 @@ from freqsev.surrogate import (
     choose_k,
     dp_segment,
     segment_variable,
-    segmented_dataset,
 )
 
 from conftest import ConstantModel, LogLinearModel, small_portfolio
@@ -164,8 +164,8 @@ def test_segment_variable_groups_categorical_levels(portfolio):
     grid = np.arange(3)
     pd_values = np.array([0.2, 0.2, 0.8])  # first two levels identical
     seg = segment_variable(ds, "region", grid, pd_values, penalty=0.1)
-    assert seg.n_segments == 2
-    mapped = seg.assign(np.array([0, 1, 2], dtype=np.int64))
+    assert seg.n_segments == 2 and seg.labels == ("north+south", "east")
+    mapped = seg.rule.apply(np.array([0, 1, 2], dtype=np.int64))
     assert mapped[0] == mapped[1] != mapped[2]
 
 
@@ -182,13 +182,12 @@ def test_value_at_a_cut_falls_in_the_segment_whose_label_ends_there():
     assert len(grid) == 100 and np.isin((grid[:-1] + grid[1:]) / 2.0, power).sum() == 64
     seg = segment_variable(ds, "power", grid, np.where(grid <= 128.0, 1.0, 3.0))
     assert seg.cuts == (129.0,) and seg.labels == ("(-inf,129]", "(129,inf]")
-    rule = BinningRule("power", seg.cuts)
-    np.testing.assert_array_equal(seg.assign(np.array([128.0, 129.0, 130.0])), [0, 0, 1])
-    np.testing.assert_array_equal(seg.assign(column), rule.apply(column))
-    recoded = segmented_dataset(ds, {"power": seg})
-    np.testing.assert_array_equal(recoded.columns["power"], rule.apply(column))
-    levels = recoded.column_schema("power").levels
-    assert {levels[c] for c in recoded.columns["power"][column == 129.0]} == {"(-inf,129]"}
+    assert seg.rule == BinningRule("power", seg.cuts)
+    np.testing.assert_array_equal(seg.rule.apply(np.array([128.0, 129.0, 130.0])), [0, 0, 1])
+    # in a design, the first (more populous) segment is the reference
+    X, names, _ = build_design_matrix(ds, Design(("power",), binning={"power": seg.rule}))
+    assert names == ["(Intercept)", "power[(129,inf]]"]
+    np.testing.assert_array_equal(X[:, 1], column > 129.0)
 
 
 def _distillation_case(n=5000, seed=0, joint=0.0):
@@ -266,14 +265,38 @@ def test_ignored_variable_not_selected():
 def test_surrogate_piecewise_constant():
     ds, black_box = _distillation_case(n=2500, seed=5)
     surrogate = build_surrogate(black_box, ds, "poisson_log")
-    seg = surrogate.transform(ds)
+    binning = surrogate.glm.design.binning
     pred = surrogate.predict(ds)
     # identical segment cells share one prediction
-    cell = np.stack([seg.columns[v] for v in surrogate.segments], axis=1)
+    cell = np.stack([binning[v].apply(ds.columns[v]) for v in surrogate.segments], axis=1)
     _, inverse = np.unique(cell, axis=0, return_inverse=True)
     for c in range(inverse.max() + 1):
         vals = pred[inverse == c]
         np.testing.assert_allclose(vals, vals[0], rtol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["merged_region", "interaction"])
+def test_surrogate_glm_reloads_bit_identically(tmp_path, case):
+    """The surrogate GLM's design holds its segments: saved and loaded
+    like any GLM, it predicts the same from the raw frame and saves the
+    same bytes again."""
+    if case == "merged_region":
+        ds = small_portfolio(n=3000, seed=4, freq_intercept=-0.8).dataset
+        black_box = LogLinearModel(intercept=-0.8, cat_coefs={"region": [0.0, 0.0, 0.9]})
+    else:
+        ds, black_box = _distillation_case(n=2000, seed=6, joint=0.8)
+    surrogate = build_surrogate(black_box, ds, "poisson_log")
+    if case == "merged_region":
+        assert surrogate.segments["region"].labels == ("north+south", "east")
+    else:
+        assert surrogate.report["selected"]["interactions"] == [["age", "region"]]
+    assert surrogate.glm.design.binning == {v: s.rule for v, s in surrogate.segments.items()}
+    path, resaved = tmp_path / "model.json", tmp_path / "resaved.json"
+    save_model(surrogate.glm, path)
+    model = load_model(path)
+    np.testing.assert_array_equal(model.predict(ds), surrogate.predict(ds))
+    save_model(model, resaved)
+    assert resaved.read_bytes() == path.read_bytes()
 
 
 def test_bic_optimality_over_candidates():
