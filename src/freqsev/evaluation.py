@@ -81,7 +81,8 @@ class Family:
     - `terms(f, y, w)`, the per-row deviance without input checks, and
       `contributions(f, y, w)`, the same with them;
     - `mean(y, w)`, the weighted mean response that starts every fit;
-    - `gradient` and `hessian` of half the deviance in the log score;
+    - `gradient` and `hessian` of half the deviance in the log score,
+      written into `out` when one is given;
     - for IRLS, `split_weight(w)` into a log offset and a prior weight,
       `working_weight`, `dispersion` and `loglik`;
     - for tree binning, `split_sums(ys, ws)` and `half_deviance(s1, s2)`:
@@ -126,11 +127,11 @@ class _PoissonLog(Family):
     def mean(self, y, e):
         return np.sum(y) / np.sum(e)
 
-    def gradient(self, f, y, e):
-        return y - e * f
+    def gradient(self, f, y, e, out=None):
+        return np.subtract(y, np.multiply(e, f, out=out), out=out)
 
-    def hessian(self, f, y, e):
-        return e * f
+    def hessian(self, f, y, e, out=None):
+        return np.multiply(e, f, out=out)
 
     def split_weight(self, e):
         return np.log(e), np.ones(len(e))
@@ -170,11 +171,13 @@ class _GammaLog(Family):
     def mean(self, y, a):
         return np.sum(a * y) / np.sum(a)
 
-    def gradient(self, f, y, a):
-        return a * (y / f - 1.0)
+    def gradient(self, f, y, a, out=None):
+        out = np.divide(y, f, out=out)
+        out -= 1.0
+        return np.multiply(a, out, out=out)
 
-    def hessian(self, f, y, a):
-        return a * y / f
+    def hessian(self, f, y, a, out=None):
+        return np.divide(np.multiply(a, y, out=out), f, out=out)
 
     def split_weight(self, a):
         return np.zeros(len(a)), a

@@ -7,7 +7,14 @@ parameters are the number of trees and the tree depth.
 Each fit cuts every continuous feature of its own training frame into at
 most MAX_BINS quantile bins; with at most MAX_BINS distinct values the
 cuts are the midpoints an exact search would try. Trees grow level by
-level from histograms of bag count and gradient per node and bin.
+level from histograms of bag count and gradient per node and bin, which
+hold the round's bag rows only, in ascending order: a row out of the bag
+would add 0 to every bucket, so the sums are those over all rows. Rows
+out of the bag still go down each tree to take their leaf's value. A fit
+grows its trees in one `_Workspace`, allocated once from its roots,
+features and rows: each round and level writes its keys, weights, nodes
+and gradients into it, and what a round still allocates is the bag
+draw's row indices and arrays per node.
 Categorical splits order levels by the mean gradient inside the node and
 route levels absent from the node to the majority child. A model keeps
 its trees as one `Forest`: flat node arrays joined once, when it is fitted
@@ -23,7 +30,8 @@ Tuning grows, in each inner fold, one model per depth of the grid as one
 forest: the models share the cuts and each round's bag, and each level is
 one histogram pass and one split search over the open nodes of every model
 still below its depth. The inner fold's validation rows go down each tree
-as it is grown, their log scores add the trees in order, and their deviance
+as it is grown, through buffers allocated once per fold, their log scores
+add the trees in order, and their deviance
 is read at every tree count of the grid, so tuning keeps no tree. Every
 loss equals that of a separate fit per depth, to the bit. The inner folds
 run through `_workers.fork_map` and their losses are added in fold order,
@@ -129,29 +137,45 @@ def _cuts(x: np.ndarray) -> np.ndarray:
     return (values[:-1] + values[1:]) / 2.0
 
 
-def _descend(node, rows, offset, right, left, codes):
-    """Move each (node, row) pair one level down; pairs at a leaf stay there.
+def _scratch(pairs):
+    """`_descend`'s temporaries for up to `pairs` pairs."""
+    return np.empty(pairs, np.intp), np.empty(pairs, np.intp), np.empty(pairs, bool)
+
+
+def _descend(node, rows, offset, right, left, codes, scratch):
+    """Move each (node, row) pair one level down, in place; pairs at a
+    leaf stay there.
 
     `codes` is the feature-major (features, rows) code matrix, `rows` each
     pair's column in it and `offset` where each node's split feature
     starts in it, raveled; `right` is each node's right child, which for
-    a leaf is its own index + 1."""
-    code = codes.take(offset.take(node) + rows)
-    return right.take(node) - left.take(node * left.shape[1] + code)
+    a leaf is its own index + 1. `scratch` is from `_scratch`, for at
+    least as many pairs. Every index is in range; `take` writes into `out`
+    without a copy only when it may clip, here and wherever it fills a
+    buffer."""
+    n = len(node)
+    at, code, goes = scratch[0][:n], scratch[1][:n], scratch[2][:n]
+    offset.take(node, out=at, mode="clip")
+    at += rows
+    codes.take(at, out=code, mode="clip")  # each pair's bin or level
+    np.multiply(node, left.shape[1], out=at)
+    at += code
+    left.take(at, out=goes, mode="clip")
+    right.take(node, out=at, mode="clip")
+    np.subtract(at, goes, out=node)
 
 
-def _route(codes, rows, feature, left, child, depths):
-    """The leaf of each (root, row) pair, root-major, for the columns
-    `rows` of `codes` in trees whose roots are nodes 0, 1, ... and stop at
-    `depths`, which do not increase from root to root."""
-    n = len(rows)
-    node = np.repeat(np.arange(len(depths)), n)
-    rows = np.tile(rows, len(depths))
+def _route(codes, rows, feature, left, child, depths, node, scratch):
+    """Set `node` to the leaf of each (root, row) pair, root-major, for
+    the columns `rows` of `codes`, one per pair, in trees whose roots are
+    nodes 0, 1, ... and stop at `depths`, which do not increase from root
+    to root. `node` is as long as `rows`; `scratch` is from `_scratch`."""
+    n = len(rows) // len(depths)
+    node.reshape(len(depths), n)[:] = np.arange(len(depths))[:, None]
     offset, right = np.maximum(feature, 0) * codes.shape[1], child + 1
     for d in range(depths[0]):
         pairs = n * sum(limit > d for limit in depths)
-        node[:pairs] = _descend(node[:pairs], rows[:pairs], offset, right, left, codes)
-    return node
+        _descend(node[:pairs], rows[:pairs], offset, right, left, codes, scratch)
 
 
 class _Layout:
@@ -209,30 +233,56 @@ def _best_splits(counts, sums, layout, min_count):
     return np.where(gain[at_best] > 0, f, -1), valid & window
 
 
-def _grow(codes, keys, layout, grad, count, depths, min_count):
-    """Grow one tree per root level by level on the rows with positive
-    `count`; root r fits row r of the (roots, rows) `grad` and stops at
-    `depths[r]`, which must not increase from root to root.
+class _Workspace:
+    """The arrays one `_boost` call grows its trees in, allocated once
+    from its roots, features, rows and bag size; each round and level
+    writes into them.
+
+    `rows`, `node` and `step` hold one row per root and one entry per
+    (root, row) pair, the rows in the order of `order`: the bag's rows
+    ascending, then the others ascending. `rows` holds each pair's row."""
+
+    def __init__(self, n_roots, n_features, n, n_bag):
+        self.order = np.arange(n)
+        self.rows = np.tile(self.order, (n_roots, 1))
+        self.node = np.empty((n_roots, n), dtype=np.intp)  # each pair's node
+        self.scratch = _scratch(n_roots * n)
+        self.step = np.empty((n_roots, n))  # each pair's score increment
+        # per (feature, bag row), then per (root, feature, bag row)
+        self.keys = np.empty((n_features, n_bag), dtype=np.intp)
+        self.key = np.empty(n_roots * n_features * n_bag, dtype=np.intp)
+        self.weight = np.empty(n_roots * n_features * n_bag)
+        # per bag row, then per (root, bag row)
+        self.y, self.w = np.empty(n_bag), np.empty(n_bag)
+        self.pred, self.grad, self.hess = (np.empty((n_roots, n_bag)) for _ in range(3))
+
+
+def _grow(codes, keys, layout, grad, depths, min_count, ws):
+    """Grow one tree per root level by level on the bag's rows, the first
+    of `ws.order`; root r fits row r of the (roots, bag) `grad` and stops
+    at `depths[r]`, which must not increase from root to root. `keys` is
+    the (features, bag) histogram key of each bag row.
 
     Children are numbered after every node made before them, so the trees
     share one set of node arrays and a single root's tree is numbered as
-    if it grew alone. Returns the node arrays without leaf values and the
-    leaf of every (root, row) pair, root-major."""
-    n_roots, n = grad.shape
+    if it grew alone. The histograms hold the bag's rows only: a row out
+    of the bag would add 0 to each bucket. Returns the node arrays without
+    leaf values and `ws.node`, the leaf of every (root, row) pair."""
+    n_roots, n_bag = grad.shape
     n_bins = len(layout.owner)
     # every leaf but a lone root holds at least min_count bag rows
-    most = 2 * max(1, int(count.sum()) // min_count)
+    most = 2 * max(1, n_bag // min_count)
     capacity = sum(min(2 ** (d + 1), most) - 1 for d in depths)
     feature = np.full(capacity, -1)
     left = np.ones((capacity, layout.width), dtype=bool)
     child = np.arange(capacity)
     root = np.zeros(capacity, dtype=np.intp)  # the root of each node
     root[:n_roots] = np.arange(n_roots)
-    # (root, feature, row) order: each (node, bin) bucket sums its rows in order
-    count_w = np.tile(count, n_roots * len(layout.start))
-    grad_w = np.repeat(grad, len(layout.start), axis=0).ravel()
-    node = np.repeat(np.arange(n_roots), n)
-    rows = np.tile(np.arange(n), n_roots)
+    # (root, feature, bag row) order: each (node, bin) bucket sums its rows in order
+    weight = ws.weight.reshape(n_roots, -1, n_bag)
+    weight[:] = grad[:, None, :]
+    node, rows, n = ws.node, ws.rows, ws.node.shape[1]
+    node[:] = np.arange(n_roots)[:, None]
     level = np.arange(n_roots)
     size = n_roots
     for d in range(depths[0]):
@@ -240,12 +290,14 @@ def _grow(codes, keys, layout, grad, count, depths, min_count):
         if growing < n_roots:
             level = level[root.take(level) < growing]
         m = len(level)
-        pairs = growing * n
-        slot = np.full(size, m)  # rows at leaves fill slot m, which is dropped
-        slot[level] = np.arange(m)
-        key = (keys + (slot.take(node[:pairs]) * n_bins).reshape(growing, 1, n)).ravel()
-        counts = np.bincount(key, count_w[: len(key)], (m + 1) * n_bins)[: m * n_bins]
-        sums = np.bincount(key, grad_w[: len(key)], (m + 1) * n_bins)[: m * n_bins]
+        slot = np.full(size, m * n_bins)  # rows at leaves fill slot m, which is dropped
+        slot[level] = np.arange(m) * n_bins
+        at = ws.scratch[0][: growing * n].reshape(growing, n)
+        slot.take(node[:growing], out=at, mode="clip")
+        key = ws.key[: growing * keys.size]
+        np.add(keys, at[:, None, :n_bag], out=key.reshape(growing, *keys.shape))
+        counts = np.bincount(key, minlength=(m + 1) * n_bins)[: m * n_bins]
+        sums = np.bincount(key, weight[:growing].ravel(), (m + 1) * n_bins)[: m * n_bins]
         split_feature, go_left = _best_splits(
             counts.reshape(m, n_bins), sums.reshape(m, n_bins), layout, min_count
         )
@@ -261,7 +313,8 @@ def _grow(codes, keys, layout, grad, count, depths, min_count):
         root[level] = root.take(parents).repeat(2)
         size += 2 * k
         offset = np.maximum(feature, 0) * n
-        node[:pairs] = _descend(node[:pairs], rows[:pairs], offset, child + 1, left, codes)
+        _descend(node[:growing].ravel(), rows[:growing].ravel(), offset, child + 1, left, codes,
+                 ws.scratch)
     return feature[:size], left[:size].copy(), child[:size], node
 
 
@@ -345,15 +398,19 @@ class BoostedModel:
         u = len(scores)
         block = max(1, max(n_rows, _SCRATCH) // max(1, u))
         rows = np.tile(np.arange(u), min(block, len(trees)))
+        nodes, scratch = np.empty((min(block, len(trees)), u), dtype=np.intp), _scratch(len(rows))
+        steps = np.empty(nodes.shape)
         root = trees.bounds[:-1]
         offset = np.maximum(trees.feature, 0) * u
         value = self.shrinkage * trees.value
         for start in range(0, len(trees), block):
             roots = root[start : start + block]
-            node = np.repeat(roots, u)
+            node = nodes[: len(roots)]
+            node[:] = roots[:, None]
+            pairs, pair_rows = node.ravel(), rows[: node.size]
             for _ in range(self.depth):
-                node = _descend(node, rows[: len(node)], offset, trees.right, trees.left, codes)
-            increments = value.take(node).reshape(len(roots), u)
+                _descend(pairs, pair_rows, offset, trees.right, trees.left, codes, scratch)
+            increments = value.take(node, out=steps[: len(roots)], mode="clip")
             if u <= _CUMSUM_ROWS:
                 scores[:] = np.cumsum(np.vstack((scores, increments)), axis=0)[-1]
             else:
@@ -421,7 +478,9 @@ def _boost(model: BoostedModel, dataset: Dataset, depths, bagging_fraction: floa
     the frame `model` was started on, for `model.n_trees` rounds. All
     share the cuts and the bag of each round; each round yields the node
     arrays of its trees, roots in the order of `depths`, with log-scale
-    leaf values from one Newton step."""
+    leaf values from one Newton step. The trees grow in one `_Workspace`,
+    and the gradient, hessian and leaf sums are taken over the bag's rows
+    in ascending order; every row's score takes its leaf's value."""
     fam = get_family(model.family, GbmError)
     y = dataset.response
     w = fam.obs_weight(dataset)
@@ -434,22 +493,33 @@ def _boost(model: BoostedModel, dataset: Dataset, depths, bagging_fraction: floa
 
     rng = substream(model.seed, "gbm-bagging")
     min_count = max(1, int(np.ceil(MIN_NODE_SHARE * dataset.n)))
-    current = np.full((len(depths), dataset.n), model.f0)  # log-scale score, excluding offset
-    n_bag = max(1, int(round(bagging_fraction * dataset.n)))
+    n = dataset.n
+    current = np.full((len(depths), n), model.f0)  # log-scale score, excluding offset
+    n_bag = max(1, int(round(bagging_fraction * n)))
+    ws = _Workspace(len(depths), len(model.features), n, n_bag)
+    bag, in_bag = ws.order[:n_bag], np.zeros(n, dtype=bool)
+    bag_leaf = ws.scratch[1][: len(depths) * n_bag].reshape(len(depths), n_bag)
+    by_row = ws.scratch[1].reshape(len(depths), n)
     for _ in range(model.n_trees):
-        if n_bag < dataset.n:
-            in_bag = np.zeros(dataset.n)
-            in_bag[rng.choice(dataset.n, size=n_bag, replace=False)] = 1.0
-        else:
-            in_bag = np.ones(dataset.n)
-        pred = np.exp(current)
-        grad = fam.gradient(pred, y, w) * in_bag
-        hess = fam.hessian(pred, y, w) * in_bag
-        feature, left, child, leaf = _grow(codes, keys, layout, grad, in_bag, depths, min_count)
-        g = np.bincount(leaf, grad.ravel(), len(feature))
-        h = np.bincount(leaf, hess.ravel(), len(feature))
+        if n_bag < n:
+            in_bag[:] = False
+            in_bag[rng.choice(n, size=n_bag, replace=False)] = True
+            ws.order[:n_bag] = np.flatnonzero(in_bag)
+            ws.order[n_bag:] = np.flatnonzero(np.logical_not(in_bag, out=in_bag))
+            ws.rows[:] = ws.order
+        keys.take(bag, axis=1, out=ws.keys, mode="clip")
+        y.take(bag, out=ws.y, mode="clip")
+        w.take(bag, out=ws.w, mode="clip")
+        pred = np.exp(current.take(bag, axis=1, out=ws.pred, mode="clip"), out=ws.pred)
+        grad = fam.gradient(pred, ws.y, ws.w, out=ws.grad)
+        hess = fam.hessian(pred, ws.y, ws.w, out=ws.hess)
+        feature, left, child, leaf = _grow(codes, ws.keys, layout, grad, depths, min_count, ws)
+        bag_leaf[:] = leaf[:, :n_bag]  # the bag's pairs, contiguous for `bincount`
+        g = np.bincount(bag_leaf.ravel(), grad.ravel(), len(feature))
+        h = np.bincount(bag_leaf.ravel(), hess.ravel(), len(feature))
         value = np.divide(g, h, out=np.zeros(len(feature)), where=h > 0)
-        current += (model.shrinkage * value).take(leaf).reshape(current.shape)
+        by_row[:, ws.order] = leaf  # each pair's leaf, rows in frame order
+        current += (model.shrinkage * value).take(by_row, out=ws.step, mode="clip")
         yield feature, left, child, value
 
 
@@ -496,14 +566,16 @@ def _inner_fold_losses(dataset, family, fold_plan, outer_fold, trees, depths, se
     train = dataset.subset(fold_plan.inner_train_rows(outer_fold, k))
     valid = dataset.subset(fold_plan.test_rows(k))
     model = _start(train, family, trees[-1], depths[0], seed, SHRINKAGE)
-    codes, rows = model._codes(valid), np.arange(valid.n)
+    codes, rows = model._codes(valid), np.tile(np.arange(valid.n), len(depths))
     scores = np.full((len(depths), valid.n), model.f0)
+    node, step = np.empty(scores.shape, dtype=np.intp), np.empty(scores.shape)
+    scratch = _scratch(len(rows))
     i = 0
     for t, (feature, left, child, value) in enumerate(
         _boost(model, train, depths, BAGGING_FRACTION), 1
     ):
-        node = _route(codes, rows, feature, left, child, depths)
-        scores += (SHRINKAGE * value).take(node).reshape(scores.shape)
+        _route(codes, rows, feature, left, child, depths, node.ravel(), scratch)
+        scores += (SHRINKAGE * value).take(node, out=step, mode="clip")
         while i < len(trees) and trees[i] == t:
             losses[:, i] = [fam.deviance(np.exp(s), valid) for s in scores]
             i += 1

@@ -139,7 +139,10 @@ def load_config(path) -> RunConfig:
     if unknown:
         raise PipelineError(f"unknown config keys {unknown}; accepted keys: {accepted}")
     if "families" in raw:
-        raw["families"] = tuple(raw["families"])
+        families = raw["families"]
+        if not isinstance(families, list) or not all(isinstance(f, str) for f in families):
+            raise PipelineError(f"{path}: families must be a list of strings, got {families!r}")
+        raw["families"] = tuple(families)
     return RunConfig(**raw)
 
 

@@ -76,9 +76,13 @@ def risk_scores(premiums) -> np.ndarray:
     """Empirical CDF of the premiums evaluated at each premium
     (right-continuous; tied premiums share the upper value)."""
     p = _finite(premiums, "premiums")
+    return _ecdf(p, np.argsort(p))  # tied rows get one value, so their order does not matter
+
+
+def _ecdf(p: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """`risk_scores(p)` from an `order` that sorts `p`."""
     if len(p) == 0:
         raise TariffError("no premiums given")
-    order = np.argsort(p)  # tied rows get one value, so their order does not matter
     end = np.flatnonzero(_last_of_block(p[order])) + 1  # rows at or below each block
     scores = np.empty(len(p))
     scores[order] = np.repeat(end, np.diff(end, prepend=0)) / len(p)
@@ -89,13 +93,17 @@ def lorenz_curve(scores, losses, s_grid=None) -> tuple[np.ndarray, np.ndarray]:
     """Share of losses on policies with risk score <= s, over the grid
     (default: 0 plus the distinct observed scores)."""
     r = _finite(scores, "scores")
+    return _lorenz(r, _stable_order(r), losses, s_grid)
+
+
+def _lorenz(r, order, losses, s_grid=None):
+    """`lorenz_curve(r, losses, s_grid)` from `_stable_order(r)`."""
     losses = _finite(losses, "losses")
     if np.any(losses < 0):
         raise TariffError("losses must be non-negative")
     total = losses.sum()
     if total <= 0:
         raise TariffError("losses sum must be positive")
-    order = _stable_order(r)
     ranked = r[order]
     if s_grid is None:
         s_grid = np.concatenate([[0.0], ranked[_last_of_block(ranked)]])
@@ -206,7 +214,12 @@ def compare_tariffs(premiums: dict[str, np.ndarray], losses) -> TariffComparison
             x, y = ordered_lorenz(premiums[a], premiums[b], losses)
             gini[i, j] = gini_index(x, y)
     balance = {m: balance_ratio(premiums[m], losses) for m in models}
-    lorenz = {m: lorenz_curve(risk_scores(premiums[m]), losses) for m in models}
+    lorenz = {}
+    for m in models:
+        # risk scores rise with the premiums and tie where they tie, so
+        # the premiums' stable order is the scores' too
+        order = _stable_order(premiums[m])
+        lorenz[m] = _lorenz(_ecdf(premiums[m], order), order, losses)
     selected, row_max, tie = minmax_select(gini, list(models))
     return TariffComparison(models, gini, balance, lorenz, selected, row_max, tie)
 

@@ -365,6 +365,14 @@ def test_run_config_that_is_not_an_object_is_a_one_line_error(tmp_path, text):
     assert r.output == f"Error: {path} is not a JSON object of RunConfig fields\n"
 
 
+def test_run_config_families_string_is_a_one_line_error(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"families": "glm"}), encoding="utf-8")
+    r = CliRunner().invoke(main, ["run", "--config", str(path)])
+    assert r.exit_code == 1
+    assert r.output == f"Error: {path}: families must be a list of strings, got 'glm'\n"
+
+
 def test_run_config_typo_is_a_one_line_error(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"familes": ["glm"]}), encoding="utf-8")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from freqsev import _workers, gbm
+from freqsev._rand import substream
 from freqsev.data import ColumnSchema, Dataset, severity_view, stratified_folds
 from freqsev.evaluation import get_family, poisson_deviance
 from freqsev.gbm import (
@@ -209,14 +210,132 @@ def test_a_deep_root_that_stops_early_leaves_the_others_growing():
     codes = model._codes(ds)
     keys = codes + layout.start[:, None]
     grad = ds.response - ds.exposure * np.exp(model.f0)
-    count = np.ones(ds.n)
-    feature, _, _, leaf = gbm._grow(
-        codes, keys, layout, np.stack([np.zeros(ds.n), grad]), count, (3, 1), 5)
-    alone, _, _, alone_leaf = gbm._grow(codes, keys, layout, grad[None], count, (1,), 5)
+    feature, _, _, leaf = gbm._grow(codes, keys, layout, np.stack([np.zeros(ds.n), grad]), (3, 1),
+                                    5, gbm._Workspace(2, len(keys), ds.n, ds.n))
+    leaf = leaf.ravel().copy()  # a view of the workspace, root-major
+    alone, _, _, alone_leaf = gbm._grow(codes, keys, layout, grad[None], (1,), 5,
+                                        gbm._Workspace(1, len(keys), ds.n, ds.n))
+    alone_leaf = alone_leaf.ravel().copy()
     assert feature[0] == -1 and alone[0] >= 0
     np.testing.assert_array_equal(feature[1:], alone)
     assert np.all(leaf[: ds.n] == 0)
     np.testing.assert_array_equal(leaf[ds.n :], alone_leaf + 1)
+
+
+# -- reference: the allocating grower the workspace replaced ----------------
+
+
+def _ref_descend(node, rows, offset, right, left, codes):
+    code = codes.take(offset.take(node) + rows)
+    return right.take(node) - left.take(node * left.shape[1] + code)
+
+
+def _ref_grow(codes, keys, layout, grad, count, depths, min_count):
+    """Histograms of every row, out-of-bag rows at count and gradient 0;
+    fresh arrays at every level."""
+    n_roots, n = grad.shape
+    n_bins = len(layout.owner)
+    most = 2 * max(1, int(count.sum()) // min_count)
+    capacity = sum(min(2 ** (d + 1), most) - 1 for d in depths)
+    feature = np.full(capacity, -1)
+    left = np.ones((capacity, layout.width), dtype=bool)
+    child = np.arange(capacity)
+    root = np.zeros(capacity, dtype=np.intp)
+    root[:n_roots] = np.arange(n_roots)
+    count_w = np.tile(count, n_roots * len(layout.start))
+    grad_w = np.repeat(grad, len(layout.start), axis=0).ravel()
+    node = np.repeat(np.arange(n_roots), n)
+    rows = np.tile(np.arange(n), n_roots)
+    level = np.arange(n_roots)
+    size = n_roots
+    for d in range(depths[0]):
+        growing = sum(limit > d for limit in depths)
+        if growing < n_roots:
+            level = level[root.take(level) < growing]
+        m = len(level)
+        pairs = growing * n
+        slot = np.full(size, m)
+        slot[level] = np.arange(m)
+        key = (keys + (slot.take(node[:pairs]) * n_bins).reshape(growing, 1, n)).ravel()
+        counts = np.bincount(key, count_w[: len(key)], (m + 1) * n_bins)[: m * n_bins]
+        sums = np.bincount(key, grad_w[: len(key)], (m + 1) * n_bins)[: m * n_bins]
+        split_feature, go_left = gbm._best_splits(
+            counts.reshape(m, n_bins), sums.reshape(m, n_bins), layout, min_count
+        )
+        split = split_feature >= 0
+        k = int(split.sum())
+        if k == 0:
+            break
+        parents = level[split]
+        feature[parents] = split_feature[split]
+        left[parents] = go_left[split]
+        child[parents] = size + 2 * np.arange(k)
+        level = np.arange(size, size + 2 * k)
+        root[level] = root.take(parents).repeat(2)
+        size += 2 * k
+        offset = np.maximum(feature, 0) * n
+        node[:pairs] = _ref_descend(node[:pairs], rows[:pairs], offset, child + 1, left, codes)
+    return feature[:size], left[:size].copy(), child[:size], node
+
+
+def _ref_boost(model, dataset, depths, bagging_fraction):
+    """Every round's node arrays and bag, and the final scores."""
+    fam = get_family(model.family)
+    y, w = dataset.response, fam.obs_weight(dataset)
+    size = [len(model.cuts[name]) + 1 if name in model.cuts
+            else len(dataset.column_schema(name).levels) for name in model.features]
+    layout = gbm._Layout(size, np.array([name not in model.cuts for name in model.features]))
+    codes = model._codes(dataset)
+    keys = codes + layout.start[:, None]
+    rng = substream(model.seed, "gbm-bagging")
+    min_count = max(1, int(np.ceil(gbm.MIN_NODE_SHARE * dataset.n)))
+    current = np.full((len(depths), dataset.n), model.f0)
+    n_bag = max(1, int(round(bagging_fraction * dataset.n)))
+    rounds, bags = [], []
+    for _ in range(model.n_trees):
+        if n_bag < dataset.n:
+            in_bag = np.zeros(dataset.n)
+            in_bag[rng.choice(dataset.n, size=n_bag, replace=False)] = 1.0
+        else:
+            in_bag = np.ones(dataset.n)
+        pred = np.exp(current)
+        grad = fam.gradient(pred, y, w) * in_bag
+        hess = fam.hessian(pred, y, w) * in_bag
+        feature, left, child, leaf = _ref_grow(codes, keys, layout, grad, in_bag, depths,
+                                               min_count)
+        g = np.bincount(leaf, grad.ravel(), len(feature))
+        h = np.bincount(leaf, hess.ravel(), len(feature))
+        value = np.divide(g, h, out=np.zeros(len(feature)), where=h > 0)
+        current += (model.shrinkage * value).take(leaf).reshape(current.shape)
+        rounds.append((feature, left, child, value))
+        bags.append(in_bag > 0)
+    return rounds, bags, current
+
+
+@pytest.mark.parametrize("depths", [(5, 4, 3, 2, 1), (3, 3, 1)])
+@pytest.mark.parametrize("bagging", [0.75, 1.0])
+@pytest.mark.parametrize("frame", ["frequency", "severity", "absent level"])
+def test_grower_matches_allocating_reference(frame, bagging, depths):
+    """Growing on the bag's rows in one workspace ends on the bits of
+    the allocating grower over every row: each round's node arrays and
+    the final scores, also in rounds whose bag holds no row of a level."""
+    p = small_portfolio(n=700, seed=21)
+    family, ds = "poisson_log", p.dataset
+    if frame == "severity":
+        family, ds = "gamma_log", severity_view(p.dataset, p.claims)
+    if frame == "absent level":  # one row of region 2
+        region = np.minimum(ds.columns["region"], 1)
+        region[17] = 2
+        ds = ds.with_column("region", region)
+    model = gbm._start(ds, family, 30, depths[0], seed=5, shrinkage=0.1)
+    rounds, bags, scores = _ref_boost(model, ds, depths, bagging)
+    if frame == "absent level" and bagging < 1.0:
+        assert not all(bag[17] for bag in bags)
+    boost = gbm._boost(model, ds, depths, bagging)
+    for t, expected in enumerate(rounds):
+        for got, want in zip(next(boost), expected):
+            np.testing.assert_array_equal(got, want, err_msg=f"round {t}")
+    np.testing.assert_array_equal(boost.gi_frame.f_locals["current"], scores)  # after the last round
 
 
 @pytest.mark.parametrize("grids", [

@@ -434,6 +434,16 @@ def test_load_fold_plan_reads_what_save_fold_plan_wrote(tmp_path):
     assert (loaded.k_outer, loaded.seed) == (plan.k_outer, plan.seed)
 
 
+@pytest.mark.parametrize("families", ["glm", ["glm", 1], {"glm": True}, None],
+                         ids=["string", "number", "object", "null"])
+def test_load_config_rejects_families_that_are_not_a_list_of_strings(tmp_path, families):
+    """A string is not split into one-letter families."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"families": families}), encoding="utf-8")
+    with pytest.raises(pipeline.PipelineError, match="families must be a list of strings"):
+        pipeline.load_config(path)
+
+
 def test_load_config_names_unknown_keys(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"familes": ["glm"], "seed": 1}), encoding="utf-8")

@@ -97,6 +97,37 @@ def test_stable_order_is_a_stable_argsort(values):
         np.testing.assert_array_equal(s, np.concatenate([[0.0], np.unique(values)]))
 
 
+def test_compare_tariffs_sorts_each_premium_vector_once(monkeypatch):
+    """The Lorenz curves equal those of `risk_scores` and `lorenz_curve`,
+    with tied, signed-zero and distinct premiums; each model's premiums
+    are sorted once, and each pair's relativities once."""
+    rng = np.random.default_rng(9)
+    n = len(_TIES)
+    premiums = {
+        "ties": _TIES,
+        "zeros": np.where(rng.random(n) < 0.3, rng.choice([0.0, -0.0], n), rng.uniform(1, 2, n)),
+        "distinct": rng.uniform(1.0, 2.0, n),
+    }
+    premiums["zeros"][0] = 1.0  # the premium total stays positive
+    losses = rng.gamma(0.5, 2.0, n) * (rng.random(n) < 0.2)
+    sorts = []
+    argsort = np.argsort
+
+    def counted_argsort(*args, **kwargs):
+        sorts.append(1)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted_argsort)
+    compare_tariffs({"ties": premiums["ties"], "distinct": premiums["distinct"]}, losses)
+    assert len(sorts) == 2 + 2
+    monkeypatch.setattr(np, "argsort", argsort)
+    for name, p in premiums.items():
+        s, lc = compare_tariffs({name: p}, losses).lorenz[name]
+        expected_s, expected_lc = lorenz_curve(risk_scores(p), losses)
+        np.testing.assert_array_equal(s, expected_s, err_msg=name)
+        np.testing.assert_array_equal(lc, expected_lc, err_msg=name)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_premiums_scores_and_losses_are_rejected(bad, toy):
     good = np.array([1.0, 2.0, 3.0])
