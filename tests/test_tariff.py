@@ -119,7 +119,7 @@ def test_compare_tariffs_sorts_each_premium_vector_once(monkeypatch):
 
     monkeypatch.setattr(np, "argsort", counted_argsort)
     compare_tariffs({"ties": premiums["ties"], "distinct": premiums["distinct"]}, losses)
-    assert len(sorts) == 2 + 2
+    assert len(sorts) == 2 + 2  # one per model, one per ordered pair
     monkeypatch.setattr(np, "argsort", argsort)
     for name, p in premiums.items():
         s, lc = compare_tariffs({name: p}, losses).lorenz[name]
