@@ -29,9 +29,9 @@ from .data import (
     write_json,
     write_schema,
 )
-from .evaluation import LossVector, diebold_mariano, get_family
+from .evaluation import FAMILIES, LossVector, diebold_mariano, get_family
 from .interpretation import partial_dependence, permutation_vip, write_pd_csv, write_vip_csv
-from .pipeline import RunConfig, load_config, load_fold_plan, load_model
+from .pipeline import MODEL_FAMILIES, PRESETS, RunConfig, load_config, load_fold_plan, load_model
 from .pipeline import run_pipeline, save_fold_plan, save_model
 from .surrogate import build_surrogate, write_selection_report
 from ._rand import derive_seed
@@ -165,10 +165,10 @@ def folds(data, schema, seed, out):
 @click.option("--claims", "claims_path", type=click.Path())
 @click.option("--folds", "folds_path", type=click.Path())
 @click.option("--seed", type=int)
-@click.option("--preset", type=click.Choice(["desk", "paper"]))
-@click.option("--families", help="comma-separated, e.g. glm,gbm",
+@click.option("--preset", type=click.Choice(list(PRESETS)))
+@click.option("--families", help=f"comma-separated, e.g. glm,gbm; from {', '.join(MODEL_FAMILIES)}",
               callback=lambda ctx, param, value: value and tuple(value.split(",")))
-@click.option("--response-family", type=click.Choice(["poisson_log", "gamma_log"]))
+@click.option("--response-family", type=click.Choice(list(FAMILIES)))
 @click.option("--out", "outdir", type=click.Path())
 def run(config_path, folds_path, **flags):
     """Cross-validate the requested model families and write per-fold
@@ -198,7 +198,7 @@ def run(config_path, folds_path, **flags):
 @click.option("--claims", type=click.Path(), default=None)
 @click.option("--pred-a", required=True, type=click.Path())
 @click.option("--pred-b", required=True, type=click.Path())
-@click.option("--family", type=click.Choice(["poisson_log", "gamma_log"]),
+@click.option("--family", type=click.Choice(list(FAMILIES)),
               default="poisson_log", show_default=True)
 @click.option("--out", required=True, type=click.Path())
 def evaluate(data, schema, claims, pred_a, pred_b, family, out):

@@ -49,15 +49,16 @@ from .embedding import scale_encoder, select_dimension
 from .evaluation import get_family
 from .glm import Design, GlmModel, fit_glm, tree_bin
 
-KNOWN_FAMILIES = (
-    "glm",
-    "gbm",
-    "ffnn",
-    "cann_glm_fixed",
-    "cann_glm_flexible",
-    "cann_gbm_fixed",
-    "cann_gbm_flexible",
-)
+# Each model family's start model and CANN output layer: the GLM and the GBM
+# are the shared fold models themselves, every other family is a network that
+# starts from nothing or from one of them, with a fixed or trainable output.
+MODEL_FAMILIES = {
+    "glm": ("glm", None),
+    "gbm": ("gbm", None),
+    "ffnn": (None, None),
+    **{f"cann_{base}_{mode}": (base, mode)
+       for base in ("glm", "gbm") for mode in ("fixed", "flexible")},
+}
 
 
 class PipelineError(RuntimeError):
@@ -124,9 +125,13 @@ class RunConfig:
     def __post_init__(self):
         if self.preset not in PRESETS:
             raise PipelineError(f"unknown preset {self.preset!r}")
-        unknown = [f for f in self.families if f not in KNOWN_FAMILIES]
+        unknown = [f for f in self.families if f not in MODEL_FAMILIES]
         if unknown:
-            raise PipelineError(f"unknown model families: {unknown}")
+            raise PipelineError(
+                f"unknown model families {unknown}; accepted families: {list(MODEL_FAMILIES)}")
+        if not self.families or len(set(self.families)) < len(self.families):
+            raise PipelineError("families must name one or more model families, each once; "
+                                f"got {list(self.families)}")
         get_family(self.response_family, PipelineError)
 
 
@@ -438,45 +443,29 @@ def _run_fold(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan, fold: in
     A failure raises `PipelineError` naming the fold."""
     preset = PRESETS[config.preset]
     family = config.response_family
-    needs_nets = any(f not in ("glm", "gbm") for f in config.families)
-    needs_glm = "glm" in config.families or any("cann_glm" in f for f in config.families)
-    needs_gbm = "gbm" in config.families or any("cann_gbm" in f for f in config.families)
-    test_rows, train_rows = fold_plan.test_rows(fold), fold_plan.train_rows(fold)
+    bases = {MODEL_FAMILIES[name][0] for name in config.families}
+    test_rows = fold_plan.test_rows(fold)
     models, loss_rows, predictions = {}, [], {}
     try:
         ctx = (
             build_fold_context(dataset, family, fold_plan, fold, preset, config.seed)
-            if needs_nets
+            if any(MODEL_FAMILIES[name][0] != name for name in config.families)
             else None
         )
-        glm_model = (
-            fit_fold_glm(dataset, family, train_rows, fold) if needs_glm else None
-        )
-        gbm_model = (
-            fit_fold_gbm(dataset, family, fold_plan, fold, preset, config.seed)
-            if needs_gbm
-            else None
-        )
+        shared = {}
+        if "glm" in bases:
+            shared["glm"] = fit_fold_glm(dataset, family, fold_plan.train_rows(fold), fold)
+        if "gbm" in bases:
+            shared["gbm"] = fit_fold_gbm(dataset, family, fold_plan, fold, preset, config.seed)
+        held_out = dataset.subset(test_rows)
+        deviance = get_family(family, PipelineError).deviance
         for name in config.families:
-            if name == "glm":
-                model = glm_model
-            elif name == "gbm":
-                model = gbm_model
-            else:
-                cann_mode = None
-                initial = None
-                if name.startswith("cann_"):
-                    _, source, mode = name.split("_")
-                    cann_mode = mode
-                    initial = glm_model if source == "glm" else gbm_model
-                model = fit_fold_network(
-                    ctx, dataset, family, fold_plan, preset,
-                    derive_seed(config.seed, name), cann_mode, initial,
-                )
-            models[name] = model
-            pred = predictions[name] = model.predict(dataset.subset(test_rows))
-            loss = fold_deviance(pred, dataset, test_rows, family)
-            loss_rows.append({"model": name, "fold": fold, "deviance": loss})
+            base, cann_mode = MODEL_FAMILIES[name]
+            model = models[name] = shared[name] if base == name else fit_fold_network(
+                ctx, dataset, family, fold_plan, preset, derive_seed(config.seed, name),
+                cann_mode, shared.get(base))
+            pred = predictions[name] = model.predict(held_out)
+            loss_rows.append({"model": name, "fold": fold, "deviance": deviance(pred, held_out)})
             fold_dir = os.path.join(config.outdir, f"fold_{fold}", name)
             os.makedirs(fold_dir, exist_ok=True)
             save_model(model, os.path.join(fold_dir, "model.json"))

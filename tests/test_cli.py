@@ -373,6 +373,16 @@ def test_run_config_families_string_is_a_one_line_error(tmp_path):
     assert r.output == f"Error: {path}: families must be a list of strings, got 'glm'\n"
 
 
+@pytest.mark.parametrize("families", [["glm", "glm"], []], ids=["repeated", "empty"])
+def test_run_config_families_repeated_or_empty_is_a_one_line_error(tmp_path, families):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"families": families}), encoding="utf-8")
+    r = CliRunner().invoke(main, ["run", "--config", str(path)])
+    assert r.exit_code == 1
+    assert r.output == ("Error: families must name one or more model families, each once; "
+                        f"got {families}\n")
+
+
 def test_run_config_typo_is_a_one_line_error(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"familes": ["glm"]}), encoding="utf-8")

@@ -78,27 +78,26 @@ def test_plain_severity_network_starts_at_claim_weighted_mean():
     np.testing.assert_allclose(pred, expected, rtol=1e-12)
 
 
-def test_network_fold_isolation(tmp_path, monkeypatch):
-    """The poisoned-fold probe of acceptance 11 for networks: moving fold
-    0's held-out responses leaves fold 0's written models byte-identical."""
+@pytest.mark.parametrize("name", [name for name, (base, _) in pipeline.MODEL_FAMILIES.items()
+                                  if base != name])
+def test_network_fold_isolation(tmp_path, monkeypatch, name):
+    """The poisoned-fold probe of acceptance 11 for each network family:
+    moving fold 0's held-out responses leaves fold 0's written model, and
+    the CANN initial model inside it, byte-identical."""
     monkeypatch.setitem(pipeline.PRESETS, "desk", FAST)
     ds = small_portfolio(n=600, seed=3).dataset
     plan = stratified_folds(ds, seed=5)
-    families = ("ffnn", "cann_glm_fixed")
 
     def run(dataset, outdir):
         config = pipeline.RunConfig(data_path="memory", schema_path="memory", seed=9,
-                                    families=families, outdir=str(outdir))
+                                    families=(name,), outdir=str(outdir))
         pipeline.run_pipeline(config, dataset, plan)
+        return (outdir / "fold_0" / name / "model.json").read_bytes()
 
     poisoned_y = ds.response.copy()
     poisoned_y[plan.test_rows(0)] += 7.0
-    run(ds, tmp_path / "clean")
-    run(ds.with_column(ds.response_name, poisoned_y), tmp_path / "poisoned")
-    for family in families:
-        clean = (tmp_path / "clean" / "fold_0" / family / "model.json").read_bytes()
-        poisoned = (tmp_path / "poisoned" / "fold_0" / family / "model.json").read_bytes()
-        assert clean == poisoned, family
+    assert run(ds, tmp_path / "clean") == run(ds.with_column(ds.response_name, poisoned_y),
+                                              tmp_path / "poisoned")
 
 
 def test_every_written_model_reloads_bit_identically(tmp_path, monkeypatch):
@@ -109,7 +108,7 @@ def test_every_written_model_reloads_bit_identically(tmp_path, monkeypatch):
     monkeypatch.setitem(pipeline.PRESETS, "desk", FAST)
     portfolio = small_portfolio(n=1200, seed=5, freq_intercept=-0.5)
     sev = severity_view(portfolio.dataset, portfolio.claims)
-    runs = [(portfolio.dataset, "poisson_log", pipeline.KNOWN_FAMILIES),
+    runs = [(portfolio.dataset, "poisson_log", tuple(pipeline.MODEL_FAMILIES)),
             (sev, "gamma_log", ("ffnn", "cann_glm_fixed"))]
     for ds, family, families in runs:
         outdir = tmp_path / family
@@ -265,7 +264,7 @@ def test_pooled_and_in_process_runs_write_the_same_bytes(tmp_path, monkeypatch):
     monkeypatch.setitem(pipeline.PRESETS, "desk", FAST)
     portfolio = small_portfolio(n=800, seed=5, freq_intercept=-0.5)
     sev = severity_view(portfolio.dataset, portfolio.claims)
-    runs = [(portfolio.dataset, "poisson_log", pipeline.KNOWN_FAMILIES),
+    runs = [(portfolio.dataset, "poisson_log", tuple(pipeline.MODEL_FAMILIES)),
             (sev, "gamma_log", ("ffnn", "cann_glm_fixed"))]
     for ds, family, families in runs:
         written, predictions = {}, {}
@@ -442,6 +441,20 @@ def test_load_config_rejects_families_that_are_not_a_list_of_strings(tmp_path, f
     path.write_text(json.dumps({"families": families}), encoding="utf-8")
     with pytest.raises(pipeline.PipelineError, match="families must be a list of strings"):
         pipeline.load_config(path)
+
+
+@pytest.mark.parametrize("families, message", [
+    (("glm", "glm"), r"each once; got \['glm', 'glm'\]"),
+    ((), r"each once; got \[\]"),
+    (("glm", "cann_glm"), r"unknown model families \['cann_glm'\]; accepted families: "
+                          r"\['glm', 'gbm', 'ffnn', 'cann_glm_fixed', 'cann_glm_flexible', "
+                          r"'cann_gbm_fixed', 'cann_gbm_flexible'\]$"),
+], ids=["repeated", "empty", "unknown"])
+def test_run_config_rejects_a_repeated_empty_or_unknown_family_list(families, message):
+    """A repeated family would write its fold models and loss rows twice, an
+    empty list a loss table of nothing but its header."""
+    with pytest.raises(pipeline.PipelineError, match=message):
+        pipeline.RunConfig(families=families)
 
 
 def test_load_config_names_unknown_keys(tmp_path):
