@@ -19,12 +19,12 @@ Categorical splits order levels by the mean gradient inside the node and
 route levels absent from the node to the majority child. A model keeps
 its trees as one `Forest`: flat node arrays joined once, when it is fitted
 or loaded, with each tree's root offset, so a prefix of the trees is a
-prefix of the roots. Prediction finds the distinct binned rows, by
-counting their keys when the key range is small and by sorting them
-otherwise, and walks each once. It moves blocks of (tree, row) pairs down
-a level at a time, at least 2**16 pairs or one per row of the frame, so a
-small frame walks a few blocks and memory stays linear in rows. Each row
-adds its leaf values tree after tree: it gets a per-tree walk's sums.
+prefix of the roots. Prediction with every tree reads a memo of the score
+per cell of the frame's code grid (bins by schema levels) of at most 2**16
+cells, per process and never saved, and walks only cells not yet in it;
+else it walks each distinct binned row once. A walk moves blocks of (tree,
+row) pairs a level at a time, at least 2**16 pairs or one per row of the
+frame, so memory stays linear in rows; each row adds trees in order.
 
 Tuning grows, in each inner fold, one model per depth of the grid as one
 forest: the models share the cuts and each round's bag, and each level is
@@ -323,7 +323,10 @@ class BoostedModel:
     """Stagewise additive model on the log scale: exp(F0 + shrinkage * sum(trees)).
 
     `trees` is one `Forest`, joined once when the model is fitted or
-    loaded; any sequence of `Tree`s assigned to it is joined into one."""
+    loaded; any sequence of `Tree`s assigned to it is joined into one.
+    It memoizes its forest's log score per cell of a frame's code grid, of
+    at most `_SCRATCH` cells: bins by schema levels. The memo is per
+    process; assigning any field drops it, and `to_dict` leaves it out."""
 
     kind = "gbm"  # the tag `to_dict` writes and `pipeline.load_model` reads
 
@@ -338,52 +341,50 @@ class BoostedModel:
     features: list[str] = field(default_factory=list)
     cuts: dict[str, np.ndarray] = field(default_factory=dict)  # continuous features only
     tuned: dict | None = None
+    # grid radices: log score per cell, NaN until walked
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __setattr__(self, name, value):
         if name == "trees" and not isinstance(value, Forest):
             value = Forest.join(value)
         super().__setattr__(name, value)
+        if name != "_memo":
+            super().__setattr__("_memo", {})
 
     def _codes(self, dataset: Dataset) -> np.ndarray:
         """Feature-major (features, rows) matrix: the bin of each continuous
         value, the level code of each categorical one."""
-        columns = [
-            np.searchsorted(self.cuts[name], dataset.columns[name], side="left")
-            if name in self.cuts
-            else dataset.columns[name]
-            for name in self.features
-        ]
+        columns = []
+        for name, radix in zip(self.features, self._radices(dataset)):
+            column = dataset.columns[name]
+            if name in self.cuts:
+                column = np.searchsorted(self.cuts[name], column, side="left")
+            elif len(column) and not 0 <= column.min() <= column.max() < radix:
+                raise GbmError(f"feature {name!r} has a level code outside its schema's levels")
+            columns.append(column)
         return np.stack(columns).astype(np.intp, copy=False)
+
+    def _radices(self, dataset: Dataset) -> tuple:
+        """The code grid: each continuous feature's bins, each categorical one's schema levels."""
+        return tuple(len(self.cuts[name]) + 1 if name in self.cuts
+                     else len(dataset.column_schema(name).levels) for name in self.features)
 
     def _distinct(self, dataset: Dataset):
         """The code matrix of the distinct binned rows, in lexicographic
-        order, and each row's index among them.
-
-        Each row's mixed-radix key orders the rows lexicographically. When
-        the keys span at most `_SCRATCH` values or one per row, the distinct
-        keys are found by counting and each one's codes decoded from it;
-        otherwise by `np.unique`, with the key made dense on the way
-        wherever it could overflow."""
+        order, and each row's index among them, by `np.unique` of each
+        row's mixed-radix key, made dense on the way wherever it could
+        overflow."""
         codes = self._codes(dataset)
-        radices = [int(column.max(initial=0)) + 1 for column in codes]
-        counted = math.prod(radices) <= max(dataset.n, _SCRATCH)
         key, bound = np.zeros(dataset.n, dtype=np.int64), 1
-        for column, radix in zip(codes, radices):
+        for column in codes:
+            radix = int(column.max(initial=0)) + 1
             if bound * radix > 2**62:
                 values, key = np.unique(key, return_inverse=True)
                 bound = len(values)
             key = key * radix + column
             bound *= radix
-        if not counted:
-            _, first, key = np.unique(key, return_index=True, return_inverse=True)
-            return codes[:, first], key
-        present = np.bincount(key, minlength=bound) > 0
-        inverse = (np.cumsum(present) - 1).take(key)
-        key = np.flatnonzero(present)
-        distinct = np.empty((len(codes), len(key)), dtype=np.intp)
-        for j in reversed(range(len(codes))):
-            key, distinct[j] = np.divmod(key, radices[j])
-        return distinct, inverse
+        _, first, key = np.unique(key, return_index=True, return_inverse=True)
+        return codes[:, first], key
 
     def _add_trees(self, scores: np.ndarray, codes: np.ndarray, trees: Forest,
                    n_rows: int) -> None:
@@ -393,10 +394,10 @@ class BoostedModel:
         at least one tree, tree-major; each row adds its block's values one
         after another, by a cumulative sum over the block for at most
         `_CUMSUM_ROWS` rows, a loop over its trees otherwise."""
-        if not trees:
+        if not trees or not len(scores):
             return
         u = len(scores)
-        block = max(1, max(n_rows, _SCRATCH) // max(1, u))
+        block = max(1, max(n_rows, _SCRATCH) // u)
         rows = np.tile(np.arange(u), min(block, len(trees)))
         nodes, scratch = np.empty((min(block, len(trees)), u), dtype=np.intp), _scratch(len(rows))
         steps = np.empty(nodes.shape)
@@ -419,13 +420,23 @@ class BoostedModel:
 
     def log_scores(self, dataset: Dataset, n_trees: int | None = None) -> np.ndarray:
         """F0 plus the shrunken outputs of the first `n_trees` trees (all
-        when None) on each row of `dataset`."""
+        when None) on each row of `dataset`: with every tree, from the
+        memo when the grid is small, and otherwise by the distinct rows."""
         if n_trees is not None and n_trees < 0:
             raise GbmError(f"n_trees must be >= 0, got {n_trees}")
-        codes, inverse = self._distinct(dataset)
-        scores = np.full(codes.shape[1], self.f0)
-        self._add_trees(scores, codes, self.trees[:n_trees], dataset.n)
-        return scores.take(inverse)
+        radices = self._radices(dataset)
+        if (n_trees is not None and n_trees < len(self.trees)) or math.prod(radices) > _SCRATCH:
+            codes, inverse = self._distinct(dataset)
+            scores = np.full(codes.shape[1], self.f0)
+            self._add_trees(scores, codes, self.trees[:n_trees], dataset.n)
+            return scores.take(inverse)
+        memo = self._memo.setdefault(radices, np.full(math.prod(radices), np.nan))
+        key = np.ravel_multi_index(self._codes(dataset), radices)
+        new = np.unique(key[np.isnan(memo.take(key))])
+        scores = np.full(len(new), self.f0)
+        self._add_trees(scores, np.stack(np.unravel_index(new, radices)), self.trees, dataset.n)
+        memo[new] = scores
+        return memo.take(key)
 
     def predict(self, dataset: Dataset, n_trees: int | None = None) -> np.ndarray:
         """Strictly positive predictions; exposure not applied."""
@@ -484,8 +495,7 @@ def _boost(model: BoostedModel, dataset: Dataset, depths, bagging_fraction: floa
     fam = get_family(model.family, GbmError)
     y = dataset.response
     w = fam.obs_weight(dataset)
-    size = [len(model.cuts[name]) + 1 if name in model.cuts
-            else len(dataset.column_schema(name).levels) for name in model.features]
+    size = model._radices(dataset)
     categorical = np.array([name not in model.cuts for name in model.features], dtype=bool)
     layout = _Layout(size, categorical)
     codes = model._codes(dataset)

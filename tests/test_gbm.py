@@ -551,10 +551,11 @@ def _uniform_model(n_trees, depth):
 
 @pytest.mark.parametrize("depth", [1, 3, 5])
 def test_log_scores_match_per_tree_reference(depth, monkeypatch):
-    """Walking each distinct binned row once, trees in blocks, ends on the
-    same bits as walking every row through every tree: in one block, in
-    several blocks of several trees, in one-tree blocks and, for a few
-    distinct rows, by a cumulative sum over each block."""
+    """Walking each distinct binned row or new grid cell once, trees in
+    blocks, ends on the same bits as walking every row through every tree:
+    in one block, in several blocks of several trees, in one-tree blocks
+    and, for a few distinct rows, by a cumulative sum over each block. A
+    second call on the same frame reads the memo and walks no tree."""
     p = small_portfolio(n=1500, seed=13)
     train = p.dataset.subset(np.flatnonzero(p.dataset.columns["region"] != 2))
     assert len(np.unique(train.columns["age"])) > MAX_BINS  # region 2 is unseen
@@ -576,7 +577,7 @@ def test_log_scores_match_per_tree_reference(depth, monkeypatch):
         "repeated": (model, grid.subset(np.tile(np.arange(100), 7)), 1),
         "pinned": (model, p.dataset.with_column("age", np.full(p.dataset.n, cuts[40])), 1),
         "one row": (model, p.dataset.subset([5]), 1),
-        "no rows": (model, p.dataset.subset(np.array([], dtype=np.intp)), 1),
+        "no rows": (model, p.dataset.subset(np.array([], dtype=np.intp)), 0),
         "several blocks": (uniform, coded(codes[np.repeat(np.arange(5000), 2)]), 5),
         "one-tree blocks": (uniform, coded(codes), 60),
     }
@@ -589,7 +590,8 @@ def test_log_scores_match_per_tree_reference(depth, monkeypatch):
         return descend(*args)
 
     monkeypatch.setattr(gbm, "_descend", counted_descend)
-    for name, (m, frame, blocks) in cases.items():
+    for name, (fitted, frame, blocks) in cases.items():
+        m = BoostedModel.from_dict(fitted.to_dict())  # an empty memo
         for n_trees in (None, 50, 1):
             descents.clear()
             scores = m.log_scores(frame, n_trees)
@@ -598,6 +600,9 @@ def test_log_scores_match_per_tree_reference(depth, monkeypatch):
             )
             if n_trees is None:
                 assert len(descents) == blocks * depth, name
+                descents.clear()  # the memo serves a second call, unless the grid is too large
+                np.testing.assert_array_equal(m.log_scores(frame), scores, err_msg=name)
+                assert len(descents) == (blocks * depth if fitted is uniform else 0), name
     for name in ("pinned", "one row"):
         assert model._distinct(cases[name][1])[0].shape[1] <= gbm._CUMSUM_ROWS
     assert model.log_scores(cases["no rows"][1]).shape == (0,)
@@ -617,6 +622,55 @@ def test_truncated_trees_predict_as_a_prefix():
         np.testing.assert_array_equal(scores, expected[k])
         np.testing.assert_array_equal(scores, _reference_log_scores(model, p.dataset))
     assert len(BoostedModel.from_dict(model.to_dict()).trees) == 5
+
+
+def test_memo_and_walk_give_the_same_bits():
+    """The memo of grid cells agrees with the plain walk to the bit: after
+    the trees are truncated, after a reload or a pickle round trip, for a
+    frame whose schema has one more level (a grid of its own), and not at
+    all for a grid of 256**3 cells, which is walked each time."""
+    import pickle
+
+    p = small_portfolio(n=1500, seed=20)
+    model = fit_gbm(p.dataset, "poisson_log", n_trees=40, depth=3, seed=0, shrinkage=0.1)
+    frame = p.dataset
+    np.testing.assert_array_equal(model.log_scores(frame), _reference_log_scores(model, frame))
+    assert len(model._memo) == 1
+    model.trees = model.trees[:25]
+    assert model._memo == {}  # any field assignment drops the memo
+    np.testing.assert_array_equal(model.log_scores(frame), _reference_log_scores(model, frame))
+    reloaded = BoostedModel.from_dict(model.to_dict())
+    pickled = pickle.loads(pickle.dumps(model))  # memo included
+    for m in (reloaded, pickled, model):
+        np.testing.assert_array_equal(m.log_scores(frame), _reference_log_scores(model, frame))
+    region = frame.column_schema("region")
+    schema = tuple(
+        ColumnSchema(c.name, c.kind, c.levels + ("west",)) if c is region else c
+        for c in frame.schema
+    )
+    wider = Dataset(schema, dict(frame.columns, region=np.arange(frame.n) % 4))
+    np.testing.assert_array_equal(model.log_scores(wider), _reference_log_scores(model, wider))
+    bins = len(model.cuts["age"]) + 1
+    assert sorted(len(memo) for memo in model._memo.values()) == [
+        bins * len(region.levels), bins * (len(region.levels) + 1)
+    ]
+    uniform, coded = _uniform_model(20, 2)
+    i = np.arange(3000)
+    big = coded(np.column_stack((i % MAX_BINS, i * 7 % MAX_BINS, i * 13 % MAX_BINS)))
+    for _ in range(2):
+        np.testing.assert_array_equal(uniform.log_scores(big), _reference_log_scores(uniform, big))
+    assert uniform._memo == {}
+
+
+def test_a_level_code_outside_the_schema_is_rejected():
+    p = small_portfolio(n=600, seed=21)
+    model = fit_gbm(p.dataset, "poisson_log", n_trees=10, depth=2, seed=0)
+    n_levels = len(p.dataset.column_schema("region").levels)
+    for code in (n_levels, -1):
+        frame = p.dataset.with_column("region", np.full(p.dataset.n, code))
+        for n_trees in (None, 5):
+            with pytest.raises(GbmError, match="region"):
+                model.log_scores(frame, n_trees)
 
 
 def test_forest_indexes_and_slices_as_trees():
@@ -681,18 +735,17 @@ def test_distinct_rows_of_a_key_that_would_overflow():
     np.testing.assert_array_equal(distinct.T, np.unique(values, axis=0))
 
 
-@pytest.mark.parametrize("rows, radices, counted", [
-    (3000, (256, 256), True),  # 2**16 keys
-    (3000, (256, 257), False),
-    (70_000, (280, 250), True),  # one key per row
-    (70_000, (280, 251), False),
-    (1, (1, 1), True),
-    (0, (1, 1), True),
+@pytest.mark.parametrize("rows, radices", [
+    (3000, (256, 256)),  # 2**16 keys
+    (3000, (256, 257)),
+    (70_000, (280, 250)),  # one key per row
+    (70_000, (280, 251)),
+    (1, (1, 1)),
+    (0, (1, 1)),
 ])
-def test_distinct_rows_by_counting_equal_those_by_sorting(rows, radices, counted, monkeypatch):
-    """Up to 2**16 keys or one per row, the distinct rows are counted and
-    decoded from their keys, past it sorted: either way the distinct rows,
-    their order and each row's index equal `np.unique`'s."""
+def test_distinct_rows_equal_those_of_numpy_unique(rows, radices):
+    """The distinct rows, their order and each row's index equal
+    `np.unique`'s over the code matrix's rows."""
     names = ("x1", "x2")
     schema = tuple(ColumnSchema(name, "continuous") for name in names) + (
         ColumnSchema("exposure", "exposure"),
@@ -708,15 +761,7 @@ def test_distinct_rows_by_counting_equal_those_by_sorting(rows, radices, counted
     cuts = {name: np.arange(radix - 1) + 0.5 for name, radix in zip(names, radices)}
     model = BoostedModel("poisson_log", 0.0, SHRINKAGE, features=list(names), cuts=cuts)
     _, first, inverse = np.unique(codes, axis=0, return_index=True, return_inverse=True)
-    sorts, unique = [], np.unique
-
-    def counted_unique(*args, **kwargs):
-        sorts.append(1)
-        return unique(*args, **kwargs)
-
-    monkeypatch.setattr(np, "unique", counted_unique)
     distinct, index = model._distinct(frame)
-    assert bool(sorts) != counted
     np.testing.assert_array_equal(distinct, codes[first].T)
     np.testing.assert_array_equal(index, inverse.ravel())
     assert distinct.dtype == np.intp and distinct.shape == (2, len(first))
