@@ -98,7 +98,7 @@ def main():
 
 @main.command()
 @click.option("--rows", default=6000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", required=True, type=click.Path())
 def synth(rows, seed, out):
     """Generate a synthetic log-linear portfolio (data, claims, schema)."""
@@ -148,7 +148,7 @@ def ingest(data, schema, out):
 @main.command()
 @click.option("--data", required=True, type=click.Path())
 @click.option("--schema", required=True, type=click.Path())
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", required=True, type=click.Path())
 def folds(data, schema, seed, out):
     """Build the stratified outer fold partition."""
@@ -164,7 +164,7 @@ def folds(data, schema, seed, out):
 @click.option("--schema", "schema_path", type=click.Path())
 @click.option("--claims", "claims_path", type=click.Path())
 @click.option("--folds", "folds_path", type=click.Path())
-@click.option("--seed", type=int)
+@click.option("--seed", type=click.IntRange(min=0))
 @click.option("--preset", type=click.Choice(list(PRESETS)))
 @click.option("--families", help=f"comma-separated, e.g. glm,gbm; from {', '.join(MODEL_FAMILIES)}",
               callback=lambda ctx, param, value: value and tuple(value.split(",")))
@@ -225,7 +225,7 @@ def evaluate(data, schema, claims, pred_a, pred_b, family, out):
 @click.option("--schema", required=True, type=click.Path())
 @click.option("--claims", type=click.Path(), default=None)
 @click.option("--model", "model_path", required=True, type=click.Path())
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", required=True, type=click.Path())
 def interpret(data, schema, claims, model_path, seed, out):
     """Permutation importance and partial dependence for a saved model,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -169,9 +170,9 @@ def load_csv(path, schema: list[ColumnSchema]) -> Dataset:
     """Read a comma-separated, UTF-8 portfolio file against a schema.
 
     The header row is mandatory and must contain every schema column.
-    Unknown categorical labels, unparseable cells and non-positive
-    exposures are rejected with the offending row index (1-based, header
-    excluded).
+    Unknown categorical labels, unparseable cells, non-finite numbers and
+    non-positive exposures are rejected with the offending row index
+    (1-based, header excluded).
     """
     validate_schema(schema)
     header, rows = read_rows(path)
@@ -202,7 +203,11 @@ def load_csv(path, schema: list[ColumnSchema]) -> Dataset:
     columns = {}
     for col in schema:
         dtype = np.int64 if col.kind == "categorical" else np.float64
-        columns[col.name] = np.asarray(raw[col.name], dtype=dtype)
+        columns[col.name] = values = np.asarray(raw[col.name], dtype=dtype)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            raise DataError(f"non-finite value {values[bad[0]]} for {col.name!r} "
+                            f"in row {bad[0] + 1}")
     return Dataset(tuple(schema), columns)
 
 
@@ -215,9 +220,12 @@ def load_claims_csv(path) -> dict[int, list[float]]:
     claims: dict[int, list[float]] = {}
     for i, row in enumerate(rows, start=1):
         try:
-            claims.setdefault(int(row[r]), []).append(float(row[a]))
+            row_id, amount = int(row[r]), float(row[a])
         except ValueError as exc:
             raise DataError(f"{path}: row {i}: {exc}") from None
+        if not math.isfinite(amount):
+            raise DataError(f"{path}: row {i}: non-finite amount {amount}")
+        claims.setdefault(row_id, []).append(amount)
     return claims
 
 

@@ -17,25 +17,26 @@ and gradients into it, and what a round still allocates is the bag
 draw's row indices and arrays per node.
 Categorical splits order levels by the mean gradient inside the node and
 route levels absent from the node to the majority child. A model keeps
-its trees as one `Forest`: flat node arrays joined once, when it is fitted
-or loaded, with each tree's root offset, so a prefix of the trees is a
-prefix of the roots. Prediction with every tree reads a memo of the score
-per cell of the frame's code grid (bins by schema levels) of at most 2**16
-cells, per process and never saved, and walks only cells not yet in it;
-else it walks each distinct binned row once. A walk moves blocks of (tree,
-row) pairs a level at a time, at least 2**16 pairs or one per row of the
-frame, so memory stays linear in rows; each row adds trees in order.
+its trees only as one `Forest`: flat node arrays joined once, when it is
+fitted or loaded, with each tree's root offset, so a prefix of the trees
+is a prefix of the roots. Prediction with every tree reads a memo of the
+score per cell of the frame's code grid (bins by schema levels) of at most
+2**16 cells, per process and never saved, and walks only cells not yet in
+it; else it walks each distinct binned row once. A walk moves blocks of
+(tree, row) pairs a level at a time, at least 2**16 pairs or one per row
+of the frame, so memory stays linear in rows; each row adds trees in order.
 
 Tuning grows, in each inner fold, one model per depth of the grid as one
 forest: the models share the cuts and each round's bag, and each level is
 one histogram pass and one split search over the open nodes of every model
-still below its depth. The inner fold's validation rows go down each tree
-as it is grown, through buffers allocated once per fold, their log scores
-add the trees in order, and their deviance
-is read at every tree count of the grid, so tuning keeps no tree. Every
-loss equals that of a separate fit per depth, to the bit. The inner folds
-run through `_workers.fork_map` and their losses are added in fold order,
-so the grid is the same in forked workers as in process.
+still below its depth. The inner fold's validation rows are extra rows of
+the fit's workspace, never drawn into a bag: they go down each tree in the
+same descent as the training rows and take their leaf's value in the same
+step, and their deviance is read at every tree count of the grid, so
+tuning keeps no tree. Every loss equals that of a separate fit per depth,
+to the bit. The inner folds run through `_workers.fork_map` and their
+losses are added in fold order, so the grid is the same in forked workers
+as in process.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -76,31 +76,24 @@ class GbmError(ValueError):
     pass
 
 
-class Tree(NamedTuple):
-    feature: np.ndarray  # split feature per node, -1 at a leaf
-    left: np.ndarray  # (nodes, width) bool: does this bin or level go left
-    child: np.ndarray  # left child, the right one follows; a leaf is its own left child
-    value: np.ndarray  # log-scale leaf value, 0 at split nodes
-
-
 @dataclass(frozen=True, eq=False)
 class Forest:
     """Trees joined into one set of node arrays. Tree i holds nodes
     `bounds[i]` (its root) to `bounds[i + 1]`, and `right` is each node's
-    right child in forest numbering, a leaf's own index + 1.
+    right child in forest numbering, a leaf's own index + 1. A slice of
+    consecutive trees is a forest over the same arrays."""
 
-    A sequence of `Tree`s with local child indices: an index gives one, a
-    slice of consecutive trees is a forest over the same arrays."""
-
-    feature: np.ndarray
-    left: np.ndarray
+    feature: np.ndarray  # split feature per node, -1 at a leaf
+    left: np.ndarray  # (nodes, width) bool: does this bin or level go left
     right: np.ndarray
-    value: np.ndarray
+    value: np.ndarray  # log-scale leaf value, 0 at split nodes
     bounds: np.ndarray
 
     @classmethod
     def join(cls, trees) -> "Forest":
-        """One forest of `(feature, left, child, value)` trees, in order."""
+        """One forest of `(feature, left, child, value)` trees, in order,
+        each numbering its nodes from 0 with a node's left child at
+        `child` and its right one after it; a leaf is its own left child."""
         trees = list(trees)
         sizes = np.array([len(t[0]) for t in trees], dtype=np.intp)
         bounds = np.concatenate(([0], np.cumsum(sizes)))
@@ -112,18 +105,11 @@ class Forest:
     def __len__(self) -> int:
         return len(self.bounds) - 1
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            start, stop, step = i.indices(len(self))
-            if step != 1:
-                return Forest.join(map(self.__getitem__, range(start, stop, step)))
-            return replace(self, bounds=self.bounds[start : max(start, stop) + 1])
-        i = range(len(self))[i]  # from the end when negative; IndexError when out of range
-        a, b = self.bounds[i], self.bounds[i + 1]
-        return Tree(self.feature[a:b], self.left[a:b], self.right[a:b] - (a + 1), self.value[a:b])
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
+    def __getitem__(self, trees: slice) -> "Forest":
+        run = range(len(self))[trees]
+        if not isinstance(run, range) or run.step != 1:
+            raise TypeError("a forest takes only a slice of consecutive trees")
+        return replace(self, bounds=self.bounds[run.start : run.start + len(run) + 1])
 
 
 def _cuts(x: np.ndarray) -> np.ndarray:
@@ -163,19 +149,6 @@ def _descend(node, rows, offset, right, left, codes, scratch):
     left.take(at, out=goes, mode="clip")
     right.take(node, out=at, mode="clip")
     np.subtract(at, goes, out=node)
-
-
-def _route(codes, rows, feature, left, child, depths, node, scratch):
-    """Set `node` to the leaf of each (root, row) pair, root-major, for
-    the columns `rows` of `codes`, one per pair, in trees whose roots are
-    nodes 0, 1, ... and stop at `depths`, which do not increase from root
-    to root. `node` is as long as `rows`; `scratch` is from `_scratch`."""
-    n = len(rows) // len(depths)
-    node.reshape(len(depths), n)[:] = np.arange(len(depths))[:, None]
-    offset, right = np.maximum(feature, 0) * codes.shape[1], child + 1
-    for d in range(depths[0]):
-        pairs = n * sum(limit > d for limit in depths)
-        _descend(node[:pairs], rows[:pairs], offset, right, left, codes, scratch)
 
 
 class _Layout:
@@ -240,7 +213,8 @@ class _Workspace:
 
     `rows`, `node` and `step` hold one row per root and one entry per
     (root, row) pair, the rows in the order of `order`: the bag's rows
-    ascending, then the others ascending. `rows` holds each pair's row."""
+    ascending, then the others ascending, validation rows last. `rows`
+    holds each pair's row."""
 
     def __init__(self, n_roots, n_features, n, n_bag):
         self.order = np.arange(n)
@@ -323,17 +297,17 @@ class BoostedModel:
     """Stagewise additive model on the log scale: exp(F0 + shrinkage * sum(trees)).
 
     `trees` is one `Forest`, joined once when the model is fitted or
-    loaded; any sequence of `Tree`s assigned to it is joined into one.
-    It memoizes its forest's log score per cell of a frame's code grid, of
-    at most `_SCRATCH` cells: bins by schema levels. The memo is per
-    process; assigning any field drops it, and `to_dict` leaves it out."""
+    loaded, and the only form its trees take; a slice of it is a forest
+    too. It memoizes its forest's log score per cell of a frame's code
+    grid, of at most `_SCRATCH` cells: bins by schema levels. The memo is
+    per process; assigning any field drops it, and `to_dict` leaves it out."""
 
     kind = "gbm"  # the tag `to_dict` writes and `pipeline.load_model` reads
 
     family: str
     f0: float
     shrinkage: float
-    trees: Forest = field(default_factory=list)
+    trees: Forest = field(default_factory=partial(Forest.join, ()))
     n_trees: int = 0
     depth: int = 0
     seed: int = 0
@@ -345,8 +319,6 @@ class BoostedModel:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __setattr__(self, name, value):
-        if name == "trees" and not isinstance(value, Forest):
-            value = Forest.join(value)
         super().__setattr__(name, value)
         if name != "_memo":
             super().__setattr__("_memo", {})
@@ -445,12 +417,14 @@ class BoostedModel:
     def to_dict(self) -> dict:
         d = {"kind": self.kind, **{key: getattr(self, key) for key in _PAYLOAD_KEYS}}
         d["cuts"] = {name: c.tolist() for name, c in self.cuts.items()}
-        d["width"] = self.trees[0].left.shape[1] if self.trees else 0
-        # each go-left table is written as its bits, row after row, in hex
+        f = self.trees
+        d["width"] = f.left.shape[1] if len(f) else 0
+        # each tree numbers its nodes from 0, and its go-left table is
+        # written as its bits, row after row, in hex
         d["trees"] = [
-            {"feature": t.feature.tolist(), "left": np.packbits(t.left).tobytes().hex(),
-             "child": t.child.tolist(), "value": t.value.tolist()}
-            for t in self.trees
+            {"feature": f.feature[a:b].tolist(), "left": np.packbits(f.left[a:b]).tobytes().hex(),
+             "child": (f.right[a:b] - (a + 1)).tolist(), "value": f.value[a:b].tolist()}
+            for a, b in zip(f.bounds[:-1], f.bounds[1:])
         ]
         return d
 
@@ -461,10 +435,10 @@ class BoostedModel:
             shape = (len(t["feature"]), d["width"])
             bits = np.frombuffer(bytes.fromhex(t["left"]), np.uint8)
             left = np.unpackbits(bits, count=shape[0] * shape[1])
-            trees.append(Tree(np.array(t["feature"]), left.astype(bool).reshape(shape),
-                              np.array(t["child"]), np.array(t["value"], dtype=float)))
+            trees.append((np.array(t["feature"]), left.astype(bool).reshape(shape),
+                          np.array(t["child"]), np.array(t["value"], dtype=float)))
         cuts = {name: np.array(c, dtype=float) for name, c in d["cuts"].items()}
-        return cls(trees=trees, cuts=cuts, **{key: d[key] for key in _PAYLOAD_KEYS})
+        return cls(trees=Forest.join(trees), cuts=cuts, **{key: d[key] for key in _PAYLOAD_KEYS})
 
 
 def _start(dataset: Dataset, family: str, n_trees: int, depth: int, seed: int,
@@ -480,18 +454,25 @@ def _start(dataset: Dataset, family: str, n_trees: int, depth: int, seed: int,
     fam.check_response(y, GbmError)
     f0 = float(np.log(fam.mean(y, fam.obs_weight(dataset))))
     cuts = {name: _cuts(dataset.columns[name]) for name in dataset.continuous_names}
-    return BoostedModel(family, f0, shrinkage, [], n_trees, depth, seed, train_fold,
+    return BoostedModel(family, f0, shrinkage, Forest.join(()), n_trees, depth, seed, train_fold,
                         dataset.feature_names, cuts)
 
 
-def _boost(model: BoostedModel, dataset: Dataset, depths, bagging_fraction: float):
+def _boost(model: BoostedModel, dataset: Dataset, valid: Dataset | None, depths,
+           bagging_fraction: float):
     """Boost one model per depth of `depths` (deepest first) on `dataset`,
     the frame `model` was started on, for `model.n_trees` rounds. All
-    share the cuts and the bag of each round; each round yields the node
+    share the cuts and the bag of each round. Each round yields the node
     arrays of its trees, roots in the order of `depths`, with log-scale
-    leaf values from one Newton step. The trees grow in one `_Workspace`,
-    and the gradient, hessian and leaf sums are taken over the bag's rows
-    in ascending order; every row's score takes its leaf's value."""
+    leaf values from one Newton step, and the (depths, rows) log scores of
+    the validation frame `valid` (no rows when None), a view that the next
+    round overwrites.
+
+    The trees grow in one `_Workspace` over the training rows, then the
+    rows of `valid`, coded with the model's cuts and never drawn into a
+    bag. The gradient, hessian and leaf sums are taken over the bag's rows
+    in ascending order; every row goes down each tree in the same descent
+    and takes its leaf's value."""
     fam = get_family(model.family, GbmError)
     y = dataset.response
     w = fam.obs_weight(dataset)
@@ -500,22 +481,24 @@ def _boost(model: BoostedModel, dataset: Dataset, depths, bagging_fraction: floa
     layout = _Layout(size, categorical)
     codes = model._codes(dataset)
     keys = codes + layout.start[:, None]
+    if valid is not None:
+        codes = np.hstack((codes, model._codes(valid)))
 
     rng = substream(model.seed, "gbm-bagging")
     min_count = max(1, int(np.ceil(MIN_NODE_SHARE * dataset.n)))
-    n = dataset.n
-    current = np.full((len(depths), n), model.f0)  # log-scale score, excluding offset
+    n, n_rows = dataset.n, codes.shape[1]
+    current = np.full((len(depths), n_rows), model.f0)  # log-scale score, excluding offset
     n_bag = max(1, int(round(bagging_fraction * n)))
-    ws = _Workspace(len(depths), len(model.features), n, n_bag)
+    ws = _Workspace(len(depths), len(model.features), n_rows, n_bag)
     bag, in_bag = ws.order[:n_bag], np.zeros(n, dtype=bool)
     bag_leaf = ws.scratch[1][: len(depths) * n_bag].reshape(len(depths), n_bag)
-    by_row = ws.scratch[1].reshape(len(depths), n)
+    by_row = ws.scratch[1].reshape(len(depths), n_rows)
     for _ in range(model.n_trees):
         if n_bag < n:
             in_bag[:] = False
             in_bag[rng.choice(n, size=n_bag, replace=False)] = True
             ws.order[:n_bag] = np.flatnonzero(in_bag)
-            ws.order[n_bag:] = np.flatnonzero(np.logical_not(in_bag, out=in_bag))
+            ws.order[n_bag:n] = np.flatnonzero(np.logical_not(in_bag, out=in_bag))
             ws.rows[:] = ws.order
         keys.take(bag, axis=1, out=ws.keys, mode="clip")
         y.take(bag, out=ws.y, mode="clip")
@@ -530,7 +513,7 @@ def _boost(model: BoostedModel, dataset: Dataset, depths, bagging_fraction: floa
         value = np.divide(g, h, out=np.zeros(len(feature)), where=h > 0)
         by_row[:, ws.order] = leaf  # each pair's leaf, rows in frame order
         current += (model.shrinkage * value).take(by_row, out=ws.step, mode="clip")
-        yield feature, left, child, value
+        yield (feature, left, child, value), current[:, n:]
 
 
 def fit_gbm(
@@ -549,43 +532,24 @@ def fit_gbm(
     if n_trees < 1 or depth < 1:
         raise GbmError("n_trees and depth must be >= 1")
     model = _start(dataset, family, n_trees, depth, seed, shrinkage, train_fold)
-    model.trees = [Tree(*nodes) for nodes in _boost(model, dataset, (depth,), bagging_fraction)]
+    rounds = _boost(model, dataset, None, (depth,), bagging_fraction)
+    model.trees = Forest.join(nodes for nodes, _ in rounds)
     return model
-
-
-def _inner_losses(dataset, family, fold_plan, outer_fold, trees, depths, seed):
-    """Mean validation deviance over the inner folds, added in fold order,
-    per depth of `depths` (deepest first) and tree count of `trees`."""
-    inner = fold_plan.inner_folds(outer_fold)
-    losses = np.zeros((len(depths), len(trees)))
-    for fold_losses in fork_map(partial(_inner_fold_losses, dataset, family, fold_plan,
-                                        outer_fold, trees, depths, seed), inner):
-        losses += fold_losses
-    return losses / len(inner)
 
 
 def _inner_fold_losses(dataset, family, fold_plan, outer_fold, trees, depths, seed, k):
     """Validation deviance of inner fold `k` per depth and tree count.
 
-    The fold grows the depths as one forest, and its validation rows go
-    down every tree as it is grown: their log scores add f0, then each
-    tree's shrunken leaf value in tree order, and their deviance is read
-    at each tree count."""
+    The fold grows the depths as one forest with its validation rows in
+    the workspace: their log scores add f0, then each tree's shrunken leaf
+    value in tree order, and their deviance is read at each tree count."""
     fam = get_family(family, GbmError)
     losses = np.zeros((len(depths), len(trees)))
     train = dataset.subset(fold_plan.inner_train_rows(outer_fold, k))
     valid = dataset.subset(fold_plan.test_rows(k))
     model = _start(train, family, trees[-1], depths[0], seed, SHRINKAGE)
-    codes, rows = model._codes(valid), np.tile(np.arange(valid.n), len(depths))
-    scores = np.full((len(depths), valid.n), model.f0)
-    node, step = np.empty(scores.shape, dtype=np.intp), np.empty(scores.shape)
-    scratch = _scratch(len(rows))
     i = 0
-    for t, (feature, left, child, value) in enumerate(
-        _boost(model, train, depths, BAGGING_FRACTION), 1
-    ):
-        _route(codes, rows, feature, left, child, depths, node.ravel(), scratch)
-        scores += (SHRINKAGE * value).take(node, out=step, mode="clip")
+    for t, (_, scores) in enumerate(_boost(model, train, valid, depths, BAGGING_FRACTION), 1):
         while i < len(trees) and trees[i] == t:
             losses[:, i] = [fam.deviance(np.exp(s), valid) for s in scores]
             i += 1
@@ -617,7 +581,9 @@ def tune_gbm(
             raise GbmError(f"tuning grid values must be positive integers, got {value!r}")
     trees = tuple(sorted(int(t) for t in n_trees_grid))
     depths = sorted({int(d) for d in depth_grid}, reverse=True)
-    losses = _inner_losses(dataset, family, fold_plan, outer_fold, trees, depths, seed)
+    inner = fold_plan.inner_folds(outer_fold)
+    losses = sum(fork_map(partial(_inner_fold_losses, dataset, family, fold_plan, outer_fold,
+                                  trees, depths, seed), inner)) / len(inner)
     grid = [
         {"n_trees": t, "depth": int(d), "inner_deviance": float(loss)}
         for d in depth_grid

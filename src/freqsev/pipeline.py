@@ -133,6 +133,8 @@ class RunConfig:
             raise PipelineError("families must name one or more model families, each once; "
                                 f"got {list(self.families)}")
         get_family(self.response_family, PipelineError)
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise PipelineError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def load_config(path) -> RunConfig:

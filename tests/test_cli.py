@@ -411,6 +411,8 @@ BAD_FILES = {
                                 "{bad} and {losses} cover different rows"),
     "claim amount abc": ("run", "claims", "row_id,amount\n3,10.0\n4,abc\n",
                          "{bad}: row 2: could not convert string to float: 'abc'"),
+    "claim amount nan": ("run", "claims", "row_id,amount\n3,10.0\n4,nan\n",
+                         "{bad}: row 2: non-finite amount nan"),
     "claim of row 99999": ("run", "claims", "row_id,amount\n3,10.0\n99999,5.0\n",
                            "claims name rows [99999] outside the 800-row portfolio"),
 }
@@ -434,6 +436,35 @@ def test_bad_input_file_is_a_one_line_error(workspace, tmp_path, case):
     r = CliRunner().invoke(main, argv)
     assert r.exit_code == 1
     assert r.output == f"Error: {message.format(bad=bad, losses=losses)}\n"
+
+
+def test_non_finite_portfolio_value_is_a_one_line_error(workspace, tmp_path):
+    lines = Path(workspace["data"]).read_text().splitlines(keepends=True)
+    age = lines[0].rstrip("\n").split(",").index("age")
+    cells = lines[3].split(",")
+    cells[age] = "nan"
+    lines[3] = ",".join(cells)
+    bad = tmp_path / "portfolio.csv"
+    bad.write_text("".join(lines))
+    r = CliRunner().invoke(main, ["run", "--data", str(bad), "--schema", workspace["schema"],
+                                  "--families", "glm", "--out", str(tmp_path / "run")])
+    assert r.exit_code == 1
+    assert r.output == "Error: non-finite value nan for 'age' in row 3\n"
+
+
+@pytest.mark.parametrize("command", ["synth", "folds", "run", "interpret"])
+def test_negative_seed_is_a_usage_error(workspace, tmp_path, command):
+    inputs = ["--data", workspace["data"], "--schema", workspace["schema"]]
+    argv = {
+        "synth": ["synth"],
+        "folds": ["folds", *inputs],
+        "run": ["run", *inputs, "--families", "glm"],
+        "interpret": ["interpret", *inputs, "--model", workspace["models"]["glm"]],
+    }[command]
+    r = CliRunner().invoke(main, [*argv, "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert r.exit_code == 2
+    assert r.output.endswith("Error: Invalid value for '--seed': -1 is not in the range x>=0.\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_interpret_on_a_portfolio_without_rows_is_a_one_line_error(workspace, tmp_path):

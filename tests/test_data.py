@@ -68,6 +68,24 @@ def test_load_csv_reports_bad_exposure_row(tmp_path):
         load_csv(path, schema)
 
 
+@pytest.mark.parametrize("column, cell", [
+    ("age", "nan"), ("age", "inf"), ("exposure", "nan"), ("exposure", "inf"),
+    ("claims", "-inf"), ("claims", "NaN"),
+])
+def test_load_csv_rejects_non_finite_values(tmp_path, column, cell):
+    row = {"age": "30", "exposure": "1.0", "claims": "1"}
+    row[column] = cell
+    path = tmp_path / "bad.csv"
+    path.write_text("age,exposure,claims\n20,1.0,0\n" + ",".join(row.values()) + "\n")
+    schema = [
+        ColumnSchema("age", "continuous"),
+        ColumnSchema("exposure", "exposure"),
+        ColumnSchema("claims", "response"),
+    ]
+    with pytest.raises(DataError, match=rf"^non-finite value {float(cell)} for '{column}' in row 2$"):
+        load_csv(path, schema)
+
+
 def test_load_csv_rejects_unknown_level(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("region,exposure,claims\nZ,1.0,0\n")
@@ -303,6 +321,10 @@ def test_claims_csv_roundtrip(tmp_path):
     path.write_text("row_id,amount\n0,10.0\nx,5.5\n")
     with pytest.raises(DataError, match="row 2: invalid literal for int"):
         load_claims_csv(path)
+    for amount in ("nan", "inf", "-inf"):
+        path.write_text(f"row_id,amount\n0,10.0\n4,{amount}\n")
+        with pytest.raises(DataError, match=f"row 2: non-finite amount {float(amount)}$"):
+            load_claims_csv(path)
 
 
 def test_severity_view_rejects_claims_of_unknown_rows(toy):

@@ -8,13 +8,20 @@ import pytest
 
 from freqsev import _workers, gbm
 from freqsev._rand import substream
-from freqsev.data import ColumnSchema, Dataset, severity_view, stratified_folds
+from freqsev.data import ColumnSchema, Dataset, FoldPlan, severity_view, stratified_folds
 from freqsev.evaluation import get_family, poisson_deviance
 from freqsev.gbm import (
-    MAX_BINS, SHRINKAGE, BoostedModel, Forest, GbmError, Tree, fit_gbm, tune_gbm
+    MAX_BINS, SHRINKAGE, BoostedModel, Forest, GbmError, fit_gbm, tune_gbm
 )
 
 from conftest import small_portfolio
+
+
+def _trees(forest):
+    """Each tree of `forest` as `(feature, left, child, value)`, sliced at
+    its `bounds`, its nodes numbered from 0 and `child` each left child."""
+    return [(forest.feature[a:b], forest.left[a:b], forest.right[a:b] - (a + 1), forest.value[a:b])
+            for a, b in zip(forest.bounds[:-1], forest.bounds[1:])]
 
 
 def _simple_dataset(x, y, e=None):
@@ -64,9 +71,9 @@ def test_depth1_recovers_step_cut():
     y = rng.poisson(np.where(x < 40.0, 0.05, 0.20)).astype(float)
     ds = _simple_dataset(x, y)
     model = fit_gbm(ds, "poisson_log", n_trees=1, depth=1, seed=0, bagging_fraction=1.0)
-    tree = model.trees[0]
-    assert tree.feature[0] == 0  # the root splits on x
-    threshold = model.cuts["x"][np.flatnonzero(tree.left[0])[-1]]
+    feature, left, _, _ = _trees(model.trees)[0]
+    assert feature[0] == 0  # the root splits on x
+    threshold = model.cuts["x"][np.flatnonzero(left[0])[-1]]
     assert abs(threshold - 40.0) < 3.0
 
 
@@ -74,8 +81,8 @@ def test_deep_trees_stop_at_min_node_size():
     p = small_portfolio(n=300, seed=4)
     model = fit_gbm(p.dataset, "poisson_log", n_trees=3, depth=60, seed=0, shrinkage=0.5)
     min_count = int(np.ceil(0.0075 * 300))
-    for tree in model.trees:
-        assert len(tree.feature) <= 2 * (225 // min_count) - 1
+    for feature, *_ in _trees(model.trees):
+        assert len(feature) <= 2 * (225 // min_count) - 1
     assert np.all(np.isfinite(model.predict(p.dataset)))
 
 
@@ -199,6 +206,21 @@ def test_tune_grid_equals_one_fit_per_depth(frame, depth_grid, monkeypatch):
         assert (n_trees, depth) == cells[int(np.argmin(losses.ravel()))]
 
 
+def test_tune_with_more_validation_than_training_rows(monkeypatch):
+    """A loaded fold plan may give an inner fold more validation rows than
+    training rows; they are extra rows of the fold's workspace, and the
+    grid still equals one fit per depth and inner fold, to the bit."""
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
+    ds = small_portfolio(n=900, seed=15).dataset
+    outer = np.random.default_rng(4).choice(6, ds.n, p=[0.1, 0.6, 0.075, 0.075, 0.075, 0.075])
+    plan = FoldPlan(outer, 6, np.zeros(ds.n, dtype=np.int64), 0)
+    assert len(plan.test_rows(1)) > len(plan.inner_train_rows(0, 1))
+    expected = reference_cv_deviance(ds, "poisson_log", plan, 0, (20, 5), (3, 1), seed=3)
+    _, grid = tune_gbm(ds, "poisson_log", plan, 0, (20, 5), (3, 1), seed=3)
+    losses = np.array([e["inner_deviance"] for e in grid]).reshape(expected.shape)
+    np.testing.assert_array_equal(losses, expected)
+
+
 def test_a_deep_root_that_stops_early_leaves_the_others_growing():
     """A depth-3 root with no gradient never splits; the depth-1 root
     beside it grows the tree it grows alone, numbered after both roots."""
@@ -279,7 +301,7 @@ def _ref_grow(codes, keys, layout, grad, count, depths, min_count):
 
 
 def _ref_boost(model, dataset, depths, bagging_fraction):
-    """Every round's node arrays and bag, and the final scores."""
+    """Every round's node arrays, bag and scores after it."""
     fam = get_family(model.family)
     y, w = dataset.response, fam.obs_weight(dataset)
     size = [len(model.cuts[name]) + 1 if name in model.cuts
@@ -291,7 +313,7 @@ def _ref_boost(model, dataset, depths, bagging_fraction):
     min_count = max(1, int(np.ceil(gbm.MIN_NODE_SHARE * dataset.n)))
     current = np.full((len(depths), dataset.n), model.f0)
     n_bag = max(1, int(round(bagging_fraction * dataset.n)))
-    rounds, bags = [], []
+    rounds, bags, scores = [], [], []
     for _ in range(model.n_trees):
         if n_bag < dataset.n:
             in_bag = np.zeros(dataset.n)
@@ -309,7 +331,8 @@ def _ref_boost(model, dataset, depths, bagging_fraction):
         current += (model.shrinkage * value).take(leaf).reshape(current.shape)
         rounds.append((feature, left, child, value))
         bags.append(in_bag > 0)
-    return rounds, bags, current
+        scores.append(current.copy())
+    return rounds, bags, scores
 
 
 @pytest.mark.parametrize("depths", [(5, 4, 3, 2, 1), (3, 3, 1)])
@@ -317,8 +340,9 @@ def _ref_boost(model, dataset, depths, bagging_fraction):
 @pytest.mark.parametrize("frame", ["frequency", "severity", "absent level"])
 def test_grower_matches_allocating_reference(frame, bagging, depths):
     """Growing on the bag's rows in one workspace ends on the bits of
-    the allocating grower over every row: each round's node arrays and
-    the final scores, also in rounds whose bag holds no row of a level."""
+    the allocating grower over every row: each round's node arrays, and
+    the scores of the frame itself passed as validation rows, also in
+    rounds whose bag holds no row of a level."""
     p = small_portfolio(n=700, seed=21)
     family, ds = "poisson_log", p.dataset
     if frame == "severity":
@@ -331,11 +355,11 @@ def test_grower_matches_allocating_reference(frame, bagging, depths):
     rounds, bags, scores = _ref_boost(model, ds, depths, bagging)
     if frame == "absent level" and bagging < 1.0:
         assert not all(bag[17] for bag in bags)
-    boost = gbm._boost(model, ds, depths, bagging)
-    for t, expected in enumerate(rounds):
-        for got, want in zip(next(boost), expected):
-            np.testing.assert_array_equal(got, want, err_msg=f"round {t}")
-    np.testing.assert_array_equal(boost.gi_frame.f_locals["current"], scores)  # after the last round
+    boost = gbm._boost(model, ds, ds, depths, bagging)
+    for t, ((nodes, valid), expected, want) in enumerate(zip(boost, rounds, scores, strict=True)):
+        for got, part in zip(nodes, expected):
+            np.testing.assert_array_equal(got, part, err_msg=f"round {t}")
+        np.testing.assert_array_equal(valid, want, err_msg=f"round {t}")
 
 
 @pytest.mark.parametrize("grids", [
@@ -420,15 +444,16 @@ def test_rejects_bad_inputs():
 
 def _route(model, tree, values):
     """One row's leaf value, walking the tree on raw values and thresholds."""
+    feature, left, child, value = tree
     node = 0
-    while tree.feature[node] >= 0:
-        name = model.features[tree.feature[node]]
+    while feature[node] >= 0:
+        name = model.features[feature[node]]
         if name in model.cuts:
-            go_left = values[name] <= model.cuts[name][np.flatnonzero(tree.left[node])[-1]]
+            go_left = values[name] <= model.cuts[name][np.flatnonzero(left[node])[-1]]
         else:
-            go_left = tree.left[node][int(values[name])]
-        node = tree.child[node] + (0 if go_left else 1)
-    return tree.value[node]
+            go_left = left[node][int(values[name])]
+        node = child[node] + (0 if go_left else 1)
+    return value[node]
 
 
 def test_depth1_split_is_best_midpoint():
@@ -452,9 +477,9 @@ def test_depth1_split_is_best_midpoint():
         gain = sl**2 / nl + sr**2 / nr - grad.sum() ** 2 / len(x)
         if best is None or gain > best[0]:
             best = (gain, cut)
-    tree = model.trees[0]
+    left = _trees(model.trees)[0][1]
     np.testing.assert_array_equal(model.cuts["x"], (values[:-1] + values[1:]) / 2.0)
-    assert model.cuts["x"][np.flatnonzero(tree.left[0])[-1]] == best[1]
+    assert model.cuts["x"][np.flatnonzero(left[0])[-1]] == best[1]
 
 
 def test_thresholds_are_stored_cuts_beyond_max_bins():
@@ -465,15 +490,15 @@ def test_thresholds_are_stored_cuts_beyond_max_bins():
     cuts = model.cuts["age"]
     assert len(cuts) < MAX_BINS and np.all(np.diff(cuts) > 0)
     age = model.features.index("age")
-    for tree in model.trees:
-        for node in np.flatnonzero(tree.feature == age):
-            j = np.flatnonzero(tree.left[node])[-1]
+    trees = _trees(model.trees)
+    for feature, left, _, _ in trees:
+        for node in np.flatnonzero(feature == age):
+            j = np.flatnonzero(left[node])[-1]
             assert j < len(cuts)
-            np.testing.assert_array_equal(tree.left[node], np.arange(tree.left.shape[1]) <= j)
+            np.testing.assert_array_equal(left[node], np.arange(left.shape[1]) <= j)
     rows = [{name: ds.columns[name][i] for name in model.features} for i in range(ds.n)]
     reference = [
-        model.f0 + sum(model.shrinkage * _route(model, tree, r) for tree in model.trees)
-        for r in rows
+        model.f0 + sum(model.shrinkage * _route(model, tree, r) for tree in trees) for r in rows
     ]
     np.testing.assert_allclose(model.log_scores(ds), reference, rtol=1e-13)
 
@@ -494,16 +519,16 @@ def test_level_absent_from_node_goes_to_majority_child():
     y = rng.poisson(rate).astype(float)
     ds = Dataset(schema, {"x": x, "g": g, "exposure": np.ones(n), "claims": y})
     model = fit_gbm(ds, "poisson_log", n_trees=1, depth=2, bagging_fraction=1.0)
-    tree = model.trees[0]
-    assert model.features[tree.feature[0]] == "x"
-    low = tree.child[0]  # the x < 0 child
-    assert model.features[tree.feature[low]] == "g"
-    levels_left = tree.left[low][:2]
+    feature, left, child, _ = _trees(model.trees)[0]
+    assert model.features[feature[0]] == "x"
+    low = child[0]  # the x < 0 child
+    assert model.features[feature[low]] == "g"
+    levels_left = left[low][:2]
     assert levels_left[0] != levels_left[1]
-    in_node = g[x <= model.cuts["x"][np.flatnonzero(tree.left[0])[-1]]]
+    in_node = g[x <= model.cuts["x"][np.flatnonzero(left[0])[-1]]]
     assert not np.any(in_node == 2)
     n_left = np.sum(levels_left[in_node])
-    assert tree.left[low][2] == (n_left >= len(in_node) - n_left)
+    assert left[low][2] == (n_left >= len(in_node) - n_left)
 
 
 def _reference_log_scores(model, dataset, n_trees=None):
@@ -515,12 +540,12 @@ def _reference_log_scores(model, dataset, n_trees=None):
     ])
     rows = np.arange(dataset.n)
     scores = np.full(dataset.n, model.f0)
-    for tree in model.trees[:n_trees]:
+    for feature, left, child, value in _trees(model.trees[:n_trees]):
         node = np.zeros(dataset.n, dtype=np.intp)
         for _ in range(model.depth):
-            go_left = tree.left[node, codes[np.maximum(tree.feature[node], 0), rows]]
-            node = np.where(go_left, tree.child[node], tree.child[node] + 1)
-        scores += model.shrinkage * tree.value[node]
+            go_left = left[node, codes[np.maximum(feature[node], 0), rows]]
+            node = np.where(go_left, child[node], child[node] + 1)
+        scores += model.shrinkage * value[node]
     return scores
 
 
@@ -609,15 +634,26 @@ def test_log_scores_match_per_tree_reference(depth, monkeypatch):
 
 
 def test_truncated_trees_predict_as_a_prefix():
-    """Assigning a slice or a list of trees re-joins the forest: predictions
-    follow the new trees, never arrays joined for the old ones."""
+    """A slice of the forest is a run of its trees over the same arrays,
+    and the trees sliced at `bounds` join back into the fitted forest.
+    Assigning a run, or a join of the first trees, predicts with those
+    trees, never with arrays joined for the old ones."""
     p = small_portfolio(n=1200, seed=15)
     model = fit_gbm(p.dataset, "poisson_log", n_trees=30, depth=3, seed=0, shrinkage=0.1)
+    forest, trees = model.trees, _trees(model.trees)
+    joined = Forest.join(trees)
+    for name in ("feature", "left", "right", "value", "bounds"):
+        np.testing.assert_array_equal(getattr(joined, name), getattr(forest, name))
+    assert forest[2:5].feature is forest.feature  # a run of trees shares the arrays
+    assert [len(t[0]) for t in _trees(forest[2:5])] == [len(t[0]) for t in trees[2:5]]
+    assert len(forest[5:2]) == 0 and len(forest[:0]) == 0
+    for index in (0, slice(None, None, 2)):
+        with pytest.raises(TypeError):
+            forest[index]
     expected = {k: model.log_scores(p.dataset, k) for k in (12, 5)}
-    trees = list(model.trees)
-    for k, truncated in ((12, model.trees[:12]), (5, trees[:5])):  # a list is joined
+    for k, truncated in ((12, forest[:12]), (5, Forest.join(trees[:5]))):
         model.trees = truncated
-        assert isinstance(model.trees, Forest) and len(model.trees) == k
+        assert len(model.trees) == k
         scores = model.log_scores(p.dataset)
         np.testing.assert_array_equal(scores, expected[k])
         np.testing.assert_array_equal(scores, _reference_log_scores(model, p.dataset))
@@ -671,27 +707,6 @@ def test_a_level_code_outside_the_schema_is_rejected():
         for n_trees in (None, 5):
             with pytest.raises(GbmError, match="region"):
                 model.log_scores(frame, n_trees)
-
-
-def test_forest_indexes_and_slices_as_trees():
-    p = small_portfolio(n=800, seed=16)
-    model = fit_gbm(p.dataset, "poisson_log", n_trees=9, depth=2, seed=0)
-    forest = model.trees
-    trees = list(forest)
-    assert len(trees) == 9 and all(isinstance(t, Tree) for t in trees)
-    for a, b in zip(trees[::-4], forest[::-4]):
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
-    for x, y in zip(forest[-1], trees[8]):
-        np.testing.assert_array_equal(x, y)
-    assert forest[2:5].feature is forest.feature  # a run of trees shares the arrays
-    assert [len(t.feature) for t in forest[2:5]] == [len(t.feature) for t in trees[2:5]]
-    assert len(forest[5:2]) == 0 and len(forest[:0]) == 0
-    with pytest.raises(IndexError):
-        forest[9]
-    joined = Forest.join(trees)
-    for name in ("feature", "left", "right", "value", "bounds"):
-        np.testing.assert_array_equal(getattr(joined, name), getattr(forest, name))
 
 
 def test_negative_tree_count_is_rejected():

@@ -4,6 +4,7 @@ the written models load back."""
 import json
 import multiprocessing
 import os
+import re
 import warnings
 from dataclasses import replace
 
@@ -455,6 +456,17 @@ def test_run_config_rejects_a_repeated_empty_or_unknown_family_list(families, me
     empty list a loss table of nothing but its header."""
     with pytest.raises(pipeline.PipelineError, match=message):
         pipeline.RunConfig(families=families)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
+def test_run_config_rejects_a_seed_that_is_not_a_non_negative_int(tmp_path, seed):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"families": ["glm"], "seed": seed}), encoding="utf-8")
+    message = rf"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"
+    with pytest.raises(pipeline.PipelineError, match=message):
+        pipeline.load_config(path)
+    with pytest.raises(pipeline.PipelineError, match=message):
+        pipeline.RunConfig(seed=seed)
 
 
 def test_load_config_names_unknown_keys(tmp_path):
