@@ -633,23 +633,33 @@ def test_log_scores_match_per_tree_reference(depth, monkeypatch):
     assert model.log_scores(cases["no rows"][1]).shape == (0,)
 
 
-def test_truncated_trees_predict_as_a_prefix():
+def test_forest_indexes_and_slices_as_trees():
     """A slice of the forest is a run of its trees over the same arrays,
-    and the trees sliced at `bounds` join back into the fitted forest.
-    Assigning a run, or a join of the first trees, predicts with those
-    trees, never with arrays joined for the old ones."""
-    p = small_portfolio(n=1200, seed=15)
-    model = fit_gbm(p.dataset, "poisson_log", n_trees=30, depth=3, seed=0, shrinkage=0.1)
+    an integer or stepped index is refused, and the trees sliced at
+    `bounds` join back into the fitted forest."""
+    p = small_portfolio(n=800, seed=16)
+    model = fit_gbm(p.dataset, "poisson_log", n_trees=9, depth=2, seed=0)
     forest, trees = model.trees, _trees(model.trees)
+    assert len(forest) == len(trees) == 9
     joined = Forest.join(trees)
     for name in ("feature", "left", "right", "value", "bounds"):
         np.testing.assert_array_equal(getattr(joined, name), getattr(forest, name))
     assert forest[2:5].feature is forest.feature  # a run of trees shares the arrays
     assert [len(t[0]) for t in _trees(forest[2:5])] == [len(t[0]) for t in trees[2:5]]
-    assert len(forest[5:2]) == 0 and len(forest[:0]) == 0
-    for index in (0, slice(None, None, 2)):
+    for x, y in zip(_trees(forest[-1:])[0], trees[8]):
+        np.testing.assert_array_equal(x, y)
+    assert len(forest[5:2]) == 0 and len(forest[:0]) == 0 and len(forest[9:]) == 0
+    for index in (0, -1, slice(None, None, 2), slice(None, None, -4)):
         with pytest.raises(TypeError):
             forest[index]
+
+
+def test_truncated_trees_predict_as_a_prefix():
+    """Assigning a run of the forest, or a join of its first trees,
+    predicts with those trees, never with arrays joined for the old ones."""
+    p = small_portfolio(n=1200, seed=15)
+    model = fit_gbm(p.dataset, "poisson_log", n_trees=30, depth=3, seed=0, shrinkage=0.1)
+    forest, trees = model.trees, _trees(model.trees)
     expected = {k: model.log_scores(p.dataset, k) for k in (12, 5)}
     for k, truncated in ((12, forest[:12]), (5, Forest.join(trees[:5]))):
         model.trees = truncated
