@@ -6,8 +6,11 @@ lays its named arrays over that vector, and over the flat gradient
 vector of the same layout. Adam steps `theta` in place and allocates
 nothing; it runs the textbook update one operation at a time, in the
 order of the per-array formula, so every element gets the same bits as
-`p - lr * m_hat / (sqrt(v_hat) + eps)` would give it. `early_stopping`
-runs the mini-batch epochs around it and restores the best parameters.
+`p - lr * m_hat / (sqrt(v_hat) + eps)` would give it. `theta` and the
+moments are float64; the networks compute their gradient in float32 and
+hand it over widened to float64. `early_stopping` runs the mini-batch
+epochs around it, restores the best parameters and says which epoch they
+came from.
 """
 
 from __future__ import annotations
@@ -85,10 +88,11 @@ def early_stopping(theta, grad, batch_gradient, validation_loss, n_rows, batch_s
     not beat the best loss by more than 1e-12, or after
     `max_epochs`. `theta` ends at the best parameters scored.
 
-    Returns the validation losses (the start's first) and the best one."""
+    Returns the validation losses (the start's first) and the index of the
+    best one in them."""
     adam = Adam(theta.size, lr)
     best_loss = validation_loss()
-    best = theta.copy()
+    best, best_epoch = theta.copy(), 0
     history = [best_loss]
     bad = 0
     for _ in range(max_epochs):
@@ -99,7 +103,7 @@ def early_stopping(theta, grad, batch_gradient, validation_loss, n_rows, batch_s
         loss = validation_loss()
         history.append(loss)
         if loss < best_loss - 1e-12:
-            best_loss = loss
+            best_loss, best_epoch = loss, len(history) - 1
             np.copyto(best, theta)
             bad = 0
         else:
@@ -107,4 +111,4 @@ def early_stopping(theta, grad, batch_gradient, validation_loss, n_rows, batch_s
             if bad >= patience:
                 break
     np.copyto(theta, best)
-    return history, best_loss
+    return history, best_epoch

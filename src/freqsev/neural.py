@@ -14,11 +14,18 @@ it as one list beside the layout fields `params()` reads it by. All
 network math runs in one private kernel, `_Workspace`: a forward and a
 backward pass over preallocated arrays sized to the largest pass
 (max(batch, validation rows) in training), written in place, reading the
-parameters through views of `theta` and writing their gradients into
-views of one flat gradient vector of the same layout. `train_network`
-runs the shared `early_stopping` loop of `freqsev._optim`, whose Adam
-steps `theta` in place; `forward`, `loss_and_gradients` and `batch_loss`
-run the same kernel on a one-shot workspace.
+parameters through views of a flat vector and writing their gradients
+into views of one flat gradient vector of the same layout.
+
+`train_network` runs the kernel in float32, over a float32 copy of
+`theta` refreshed at every pass, inside the shared `early_stopping` loop
+of `freqsev._optim`; Adam steps the float64 master `theta` in place from
+the float32 gradient, and losses are summed in float64 (mixed precision,
+as in Micikevicius et al., 2018). `forward`, `loss_and_gradients` and
+`batch_loss` run the same kernel in float64 on a one-shot workspace.
+Inverted dropout keeps a unit when a 16-bit draw (`_draw16`) is below
+round((1 - dropout) * 2**16), so the keep rate has a resolution of 2**-16,
+and scales a kept unit by 2**16 over that bound.
 """
 
 from __future__ import annotations
@@ -56,6 +63,10 @@ class NetworkSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("hidden_layers", "nodes", "batch_size", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise NeuralError(f"{name} must be an integer, got {value!r}")
         if not HIDDEN_LAYERS[0] <= self.hidden_layers <= HIDDEN_LAYERS[1]:
             raise NeuralError(f"hidden_layers must be in {list(HIDDEN_LAYERS)}")
         if not NODES[0] <= self.nodes <= NODES[1]:
@@ -90,7 +101,7 @@ def random_grid(batch_size: tuple[int, int], n: int = 40, seed: int = 0) -> list
 # -- network parameters -------------------------------------------------
 
 
-_FIXED_CANN_OUT = np.array([1.0, 1.0, 0.0])  # (w_NN, w_in, b): output = y_NN + log y_in
+_FIXED_CANN_OUT = (1.0, 1.0, 0.0)  # (w_NN, w_in, b): output = y_NN + log y_in
 
 
 @dataclass
@@ -215,14 +226,26 @@ def build_network(
 # -- the forward/backward kernel -----------------------------------------
 
 
+def _draw16(rng: np.random.Generator, shape) -> np.ndarray:
+    """One uniform 16-bit integer per element of `shape`: the raw 64-bit
+    words of `rng`'s bit generator, each cut into four, low bits first on
+    every platform."""
+    count = math.prod(shape)
+    raw = rng.bit_generator.random_raw(-(-count // 4))
+    return raw.astype("<u8", copy=False).view("<u2")[:count].reshape(shape)
+
+
 class _Workspace:
-    """Forward and backward pass of one network over at most `rows` rows.
+    """Forward and backward pass of one network over at most `rows` rows,
+    in `dtype`.
 
     Every array a pass writes is allocated here once; a pass over m rows
     works on the `[:m]` views, each step writing in place. It reads the
-    parameters through `p`, the views of `net.theta`, so a step of Adam on
-    `theta` is seen at once, and writes their gradients into `g`, the same
-    views of the flat vector `grad`. Each step runs the same floating-point
+    parameters through `p`, views of `theta`, and writes their gradients
+    into `g`, the same views of the flat vector `grad`, both in `dtype`. A
+    float64 workspace's `theta` is `net.theta` itself, so a step of Adam is
+    seen at once; a float32 one's is a copy that `forward` refreshes from
+    `net.theta` at every pass. Each step runs the same floating-point
     operations in the same order as the textbook formula it implements.
 
     Usage: `m = load(inputs, rows)`, then `forward(m, dropout_rng)` and,
@@ -230,15 +253,19 @@ class _Workspace:
     Dropout buffers exist only when `dropout` is true.
     """
 
-    def __init__(self, net: Network, rows: int, dropout: bool = False):
+    def __init__(self, net: Network, rows: int, dropout: bool = False, dtype=np.float64):
         self.net = net
-        self.grad = np.zeros_like(net.theta)
-        self.p, self.g = net.params(), net.params(self.grad)
+        # inverted dropout's keep rule (module docstring)
+        self.keep_below = round((1.0 - net.spec.dropout) * 65536)
+        self.keep_scale = np.dtype(dtype).type(65536 / self.keep_below)
+        self.theta = net.theta if dtype == net.theta.dtype else np.empty(net.theta.shape, dtype)
+        self.grad = np.zeros_like(self.theta)
+        self.p, self.g = net.params(self.theta), net.params(self.grad)
         # each hidden layer's (w, b, grad w, grad b) views, looked up once
         self.layers = [(self.p[f"w{i}"], self.p[f"b{i}"], self.g[f"w{i}"], self.g[f"b{i}"])
                        for i in range(net.spec.hidden_layers)]
 
-        def buf(*shape, dtype=float):
+        def buf(*shape, dtype=dtype):
             return np.empty((rows, *shape), dtype)
 
         nodes = net.spec.nodes
@@ -253,7 +280,7 @@ class _Workspace:
         self.mask = [buf(nodes) for _ in self.layers] if dropout else None
         self.dropped = [buf(nodes) for _ in self.layers] if dropout else None
         self.dz, self.dh, self.flag, self.row = buf(nodes), buf(nodes), buf(nodes, dtype=bool), buf(1)
-        self.y_nn, self.pred, self.dy = buf(), buf(), buf()
+        self.y_nn, self.pred, self.du, self.dy = buf(), buf(), buf(), buf()
         if net.cann_mode is not None:
             self.u, self.log_y_in = buf(), buf()
             self.sources.append(self.log_y_in)
@@ -274,6 +301,8 @@ class _Workspace:
         """Predictions exp(u) on the first m loaded rows; inverted dropout
         after every hidden layer when a dropout rng is given."""
         net, p = self.net, self.p
+        if self.theta is not net.theta:
+            np.copyto(self.theta, net.theta)
         h = self.h0[:m]
         if net.encoder_dim is not None:
             codes = np.matmul(self.x_onehot[:m], p["encoder_w"].T, out=self.codes[:m])
@@ -281,15 +310,13 @@ class _Workspace:
             h[:, : net.n_continuous] = self.x_cont[:m]
             h[:, net.n_continuous :] = codes
         self.layer_out = self.a if dropout_rng is None else self.dropped
-        keep = 1.0 - net.spec.dropout
         for i, (w, b, _, _) in enumerate(self.layers):
             a = np.matmul(h, w.T, out=self.a[i][:m])
             a += b
             self._activate(a)
             if dropout_rng is not None:
-                mask = dropout_rng.random(out=self.mask[i][:m])
-                flag = np.less(mask, keep, out=self.flag[:m])
-                np.divide(flag, keep, out=mask)
+                flag = np.less(_draw16(dropout_rng, a.shape), self.keep_below, out=self.flag[:m])
+                mask = np.multiply(flag, self.keep_scale, out=self.mask[i][:m])
                 a = np.multiply(a, mask, out=self.dropped[i][:m])
             h = a
         y_nn = np.matmul(h, p["out_w"], out=self.y_nn[:m])
@@ -304,11 +331,13 @@ class _Workspace:
             raise NeuralError("non-finite value at the output layer")
         return np.exp(u, out=self.pred[:m])
 
-    def backward(self, m: int, du: np.ndarray) -> None:
-        """Gradients into `grad` from `du`, the loss gradient in u, on the
-        rows of the last forward pass. Dropout layers differentiate the
-        activation before the mask."""
+    def backward(self, m: int, loss_du: np.ndarray) -> None:
+        """Gradients into `grad` from `loss_du`, the loss gradient in u on
+        the rows of the last forward pass, taken in the workspace's dtype.
+        Dropout layers differentiate the activation before the mask."""
         p, g = self.p, self.g
+        du = self.du[:m]
+        np.copyto(du, loss_du)
         if "cann_out" in g:
             g["cann_out"][0] = du @ self.y_nn[:m]
             g["cann_out"][1] = du @ self.log_y_in[:m]
@@ -341,7 +370,8 @@ class _Workspace:
             np.maximum(z, 0.0, out=z)
         elif name == "sigmoid":  # 1 / (1 + exp(-z))
             np.negative(z, out=z)
-            np.exp(z, out=z)
+            with np.errstate(over="ignore"):  # exp(-z) = inf saturates the unit at 0
+                np.exp(z, out=z)
             z += 1.0
             np.divide(1.0, z, out=z)
         else:  # softmax over the collection of all nodes in the layer
@@ -442,8 +472,13 @@ def train_network(
     20% validation split and best-weights restore. Gradients flow into the
     grafted encoder.
 
-    Training steps `net.theta` in place on one workspace of max(batch,
-    validation rows) rows. A floating-point fault (overflow, division by
+    The forward, backward and validation passes run in float32 on one
+    workspace of max(batch, validation rows) rows, over the rows cast to
+    float32 once. Adam steps the float64 master `net.theta` in place from
+    the float32 gradient, widened to float64; losses are summed in float64.
+    `net.history` records the epochs run, `best_epoch` (the index in
+    `val_history` of `best_val_loss`; 0 when no epoch beat the start) and
+    the validation losses. A floating-point fault (overflow, division by
     zero, invalid value) or a non-finite loss raises `NeuralError` with
     `net` as it was before the call."""
     fam = get_family(family, NeuralError)
@@ -458,12 +493,13 @@ def train_network(
 
     def split(idx):
         sliced = [None if a is None else np.asarray(a)[idx] for a in (x_cont, x_onehot, log_y_in)]
-        return _inputs(net, *sliced), y[idx], obs_weight[idx]
+        return [a.astype(np.float32) for a in _inputs(net, *sliced)], y[idx], obs_weight[idx]
 
     tr_in, y_tr, w_tr = split(tr)
     val_in, y_v, w_v = split(val)
     batch = min(net.spec.batch_size, len(y_tr))
-    ws = _Workspace(net, max(batch, len(val)), dropout=dropout_rng is not None)
+    ws = _Workspace(net, max(batch, len(val)), dropout=dropout_rng is not None, dtype=np.float32)
+    grad = np.empty_like(net.theta)
 
     def validation_loss():
         loss, _ = fam.network_loss(ws.forward(ws.load(val_in)), y_v, w_v)
@@ -475,18 +511,20 @@ def train_network(
         if not np.isfinite(loss):
             raise NeuralError("non-finite loss")
         ws.backward(m, du)
+        np.copyto(grad, ws.grad)
 
     start = net.theta.copy()
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            val_history, best_loss = early_stopping(
-                net.theta, ws.grad, batch_gradient, validation_loss, len(y_tr), batch, rng,
+            val_history, best = early_stopping(
+                net.theta, grad, batch_gradient, validation_loss, len(y_tr), batch, rng,
                 max_epochs, patience, lr,
             )
     except (NeuralError, FloatingPointError) as err:
         np.copyto(net.theta, start)
         raise NeuralError(f"training diverged: {err}") from err
-    net.history = {"epochs": len(val_history) - 1, "best_val_loss": best_loss, "val_history": val_history}
+    net.history = {"epochs": len(val_history) - 1, "best_epoch": best,
+                   "best_val_loss": val_history[best], "val_history": val_history}
     return net
 
 

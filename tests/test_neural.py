@@ -8,6 +8,7 @@ import pytest
 
 from freqsev.data import one_hot, scaling_stats
 from freqsev.embedding import scale_encoder, train_autoencoder
+from freqsev.evaluation import get_family
 from freqsev.neural import (
     Network,
     NetworkSpec,
@@ -20,6 +21,7 @@ from freqsev.neural import (
     random_grid,
     train_network,
 )
+from freqsev.neural import _inputs, _Workspace
 
 from conftest import small_portfolio
 
@@ -40,6 +42,15 @@ def test_spec_range_enforcement():
         _spec(dropout=0.2)
     with pytest.raises(NeuralError):
         _spec(activation="tanh")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("hidden_layers", 2.5), ("hidden_layers", True), ("nodes", 20.5), ("nodes", "20"),
+    ("batch_size", 10.5), ("batch_size", np.int64(10)), ("seed", 1.0), ("seed", False),
+])
+def test_spec_rejects_integer_fields_that_are_not_int(field, value):
+    with pytest.raises(NeuralError, match=f"^{field} must be an integer, got "):
+        _spec(**{field: value})
 
 
 def test_forward_hand_computation():
@@ -154,6 +165,74 @@ def test_gradient_check_all_activations():
             fd = (lu - ld) / (2 * h)
             denom = max(abs(fd), abs(analytic[idx]), 1e-8)
             assert abs(fd - analytic[idx]) / denom < 1e-4, (activation, cann_mode, family, idx)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+@pytest.mark.parametrize("cann_mode", [None, "fixed", "flexible"])
+@pytest.mark.parametrize("activation", ["relu", "sigmoid", "softmax"])
+def test_float32_workspace_gradient_matches_float64(activation, cann_mode, dropout):
+    """The float32 pass train_network runs gives the float64 gradient of
+    acceptance 3's network (on the same dropout draws) to within 1e-5 of
+    the gradient's largest element; float32's epsilon is 1.2e-7."""
+    rng = np.random.default_rng(5)
+    n = 40
+    x_cont = rng.normal(size=(n, 2))
+    x_oh = np.zeros((n, 3))
+    x_oh[np.arange(n), rng.integers(0, 3, n)] = 1.0
+    encoder = scale_encoder(train_autoencoder(x_oh, (("g", 3),), d=2, seed=0, max_epochs=30), x_oh)
+    y = rng.poisson(0.5, n).astype(float)
+    e = rng.uniform(0.5, 1.0, n)
+    log_y_in = None if cann_mode is None else rng.normal(-0.5, 0.3, n)
+    net = build_network(_spec(activation=activation, hidden_layers=2, dropout=dropout), 2,
+                        encoder=encoder, cann_mode=cann_mode, seed=6)
+    net.set_flat_params(net.theta + rng.normal(scale=0.1, size=net.theta.size))
+
+    def mask_rng():
+        return np.random.default_rng(13) if dropout else None
+
+    _, grads = loss_and_gradients(net, x_cont, x_oh, y, "poisson_log", e, log_y_in, mask_rng())
+    expected = np.concatenate([grads[k].ravel() for k in net._trainable()])
+    ws = _Workspace(net, n, dropout=dropout > 0, dtype=np.float32)
+    m = ws.load([a.astype(np.float32) for a in _inputs(net, x_cont, x_oh, log_y_in)])
+    _, du = get_family("poisson_log").network_loss(ws.forward(m, mask_rng()), y, e)
+    ws.backward(m, du)
+    assert ws.grad.dtype == np.float32
+    assert np.max(np.abs(ws.grad - expected)) <= 1e-5 * np.max(np.abs(expected))
+
+
+def test_saturated_sigmoid_trains():
+    """Sigmoid units whose pre-activations pass +-100 saturate at 0 and 1:
+    exp(100) overflows float32, and training must not call that divergence."""
+    rng = np.random.default_rng(31)
+    n = 200
+    x = rng.normal(size=(n, 2)) * 60.0
+    e = rng.uniform(0.5, 1.0, n)
+    y = rng.poisson(0.5 * e).astype(float)
+    net = build_network(_spec(activation="sigmoid", batch_size=50), 2, onehot_width=0,
+                        out_bias=-0.7, seed=1)
+    net.params()["w0"][...] = rng.choice([-3.0, 3.0], size=(10, 2))
+    z = x @ net.params()["w0"].T
+    assert z.min() < -100 and z.max() > 100
+    train_network(net, x, np.zeros((n, 0)), y, "poisson_log", e, max_epochs=3)
+    assert net.history["epochs"] == 3
+
+
+@pytest.mark.parametrize("max_epochs", [0, 30])
+def test_best_epoch_indexes_the_best_validation_loss(max_epochs):
+    """`best_epoch` is where `best_val_loss` sits in `val_history`: 0 when
+    no epoch ran."""
+    rng = np.random.default_rng(32)
+    n = 300
+    x = rng.normal(size=(n, 2))
+    e = rng.uniform(0.5, 1.0, n)
+    y = rng.poisson(0.5 * np.exp(0.4 * x[:, 0]) * e).astype(float)
+    net = build_network(_spec(batch_size=64), 2, onehot_width=0, out_bias=-0.7, seed=2)
+    train_network(net, x, np.zeros((n, 0)), y, "poisson_log", e, max_epochs=max_epochs,
+                  patience=5)
+    history = net.history
+    assert history["val_history"][history["best_epoch"]] == history["best_val_loss"]
+    assert history["best_val_loss"] == min(history["val_history"])
+    assert (history["best_epoch"] > 0) == (max_epochs > 0)
 
 
 def test_intercept_only_capacity():
@@ -291,14 +370,17 @@ def test_gradient_check_with_dropout():
             assert abs(fd - analytic[idx]) / denom < 1e-4, (activation, idx)
 
 
-# -- reference: the allocating training loop the workspace kernel replaced --
+# -- reference: the allocating training loop of train_network's semantics --
+# float32 passes over a float32 copy of theta, float64 Adam on theta itself,
+# 16-bit dropout draws
 
 
 def _ref_activate(name, z):
     if name == "relu":
         return np.maximum(z, 0.0)
     if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-z))
     zs = z - z.max(axis=1, keepdims=True)
     ez = np.exp(zs)
     return ez / ez.sum(axis=1, keepdims=True)
@@ -312,9 +394,21 @@ def _ref_activate_backward(name, a, da):
     return a * (da - np.sum(da * a, axis=1, keepdims=True))
 
 
+def _ref_mask(dropout_rng, shape, dropout):
+    """Keep a unit when its 16-bit draw is below round(keep * 2**16), and
+    scale a kept unit by 2**16 / that bound, rounded to float32."""
+    below = round((1.0 - dropout) * 65536)
+    count = shape[0] * shape[1]
+    words = dropout_rng.bit_generator.random_raw(-(-count // 4)).astype("<u8")
+    draws = words.view("<u2")[:count].reshape(shape)
+    return (draws < below) * np.float32(65536 / below)
+
+
 def _ref_loss_and_gradients(net, x_cont, x_onehot, y, fam, w, log_y_in, dropout_rng):
-    """Fresh arrays at every step, gradients keyed like Network._trainable()."""
-    p = net.params()
+    """Fresh float32 arrays at every step, gradients keyed like
+    Network._trainable(); the loss and its gradient in u are float64."""
+    p = net.params(net.theta.astype(np.float32))
+    x_cont, x_onehot = x_cont.astype(np.float32), x_onehot.astype(np.float32)
     n_layers = net.spec.hidden_layers
     if net.encoder_dim is not None:
         codes = x_onehot @ p["encoder_w"].T + p["encoder_b"]
@@ -324,19 +418,18 @@ def _ref_loss_and_gradients(net, x_cont, x_onehot, y, fam, w, log_y_in, dropout_
     layers = []
     for i in range(n_layers):
         a = _ref_activate(net.spec.activation, h @ p[f"w{i}"].T + p[f"b{i}"])
-        mask = None
-        if dropout_rng is not None:
-            keep = 1.0 - net.spec.dropout
-            mask = (dropout_rng.random(a.shape) < keep) / keep
+        mask = None if dropout_rng is None else _ref_mask(dropout_rng, a.shape, net.spec.dropout)
         layers.append((a, mask, h))
         h = a if mask is None else a * mask
     y_nn = h @ p["out_w"] + p["out_b"]
     if net.cann_mode is None:
         u = y_nn
     else:
-        w_nn, w_in, b_c = p.get("cann_out", np.array([1.0, 1.0, 0.0]))
+        log_y_in = log_y_in.astype(np.float32)
+        w_nn, w_in, b_c = p.get("cann_out", (1.0, 1.0, 0.0))
         u = w_nn * y_nn + w_in * log_y_in + b_c
     loss, du = fam.network_loss(np.exp(u), y, w)
+    du = du.astype(np.float32)
     grads = {}
     if net.cann_mode == "flexible":
         grads["cann_out"] = np.array([du @ y_nn, du @ log_y_in, du.sum()])
@@ -360,7 +453,7 @@ def _ref_loss_and_gradients(net, x_cont, x_onehot, y, fam, w, log_y_in, dropout_
 
 
 def _ref_train(net, x_cont, x_onehot, y, family, w, log_y_in, seed, max_epochs, patience):
-    """Mini-batch Adam with one state array per parameter array."""
+    """Mini-batch Adam in float64 with one state array per parameter array."""
     from freqsev._optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ADAM_LR
     from freqsev._rand import substream
     from freqsev.evaluation import get_family
@@ -384,7 +477,7 @@ def _ref_train(net, x_cont, x_onehot, y, family, w, log_y_in, seed, max_epochs, 
     v = [np.zeros_like(p[k]) for k in keys]
     t = 0
     best_loss = val_loss()
-    best, history, bad = net.get_flat_params(), [best_loss], 0
+    best, history, best_epoch, bad = net.get_flat_params(), [best_loss], 0, 0
     batch = min(net.spec.batch_size, len(tr))
     for _ in range(max_epochs):
         order = rng.permutation(len(tr))
@@ -393,7 +486,7 @@ def _ref_train(net, x_cont, x_onehot, y, family, w, log_y_in, seed, max_epochs, 
             _, grads = _ref_loss_and_gradients(net, xc, xo, yb, fam, wb, lyi, dropout_rng)
             t += 1
             for j, k in enumerate(keys):
-                g = grads[k]
+                g = grads[k].astype(np.float64)
                 m[j] = ADAM_BETA1 * m[j] + (1 - ADAM_BETA1) * g
                 v[j] = ADAM_BETA2 * v[j] + (1 - ADAM_BETA2) * g * g
                 m_hat = m[j] / (1 - ADAM_BETA1**t)
@@ -402,12 +495,12 @@ def _ref_train(net, x_cont, x_onehot, y, family, w, log_y_in, seed, max_epochs, 
         loss = val_loss()
         history.append(loss)
         if loss < best_loss - 1e-12:
-            best_loss, best, bad = loss, net.get_flat_params(), 0
+            best_loss, best, best_epoch, bad = loss, net.get_flat_params(), len(history) - 1, 0
         else:
             bad += 1
             if bad >= patience:
                 break
-    return best, history
+    return best, history, best_epoch
 
 
 @pytest.fixture(scope="module")
@@ -426,9 +519,9 @@ def grafted_encoder():
 @pytest.mark.parametrize("activation", ["relu", "sigmoid", "softmax"])
 def test_training_matches_allocating_reference(grafted_encoder, activation, dropout,
                                                cann_mode, grafted):
-    """train_network ends on the same bits as the per-array reference loop:
-    120 training rows in batches of 25 (the last one partial) and 30
-    validation rows, more than one batch."""
+    """train_network ends on the same bits as the per-array reference loop
+    of float32 passes and float64 Adam: 120 training rows in batches of 25
+    (the last one partial) and 30 validation rows, more than one batch."""
     x_oh, encoder = grafted_encoder
     rng = np.random.default_rng(22)
     n = len(x_oh)
@@ -443,9 +536,10 @@ def test_training_matches_allocating_reference(grafted_encoder, activation, drop
                              onehot_width=x_oh.shape[1], cann_mode=cann_mode,
                              out_bias=-0.5, seed=4)
 
-    ref_params, ref_history = _ref_train(build(), x_cont, x_oh, y, "poisson_log", e,
+    ref_params, ref_history, ref_best = _ref_train(build(), x_cont, x_oh, y, "poisson_log", e,
                                          log_y_in, seed=7, max_epochs=8, patience=3)
     net = train_network(build(), x_cont, x_oh, y, "poisson_log", e, log_y_in, seed=7,
                         max_epochs=8, patience=3)
     np.testing.assert_array_equal(net.get_flat_params(), ref_params)
     np.testing.assert_array_equal(net.history["val_history"], ref_history)
+    assert net.history["best_epoch"] == ref_best

@@ -160,10 +160,21 @@ def _short_theta():
     return payload
 
 
+def _tampered_spec(where, field, value):
+    payload = _networks_payload()
+    spec = payload["spec"] if where == "chosen" else payload["members"][0]["spec"]
+    spec[field] = value
+    return payload
+
+
 @pytest.mark.parametrize("text, message", [
     (json.dumps({"kind": "gbm", "family": "poisson_log"}),
      "is not a complete 'gbm' model: KeyError: 'trees'"),
     (json.dumps(_short_theta()), "is not a complete 'networks' model: NeuralError: theta has shape"),
+    (json.dumps(_tampered_spec("member", "nodes", 20.5)),
+     "is not a complete 'networks' model: NeuralError: nodes must be an integer, got 20.5"),
+    (json.dumps(_tampered_spec("chosen", "hidden_layers", True)),
+     "is not a complete 'networks' model: NeuralError: hidden_layers must be an integer, got True"),
     (json.dumps({**_networks_payload(), "initial": {"kind": "tree"}}),
      "is not a complete 'networks' model: KeyError: 'tree'"),
     (json.dumps({**_networks_payload(), "stats": None}),
@@ -171,8 +182,8 @@ def _short_theta():
     (json.dumps({"kind": "glm", "binning": {"region": {"level_to_segment": [0, 2, 2]}}}),
      "is not a complete 'glm' model: GlmError: level groups for 'region' must be"),
     ("{not json", "is not JSON"),
-], ids=["gbm_without_trees", "short_theta", "unknown_initial_kind", "null_stats",
-        "level_groups_with_a_gap", "not_json"])
+], ids=["gbm_without_trees", "short_theta", "member_nodes_float", "chosen_layers_bool",
+        "unknown_initial_kind", "null_stats", "level_groups_with_a_gap", "not_json"])
 def test_load_model_names_the_file_and_kind_of_a_malformed_payload(tmp_path, text, message):
     path = tmp_path / "model.json"
     path.write_text(text, encoding="utf-8")
