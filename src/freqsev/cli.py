@@ -277,6 +277,9 @@ def tariff(premium_specs, losses, out):
         if "=" not in spec:
             raise click.ClickException("--premiums expects NAME=PATH")
         name, path = spec.split("=", 1)
+        if not name or name in premiums:
+            raise click.ClickException(
+                f"--premiums needs a non-empty NAME, each once; got {name!r}")
         rows, premiums[name] = _read_predictions(path)
         if not np.array_equal(rows, loss_rows):
             raise click.ClickException(f"{path} and {losses} cover different rows")

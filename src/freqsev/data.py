@@ -113,6 +113,12 @@ class Dataset:
         for col in self.schema:
             if col.name not in self.columns:
                 raise DataError(f"schema column {col.name!r} missing from data")
+            codes, top = self.columns[col.name], len(col.levels) - 1
+            if col.kind == "categorical" and len(codes) and not (
+                    0 <= codes.min() <= codes.max() <= top):
+                row = int(np.flatnonzero((codes < 0) | (codes > top))[0])
+                raise DataError(f"level code {codes[row]} of {col.name!r} in row {row} "
+                                f"is outside 0..{top}")
         if self.weights is not None and len(self.weights) != self.n:
             raise DataError("weights length does not match data")
 

@@ -325,14 +325,15 @@ class BoostedModel:
 
     def _codes(self, dataset: Dataset) -> np.ndarray:
         """Feature-major (features, rows) matrix: the bin of each continuous
-        value, the level code of each categorical one."""
-        columns = []
+        value, the level code of each categorical one; a code past the go-left
+        tables, which only a schema wider than them allows, is a `GbmError`."""
+        columns, width = [], self.trees.left.shape[1] if len(self.trees) else math.inf
         for name, radix in zip(self.features, self._radices(dataset)):
             column = dataset.columns[name]
             if name in self.cuts:
                 column = np.searchsorted(self.cuts[name], column, side="left")
-            elif len(column) and not 0 <= column.min() <= column.max() < radix:
-                raise GbmError(f"feature {name!r} has a level code outside its schema's levels")
+            elif radix > width and column.max(initial=0) >= width:
+                raise GbmError(f"feature {name!r} has a level code past the go-left tables")
             columns.append(column)
         return np.stack(columns).astype(np.intp, copy=False)
 
@@ -390,17 +391,15 @@ class BoostedModel:
                 for increment in increments:
                     scores += increment
 
-    def log_scores(self, dataset: Dataset, n_trees: int | None = None) -> np.ndarray:
-        """F0 plus the shrunken outputs of the first `n_trees` trees (all
-        when None) on each row of `dataset`: with every tree, from the
-        memo when the grid is small, and otherwise by the distinct rows."""
-        if n_trees is not None and n_trees < 0:
-            raise GbmError(f"n_trees must be >= 0, got {n_trees}")
+    def log_scores(self, dataset: Dataset) -> np.ndarray:
+        """F0 plus the shrunken outputs of every tree on each row of `dataset`:
+        from the memo when the grid is small, and otherwise by the distinct
+        rows. A prefix predicts as `replace(model, trees=model.trees[:k])`."""
         radices = self._radices(dataset)
-        if (n_trees is not None and n_trees < len(self.trees)) or math.prod(radices) > _SCRATCH:
+        if math.prod(radices) > _SCRATCH:
             codes, inverse = self._distinct(dataset)
             scores = np.full(codes.shape[1], self.f0)
-            self._add_trees(scores, codes, self.trees[:n_trees], dataset.n)
+            self._add_trees(scores, codes, self.trees, dataset.n)
             return scores.take(inverse)
         memo = self._memo.setdefault(radices, np.full(math.prod(radices), np.nan))
         key = np.ravel_multi_index(self._codes(dataset), radices)
@@ -410,9 +409,9 @@ class BoostedModel:
         memo[new] = scores
         return memo.take(key)
 
-    def predict(self, dataset: Dataset, n_trees: int | None = None) -> np.ndarray:
+    def predict(self, dataset: Dataset) -> np.ndarray:
         """Strictly positive predictions; exposure not applied."""
-        return np.exp(self.log_scores(dataset, n_trees))
+        return np.exp(self.log_scores(dataset))
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, **{key: getattr(self, key) for key in _PAYLOAD_KEYS}}

@@ -309,7 +309,9 @@ def tree_bin(
     Best-first splitting until `TREE_BIN_LEAVES` leaves; a split must
     reduce the parent deviance by at least `TREE_BIN_MIN_GAIN` of the root
     deviance and leave `TREE_BIN_MIN_SHARE` of the observations on each
-    side. A constant variable yields a single bin with a warning.
+    side. A constant variable yields a single bin with a warning. A leaf
+    is a run of one stable sort of the variable, searched by one pair of
+    prefix sums over the run.
     """
     x = np.asarray(variable, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -321,15 +323,15 @@ def tree_bin(
 
     root_dev = float(np.sum(fam.contributions(np.full(len(y), fam.mean(y, w)), y, w)))
     min_count = max(1, int(np.ceil(TREE_BIN_MIN_SHARE * len(y))))
+    order = np.argsort(x, kind="stable")  # a leaf's run is in the order its own sort gives
+    xs, ys, ws = x[order], y[order], w[order]
 
-    def best_split(rows):
-        xv = x[rows]
-        order = np.argsort(xv, kind="stable")
-        xs, ys, ws = xv[order], y[rows][order], w[rows][order]
-        boundary = np.flatnonzero(xs[:-1] < xs[1:]) + 1  # left-block sizes
+    def best_split(lo, hi):
+        run = xs[lo:hi]
+        boundary = np.flatnonzero(run[:-1] < run[1:]) + 1  # left-block sizes
         if boundary.size == 0:
             return None
-        c1, c2 = fam.split_sums(ys, ws)
+        c1, c2 = fam.split_sums(ys[lo:hi], ws[lo:hi])
         t1, t2 = c1[-1], c2[-1]
         left = boundary - 1
         gain = (
@@ -337,17 +339,17 @@ def tree_bin(
             - fam.half_deviance(c1[left], c2[left])
             - fam.half_deviance(t1 - c1[left], t2 - c2[left])
         )
-        ok = (boundary >= min_count) & (len(xs) - boundary >= min_count)
+        ok = (boundary >= min_count) & (hi - lo - boundary >= min_count)
         if not ok.any():
             return None
         gain = np.where(ok, gain, -np.inf)
         j = int(np.argmax(gain))
-        cut = (xs[boundary[j] - 1] + xs[boundary[j]]) / 2.0
+        cut = (run[boundary[j] - 1] + run[boundary[j]]) / 2.0
         return (float(gain[j]), float(cut))
 
-    leaves = [np.arange(len(y))]
+    leaves = [(0, len(y))]
     cuts: list[float] = []
-    candidates = {0: best_split(leaves[0])}
+    candidates = {0: best_split(0, len(y))}
     while len(leaves) < TREE_BIN_LEAVES:
         viable = {
             i: c
@@ -358,12 +360,11 @@ def tree_bin(
             break
         i = max(viable, key=lambda j: viable[j][0])
         gain, cut = viable[i]
-        rows = leaves[i]
-        left_rows = rows[x[rows] <= cut]
-        right_rows = rows[x[rows] > cut]
-        leaves[i] = left_rows
-        leaves.append(right_rows)
+        lo, hi = leaves[i]
+        mid = lo + int(np.searchsorted(xs[lo:hi], cut, side="right"))  # x <= cut goes left
+        leaves[i] = (lo, mid)
+        leaves.append((mid, hi))
         cuts.append(float(cut))
-        candidates[i] = best_split(left_rows)
-        candidates[len(leaves) - 1] = best_split(right_rows)
+        candidates[i] = best_split(lo, mid)
+        candidates[len(leaves) - 1] = best_split(mid, hi)
     return BinningRule(name, tuple(sorted(cuts)))

@@ -415,14 +415,12 @@ def forward(
     x_cont: np.ndarray,
     x_onehot: np.ndarray,
     log_y_in: np.ndarray | None = None,
-    dropout_rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Row predictions exp(u); dropout only when a dropout rng is given
-    (training), so inference is deterministic."""
-    dropout_rng = dropout_rng if net.spec.dropout > 0 else None
+    """Row predictions exp(u), without dropout, so inference is
+    deterministic; training runs its dropout passes on its own workspace."""
     inputs = _inputs(net, x_cont, x_onehot, log_y_in)
-    ws = _Workspace(net, len(inputs[0]), dropout=dropout_rng is not None)
-    return ws.forward(ws.load(inputs), dropout_rng)
+    ws = _Workspace(net, len(inputs[0]))
+    return ws.forward(ws.load(inputs))
 
 
 def loss_and_gradients(

@@ -89,15 +89,15 @@ def _ecdf(p: np.ndarray, order: np.ndarray) -> np.ndarray:
     return scores
 
 
-def lorenz_curve(scores, losses, s_grid=None) -> tuple[np.ndarray, np.ndarray]:
-    """Share of losses on policies with risk score <= s, over the grid
-    (default: 0 plus the distinct observed scores)."""
+def lorenz_curve(scores, losses) -> tuple[np.ndarray, np.ndarray]:
+    """Share of losses on policies with risk score <= s, for s = 0 and
+    each distinct observed score."""
     r = _finite(scores, "scores")
-    return _lorenz(r, _stable_order(r), losses, s_grid)
+    return _lorenz(r, _stable_order(r), losses)
 
 
-def _lorenz(r, order, losses, s_grid=None):
-    """`lorenz_curve(r, losses, s_grid)` from `_stable_order(r)`."""
+def _lorenz(r, order, losses):
+    """`lorenz_curve(r, losses)` from `_stable_order(r)`."""
     losses = _finite(losses, "losses")
     if np.any(losses < 0):
         raise TariffError("losses must be non-negative")
@@ -105,9 +105,7 @@ def _lorenz(r, order, losses, s_grid=None):
     if total <= 0:
         raise TariffError("losses sum must be positive")
     ranked = r[order]
-    if s_grid is None:
-        s_grid = np.concatenate([[0.0], ranked[_last_of_block(ranked)]])
-    s = np.asarray(s_grid, dtype=float)
+    s = np.concatenate([[0.0], ranked[_last_of_block(ranked)]])
     cum = np.concatenate([[0.0], np.cumsum(losses[order])]) / total
     idx = np.searchsorted(ranked, s, side="right")
     return s, cum[idx]

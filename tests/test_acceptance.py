@@ -9,6 +9,7 @@ import itertools
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -256,7 +257,9 @@ def _fit_gbm_with_prefix(train, valid, seed):
     model = fit_gbm(train, "poisson_log", n_trees=150, depth=2, seed=seed, shrinkage=0.05)
     best = None
     for t in range(20, 151, 10):
-        dev = poisson_deviance(model.predict(valid, t), valid.response, valid.exposure)
+        dev = poisson_deviance(
+            replace(model, trees=model.trees[:t]).predict(valid), valid.response, valid.exposure
+        )
         if best is None or dev < best[0]:
             best = (dev, t)
     model.trees = model.trees[: best[1]]

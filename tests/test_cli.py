@@ -269,6 +269,18 @@ def test_tariff_command(workspace, tmp_path):
     assert_lines_end_in_lf(out)
 
 
+@pytest.mark.parametrize("names, bad", [(("glm", "glm"), "glm"), (("glm", ""), "")],
+                         ids=["repeated", "empty"])
+def test_tariff_premium_name_repeated_or_empty_is_a_one_line_error(workspace, tmp_path, names,
+                                                                   bad):
+    oos = os.path.join(workspace["train"], "oos_predictions_glm.csv")
+    args = [arg for name in names for arg in ("--premiums", f"{name}={oos}")]
+    r = CliRunner().invoke(main, ["tariff", *args, "--losses", oos, "--out", str(tmp_path / "t")])
+    assert r.exit_code == 1
+    assert r.output == f"Error: --premiums needs a non-empty NAME, each once; got {bad!r}\n"
+    assert not (tmp_path / "t").exists()
+
+
 def test_non_finite_premium_file_is_a_one_line_error(workspace, tmp_path):
     oos = os.path.join(workspace["train"], "oos_predictions_glm.csv")
     pred = tmp_path / "nan.csv"

@@ -237,6 +237,18 @@ def test_one_hot_definition():
     assert blocks == [("a", 2), ("b", 3)]
 
 
+@pytest.mark.parametrize("code", [3, 7, -1])
+def test_a_level_code_outside_the_schema_is_a_data_error(toy, code):
+    """A frame never holds a level code its schema has no level for, so
+    `one_hot` never sees one; the error names the column and first row."""
+    codes = np.array([0, 1, code, code, 0])
+    message = rf"level code {code} of 'region' in row 2 is outside 0\.\.2"
+    with pytest.raises(DataError, match=message):
+        toy.with_column("region", codes)
+    with pytest.raises(DataError, match=message):
+        one_hot(Dataset(toy.schema, dict(toy.columns, region=codes)))
+
+
 def test_one_hot_roundtrip(portfolio):
     ds = portfolio.dataset
     m, blocks = one_hot(ds)

@@ -2,13 +2,16 @@
 
 import multiprocessing
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from freqsev import _workers, gbm
 from freqsev._rand import substream
-from freqsev.data import ColumnSchema, Dataset, FoldPlan, severity_view, stratified_folds
+from freqsev.data import (
+    ColumnSchema, DataError, Dataset, FoldPlan, severity_view, stratified_folds
+)
 from freqsev.evaluation import get_family, poisson_deviance
 from freqsev.gbm import (
     MAX_BINS, SHRINKAGE, BoostedModel, Forest, GbmError, fit_gbm, tune_gbm
@@ -59,8 +62,8 @@ def test_training_deviance_decreases():
     ds = p.dataset
     model = fit_gbm(ds, "poisson_log", n_trees=150, depth=2, seed=0, shrinkage=0.05)
     losses = [
-        poisson_deviance(model.predict(ds, t), ds.response, ds.exposure)
-        for t in (1, 50, 150)
+        poisson_deviance(prefix.predict(ds), ds.response, ds.exposure)
+        for prefix in (replace(model, trees=model.trees[:t]) for t in (1, 50, 150))
     ]
     assert losses[0] >= losses[1] >= losses[2]
 
@@ -376,19 +379,20 @@ def test_tune_rejects_grid_values_that_are_not_positive_integers(grids, monkeypa
         tune_gbm(p.dataset, "poisson_log", plan, 0, *grids)
 
 
-def test_tune_memory_does_not_grow_with_the_tree_count(monkeypatch):
-    """No tuning tree is kept: the peak is the same at 50 trees and 400.
-    tracemalloc sees this process only, so the inner folds run in it."""
+def test_tune_memory_does_not_grow_with_the_tree_count():
+    """No tuning tree is kept: the peak of one inner fold, which grows the
+    depths of `tune_gbm`'s grid as `tune_gbm` does, is the same at 50
+    trees and 400. tracemalloc sees this process only, so the fold runs in it."""
     import tracemalloc
 
-    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
     p = small_portfolio(n=1500, seed=16)
     plan = stratified_folds(p.dataset, seed=1)
+    k = plan.inner_folds(0)[0]
     peaks = []
     for trees in ((50,), (50, 400)):
         tracemalloc.start()
         try:
-            tune_gbm(p.dataset, "poisson_log", plan, 0, trees, (1, 2, 3, 4, 5))
+            gbm._inner_fold_losses(p.dataset, "poisson_log", plan, 0, trees, [5, 4, 3, 2, 1], 0, k)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -531,7 +535,7 @@ def test_level_absent_from_node_goes_to_majority_child():
     assert left[low][2] == (n_left >= len(in_node) - n_left)
 
 
-def _reference_log_scores(model, dataset, n_trees=None):
+def _reference_log_scores(model, dataset):
     """Every row through every tree, one tree after another: the plain walk."""
     codes = np.stack([
         np.searchsorted(model.cuts[name], dataset.columns[name], side="left")
@@ -540,7 +544,7 @@ def _reference_log_scores(model, dataset, n_trees=None):
     ])
     rows = np.arange(dataset.n)
     scores = np.full(dataset.n, model.f0)
-    for feature, left, child, value in _trees(model.trees[:n_trees]):
+    for feature, left, child, value in _trees(model.trees):
         node = np.zeros(dataset.n, dtype=np.intp)
         for _ in range(model.depth):
             go_left = left[node, codes[np.maximum(feature[node], 0), rows]]
@@ -580,7 +584,8 @@ def test_log_scores_match_per_tree_reference(depth, monkeypatch):
     blocks, ends on the same bits as walking every row through every tree:
     in one block, in several blocks of several trees, in one-tree blocks
     and, for a few distinct rows, by a cumulative sum over each block. A
-    second call on the same frame reads the memo and walks no tree."""
+    second call on the same frame reads the memo and walks no tree. A
+    prefix of the trees is a model of its own and predicts the same way."""
     p = small_portfolio(n=1500, seed=13)
     train = p.dataset.subset(np.flatnonzero(p.dataset.columns["region"] != 2))
     assert len(np.unique(train.columns["age"])) > MAX_BINS  # region 2 is unseen
@@ -619,14 +624,15 @@ def test_log_scores_match_per_tree_reference(depth, monkeypatch):
         m = BoostedModel.from_dict(fitted.to_dict())  # an empty memo
         for n_trees in (None, 50, 1):
             descents.clear()
-            scores = m.log_scores(frame, n_trees)
+            prefix = replace(m, trees=m.trees[:n_trees])
+            scores = prefix.log_scores(frame)
             np.testing.assert_array_equal(
-                scores, _reference_log_scores(m, frame, n_trees), err_msg=name
+                scores, _reference_log_scores(prefix, frame), err_msg=name
             )
             if n_trees is None:
                 assert len(descents) == blocks * depth, name
                 descents.clear()  # the memo serves a second call, unless the grid is too large
-                np.testing.assert_array_equal(m.log_scores(frame), scores, err_msg=name)
+                np.testing.assert_array_equal(prefix.log_scores(frame), scores, err_msg=name)
                 assert len(descents) == (blocks * depth if fitted is uniform else 0), name
     for name in ("pinned", "one row"):
         assert model._distinct(cases[name][1])[0].shape[1] <= gbm._CUMSUM_ROWS
@@ -656,11 +662,12 @@ def test_forest_indexes_and_slices_as_trees():
 
 def test_truncated_trees_predict_as_a_prefix():
     """Assigning a run of the forest, or a join of its first trees,
-    predicts with those trees, never with arrays joined for the old ones."""
+    predicts with those trees, never with arrays joined for the old ones;
+    with no trees, a model predicts F0."""
     p = small_portfolio(n=1200, seed=15)
     model = fit_gbm(p.dataset, "poisson_log", n_trees=30, depth=3, seed=0, shrinkage=0.1)
     forest, trees = model.trees, _trees(model.trees)
-    expected = {k: model.log_scores(p.dataset, k) for k in (12, 5)}
+    expected = {k: replace(model, trees=forest[:k]).log_scores(p.dataset) for k in (12, 5)}
     for k, truncated in ((12, forest[:12]), (5, Forest.join(trees[:5]))):
         model.trees = truncated
         assert len(model.trees) == k
@@ -668,6 +675,8 @@ def test_truncated_trees_predict_as_a_prefix():
         np.testing.assert_array_equal(scores, expected[k])
         np.testing.assert_array_equal(scores, _reference_log_scores(model, p.dataset))
     assert len(BoostedModel.from_dict(model.to_dict()).trees) == 5
+    model.trees = forest[:0]
+    np.testing.assert_array_equal(model.log_scores(p.dataset), np.full(p.dataset.n, model.f0))
 
 
 def test_memo_and_walk_give_the_same_bits():
@@ -710,24 +719,37 @@ def test_memo_and_walk_give_the_same_bits():
 
 def test_a_level_code_outside_the_schema_is_rejected():
     p = small_portfolio(n=600, seed=21)
-    model = fit_gbm(p.dataset, "poisson_log", n_trees=10, depth=2, seed=0)
     n_levels = len(p.dataset.column_schema("region").levels)
     for code in (n_levels, -1):
-        frame = p.dataset.with_column("region", np.full(p.dataset.n, code))
-        for n_trees in (None, 5):
-            with pytest.raises(GbmError, match="region"):
-                model.log_scores(frame, n_trees)
+        with pytest.raises(DataError, match="region"):
+            p.dataset.with_column("region", np.full(p.dataset.n, code))
 
 
-def test_negative_tree_count_is_rejected():
-    p = small_portfolio(n=600, seed=17)
-    model = fit_gbm(p.dataset, "poisson_log", n_trees=20, depth=2, seed=0)
-    for n_trees in (-1, -25):
-        with pytest.raises(GbmError, match="n_trees"):
-            model.log_scores(p.dataset, n_trees)
-        with pytest.raises(GbmError, match="n_trees"):
-            model.predict(p.dataset, n_trees)
-    np.testing.assert_array_equal(model.log_scores(p.dataset, 0), np.full(p.dataset.n, model.f0))
+def test_a_level_code_past_the_go_left_tables_is_rejected():
+    """A categorical-only model's go-left tables are as wide as its widest
+    feature's levels. A frame whose schema adds a level gets codes past
+    them; they are refused, while the codes inside them walk as before."""
+    rng = np.random.default_rng(2)
+    schema = (
+        ColumnSchema("region", "categorical", ("north", "south", "east")),
+        ColumnSchema("cover", "categorical", ("basic", "full")),
+        ColumnSchema("exposure", "exposure"),
+        ColumnSchema("claims", "response"),
+    )
+    n = 3000
+    region, cover = rng.integers(0, 3, n), rng.integers(0, 2, n)
+    claims = rng.poisson(0.1 * np.exp(0.4 * (region == 1) + 0.3 * cover)).astype(float)
+    train = Dataset(schema, {"region": region, "cover": cover, "exposure": np.ones(n),
+                             "claims": claims})
+    model = fit_gbm(train, "poisson_log", n_trees=50, depth=2, seed=2)
+    assert model.trees.left.shape[1] == 3
+    west = ColumnSchema("region", "categorical", ("north", "south", "east", "west"))
+    wider = (west, *schema[1:])
+    frame = Dataset(wider, dict(train.columns))
+    np.testing.assert_array_equal(model.log_scores(frame), _reference_log_scores(model, frame))
+    coded_west = Dataset(wider, dict(train.columns, region=np.where(region == 2, 3, region)))
+    with pytest.raises(GbmError, match="region"):
+        model.log_scores(coded_west)
 
 
 def test_distinct_rows_of_a_key_that_would_overflow():

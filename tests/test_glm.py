@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
-from freqsev.data import ColumnSchema, Dataset
+from freqsev.data import ColumnSchema, DataError, Dataset
+from freqsev.evaluation import get_family
 from freqsev.glm import (
     BinningRule,
     Design,
     GlmError,
     GlmModel,
+    TREE_BIN_LEAVES,
+    TREE_BIN_MIN_GAIN,
+    TREE_BIN_MIN_SHARE,
     LevelGroups,
     build_design_matrix,
     fit_glm,
@@ -32,6 +36,16 @@ def test_intercept_only_poisson_closed_form():
     model = fit_glm(ds, Design(), "poisson_log")
     assert abs(model.coef[0]) < 1e-10
     np.testing.assert_allclose(model.predict(ds), 1.0, atol=1e-10)
+
+
+def test_a_level_code_outside_the_schema_never_reaches_a_glm():
+    """A GLM would price such a code as some level; the frame is refused first."""
+    p = small_portfolio(n=600, seed=9)
+    ds = p.dataset
+    model = fit_glm(ds, Design(("region",)), "poisson_log")
+    for code in (3, 7, -1):
+        with pytest.raises(DataError, match="region"):
+            model.predict(ds.with_column("region", np.full(ds.n, code)))
 
 
 def test_single_factor_poisson_cell_means():
@@ -181,6 +195,90 @@ def test_tree_bin_null_and_constant():
     with pytest.warns(UserWarning):
         const = tree_bin(np.ones(50), y[:50], np.ones(50), name="x")
     assert const.cuts == ()
+
+
+def _ref_tree_bin(x, y, w, family, name):
+    """`tree_bin` as first written: each leaf holds its own rows, sorted
+    again for every split search, and each split masks them at the cut."""
+    fam = get_family(family)
+    root_dev = float(np.sum(fam.contributions(np.full(len(y), fam.mean(y, w)), y, w)))
+    min_count = max(1, int(np.ceil(TREE_BIN_MIN_SHARE * len(y))))
+
+    def best_split(rows):
+        xv = x[rows]
+        order = np.argsort(xv, kind="stable")
+        xs, ys, ws = xv[order], y[rows][order], w[rows][order]
+        boundary = np.flatnonzero(xs[:-1] < xs[1:]) + 1
+        if boundary.size == 0:
+            return None
+        c1, c2 = fam.split_sums(ys, ws)
+        t1, t2 = c1[-1], c2[-1]
+        left = boundary - 1
+        gain = (
+            fam.half_deviance(t1, t2)
+            - fam.half_deviance(c1[left], c2[left])
+            - fam.half_deviance(t1 - c1[left], t2 - c2[left])
+        )
+        ok = (boundary >= min_count) & (len(xs) - boundary >= min_count)
+        if not ok.any():
+            return None
+        gain = np.where(ok, gain, -np.inf)
+        j = int(np.argmax(gain))
+        return (float(gain[j]), float((xs[boundary[j] - 1] + xs[boundary[j]]) / 2.0))
+
+    leaves, cuts = [np.arange(len(y))], []
+    candidates = {0: best_split(leaves[0])}
+    while len(leaves) < TREE_BIN_LEAVES:
+        viable = {i: c for i, c in candidates.items()
+                  if c is not None and c[0] > TREE_BIN_MIN_GAIN * max(root_dev, 1e-12)}
+        if not viable:
+            break
+        i = max(viable, key=lambda j: viable[j][0])
+        cut = viable[i][1]
+        rows = leaves[i]
+        leaves[i] = rows[x[rows] <= cut]
+        leaves.append(rows[x[rows] > cut])
+        cuts.append(cut)
+        candidates[i] = best_split(leaves[i])
+        candidates[len(leaves) - 1] = best_split(leaves[-1])
+    return BinningRule(name, tuple(sorted(cuts)))
+
+
+def _tree_bin_cases(count):
+    """Seeded (x, response, weight, family) cases: Poisson counts with
+    exposures and gamma averages with claim-count weights; uniform,
+    rounded, integer-valued and five-valued x, so most hold tied values;
+    20 to 3,000 rows; a random step function of x for the mean."""
+    rng = np.random.default_rng(2018)
+    for i in range(count):
+        n = int(rng.integers(20, 3001))
+        x = (
+            rng.uniform(18.0, 80.0, n),
+            np.round(rng.uniform(18.0, 80.0, n), 1),
+            rng.integers(18, 81, n).astype(float),
+            rng.choice([1.0, 2.5, 4.0, 7.0, 9.5], n),
+        )[i % 4]
+        steps = np.sort(rng.uniform(18.0, 80.0, 3))
+        effect = rng.normal(0.0, 1.0, 4)[np.searchsorted(steps, x)]
+        if i // 4 % 2 == 0:
+            exposure = rng.uniform(0.1, 1.0, n)
+            y = rng.poisson(0.3 * exposure * np.exp(effect)).astype(float)
+            yield x, y, exposure, "poisson_log"
+        else:
+            counts = 1.0 + rng.poisson(0.3, n)
+            y = rng.gamma(2.0 * counts, 500.0 * np.exp(effect) / (2.0 * counts))
+            yield x, y, counts, "gamma_log"
+
+
+def test_tree_bin_matches_per_leaf_reference():
+    """Binning on runs of one sort gives the reference's cuts on every
+    case of a seeded corpus."""
+    n_cuts = []
+    for k, (x, y, w, family) in enumerate(_tree_bin_cases(240)):
+        rule = tree_bin(x, y, w, family=family, name="x")
+        assert rule == _ref_tree_bin(x, y, w, family, "x"), k
+        n_cuts.append(len(rule.cuts))
+    assert np.mean(n_cuts) > 1.5 and max(n_cuts) == TREE_BIN_LEAVES - 1
 
 
 def test_predictions_invariant_to_design_column_order():
