@@ -4,7 +4,7 @@ Deviance losses for frequency (Poisson) and severity (gamma) with the
 `Family` object that owns each distribution's loss arithmetic, the
 Diebold-Mariano predictive-accuracy test, Murphy diagrams of elementary
 scores with dominance verdicts and calibration tables. All functions are
-pure over immutable arrays.
+pure over immutable arrays and need no scipy module but `scipy.special`.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.special import gammaln
+from scipy.special import gammaln, stdtr
 
 DM_ALPHA = 0.05
 THETA_FILL = 501  # uniform points added to the Murphy grid's knots
@@ -259,7 +258,7 @@ def diebold_mariano(loss_a: LossVector, loss_b: LossVector) -> DMResult:
         statistic = math.copysign(math.inf, d[0])
     else:
         statistic = float(np.mean(d) / (np.std(d, ddof=1) / np.sqrt(n)))
-    p_value = float(stats.t.sf(statistic, df=n - 1))
+    p_value = float(stdtr(n - 1, -statistic))
     verdict = "reject" if p_value < DM_ALPHA else "no_reject"
     return DMResult(statistic, p_value, verdict)
 

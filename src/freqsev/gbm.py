@@ -357,7 +357,7 @@ class BoostedModel:
             key = key * radix + column
             bound *= radix
         _, first, key = np.unique(key, return_index=True, return_inverse=True)
-        return codes[:, first], key
+        return codes.take(first, axis=1), key
 
     def _add_trees(self, scores: np.ndarray, codes: np.ndarray, trees: Forest,
                    n_rows: int) -> None:

@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
 
 from .data import Dataset
 # poisson_deviance_contributions stays importable from here: bench/test_tracing.py
@@ -220,14 +219,12 @@ class GlmModel:
         }
 
 
-def _check_rank(X, names):
-    q, r, p = linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = diag.max() * max(X.shape) * np.finfo(float).eps
-    rank = int(np.sum(diag > tol))
-    if rank < X.shape[1]:
-        aliased = [names[j] for j in p[rank:]]
-        raise GlmError(f"rank-deficient design; aliased columns: {aliased}")
+def _aliased(X, names, count):
+    """The `count` columns that earlier columns of X span, in design order:
+    the smallest |R_jj| of X's unpivoted QR, and 0 past a wide X's last row."""
+    diag = np.abs(np.diagonal(np.linalg.qr(X, mode="r")))
+    diag = np.concatenate((diag, np.zeros(X.shape[1] - len(diag))))
+    return [names[j] for j in np.sort(np.argsort(diag, kind="stable")[:count])]
 
 
 def fit_glm(
@@ -239,12 +236,12 @@ def fit_glm(
     """Fit by IRLS until the relative deviance change is below 1e-8.
 
     Poisson uses ln(exposure) as offset; gamma uses the claim counts as
-    prior weights. Deterministic; raises on rank deficiency or
-    non-convergence.
+    prior weights. Deterministic; raises on non-convergence and on rank
+    deficiency, which the first solve finds at the start model's positive
+    weights, naming the columns that earlier columns span, in design order.
     """
     fam = get_family(family, GlmError)
     X, names, references = build_design_matrix(dataset, design)
-    _check_rank(X, names)
     y = dataset.response
     n, k = X.shape
     obs_w = fam.obs_weight(dataset)
@@ -260,11 +257,14 @@ def fit_glm(
     mu = np.exp(eta)
     dev = deviance_of(mu)
     trace = [dev]
-    for _ in range(MAX_ITER):
+    for step in range(MAX_ITER):
         w = fam.working_weight(mu, prior_w)
         z = (eta - offset) + (y - mu) / mu
         sw = np.sqrt(w)
-        beta, *_ = np.linalg.lstsq(X * sw[:, None], z * sw, rcond=None)
+        beta, _, rank, _ = np.linalg.lstsq(X * sw[:, None], z * sw, rcond=None)
+        if step == 0 and rank < k:  # later weights may fall towards 0
+            aliased = _aliased(X, names, k - rank)
+            raise GlmError(f"rank-deficient design; aliased columns: {aliased}")
         eta = X @ beta + offset
         mu = np.exp(eta)
         new_dev = deviance_of(mu)

@@ -441,13 +441,13 @@ def _run_fold(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan, fold: in
     """Fit every requested family on one outer fold, write each one's
     `model.json` and `predictions.csv` and score it on the held-out rows.
 
-    Returns ({family: model}, loss rows, {family: test-row predictions}).
-    A failure raises `PipelineError` naming the fold."""
+    Returns (loss rows, {family: test-row predictions}). A failure raises
+    `PipelineError` naming the fold."""
     preset = PRESETS[config.preset]
     family = config.response_family
     bases = {MODEL_FAMILIES[name][0] for name in config.families}
     test_rows = fold_plan.test_rows(fold)
-    models, loss_rows, predictions = {}, [], {}
+    loss_rows, predictions = [], {}
     try:
         ctx = (
             build_fold_context(dataset, family, fold_plan, fold, preset, config.seed)
@@ -463,7 +463,7 @@ def _run_fold(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan, fold: in
         deviance = get_family(family, PipelineError).deviance
         for name in config.families:
             base, cann_mode = MODEL_FAMILIES[name]
-            model = models[name] = shared[name] if base == name else fit_fold_network(
+            model = shared[name] if base == name else fit_fold_network(
                 ctx, dataset, family, fold_plan, preset, derive_seed(config.seed, name),
                 cann_mode, shared.get(base))
             pred = predictions[name] = model.predict(held_out)
@@ -474,7 +474,7 @@ def _run_fold(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan, fold: in
             _write_predictions(os.path.join(fold_dir, "predictions.csv"), test_rows, pred)
     except Exception as exc:  # noqa: BLE001 - re-raise with fold context
         raise PipelineError(f"fold {fold} failed: {exc}") from exc
-    return models, loss_rows, predictions
+    return loss_rows, predictions
 
 
 def run_pipeline(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan | None = None):
@@ -485,8 +485,8 @@ def run_pipeline(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan | None
     way the same files are written, the lowest failing fold's
     `PipelineError` is raised and no worker is left running.
 
-    Returns {"loss_table": rows, "predictions": {family: vector},
-    "fold_models": {fold: {family: model}}}. Artifacts for completed
+    Returns {"loss_table": rows, "predictions": {family: vector}}; the
+    fitted models are in the `model.json` files. Artifacts for completed
     stages are kept on disk even when a later stage fails.
     """
     if fold_plan is None:
@@ -498,10 +498,8 @@ def run_pipeline(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan | None
 
     loss_rows = []
     predictions = {f: np.full(dataset.n, np.nan) for f in config.families}
-    fold_models: dict[int, dict[str, object]] = {}
     outcomes = fork_map(partial(_run_fold, config, dataset, fold_plan), range(fold_plan.k_outer))
-    for fold, (models, rows, fold_predictions) in enumerate(outcomes):
-        fold_models[fold] = models
+    for fold, (rows, fold_predictions) in enumerate(outcomes):
         loss_rows.extend(rows)
         for name, pred in fold_predictions.items():
             predictions[name][fold_plan.test_rows(fold)] = pred
@@ -515,7 +513,7 @@ def run_pipeline(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan | None
             np.arange(dataset.n),
             predictions[name],
         )
-    return {"loss_table": loss_rows, "predictions": predictions, "fold_models": fold_models}
+    return {"loss_table": loss_rows, "predictions": predictions}
 
 
 def save_fold_plan(fold_plan: FoldPlan, path) -> None:

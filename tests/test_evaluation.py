@@ -1,12 +1,18 @@
 """Deviances, Diebold-Mariano, Murphy diagrams, calibration."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+import freqsev
 from freqsev.evaluation import (
     EvaluationError,
     LossVector,
@@ -81,6 +87,34 @@ def test_dm_constant_differential_is_defined():
         better = diebold_mariano(LossVector(np.zeros(30)), LossVector(np.full(30, 0.1)))
     assert (worse.statistic, worse.p_value, worse.verdict) == (np.inf, 0.0, "reject")
     assert (better.statistic, better.p_value, better.verdict) == (-np.inf, 1.0, "no_reject")
+
+
+@pytest.mark.parametrize("n", [2, 3, 30, 1000, 100_000])
+def test_dm_p_value_is_the_student_t_tail(n):
+    """The p-value equals scipy.stats' Student-t survival function at the
+    statistic with n - 1 degrees of freedom, bit for bit, from the
+    constant differentials' 0 and 1 through the finite tails."""
+    rng = np.random.default_rng(n)
+    base = rng.gamma(2.0, size=n)
+    pairs = [(np.full(n, 0.1), np.zeros(n)), (np.zeros(n), np.full(n, 0.1))]
+    for shift in (-1.0, -0.05, -1e-3, 0.0, 1e-3, 0.05, 1.0):
+        pairs.append((base + shift + rng.normal(size=n), base))
+    for loss_a, loss_b in pairs:
+        result = diebold_mariano(LossVector(loss_a), LossVector(loss_b))
+        assert result.p_value == float(stats.t.sf(result.statistic, n - 1)), (n, result)
+
+
+def test_freqsev_loads_scipy_special_only():
+    """Importing every freqsev module loads neither scipy.stats nor
+    scipy.linalg."""
+    code = ("import importlib, pkgutil, sys, freqsev\n"
+            "for module in pkgutil.iter_modules(freqsev.__path__):\n"
+            "    importlib.import_module('freqsev.' + module.name)\n"
+            "print([name for name in ('scipy.stats', 'scipy.linalg') if name in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(freqsev.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_murphy_single_observation():

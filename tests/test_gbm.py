@@ -792,7 +792,8 @@ def test_distinct_rows_of_a_key_that_would_overflow():
 ])
 def test_distinct_rows_equal_those_of_numpy_unique(rows, radices):
     """The distinct rows, their order and each row's index equal
-    `np.unique`'s over the code matrix's rows."""
+    `np.unique`'s over the code matrix's rows. The code matrix is
+    C-ordered, so `_descend`'s `take` does not copy it at every level."""
     names = ("x1", "x2")
     schema = tuple(ColumnSchema(name, "continuous") for name in names) + (
         ColumnSchema("exposure", "exposure"),
@@ -812,6 +813,7 @@ def test_distinct_rows_equal_those_of_numpy_unique(rows, radices):
     np.testing.assert_array_equal(distinct, codes[first].T)
     np.testing.assert_array_equal(index, inverse.ravel())
     assert distinct.dtype == np.intp and distinct.shape == (2, len(first))
+    assert distinct.flags.c_contiguous
 
 
 def test_prediction_memory_is_linear_in_rows():

@@ -1,5 +1,7 @@
 """IRLS GLMs, design building, BIC, tree binning."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from freqsev.glm import (
     fit_glm,
     tree_bin,
 )
+from freqsev.surrogate import VariableSegments, _fit_candidate
 
 from conftest import small_portfolio
 
@@ -83,10 +86,21 @@ def test_intercept_only_gamma_weighted_mean():
 
 
 def test_rank_deficiency_names_columns():
-    ds = _counts_dataset([1.0, 2.0], [1.0, 1.0], codes=[0, 1])
-    design = Design(("f", "f"))
-    with pytest.raises(GlmError, match="aliased"):
-        fit_glm(ds, design, "poisson_log")
+    """The error names, in design order, the columns that earlier columns
+    span; a surrogate search scores such a candidate (None, inf)."""
+    ds = _counts_dataset([1.0, 2.0, 0.0, 1.0, 3.0, 0.0], np.ones(6), codes=[0, 0, 0, 1, 1, 2],
+                         levels=("a", "b", "c"))
+    with pytest.raises(GlmError, match=re.escape("aliased columns: ['f[b]', 'f[c]']")):
+        fit_glm(ds, Design(("f", "f")), "poisson_log")
+    schema = (*ds.schema, ColumnSchema("g", "categorical", ("n", "y")))
+    # g = 1{f = a}, f's reference level: g[y] = (Intercept) - f[b] - f[c]
+    with_g = Dataset(schema, {**ds.columns, "g": (ds.columns["f"] == 0).astype(np.int64)})
+    with pytest.raises(GlmError, match=re.escape("aliased columns: ['g[y]']")):
+        fit_glm(with_g, Design(("f", "g")), "poisson_log")
+    segments = {name: VariableSegments(name, "categorical", levels, tuple(map(float, codes)),
+                                       level_to_segment=codes)
+                for name, levels, codes in (("f", "abc", (0, 1, 2)), ("g", "ny", (0, 1)))}
+    assert _fit_candidate(with_g, segments, ("f", "g"), (), "poisson_log") == (None, np.inf)
 
 
 def test_duplicated_rows_leave_fit_unchanged():
