@@ -159,12 +159,17 @@ def select_dimension(
     candidates=DIM_CANDIDATES,
     seed: int = 0,
     **train_kwargs,
-) -> tuple[int, Autoencoder, bool]:
+) -> tuple[int | None, Autoencoder | None, bool]:
     """Smallest candidate dimension whose training cross-entropy is below
     `CE_THRESHOLD`. Falls back to the largest candidate with a warning
-    when none qualifies. Returns (d, trained autoencoder, qualified)."""
-    candidates = sorted(candidates)
-    last = None
+    when none qualifies. Returns (d, trained autoencoder, qualified).
+
+    A candidate at or above the one-hot width compresses nothing and is
+    not trained; with none below it, returns (None, None, False)."""
+    width = sum(w for _, w in blocks)
+    candidates = sorted(d for d in candidates if d < width)
+    if not candidates:
+        return None, None, False
     for d in candidates:
         ae = train_autoencoder(one_hot_matrix, blocks, d, seed=seed, **train_kwargs)
         loss = reconstruction_loss(ae, one_hot_matrix)

@@ -1,21 +1,27 @@
 """End-to-end cross-validation pipeline.
 
-For every outer fold: compute preprocessing stats on the training rows
-only, pre-train and rescale the autoencoder, tune each model family on
-the inner folds (which are the other outer subsets), train the winner
-with the configured number of repetitions, and score the held-out fold.
-Stitching the six held-out prediction vectors together yields one
-out-of-sample prediction per data row. `save_model` writes a model's
-`to_dict()` payload, tagged with its kind, as `model.json`; `load_model`
-reads any of them back through that kind's `from_dict`.
+Every outer fold fits its GLM and GBM on its training rows and tunes the
+GBM on its inner folds, which are the other outer subsets. The network
+families are tuned by the same inner cross-validation, keyed by the pair
+of held-out folds: inner fold k of outer fold f trains on the rows in
+neither, as inner fold f of outer fold k does. So each (pair, start model,
+drawn spec) cell is trained once, on a context (scaling, autoencoder) and
+a refitted CANN start model of the pair's rows, and scored on both folds.
+Each fold's chosen spec is then trained with the configured number of
+repetitions on its training rows and scores the held-out fold. Stitching
+the held-out prediction vectors together yields one out-of-sample
+prediction per data row. `save_model` writes a model's `to_dict()`
+payload, tagged with its kind, as `model.json`; `load_model` reads any of
+them back through that kind's `from_dict`.
 
-The outer folds are independent, so `run_pipeline` maps them over forked
-workers with `_workers.fork_map`. The inner cross-validation of
-`tune_network_specs` and `gbm.tune_gbm` is mapped the same way when a fold
-runs on its own, and in process inside a fold worker. Workers read their
+`run_pipeline` maps three task lists over forked workers with
+`_workers.fork_map`: each fold's GLM and GBM, then the network cells, one
+task per (pair, start model), then each fold's final networks and files.
+The GBM's inner cross-validation runs in process inside its fold's worker,
+and is mapped over workers when a fold runs on its own. Workers read their
 arguments from the memory they inherit at fork. The same files, results,
 errors and warnings reach the caller as when everything runs in one
-process; a warning repeated in several folds is shown once under the
+process; a warning repeated in several tasks is shown once under the
 default filter.
 """
 
@@ -24,6 +30,7 @@ from __future__ import annotations
 import operator
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 
@@ -31,7 +38,7 @@ import numpy as np
 
 from . import gbm as gbm_mod
 from . import neural as nn
-from ._rand import derive_seed, substream
+from ._rand import derive_seed
 from ._workers import fork_map
 from .data import (
     Dataset,
@@ -158,13 +165,17 @@ def load_config(path) -> RunConfig:
 
 @dataclass
 class FoldContext:
-    """Everything derived from the training rows of one outer fold.
+    """Everything derived from the training rows of an outer fold, or of a
+    pair (f, k) of held-out folds: then `fold` is the pair.
 
-    `autoencoder` is {"dim", "qualified"}: the encoder dimension chosen and
-    whether it reached the cross-entropy threshold; None without
-    categorical blocks."""
+    `autoencoder` is {"dim", "qualified", "onehot_width"}: the encoder
+    dimension chosen and whether it reached the cross-entropy threshold;
+    `dim` is None, and there is no encoder, when no candidate is below the
+    one-hot width. It is None without categorical blocks. `seed` is the run
+    seed the context was built from."""
 
-    fold: int
+    fold: object
+    seed: int
     stats: ScalingStats
     encoder: object | None
     autoencoder: dict | None
@@ -191,19 +202,21 @@ def _network_inputs(dataset: Dataset, stats: ScalingStats):
     return x_cont, x_oh, blocks
 
 
-def build_fold_context(dataset: Dataset, family: str, fold_plan: FoldPlan, fold: int,
+def build_fold_context(dataset: Dataset, family: str, fold_plan: FoldPlan, fold,
                        preset: Preset, seed: int) -> FoldContext:
+    """The context of outer fold `fold`, or of the pair of held-out folds
+    `fold` is, from its training rows."""
     fam = get_family(family, PipelineError)
-    train_rows = fold_plan.train_rows(fold)
+    train_rows = (fold_plan.inner_train_rows(*fold) if isinstance(fold, tuple)
+                  else fold_plan.train_rows(fold))
     stats = scaling_stats(dataset, train_rows, train_fold=fold)
     x_cont, x_oh, blocks = _network_inputs(dataset, stats)
     encoder = autoencoder = None
     if blocks:
-        # these warnings say what `dim` and `qualified` record: no candidate
-        # reached the threshold, or the dimension does not compress
+        # the warning says what `qualified` records: no candidate reached
+        # the threshold
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "no candidate dimension reached ", UserWarning)
-            warnings.filterwarnings("ignore", ".*: no compression$", UserWarning)
             dim, ae, qualified = select_dimension(
                 x_oh[train_rows],
                 blocks,
@@ -211,10 +224,11 @@ def build_fold_context(dataset: Dataset, family: str, fold_plan: FoldPlan, fold:
                 seed=derive_seed(seed, "autoencoder", fold),
                 max_epochs=preset.ae_max_epochs,
             )
-        encoder = scale_encoder(ae, x_oh[train_rows])
-        autoencoder = {"dim": dim, "qualified": qualified}
+        encoder = None if ae is None else scale_encoder(ae, x_oh[train_rows])
+        autoencoder = {"dim": dim, "qualified": qualified, "onehot_width": x_oh.shape[1]}
     return FoldContext(
         fold=fold,
+        seed=seed,
         stats=stats,
         encoder=encoder,
         autoencoder=autoencoder,
@@ -228,7 +242,7 @@ def build_fold_context(dataset: Dataset, family: str, fold_plan: FoldPlan, fold:
 # -- per-family training --------------------------------------------------
 
 
-def fit_fold_glm(dataset: Dataset, family: str, train_rows, fold: int) -> GlmModel:
+def fit_fold_glm(dataset: Dataset, family: str, train_rows, fold) -> GlmModel:
     """Benchmark GLM: all features as main effects, continuous variables
     binned by a single-variable deviance tree on the training rows."""
     train = dataset.subset(train_rows)
@@ -260,6 +274,15 @@ def fit_fold_gbm(dataset: Dataset, family: str, fold_plan: FoldPlan, fold: int,
     )
     model.tuned = {"n_trees": n_trees, "depth": depth, "grid": grid}
     return model
+
+
+@contextmanager
+def _failing(what: str):
+    """Re-raise any error as a `PipelineError` naming `what` failed."""
+    try:
+        yield
+    except Exception as exc:  # noqa: BLE001 - re-raise with fold context
+        raise PipelineError(f"{what} failed: {exc}") from exc
 
 
 def _train_one(ctx: FoldContext, rows, spec, family, cann_mode, log_y_in, preset, seed, rep):
@@ -298,39 +321,93 @@ def _net_predictions(net, ctx: FoldContext, rows, log_y_in):
     )
 
 
-def tune_network_specs(ctx: FoldContext, dataset, family, fold_plan, cann_mode,
-                       log_y_in, preset, seed) -> tuple[nn.NetworkSpec, list]:
-    """Random-grid search scored by inner cross-validation deviance.
+def _start_key(initial_model):
+    """What a pair's refit of a CANN start model depends on: the model's
+    kind and, for a GBM, its tuned (n_trees, depth); None without one."""
+    if initial_model is None:
+        return None
+    if initial_model.kind == "gbm":
+        return ("gbm", initial_model.n_trees, initial_model.depth)
+    return ("glm",)
 
-    Returns the spec with the lowest mean inner deviance (the first of
-    equal ones) and the grid: every drawn spec with that score. The
-    (spec, inner fold) cells run through `fork_map`; each spec's mean
-    takes its cells in inner-fold order, as in one process.
 
-    A CANN's `log_y_in` comes from the initial model `fit_fold_network`
-    was given, fit once on every training row of the outer fold. It is not
-    refit per inner fold, so the inner validation rows were seen by the
-    initial model, though not by the network being tuned; refitting
-    it per inner fold would cost one more GLM or GBM fit per inner fold."""
+def _refit_start(dataset: Dataset, family: str, pair, rows, start, seed: int):
+    """The start model of key `start` refitted on `rows`, the training rows
+    of `pair`; a GBM is seeded by the pair."""
+    if start[0] == "glm":
+        return fit_fold_glm(dataset, family, rows, pair)
+    _, n_trees, depth = start
+    return gbm_mod.fit_gbm(dataset.subset(rows), family, n_trees, depth,
+                           seed=derive_seed(seed, "gbm", pair), train_fold=pair)
+
+
+def _score_cells(dataset, family, fold_plan, preset, seed, searches, grids, task):
+    """For each search in `task`, (pair, start key, searches), each drawn
+    spec's {fold: deviance} on the two folds of the pair, trained on the
+    pair's rows. One context and one start-model refit serve them all."""
+    pair, start, found = task
+    rows = fold_plan.inner_train_rows(*pair)
+    held_out = {k: fold_plan.test_rows(k) for k in pair}
+    with _failing(f"folds {pair[0]} and {pair[1]}"):
+        ctx = build_fold_context(dataset, family, fold_plan, pair, preset, seed)
+        log_y_in = None if start is None else _log_initial(
+            _refit_start(dataset, family, pair, rows, start, seed), dataset)
+        scores = []
+        for i in found:
+            cann_mode, search_seed, _ = searches[i]
+            nets = [_train_one(ctx, rows, spec, family, cann_mode, log_y_in, preset,
+                               derive_seed(search_seed, "tune"), 0) for spec in grids[i]]
+            scores.append([{k: fold_deviance(_net_predictions(net, ctx, valid, log_y_in), dataset,
+                                             valid, family)
+                            for k, valid in held_out.items()} for net in nets])
+    return scores
+
+
+def tune_network_specs(dataset, family, fold_plan, searches, preset, seed) -> list[dict]:
+    """Random-grid search scored by inner cross-validation deviance, for
+    each network family in `searches` and each outer fold it names.
+
+    `searches` holds one (cann_mode, seed, {outer fold: initial model or
+    None}) triple per family. Each family draws one grid from its seed. A
+    cell is a pair {f, k} of held-out folds, a start model and a spec: it
+    trains once on the rows in neither fold, on the pair's own context and,
+    for a CANN, on the start model refitted on those rows, and is scored on
+    both folds. The folds of a pair share a cell when their start models
+    agree. The cells of each (pair, start model) run as one `fork_map`
+    task, built from the run `seed`.
+
+    Returns, per search, {fold: (spec, grid)}: the grid holds every drawn
+    spec with its mean deviance over the fold's inner folds and those
+    deviances in inner-fold order; the spec is the grid's first minimum."""
     severity = get_family(family, PipelineError).severity
     batch_size = preset.sev_batch if severity else preset.freq_batch
-    specs = nn.random_grid(batch_size, n=preset.grid_size, seed=derive_seed(seed, "grid", ctx.fold))
-    inner = fold_plan.inner_folds(ctx.fold)
-    losses = fork_map(partial(_inner_deviance, ctx, dataset, family, fold_plan, cann_mode,
-                              log_y_in, preset, seed), [(s, k) for s in specs for k in inner])
-    grid = [(spec, float(np.mean(losses[i * len(inner) : (i + 1) * len(inner)])))
-            for i, spec in enumerate(specs)]
-    best = min(grid, key=lambda entry: entry[1])
-    return best[0], grid
-
-
-def _inner_deviance(ctx, dataset, family, fold_plan, cann_mode, log_y_in, preset, seed, cell):
-    """Validation deviance of `spec` trained on inner fold `k`'s training rows."""
-    spec, k = cell
-    valid = fold_plan.test_rows(k)
-    net = _train_one(ctx, fold_plan.inner_train_rows(ctx.fold, k), spec, family, cann_mode,
-                     log_y_in, preset, derive_seed(seed, "tune", k), 0)
-    return fold_deviance(_net_predictions(net, ctx, valid, log_y_in), dataset, valid, family)
+    grids = [nn.random_grid(batch_size, n=preset.grid_size, seed=derive_seed(search_seed, "grid"))
+             for _, search_seed, _ in searches]
+    tasks = {}  # (pair, start key) -> {search: None}, in first-seen order
+    for i, (_, _, initial) in enumerate(searches):
+        for fold, model in initial.items():
+            for k in fold_plan.inner_folds(fold):
+                tasks.setdefault((tuple(sorted((fold, k))), _start_key(model)), {})[i] = None
+    tasks = sorted(((pair, start, list(found)) for (pair, start), found in tasks.items()),
+                   key=lambda task: -len(task[2]))  # the largest first, for a short tail
+    scores = fork_map(partial(_score_cells, dataset, family, fold_plan, preset, seed, searches,
+                              grids), tasks)
+    deviance = {(pair, start, i): by_spec
+                for (pair, start, found), task_scores in zip(tasks, scores)
+                for i, by_spec in zip(found, task_scores)}
+    tuned = []
+    for i, (_, _, initial) in enumerate(searches):
+        folds = {}
+        for fold, model in initial.items():
+            inner = fold_plan.inner_folds(fold)
+            cells = [deviance[tuple(sorted((fold, k))), _start_key(model), i] for k in inner]
+            grid = []
+            for j, spec in enumerate(grids[i]):
+                losses = [by_spec[j][k] for k, by_spec in zip(inner, cells)]
+                grid.append((spec, float(np.mean(losses)), losses))
+            folds[fold] = (min(grid, key=lambda entry: entry[1])[0], grid)
+        tuned.append(folds)
+    return tuned
 
 
 def _log_initial(initial_model, dataset: Dataset) -> np.ndarray:
@@ -346,9 +423,10 @@ class AveragedNetworks:
     with the scaling stats they were trained on and, for a CANN, the
     initial model.
 
-    `grid` holds every spec the tuning drew with its mean inner-CV
-    deviance; `spec` is the one chosen. `autoencoder` is the fold's
-    {"dim", "qualified"} record, or None without categorical blocks."""
+    `grid` holds every spec the tuning drew as (spec, mean inner-CV
+    deviance, deviance per inner fold in fold order); `spec` is the one
+    chosen. `autoencoder` is the fold context's record, or None without
+    categorical blocks."""
 
     kind = "networks"  # the tag `to_dict` writes and `load_model` reads
 
@@ -370,7 +448,8 @@ class AveragedNetworks:
             "kind": self.kind,
             "family": self.family,
             "spec": asdict(self.spec),
-            "grid": [{"spec": asdict(spec), "inner_deviance": score} for spec, score in self.grid],
+            "grid": [{"spec": asdict(spec), "inner_deviance": score, "inner_fold_deviances": folds}
+                     for spec, score, folds in self.grid],
             "members": [m.to_dict() for m in self.members],
             "stats": asdict(self.stats),
             "initial": None if self.initial_model is None else self.initial_model.to_dict(),
@@ -385,23 +464,35 @@ class AveragedNetworks:
             members=[nn.Network.from_dict(m) for m in d["members"]],
             stats=ScalingStats(d["stats"]["means"], d["stats"]["stds"], d["stats"]["train_fold"]),
             spec=nn.NetworkSpec(**d["spec"]),
-            grid=[(nn.NetworkSpec(**e["spec"]), e["inner_deviance"]) for e in d["grid"]],
+            grid=[(nn.NetworkSpec(**e["spec"]), e["inner_deviance"], e["inner_fold_deviances"])
+                  for e in d["grid"]],
             initial_model=None if initial is None else _KINDS[initial["kind"]].from_dict(initial),
             autoencoder=d["autoencoder"],
         )
 
 
-def fit_fold_network(ctx: FoldContext, dataset, family, fold_plan, preset, seed,
-                     cann_mode=None, initial_model=None) -> AveragedNetworks:
+def _fit_members(ctx: FoldContext, dataset, family, fold_plan, preset, seed, cann_mode,
+                 initial_model, tuned) -> AveragedNetworks:
+    """The tuned spec trained `preset.repetitions` times on the fold's
+    training rows; `tuned` is its (spec, grid)."""
+    spec, grid = tuned
     log_y_in = None if cann_mode is None else _log_initial(initial_model, dataset)
     train_rows = fold_plan.train_rows(ctx.fold)
-    spec, grid = tune_network_specs(ctx, dataset, family, fold_plan, cann_mode, log_y_in,
-                                    preset, seed)
     members = [
         _train_one(ctx, train_rows, spec, family, cann_mode, log_y_in, preset, seed, rep)
         for rep in range(preset.repetitions)
     ]
     return AveragedNetworks(family, members, ctx.stats, spec, grid, initial_model, ctx.autoencoder)
+
+
+def fit_fold_network(ctx: FoldContext, dataset, family, fold_plan, preset, seed,
+                     cann_mode=None, initial_model=None) -> AveragedNetworks:
+    """The networks of outer fold `ctx.fold` alone: tuned on its pairs of
+    held-out folds, as `run_pipeline` tunes them, then trained."""
+    [tuned] = tune_network_specs(dataset, family, fold_plan,
+                                 [(cann_mode, seed, {ctx.fold: initial_model})], preset, ctx.seed)
+    return _fit_members(ctx, dataset, family, fold_plan, preset, seed, cann_mode, initial_model,
+                        tuned[ctx.fold])
 
 
 _KINDS = {cls.kind: cls for cls in (GlmModel, gbm_mod.BoostedModel, AveragedNetworks)}
@@ -437,43 +528,48 @@ def _write_predictions(path, rows, predictions):
     write_rows(path, ["row_index", "prediction"], zip(rows.tolist(), predictions.tolist()))
 
 
-def _run_fold(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan, fold: int):
-    """Fit every requested family on one outer fold, write each one's
-    `model.json` and `predictions.csv` and score it on the held-out rows.
+def _fit_shared(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan, fold: int) -> dict:
+    """Outer fold `fold`'s GLM and GBM by name, each one that a requested
+    family uses."""
+    family, preset = config.response_family, PRESETS[config.preset]
+    bases = {MODEL_FAMILIES[name][0] for name in config.families}
+    shared = {}
+    with _failing(f"fold {fold}"):
+        if "glm" in bases:
+            shared["glm"] = fit_fold_glm(dataset, family, fold_plan.train_rows(fold), fold)
+        if "gbm" in bases:
+            shared["gbm"] = fit_fold_gbm(dataset, family, fold_plan, fold, preset, config.seed)
+    return shared
+
+
+def _run_fold(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan, shared, tuned, fold: int):
+    """Train each network family's tuned spec on one outer fold, write
+    every requested family's `model.json` and `predictions.csv` and score
+    it on the held-out rows. `shared` holds each fold's GLM and GBM,
+    `tuned` each network family's {fold: (spec, grid)}.
 
     Returns (loss rows, {family: test-row predictions}). A failure raises
     `PipelineError` naming the fold."""
     preset = PRESETS[config.preset]
     family = config.response_family
-    bases = {MODEL_FAMILIES[name][0] for name in config.families}
     test_rows = fold_plan.test_rows(fold)
     loss_rows, predictions = [], {}
-    try:
-        ctx = (
-            build_fold_context(dataset, family, fold_plan, fold, preset, config.seed)
-            if any(MODEL_FAMILIES[name][0] != name for name in config.families)
-            else None
-        )
-        shared = {}
-        if "glm" in bases:
-            shared["glm"] = fit_fold_glm(dataset, family, fold_plan.train_rows(fold), fold)
-        if "gbm" in bases:
-            shared["gbm"] = fit_fold_gbm(dataset, family, fold_plan, fold, preset, config.seed)
+    with _failing(f"fold {fold}"):
+        ctx = (build_fold_context(dataset, family, fold_plan, fold, preset, config.seed)
+               if tuned else None)
         held_out = dataset.subset(test_rows)
         deviance = get_family(family, PipelineError).deviance
         for name in config.families:
             base, cann_mode = MODEL_FAMILIES[name]
-            model = shared[name] if base == name else fit_fold_network(
+            model = shared[fold][name] if base == name else _fit_members(
                 ctx, dataset, family, fold_plan, preset, derive_seed(config.seed, name),
-                cann_mode, shared.get(base))
+                cann_mode, shared[fold].get(base), tuned[name][fold])
             pred = predictions[name] = model.predict(held_out)
             loss_rows.append({"model": name, "fold": fold, "deviance": deviance(pred, held_out)})
             fold_dir = os.path.join(config.outdir, f"fold_{fold}", name)
             os.makedirs(fold_dir, exist_ok=True)
             save_model(model, os.path.join(fold_dir, "model.json"))
             _write_predictions(os.path.join(fold_dir, "predictions.csv"), test_rows, pred)
-    except Exception as exc:  # noqa: BLE001 - re-raise with fold context
-        raise PipelineError(f"fold {fold} failed: {exc}") from exc
     return loss_rows, predictions
 
 
@@ -481,8 +577,10 @@ def run_pipeline(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan | None
     """Train every requested family on every outer fold and collect the
     held-out loss table and the stitched out-of-sample predictions.
 
-    Folds run through `fork_map`, in forked workers or in process; either
-    way the same files are written, the lowest failing fold's
+    Three task lists run through `fork_map`, in forked workers or in
+    process: each fold's GLM and GBM, the network cells of
+    `tune_network_specs`, and each fold's final networks and files.
+    Either way the same files are written, the lowest failing task's
     `PipelineError` is raised and no worker is left running.
 
     Returns {"loss_table": rows, "predictions": {family: vector}}; the
@@ -496,9 +594,19 @@ def run_pipeline(config: RunConfig, dataset: Dataset, fold_plan: FoldPlan | None
             f"the fold plan assigns {len(fold_plan.outer)} rows, the dataset has {dataset.n}")
     os.makedirs(config.outdir, exist_ok=True)
 
+    folds = range(fold_plan.k_outer)
+    shared = fork_map(partial(_fit_shared, config, dataset, fold_plan), folds)
+    networks = [name for name in config.families if MODEL_FAMILIES[name][0] != name]
+    searches = [(MODEL_FAMILIES[name][1], derive_seed(config.seed, name),
+                 {fold: shared[fold].get(MODEL_FAMILIES[name][0]) for fold in folds})
+                for name in networks]
+    tuned = dict(zip(networks, tune_network_specs(dataset, config.response_family, fold_plan,
+                                                  searches, PRESETS[config.preset],
+                                                  config.seed)))
+    outcomes = fork_map(partial(_run_fold, config, dataset, fold_plan, shared, tuned), folds)
+
     loss_rows = []
     predictions = {f: np.full(dataset.n, np.nan) for f in config.families}
-    outcomes = fork_map(partial(_run_fold, config, dataset, fold_plan), range(fold_plan.k_outer))
     for fold, (rows, fold_predictions) in enumerate(outcomes):
         loss_rows.extend(rows)
         for name, pred in fold_predictions.items():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from freqsev import embedding
 from freqsev.data import one_hot
 from freqsev.embedding import (
     Autoencoder,
@@ -93,6 +94,28 @@ def test_select_dimension_fallback_flag():
     assert d == 1
     if not qualified:
         assert reconstruction_loss(ae, x) >= 1e-3
+
+
+def test_select_dimension_trains_only_candidates_below_the_one_hot_width(monkeypatch):
+    """A dimension at or above the one-hot width compresses nothing: it is
+    not trained, and with no smaller candidate there is no encoder."""
+    trained, real_train = [], embedding.train_autoencoder
+
+    def train_autoencoder(x, blocks, d, **kwargs):
+        trained.append(d)
+        return real_train(x, blocks, d, **kwargs)
+
+    monkeypatch.setattr(embedding, "train_autoencoder", train_autoencoder)
+    rng = np.random.default_rng(3)
+    a, b = rng.integers(0, 3, 200), rng.integers(0, 2, 200)
+    x = np.zeros((200, 5))
+    x[np.arange(200), a] = 1.0
+    x[np.arange(200), 3 + b] = 1.0
+    blocks = (("a", 3), ("b", 2))
+    assert select_dimension(x, blocks, candidates=(5, 10, 15), seed=0) == (None, None, False)
+    assert trained == []
+    d, ae, _ = select_dimension(x, blocks, candidates=(10, 2, 5), seed=0, max_epochs=5)
+    assert trained == [2] and d == ae.dim == 2
 
 
 def test_scale_encoder_math():

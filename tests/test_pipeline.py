@@ -13,7 +13,8 @@ import pytest
 
 from freqsev import _workers, gbm, pipeline
 from freqsev._rand import derive_seed
-from freqsev.data import Dataset, ScalingStats, severity_view, stratified_folds
+from freqsev.data import (Dataset, PortfolioSpec, ScalingStats, generate_synthetic_portfolio,
+                          severity_view, stratified_folds)
 from freqsev.evaluation import get_family
 from freqsev.glm import GlmModel
 from freqsev.neural import NetworkSpec, build_network
@@ -30,6 +31,7 @@ def test_network_grid_written_beside_chosen_spec(tmp_path, monkeypatch):
     config = pipeline.RunConfig(data_path="memory", schema_path="memory", seed=1,
                                 families=("ffnn",), outdir=str(tmp_path))
     pipeline.run_pipeline(config, ds)
+    specs = []
     for fold in range(6):
         with open(tmp_path / f"fold_{fold}" / "ffnn" / "model.json", encoding="utf-8") as fh:
             written = json.load(fh)
@@ -38,9 +40,15 @@ def test_network_grid_written_beside_chosen_spec(tmp_path, monkeypatch):
         scores = [entry["inner_deviance"] for entry in grid]
         assert all(np.isfinite(scores))
         assert grid[int(np.argmin(scores))]["spec"] == written["spec"]
-        encoder = written["autoencoder"]
-        assert encoder["dim"] == written["members"][0]["encoder_dim"] == FAST.ae_candidates[0]
-        assert isinstance(encoder["qualified"], bool)
+        for entry in grid:  # one score per inner fold, whose mean is the spec's
+            assert len(entry["inner_fold_deviances"]) == 5
+            assert entry["inner_deviance"] == np.mean(entry["inner_fold_deviances"])
+        # one grid per run: every fold draws the same specs
+        specs.append([entry["spec"] for entry in grid])
+        # the desk candidate 5 does not compress the 3-wide one-hot: no encoder
+        assert written["autoencoder"] == {"dim": None, "qualified": False, "onehot_width": 3}
+        assert written["members"][0]["encoder_dim"] is None
+    assert all(drawn == specs[0] for drawn in specs)
 
 
 def test_gbm_grid_written_beside_tuned_pair(tmp_path):
@@ -204,12 +212,12 @@ def test_run_pipeline_rejects_a_fold_plan_of_another_length(tmp_path):
 def test_warnings_other_than_the_recorded_outcomes_reach_the_caller(tmp_path, monkeypatch):
     """The autoencoder and binning blocks silence only the warnings whose
     outcome the fold's payload records; `run_pipeline` re-issues the rest
-    in fold order, from forked workers as from its own process."""
+    in task order (folds' GLMs, pairs' contexts, folds' contexts), from
+    forked workers as from its own process."""
     real_select, real_bin = pipeline.select_dimension, pipeline.tree_bin
 
     def select_dimension(*args, **kwargs):
-        warnings.warn("encoding dimension 9 >= input width 4: no compression")
-        warnings.warn("no candidate dimension reached cross-entropy < 0.1; using 9")
+        warnings.warn("no candidate dimension reached cross-entropy < 0.1; using 2")
         warnings.warn(f"unrecorded autoencoder warning (seed {kwargs['seed']})")
         return real_select(*args, **kwargs)
 
@@ -222,26 +230,30 @@ def test_warnings_other_than_the_recorded_outcomes_reach_the_caller(tmp_path, mo
     monkeypatch.setattr(pipeline, "tree_bin", tree_bin)
     ds = small_portfolio(n=300, seed=1).dataset
     plan = stratified_folds(ds, seed=0)
+    preset = replace(FAST, ae_candidates=(2,))  # compresses the 3-wide one-hot
 
-    def unrecorded(fold):
-        return [(UserWarning, "unrecorded autoencoder warning "
-                              f"(seed {derive_seed(0, 'autoencoder', fold)})"),
-                (RuntimeWarning, "unrecorded binning warning")]
+    def autoencoder(fold):
+        seed = derive_seed(0, "autoencoder", fold)
+        return (UserWarning, f"unrecorded autoencoder warning (seed {seed})")
 
+    binning = (RuntimeWarning, "unrecorded binning warning")
     with pytest.warns(Warning) as record:
-        pipeline.build_fold_context(ds, "poisson_log", plan, 0, FAST, seed=0)
+        ctx = pipeline.build_fold_context(ds, "poisson_log", plan, 0, preset, seed=0)
         pipeline.fit_fold_glm(ds, "poisson_log", plan.train_rows(0), 0)
-    assert [(w.category, str(w.message)) for w in record] == unrecorded(0)
+    assert [(w.category, str(w.message)) for w in record] == [autoencoder(0), binning]
+    assert ctx.autoencoder["dim"] == 2
 
-    monkeypatch.setitem(pipeline.PRESETS, "desk", FAST)
+    monkeypatch.setitem(pipeline.PRESETS, "desk", preset)
+    pairs = [(f, k) for f in range(6) for k in range(f + 1, 6)]
     for cpus in (2, 1):  # forked workers, then this process
         monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
         config = pipeline.RunConfig(data_path="memory", schema_path="memory", seed=0,
                                     families=("glm", "ffnn"), outdir=str(tmp_path / str(cpus)))
         with pytest.warns(Warning) as record:
             pipeline.run_pipeline(config, ds, plan)
-        assert [(w.category, str(w.message)) for w in record] == [
-            warning for fold in range(6) for warning in unrecorded(fold)], cpus
+        assert [(w.category, str(w.message)) for w in record] == (
+            [binning] * 6 + [autoencoder(pair) for pair in pairs]
+            + [autoencoder(fold) for fold in range(6)]), cpus
         assert {w.filename for w in record} == {__file__}
 
     # the same text from the same line in every fold is shown once under the
@@ -339,72 +351,199 @@ def test_lowest_failing_fold_is_raised_and_no_worker_outlives_the_run(tmp_path, 
 
 
 def test_network_tuning_over_workers_equals_tuning_in_process(monkeypatch):
-    """The (spec, inner fold) cells in forked workers, which read the
-    dataset they inherited, give the spec and grid of one process."""
+    """The (pair, start model) tasks in forked workers, which read the
+    dataset they inherited, give the specs and grids of one process."""
     monkeypatch.setattr(Dataset, "__reduce_ex__", _unpicklable)
     ds = small_portfolio(n=600, seed=2).dataset
     plan = stratified_folds(ds, seed=0)
-    ctx = pipeline.build_fold_context(ds, "poisson_log", plan, 0, FAST, seed=0)
-    initial = pipeline.fit_fold_glm(ds, "poisson_log", plan.train_rows(0), 0)
-    for cann_mode, log_y_in in ((None, None), ("fixed", pipeline._log_initial(initial, ds))):
-        tuned = {}
-        for cpus in (2, 1):
-            monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
-            tuned[cpus] = pipeline.tune_network_specs(ctx, ds, "poisson_log", plan, cann_mode,
-                                                      log_y_in, FAST, seed=3)
-        assert len(tuned[1][1]) == FAST.grid_size
-        assert tuned[2] == tuned[1], cann_mode
+    glms = {fold: pipeline.fit_fold_glm(ds, "poisson_log", plan.train_rows(fold), fold)
+            for fold in (0, 3)}
+    searches = [(None, 3, {0: None, 3: None}), ("fixed", 4, glms)]
+    tuned = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
+        tuned[cpus] = pipeline.tune_network_specs(ds, "poisson_log", plan, searches, FAST, seed=0)
+    for folds in tuned[1]:
+        assert sorted(folds) == [0, 3]
+        for spec, grid in folds.values():
+            assert len(grid) == FAST.grid_size
+            assert all(len(losses) == 5 for _, _, losses in grid)
+    assert tuned[2] == tuned[1]
 
 
 def test_inner_cv_forks_for_a_lone_fold_and_stays_in_a_fold_worker(tmp_path, monkeypatch):
-    """A fold fitted on its own maps its tuning tasks over forked workers; in
-    a pooled `run_pipeline` every tuning task runs in its fold's worker, so
-    no worker forks again."""
+    """A fold fitted on its own maps its GBM inner folds and its network
+    cells over forked workers. In a pooled `run_pipeline` each GBM inner
+    fold runs in its fold's worker and every network cell in a forked
+    worker, and only the calling process starts pools, so none nests."""
     monkeypatch.setitem(pipeline.PRESETS, "desk", FAST)
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
     log = tmp_path / "pids"
     log.mkdir()
-    real_gbm, real_net = gbm._inner_fold_losses, pipeline._inner_deviance
-    real_context = pipeline.build_fold_context
+    real_gbm, real_cells = gbm._inner_fold_losses, pipeline._score_cells
+    real_fit_gbm, real_pool = pipeline.fit_fold_gbm, _workers.ProcessPoolExecutor
 
-    def record(kind, fold):
-        (log / f"{kind}_{fold}_{os.getpid()}").touch()
+    def record(kind, name):
+        (log / f"{kind}_{name}_{os.getpid()}").touch()
 
     def inner_fold_losses(*args):
         record("task", args[3])
         return real_gbm(*args)
 
-    def inner_deviance(ctx, *args):
-        record("task", ctx.fold)
-        return real_net(ctx, *args)
+    def score_cells(*args):
+        record("cell", "-".join(map(str, args[-1][0])))
+        return real_cells(*args)
 
-    def build_fold_context(dataset, family, fold_plan, fold, *args):
+    def fit_fold_gbm(dataset, family, fold_plan, fold, *args, **kwargs):
         record("fold", fold)
-        return real_context(dataset, family, fold_plan, fold, *args)
+        return real_fit_gbm(dataset, family, fold_plan, fold, *args, **kwargs)
 
-    def pids(kind, fold):
-        return {int(p.name.split("_")[2]) for p in log.glob(f"{kind}_{fold}_*")}
+    def pool(*args, **kwargs):
+        record("pool", "")
+        return real_pool(*args, **kwargs)
+
+    def pids(kind, name="*"):
+        return {int(p.name.split("_")[2]) for p in log.glob(f"{kind}_{name}_*")}
 
     monkeypatch.setattr(gbm, "_inner_fold_losses", inner_fold_losses)
-    monkeypatch.setattr(pipeline, "_inner_deviance", inner_deviance)
-    monkeypatch.setattr(pipeline, "build_fold_context", build_fold_context)
+    monkeypatch.setattr(pipeline, "_score_cells", score_cells)
+    monkeypatch.setattr(pipeline, "fit_fold_gbm", fit_fold_gbm)
+    monkeypatch.setattr(_workers, "ProcessPoolExecutor", pool)
     ds = small_portfolio(n=600, seed=2).dataset
     plan = stratified_folds(ds, seed=0)
-    pipeline.fit_fold_gbm(ds, "poisson_log", plan, 0, FAST, seed=1)
-    ctx = real_context(ds, "poisson_log", plan, 0, FAST, seed=1)
-    pipeline.fit_fold_network(ctx, ds, "poisson_log", plan, FAST, seed=1)
+    model = pipeline.fit_fold_gbm(ds, "poisson_log", plan, 0, FAST, seed=1)
+    ctx = pipeline.build_fold_context(ds, "poisson_log", plan, 0, FAST, seed=1)
+    pipeline.fit_fold_network(ctx, ds, "poisson_log", plan, FAST, 1, "fixed", model)
     assert pids("task", 0) and os.getpid() not in pids("task", 0)
+    assert len(list(log.glob("cell_*"))) == 5 and os.getpid() not in pids("cell")
+    assert pids("pool") == {os.getpid()}
     for path in log.iterdir():
         path.unlink()
 
     config = pipeline.RunConfig(data_path="memory", schema_path="memory", seed=1,
-                                families=("gbm", "ffnn"), outdir=str(tmp_path / "run"))
+                                families=("gbm", "cann_gbm_fixed"), outdir=str(tmp_path / "run"))
     pipeline.run_pipeline(config, ds, plan)
     for fold in range(plan.k_outer):
         worker = pids("fold", fold)
         assert len(worker) == 1 and os.getpid() not in worker, fold
         assert pids("task", fold) == worker, fold
+    assert len({p.name.split("_")[1] for p in log.glob("cell_*")}) == 15
+    assert pids("cell") and os.getpid() not in pids("cell")
+    assert pids("pool") == {os.getpid()}
     assert multiprocessing.active_children() == []
+
+
+def _pair_fits(dataset, plan, cann_mode, initial):
+    """Every network `tune_network_specs` trains and every start model it
+    refits while tuning `initial`'s fold, as JSON text by pair."""
+    real_train, real_refit, fits = pipeline._train_one, pipeline._refit_start, {}
+
+    def train_one(ctx, *args):
+        net = real_train(ctx, *args)
+        fits.setdefault(ctx.fold, []).append(json.dumps(net.to_dict()))
+        return net
+
+    def refit_start(dataset, family, pair, *args):
+        model = real_refit(dataset, family, pair, *args)
+        fits.setdefault(pair, []).append(json.dumps(model.to_dict()))
+        return model
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_workers, "_usable_cpus", lambda: 1)
+        patch.setattr(pipeline, "_train_one", train_one)
+        patch.setattr(pipeline, "_refit_start", refit_start)
+        pipeline.tune_network_specs(dataset, "poisson_log", plan, [(cann_mode, 7, initial)], FAST,
+                                    seed=0)
+    return fits
+
+
+@pytest.mark.parametrize("name", ["ffnn", "cann_glm_fixed", "cann_gbm_fixed"])
+def test_a_pair_cell_never_sees_the_responses_of_its_two_folds(name):
+    """Moving the responses of folds 1 and 4 leaves the networks of pair
+    {1, 4}, and the start model refitted on its rows, bit-identical; the
+    pairs that train on fold 4's rows move."""
+    ds = small_portfolio(n=600, seed=3).dataset
+    plan = stratified_folds(ds, seed=5)
+    base, cann_mode = pipeline.MODEL_FAMILIES[name]
+    train = ds.subset(plan.train_rows(1))
+    initial = {"glm": pipeline.fit_fold_glm(ds, "poisson_log", plan.train_rows(1), 1),
+               "gbm": gbm.fit_gbm(train, "poisson_log", 10, 2, seed=0)}.get(base)
+    poisoned_y = ds.response.copy()
+    poisoned_y[np.isin(plan.outer, (1, 4))] += 7.0
+    poisoned = ds.with_column(ds.response_name, poisoned_y)
+    clean = _pair_fits(ds, plan, cann_mode, {1: initial})
+    moved = _pair_fits(poisoned, plan, cann_mode, {1: initial})
+    assert sorted(clean) == sorted(moved) == [(0, 1), (1, 2), (1, 3), (1, 4), (1, 5)]
+    assert len(clean[1, 4]) == FAST.grid_size + (cann_mode is not None)
+    assert clean[1, 4] == moved[1, 4]
+    assert all(clean[pair] != moved[pair] for pair in [(0, 1), (1, 2), (1, 3), (1, 5)])
+
+
+def test_a_six_fold_run_trains_each_pair_cell_once(tmp_path, monkeypatch):
+    """Per network family, a 6-fold run trains each of the 15 pairs' drawn
+    specs once, then each fold's repetitions: 15 * grid_size + 6 *
+    repetitions networks."""
+    preset = replace(FAST, repetitions=2)
+    monkeypatch.setitem(pipeline.PRESETS, "desk", preset)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
+    calls, real_train = [], pipeline.nn.train_network
+
+    def train_network(net, *args, **kwargs):
+        calls.append(net.cann_mode)
+        return real_train(net, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline.nn, "train_network", train_network)
+    config = pipeline.RunConfig(data_path="memory", schema_path="memory", seed=1,
+                                families=("glm", "ffnn", "cann_glm_fixed"),
+                                outdir=str(tmp_path))
+    pipeline.run_pipeline(config, small_portfolio(n=600, seed=2).dataset)
+    expected = 15 * preset.grid_size + 6 * preset.repetitions
+    assert (calls.count(None), calls.count("fixed"), len(calls)) == (expected, expected,
+                                                                     2 * expected)
+
+
+def test_a_wide_categorical_still_trains_and_grafts_an_encoder():
+    """Candidate 2 compresses a 12-level categorical: the fold's context
+    trains an autoencoder and its networks graft the scaled encoder."""
+    spec = PortfolioSpec(
+        n=600,
+        continuous={"age": (18.0, 80.0)},
+        categorical={"postcode": {f"p{i}": 1 / 12 for i in range(12)}},
+        freq_intercept=-1.6,
+        freq_coefs={"age": -0.01},
+    )
+    ds = generate_synthetic_portfolio(spec, seed=1).dataset
+    plan = stratified_folds(ds, seed=0)
+    preset = replace(FAST, ae_candidates=(2, 12, 20), grid_size=1)
+    ctx = pipeline.build_fold_context(ds, "poisson_log", plan, 0, preset, seed=0)
+    assert ctx.encoder is not None and ctx.encoder.scaled
+    assert ctx.autoencoder["dim"] == 2 and ctx.autoencoder["onehot_width"] == 12
+    model = pipeline.fit_fold_network(ctx, ds, "poisson_log", plan, preset, seed=0)
+    member = model.members[0]
+    assert member.encoder_dim == 2
+    np.testing.assert_array_equal(member.params()["encoder_w"], ctx.encoder.w_enc)
+
+
+def test_a_lone_fold_network_writes_the_bytes_of_its_run(tmp_path, monkeypatch):
+    """`fit_fold_network` on fold 2 alone, with the run's seeds and fold 2's
+    start model, writes what fold 2 of `run_pipeline` wrote."""
+    monkeypatch.setitem(pipeline.PRESETS, "desk", FAST)
+    ds = small_portfolio(n=600, seed=2).dataset
+    plan = stratified_folds(ds, seed=0)
+    names = ("ffnn", "cann_glm_fixed", "cann_gbm_fixed")
+    config = pipeline.RunConfig(data_path="memory", schema_path="memory", seed=1,
+                                families=("glm", "gbm", *names), outdir=str(tmp_path / "run"))
+    pipeline.run_pipeline(config, ds, plan)
+    fold_dir = tmp_path / "run" / "fold_2"
+    ctx = pipeline.build_fold_context(ds, "poisson_log", plan, 2, FAST, seed=1)
+    for name in names:
+        base, cann_mode = pipeline.MODEL_FAMILIES[name]
+        initial = None if base is None else pipeline.load_model(fold_dir / base / "model.json")
+        model = pipeline.fit_fold_network(ctx, ds, "poisson_log", plan, FAST,
+                                          derive_seed(1, name), cann_mode, initial)
+        pipeline.save_model(model, tmp_path / f"{name}.json")
+        assert (tmp_path / f"{name}.json").read_bytes() == (
+            fold_dir / name / "model.json").read_bytes(), name
 
 
 def _plan_payload(**changes):
