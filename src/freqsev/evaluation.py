@@ -4,7 +4,8 @@ Deviance losses for frequency (Poisson) and severity (gamma) with the
 `Family` object that owns each distribution's loss arithmetic, the
 Diebold-Mariano predictive-accuracy test, Murphy diagrams of elementary
 scores with dominance verdicts and calibration tables. All functions are
-pure over immutable arrays and need no scipy module but `scipy.special`.
+pure over immutable arrays and need only numpy, except the Diebold-Mariano
+p-value, which loads `scipy.special` when it is first asked for.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, stdtr
 
 DM_ALPHA = 0.05
 THETA_FILL = 501  # uniform points added to the Murphy grid's knots
@@ -23,6 +23,12 @@ CALIBRATION_BINS = 10
 
 class EvaluationError(ValueError):
     pass
+
+
+def _lgamma(x) -> np.ndarray:
+    """log Γ of each element, one `math.lgamma` call per distinct value."""
+    values, inverse = np.unique(x, return_inverse=True)
+    return np.array([math.lgamma(v) for v in values.tolist()])[inverse]
 
 
 def _check_positive(a, what):
@@ -142,7 +148,7 @@ class _PoissonLog(Family):
         return 1.0
 
     def loglik(self, y, mu, prior_w, dispersion):
-        return float(np.sum(y * np.log(mu) - mu - gammaln(y + 1)))
+        return float(np.sum(y * np.log(mu) - mu - _lgamma(y + 1)))
 
     def split_sums(self, ys, es):
         # node deviance = const - 2 Sy ln(Sy/Se)
@@ -191,7 +197,7 @@ class _GammaLog(Family):
         shape = prior_w / dispersion
         rate = shape / mu
         return float(
-            np.sum(shape * np.log(rate) - gammaln(shape) + (shape - 1) * np.log(y) - rate * y)
+            np.sum(shape * np.log(rate) - _lgamma(shape) + (shape - 1) * np.log(y) - rate * y)
         )
 
     def split_sums(self, ys, a):
@@ -245,6 +251,8 @@ def diebold_mariano(loss_a: LossVector, loss_b: LossVector) -> DMResult:
     constant nonzero differential has no variance: its statistic is
     +inf or -inf, with p-value 0 or 1.
     """
+    from scipy.special import stdtr  # here, so that no fit or prediction loads scipy
+
     la, lb = loss_a.contributions, loss_b.contributions
     if len(la) != len(lb):
         raise EvaluationError("loss vectors must cover the same observations")

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from freqsev.data import severity_view
-from freqsev.evaluation import FAMILIES, EvaluationError, get_family
+from freqsev.evaluation import FAMILIES, GAMMA_LOG, POISSON_LOG, EvaluationError, get_family
 from freqsev.gbm import GbmError, fit_gbm
-from freqsev.glm import Design, GlmError, fit_glm, tree_bin
+from freqsev.glm import BinningRule, Design, GlmError, fit_glm, tree_bin
 from freqsev.neural import NetworkSpec, NeuralError, build_network, train_network
 from freqsev.pipeline import PipelineError, RunConfig
 
@@ -46,6 +47,43 @@ def test_gradients_match_finite_differences(name):
     loss, du = fam.network_loss(f, y, w)
     assert loss == pytest.approx(mean_deviance(score), rel=1e-12)
     np.testing.assert_allclose(du, fd, rtol=1e-6, atol=1e-10)
+
+
+def test_poisson_loglik_is_the_gammaln_formula():
+    """Counts from 0 to 50, each log-gamma taken by `math.lgamma`, agree
+    with the same sum over `scipy.special.gammaln`."""
+    rng = np.random.default_rng(3)
+    y = np.concatenate([np.arange(51.0), rng.integers(0, 51, 200).astype(float), np.zeros(30)])
+    mu = rng.uniform(0.05, 60.0, len(y))
+    reference = np.sum(y * np.log(mu) - mu - gammaln(y + 1))
+    np.testing.assert_allclose(POISSON_LOG.loglik(y, mu, np.ones(len(y)), 1.0), reference,
+                               rtol=1e-12)
+
+
+@pytest.mark.parametrize("dispersion", [0.37, 0.999, 1.0, 1.001, 1.998, 2.5])
+def test_gamma_loglik_is_the_gammaln_formula(dispersion):
+    """Claim-count weights over fractional dispersions, with shapes at and
+    near 1 and 2, where log-gamma is 0."""
+    rng = np.random.default_rng(4)
+    a = rng.integers(1, 6, 300).astype(float)
+    y = rng.gamma(2.0, 500.0, len(a))
+    mu = rng.uniform(200.0, 2000.0, len(a))
+    shape = a / dispersion
+    rate = shape / mu
+    reference = np.sum(shape * np.log(rate) - gammaln(shape) + (shape - 1) * np.log(y) - rate * y)
+    np.testing.assert_allclose(GAMMA_LOG.loglik(y, mu, a, dispersion), reference, rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_fit_glm_bic_is_the_penalised_loglik(name):
+    portfolio = small_portfolio(n=800, seed=6, freq_intercept=-0.5)
+    ds = portfolio.dataset
+    if get_family(name).severity:
+        ds = severity_view(ds, portfolio.claims)
+    design = Design(("age", "region"), binning={"age": BinningRule("age", (30.0, 45.0, 60.0))})
+    model = fit_glm(ds, design, name)
+    assert np.isfinite(model.loglik)
+    assert model.bic == -2.0 * model.loglik + len(model.coef) * np.log(ds.n)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
