@@ -118,9 +118,6 @@ from freqsev.gbm import fit_gbm
 from freqsev.glm import BinningRule, Design, fit_glm
 from conftest import small_portfolio
 
-def scipy_modules():
-    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-
 portfolio = small_portfolio(n=600, seed=2, freq_intercept=-0.5)
 ds = portfolio.dataset
 design = Design(("age", "region"), binning={"age": BinningRule("age", (30.0, 50.0))})
@@ -133,7 +130,7 @@ pipeline.PRESETS["desk"] = replace(pipeline.DESK, grid_size=2, net_max_epochs=2,
 config = pipeline.RunConfig(data_path="memory", schema_path="memory", seed=1,
                             families=tuple(pipeline.MODEL_FAMILIES), outdir="run")
 pipeline.run_pipeline(config, ds, stratified_folds(ds, seed=0))
-print(scipy_modules())
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 diebold_mariano(LossVector(np.arange(3.0)), LossVector(np.ones(3)))
 print("scipy.special" in sys.modules)
 """
