@@ -233,13 +233,13 @@ def interpret(data, schema, claims, model_path, seed, out):
     _require(model_path, "run")
     model = load_model(model_path)
     dataset = _load_data(data, schema, claims, model.family)
-    os.makedirs(out, exist_ok=True)
-    vip, relative = permutation_vip(model, dataset, seed=seed)
-    write_vip_csv(vip, relative, model.kind, os.path.join(out, "vip.csv"))
     curves = [
         partial_dependence(model, dataset, v, model_id=model.kind)
         for v in dataset.feature_names
     ]
+    vip, relative = permutation_vip(model, dataset, seed=seed)
+    os.makedirs(out, exist_ok=True)
+    write_vip_csv(vip, relative, model.kind, os.path.join(out, "vip.csv"))
     write_pd_csv(curves, os.path.join(out, "pd.csv"))
     click.echo(f"wrote importance and PD tables for {len(curves)} variables")
 

@@ -299,6 +299,22 @@ def one_hot(dataset: Dataset) -> tuple[np.ndarray, list[tuple[str, int]]]:
     return np.hstack(blocks), structure
 
 
+def distinct_rows(n: int, columns, radices) -> tuple[np.ndarray, np.ndarray]:
+    """The first index of each distinct row of n rows of code `columns`,
+    each column's codes below its radix, in lexicographic order of the
+    rows, and each row's index among them: by `np.unique` of each row's
+    mixed-radix int64 key, made dense on the way wherever it could overflow."""
+    key, bound = np.zeros(n, dtype=np.int64), 1
+    for column, radix in zip(columns, radices):
+        if bound * radix > 2**62:
+            values, key = np.unique(key, return_inverse=True)
+            bound = len(values)
+        key = key * radix + column
+        bound *= radix
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first, inverse
+
+
 # -- severity view ----------------------------------------------------
 
 

@@ -49,7 +49,7 @@ import numpy as np
 
 from ._rand import substream
 from ._workers import fork_map
-from .data import Dataset, FoldPlan
+from .data import Dataset, FoldPlan, distinct_rows
 from .evaluation import get_family
 
 SHRINKAGE = 0.01
@@ -344,20 +344,11 @@ class BoostedModel:
 
     def _distinct(self, dataset: Dataset):
         """The code matrix of the distinct binned rows, in lexicographic
-        order, and each row's index among them, by `np.unique` of each
-        row's mixed-radix key, made dense on the way wherever it could
-        overflow."""
+        order, and each row's index among them (`data.distinct_rows`)."""
         codes = self._codes(dataset)
-        key, bound = np.zeros(dataset.n, dtype=np.int64), 1
-        for column in codes:
-            radix = int(column.max(initial=0)) + 1
-            if bound * radix > 2**62:
-                values, key = np.unique(key, return_inverse=True)
-                bound = len(values)
-            key = key * radix + column
-            bound *= radix
-        _, first, key = np.unique(key, return_index=True, return_inverse=True)
-        return codes.take(first, axis=1), key
+        radices = [int(column.max(initial=0)) + 1 for column in codes]
+        first, inverse = distinct_rows(dataset.n, codes, radices)
+        return codes.take(first, axis=1), inverse
 
     def _add_trees(self, scores: np.ndarray, codes: np.ndarray, trees: Forest,
                    n_rows: int) -> None:

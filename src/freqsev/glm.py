@@ -239,6 +239,8 @@ def fit_glm(
     prior weights. Deterministic; raises on non-convergence and on rank
     deficiency, which the first solve finds at the start model's positive
     weights, naming the columns that earlier columns span, in design order.
+    Warns once, naming them, when columns' rows hold no response: their
+    maximum-likelihood coefficients are -inf, so the stopping rule sets them.
     """
     fam = get_family(family, GlmError)
     X, names, references = build_design_matrix(dataset, design)
@@ -275,6 +277,10 @@ def fit_glm(
         dev = new_dev
     else:
         raise GlmError(f"IRLS did not converge in {MAX_ITER} iterations; deviance trace {trace}")
+    silent = [name for name, total in zip(names[1:], y @ X[:, 1:]) if total == 0]
+    if silent:
+        warnings.warn(f"no response in the rows of columns {silent}: their coefficients head "
+                      "for -inf and stop where IRLS converges")
 
     dispersion = fam.dispersion(dev, n, k)
     loglik = fam.loglik(y, mu, prior_w, dispersion)

@@ -3,6 +3,19 @@
 Permutation variable importance and one- and two-way partial
 dependence, for any model exposing predict(dataset) -> positive per-row
 predictions.
+
+Partial dependence relies on one contract, which every freqsev model
+keeps: a model predicts each row from that row's feature columns alone.
+Rows that agree on every feature but the swept ones then predict alike,
+so a curve or surface predicts only the u distinct such rows of the
+frame's n, with every grid point's rows stacked in one frame: whole grid
+points, as many as fit in n rows, go into one `predict` call, so m points
+take ceil(m / floor(n / u)) calls and no call sees more rows than the
+frame. A point's value is the `np.mean` of its n row predictions, taken
+back from the distinct rows, so it keeps the bits that predicting the
+whole pinned frame gives, as long as a row's prediction does not depend
+on its place in the frame: BLAS may round the last few rows of a
+matrix-vector product, such as a network's output layer, differently.
 """
 
 from __future__ import annotations
@@ -12,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rand import substream
-from .data import Dataset, write_rows
+from .data import Dataset, distinct_rows, write_rows
 
 PD_GRID_CAP = 100
 
@@ -43,6 +56,9 @@ def permutation_vip(model, dataset: Dataset,
     One permutation draw per variable. Returns (vip, relative_vip);
     relative values are normalized to sum 1 (all zero stays all zero).
     """
+    if dataset.n == 0:
+        raise InterpretationError(f"cannot compute the importance of {dataset.feature_names} "
+                                  "on an empty dataset")
     base = model.predict(dataset)
     vip = {}
     for variable in dataset.feature_names:
@@ -71,10 +87,55 @@ def default_pd_grid(dataset: Dataset, variable: str) -> np.ndarray:
     return x[0] + index * ((x[0] + step) - x[0])
 
 
-def _pinned(dataset: Dataset, variable: str, value) -> Dataset:
-    """The dataset with every row's `variable` set to `value`."""
-    dtype = np.int64 if variable in dataset.categorical_names else float
-    return dataset.with_column(variable, np.full(dataset.n, value, dtype=dtype))
+def _grid(dataset: Dataset, variable: str, grid) -> np.ndarray:
+    """`grid`, or the default one, once the variable and the points are
+    fit for partial dependence on `dataset`."""
+    if dataset.n == 0:
+        raise InterpretationError("cannot compute partial dependence on an empty dataset")
+    if variable not in dataset.feature_names:
+        raise InterpretationError(f"{variable!r} is not a feature; partial dependence "
+                                  f"sweeps one of {dataset.feature_names}")
+    grid = default_pd_grid(dataset, variable) if grid is None else np.asarray(grid)
+    if not np.all(np.isfinite(grid)):
+        raise InterpretationError(f"the grid of {variable!r} holds a non-finite point")
+    return grid
+
+
+def _distinct(dataset: Dataset, swept) -> tuple[np.ndarray, np.ndarray]:
+    """`distinct_rows` over every feature not in `swept`: categorical
+    level codes below their schema's level count, continuous values by
+    their index among the column's distinct values."""
+    columns, radices = [], []
+    for variable in dataset.feature_names:
+        if variable in swept:
+            continue
+        column = dataset.columns[variable]
+        if variable in dataset.categorical_names:
+            radix = len(dataset.column_schema(variable).levels)
+        else:
+            values, column = np.unique(column, return_inverse=True)
+            radix = len(values)
+        columns.append(column)
+        radices.append(radix)
+    return distinct_rows(dataset.n, columns, radices)
+
+
+def _sweep(model, dataset: Dataset, points: dict[str, np.ndarray]) -> np.ndarray:
+    """The average prediction over the dataset at each point, where point
+    i pins every variable v of `points` to points[v][i]."""
+    first, inverse = _distinct(dataset, points)
+    u, per_call = len(first), dataset.n // len(first)
+    values = np.empty(len(next(iter(points.values()))))
+    for start in range(0, len(values), per_call):
+        batch = slice(start, start + per_call)
+        k = len(values[batch])
+        frame = dataset.subset(np.tile(first, k))
+        for variable, grid in points.items():
+            dtype = np.int64 if variable in dataset.categorical_names else float
+            frame = frame.with_column(variable, np.repeat(grid[batch].astype(dtype), u))
+        predictions = model.predict(frame).reshape(k, u)
+        values[batch] = [np.mean(row.take(inverse)) for row in predictions]
+    return values
 
 
 def partial_dependence(
@@ -82,19 +143,12 @@ def partial_dependence(
 ) -> PdCurve:
     """Average prediction over the dataset while the variable is pinned
     to each grid point in turn."""
-    if dataset.n == 0:
-        raise InterpretationError("cannot compute partial dependence on an empty dataset")
-    if grid is None:
-        grid = default_pd_grid(dataset, variable)
-    grid = np.asarray(grid)
-    values = np.empty(len(grid))
-    for i, g in enumerate(grid):
-        values[i] = float(np.mean(model.predict(_pinned(dataset, variable, g))))
+    grid = _grid(dataset, variable, grid)
     labels = None
     if variable in dataset.categorical_names:
         levels = dataset.column_schema(variable).levels
         labels = tuple(levels[int(g)] for g in grid)
-    return PdCurve(variable, grid, values, model_id, labels)
+    return PdCurve(variable, grid, _sweep(model, dataset, {variable: grid}), model_id, labels)
 
 
 def partial_dependence_2d(
@@ -102,14 +156,12 @@ def partial_dependence_2d(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two-way PD surface: (grid_a, grid_b, matrix of shape |a| x |b|).
     Row i is the PD of `var_b` on the frame pinned at grid_a[i]."""
-    if dataset.n == 0:
-        raise InterpretationError("cannot compute partial dependence on an empty dataset")
-    grid_a = default_pd_grid(dataset, var_a) if grid_a is None else np.asarray(grid_a)
-    grid_b = default_pd_grid(dataset, var_b) if grid_b is None else np.asarray(grid_b)
-    surface = np.empty((len(grid_a), len(grid_b)))
-    for i, ga in enumerate(grid_a):
-        surface[i] = partial_dependence(model, _pinned(dataset, var_a, ga), var_b, grid_b).values
-    return grid_a, grid_b, surface
+    if var_a == var_b:
+        raise InterpretationError(f"two-way partial dependence needs two variables, "
+                                  f"got {var_a!r} twice")
+    grid_a, grid_b = _grid(dataset, var_a, grid_a), _grid(dataset, var_b, grid_b)
+    points = {var_a: np.repeat(grid_a, len(grid_b)), var_b: np.tile(grid_b, len(grid_a))}
+    return grid_a, grid_b, _sweep(model, dataset, points).reshape(len(grid_a), len(grid_b))
 
 
 def write_vip_csv(vip: dict[str, float], relative: dict[str, float], model_id: str, path):

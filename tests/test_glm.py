@@ -1,6 +1,7 @@
 """IRLS GLMs, design building, BIC, tree binning."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,30 @@ def test_rank_deficiency_names_columns():
                                        level_to_segment=codes)
                 for name, levels, codes in (("f", "abc", (0, 1, 2)), ("g", "ny", (0, 1)))}
     assert _fit_candidate(with_g, segments, ("f", "g"), (), "poisson_log") == (None, np.inf)
+
+
+def test_columns_whose_rows_hold_no_response_are_named_in_one_warning():
+    """A level without claims has a maximum-likelihood coefficient of -inf,
+    so IRLS's stopping rule sets it; one warning names every such column,
+    and every fitted number stays as it was."""
+    ds = _counts_dataset([1.0, 2.0, 0.0, 1.0, 3.0, 0.0], np.ones(6), codes=[0, 0, 0, 1, 1, 2],
+                         levels=("a", "b", "c"))
+    with pytest.warns(UserWarning) as record:
+        model = fit_glm(ds, Design(("f",)), "poisson_log")
+    assert [str(w.message) for w in record] == [
+        "no response in the rows of columns ['f[c]']: their coefficients head for -inf "
+        "and stop where IRLS converges"]
+    np.testing.assert_allclose(model.coef[:2], [0.0, np.log(2.0)], atol=1e-12)
+    assert -19.0 < model.coef[2] < -18.0  # a relativity of 6.5e-9
+    four = _counts_dataset([1.0, 2.0, 0.0, 1.0, 3.0, 0.0, 0.0], np.ones(7),
+                           codes=[0, 0, 0, 1, 1, 2, 3], levels=("a", "b", "c", "d"))
+    with pytest.warns(UserWarning) as record:
+        fit_glm(four, Design(("f",)), "poisson_log")
+    assert len(record) == 1 and "columns ['f[c]', 'f[d]']:" in str(record[0].message)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit_glm(_counts_dataset([1.0, 0.0, 0.0, 2.0], np.ones(4), codes=[0, 0, 1, 1]),
+                Design(("f",)), "poisson_log")
 
 
 def test_duplicated_rows_leave_fit_unchanged():

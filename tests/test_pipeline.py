@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from freqsev import _workers, gbm, pipeline
+from freqsev import _workers, gbm, glm, pipeline
 from freqsev._rand import derive_seed
 from freqsev.data import (Dataset, PortfolioSpec, ScalingStats, generate_synthetic_portfolio,
                           severity_view, stratified_folds)
@@ -209,6 +209,16 @@ def test_run_pipeline_rejects_a_fold_plan_of_another_length(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+def _no_response(ds, plan, fold):
+    """The warning `fit_glm` gives when bins of the fold GLM's training
+    rows hold no claims, as (category, message), or none."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        pipeline.fit_fold_glm(ds, "poisson_log", plan.train_rows(fold), fold)
+    return [(w.category, str(w.message)) for w in record
+            if str(w.message).startswith("no response in the rows of columns")]
+
+
 def test_warnings_other_than_the_recorded_outcomes_reach_the_caller(tmp_path, monkeypatch):
     """The autoencoder and binning blocks silence only the warnings whose
     outcome the fold's payload records; `run_pipeline` re-issues the rest
@@ -237,10 +247,12 @@ def test_warnings_other_than_the_recorded_outcomes_reach_the_caller(tmp_path, mo
         return (UserWarning, f"unrecorded autoencoder warning (seed {seed})")
 
     binning = (RuntimeWarning, "unrecorded binning warning")
+    no_response = {fold: _no_response(ds, plan, fold) for fold in range(6)}
     with pytest.warns(Warning) as record:
         ctx = pipeline.build_fold_context(ds, "poisson_log", plan, 0, preset, seed=0)
         pipeline.fit_fold_glm(ds, "poisson_log", plan.train_rows(0), 0)
-    assert [(w.category, str(w.message)) for w in record] == [autoencoder(0), binning]
+    assert [(w.category, str(w.message)) for w in record] == [
+        autoencoder(0), binning, *no_response[0]]
     assert ctx.autoencoder["dim"] == 2
 
     monkeypatch.setitem(pipeline.PRESETS, "desk", preset)
@@ -252,9 +264,11 @@ def test_warnings_other_than_the_recorded_outcomes_reach_the_caller(tmp_path, mo
         with pytest.warns(Warning) as record:
             pipeline.run_pipeline(config, ds, plan)
         assert [(w.category, str(w.message)) for w in record] == (
-            [binning] * 6 + [autoencoder(pair) for pair in pairs]
+            [w for fold in range(6) for w in (binning, *no_response[fold])]
+            + [autoencoder(pair) for pair in pairs]
             + [autoencoder(fold) for fold in range(6)]), cpus
-        assert {w.filename for w in record} == {__file__}
+        assert {w.filename for w in record} == {
+            __file__, *(glm.__file__ for fold in range(6) if no_response[fold])}
 
     # the same text from the same line in every fold is shown once under the
     # default filter; a GBM-only fold changes no filter, which would reset
@@ -327,6 +341,7 @@ def test_lowest_failing_fold_is_raised_and_no_worker_outlives_the_run(tmp_path, 
     config = pipeline.RunConfig(data_path="memory", schema_path="memory", seed=0,
                                 families=("glm",), outdir=str(tmp_path / "ok"))
     real_fit, failing = pipeline.fit_fold_glm, []
+    no_response = [message for fold in (0, 1) for _, message in _no_response(ds, plan, fold)]
 
     def fit_fold_glm(dataset, family, train_rows, fold):
         (tmp_path / f"pid_{fold}").write_text(str(os.getpid()))
@@ -346,7 +361,7 @@ def test_lowest_failing_fold_is_raised_and_no_worker_outlives_the_run(tmp_path, 
     with pytest.warns(UserWarning) as record, pytest.raises(
             pipeline.PipelineError, match=r"^fold 2 failed: no GLM on fold 2$"):
         pipeline.run_pipeline(replace(config, outdir=str(tmp_path / "failing")), ds, plan)
-    assert [str(w.message) for w in record] == ["fold 2 is about to fail"]
+    assert [str(w.message) for w in record] == [*no_response, "fold 2 is about to fail"]
     assert multiprocessing.active_children() == []
 
 
