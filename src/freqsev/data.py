@@ -176,9 +176,9 @@ def load_csv(path, schema: list[ColumnSchema]) -> Dataset:
     """Read a comma-separated, UTF-8 portfolio file against a schema.
 
     The header row is mandatory and must contain every schema column.
-    Unknown categorical labels, unparseable cells, non-finite numbers and
-    non-positive exposures are rejected with the offending row index
-    (1-based, header excluded).
+    Unknown categorical labels, unparseable cells, non-finite numbers,
+    non-positive exposures and negative responses (claim counts) are
+    rejected with the offending row index (1-based, header excluded).
     """
     validate_schema(schema)
     header, rows = read_rows(path)
@@ -214,6 +214,10 @@ def load_csv(path, schema: list[ColumnSchema]) -> Dataset:
         if len(bad):
             raise DataError(f"non-finite value {values[bad[0]]} for {col.name!r} "
                             f"in row {bad[0] + 1}")
+        negative = np.flatnonzero(values < 0) if col.kind == "response" else []
+        if len(negative):
+            raise DataError(f"negative response {values[negative[0]]} for {col.name!r} "
+                            f"in row {negative[0] + 1}")
     return Dataset(tuple(schema), columns)
 
 
@@ -313,6 +317,31 @@ def distinct_rows(n: int, columns, radices) -> tuple[np.ndarray, np.ndarray]:
         bound *= radix
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     return first, inverse
+
+
+def bin_codes(cuts, values) -> np.ndarray:
+    """`np.searchsorted(cuts, values, side="left")` for sorted `cuts`: the
+    number of cuts below each value, and all of them for NaN. A branch-free
+    binary search over the cuts padded with +inf to a power of two: each
+    level compares every value with the cut that its code bits so far point
+    to, and appends the outcome as the next bit."""
+    cuts, values = np.asarray(cuts, dtype=float), np.asarray(values, dtype=float)
+    size = 1 << len(cuts).bit_length()  # more than the cuts, so +inf ends the search
+    padded = np.full(size, np.inf)
+    padded[: len(cuts)] = cuts
+    codes = np.zeros(values.shape, dtype=np.intp)
+    probe, above = np.empty(values.shape), np.empty(values.shape, dtype=bool)
+    step = size >> 1
+    while step:
+        padded[step - 1 :: 2 * step].take(codes, out=probe, mode="clip")
+        np.greater(values, probe, out=above)
+        codes <<= 1
+        codes += above
+        step >>= 1
+    nan = np.isnan(values)
+    if nan.any():
+        codes[nan] = len(cuts)
+    return codes
 
 
 # -- severity view ----------------------------------------------------

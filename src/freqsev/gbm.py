@@ -16,7 +16,9 @@ features and rows: each round and level writes its keys, weights, nodes
 and gradients into it, and what a round still allocates is the bag
 draw's row indices and arrays per node.
 Categorical splits order levels by the mean gradient inside the node and
-route levels absent from the node to the majority child. A model keeps
+route levels absent from the node to the majority child. Prediction bins
+each continuous value with `data.bin_codes`, a branch-free binary search
+equal to `np.searchsorted(cuts, values, side="left")`. A model keeps
 its trees only as one `Forest`: flat node arrays joined once, when it is
 fitted or loaded, with each tree's root offset, so a prefix of the trees
 is a prefix of the roots. Prediction with every tree reads a memo of the
@@ -49,7 +51,7 @@ import numpy as np
 
 from ._rand import substream
 from ._workers import fork_map
-from .data import Dataset, FoldPlan, distinct_rows
+from .data import Dataset, FoldPlan, bin_codes, distinct_rows
 from .evaluation import get_family
 
 SHRINKAGE = 0.01
@@ -331,7 +333,7 @@ class BoostedModel:
         for name, radix in zip(self.features, self._radices(dataset)):
             column = dataset.columns[name]
             if name in self.cuts:
-                column = np.searchsorted(self.cuts[name], column, side="left")
+                column = bin_codes(self.cuts[name], column)
             elif radix > width and column.max(initial=0) >= width:
                 raise GbmError(f"feature {name!r} has a level code past the go-left tables")
             columns.append(column)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, bin_codes
 # poisson_deviance_contributions stays importable from here: bench/test_tracing.py
 # checks that tracing wraps a function under the names other modules import it by
 from .evaluation import get_family, poisson_deviance_contributions  # noqa: F401
@@ -51,7 +51,7 @@ class BinningRule:
         return len(self.cuts) + 1
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        return np.searchsorted(np.asarray(self.cuts), values, side="left")
+        return bin_codes(self.cuts, values)
 
     def labels(self) -> list[str]:
         edges = [-np.inf, *self.cuts, np.inf]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, bin_codes
 from .glm import BinningRule, Design, GlmError, GlmModel, LevelGroups, fit_glm
 from .interpretation import default_pd_grid, partial_dependence, partial_dependence_2d
 
@@ -170,7 +170,7 @@ def _grid_weights(dataset: Dataset, variable: str, grid: np.ndarray) -> np.ndarr
     if variable in dataset.categorical_names:
         return np.bincount(dataset.columns[variable], minlength=len(grid)).astype(float)
     mids = (grid[:-1] + grid[1:]) / 2.0
-    idx = np.searchsorted(mids, dataset.columns[variable].astype(float))
+    idx = bin_codes(mids, dataset.columns[variable])
     return np.bincount(idx, minlength=len(grid)).astype(float)
 
 

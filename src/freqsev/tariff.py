@@ -7,8 +7,12 @@ picks the tariff whose worst challenger Gini is smallest.
 
 Premiums, scores and losses must be finite; each function raises
 `TariffError` on a NaN or infinite value. Rows are ordered by numpy's
-default sort, with tied values put back in row order, which for finite
-values is the order of a stable sort.
+default sort, kept as it is when no value repeats and otherwise with tied
+values put back in row order, which for finite values is the order of a
+stable sort. A curve's points are read where the runs of equal sorted
+values end; only a Lorenz curve's s = 0 point is searched for.
+`compare_tariffs` checks each input once and gives the numbers and the
+first error of the separate calls it stands for.
 """
 
 from __future__ import annotations
@@ -31,23 +35,24 @@ def _finite(values, what: str) -> np.ndarray:
     return x
 
 
-def _stable_order(values: np.ndarray) -> np.ndarray:
-    """`np.argsort(values, kind="stable")` for finite `values`: numpy's
-    default sort, then tied values back in row order by sorting the
-    distinct keys `block * n + row`, where `block` numbers the runs of
-    equal sorted values."""
+def _stable_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.argsort(values, kind="stable")` for finite `values`, and one past
+    the last index of each run of equal values in that order. The order is
+    numpy's default sort, as it is when no sorted value repeats; otherwise
+    tied values go back in row order by sorting the distinct keys
+    `block * n + row`, where `block` numbers the runs, and taking each
+    key's block offset off again."""
     order = np.argsort(values)
-    ranked = values[order]
-    n = len(values)
-    key = order.copy()
-    key[1:] += np.cumsum(ranked[1:] != ranked[:-1]) * n
-    key.sort()
-    return key % max(n, 1)
-
-
-def _last_of_block(ranked: np.ndarray) -> np.ndarray:
-    """Whether each sorted value is the last of its run of equal values."""
-    return np.append(ranked[1:] != ranked[:-1], True)
+    ranked = values.take(order)
+    last = np.ones(len(values), dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=last[:-1])
+    end = np.flatnonzero(last) + 1
+    if len(end) < len(values):
+        offset = np.cumsum(last[:-1]) * len(values)
+        order[1:] += offset
+        order.sort()
+        order[1:] -= offset
+    return order, end
 
 
 def technical_premium(freq_model, sev_model, dataset: Dataset) -> np.ndarray:
@@ -60,12 +65,16 @@ def technical_premium(freq_model, sev_model, dataset: Dataset) -> np.ndarray:
     return freq * sev
 
 
+def _same_rows(premiums, losses: np.ndarray) -> None:
+    if any(len(p) != len(losses) for p in premiums):
+        raise TariffError("premiums and losses must cover the same rows")
+
+
 def balance_ratio(premiums, observed_losses) -> float:
     """Total predicted over total observed losses."""
     premiums = _finite(premiums, "premiums")
     losses = _finite(observed_losses, "losses")
-    if len(premiums) != len(losses):
-        raise TariffError("premiums and losses must cover the same rows")
+    _same_rows([premiums], losses)
     total = losses.sum()
     if total == 0:
         raise TariffError("observed losses sum to zero")
@@ -76,47 +85,50 @@ def risk_scores(premiums) -> np.ndarray:
     """Empirical CDF of the premiums evaluated at each premium
     (right-continuous; tied premiums share the upper value)."""
     p = _finite(premiums, "premiums")
-    return _ecdf(p, np.argsort(p))  # tied rows get one value, so their order does not matter
-
-
-def _ecdf(p: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """`risk_scores(p)` from an `order` that sorts `p`."""
     if len(p) == 0:
         raise TariffError("no premiums given")
-    end = np.flatnonzero(_last_of_block(p[order])) + 1  # rows at or below each block
+    order, end = _stable_order(p)  # end: rows at or below each block
     scores = np.empty(len(p))
     scores[order] = np.repeat(end, np.diff(end, prepend=0)) / len(p)
     return scores
+
+
+def _nonnegative(losses: np.ndarray) -> None:
+    if np.any(losses < 0):
+        raise TariffError("losses must be non-negative")
+
+
+def _loss_shares(losses: np.ndarray, order: np.ndarray, total, rows: np.ndarray) -> np.ndarray:
+    """The share of the losses in the first r rows of `order`, for each r in `rows`."""
+    return np.concatenate([[0.0], np.cumsum(losses.take(order))])[rows] / total
 
 
 def lorenz_curve(scores, losses) -> tuple[np.ndarray, np.ndarray]:
     """Share of losses on policies with risk score <= s, for s = 0 and
     each distinct observed score."""
     r = _finite(scores, "scores")
-    return _lorenz(r, _stable_order(r), losses)
-
-
-def _lorenz(r, order, losses):
-    """`lorenz_curve(r, losses)` from `_stable_order(r)`."""
     losses = _finite(losses, "losses")
-    if np.any(losses < 0):
-        raise TariffError("losses must be non-negative")
+    _nonnegative(losses)
     total = losses.sum()
     if total <= 0:
         raise TariffError("losses sum must be positive")
-    ranked = r[order]
-    s = np.concatenate([[0.0], ranked[_last_of_block(ranked)]])
-    cum = np.concatenate([[0.0], np.cumsum(losses[order])]) / total
-    idx = np.searchsorted(ranked, s, side="right")
-    return s, cum[idx]
+    order, end = _stable_order(r)
+    s = r[order[end - 1]]  # each block's score, at its last row
+    at_zero = np.concatenate([[0], end])[np.searchsorted(s, 0.0, side="right")]
+    shares = _loss_shares(losses, order, total, np.concatenate([[at_zero], end]))
+    return np.concatenate([[0.0], s]), shares
+
+
+def _reference(premiums: np.ndarray) -> None:
+    if np.any(premiums <= 0):
+        raise TariffError("reference premiums must be strictly positive")
 
 
 def relativities(premiums_a, premiums_b) -> np.ndarray:
     """Per-row premium ratio of model B over model A."""
     a = _finite(premiums_a, "premiums")
     b = _finite(premiums_b, "premiums")
-    if np.any(a <= 0):
-        raise TariffError("reference premiums must be strictly positive")
+    _reference(a)
     return b / a
 
 
@@ -131,18 +143,19 @@ def ordered_lorenz(premiums_a, premiums_b, losses) -> tuple[np.ndarray, np.ndarr
     rel = relativities(premiums_a, premiums_b)
     a = np.asarray(premiums_a, dtype=float)
     losses = _finite(losses, "losses")
-    if np.any(losses < 0):
-        raise TariffError("losses must be non-negative")
+    _nonnegative(losses)
     if a.sum() <= 0 or losses.sum() <= 0:
         raise TariffError("premium and loss totals must be positive")
-    order = _stable_order(rel)
-    prem_cum = np.cumsum(a[order])
-    prem_cum /= prem_cum[-1]  # normalize by the running total so the curve ends at 1 exactly
-    loss_cum = np.cumsum(losses[order])
-    loss_cum /= loss_cum[-1]
-    last_of_block = _last_of_block(rel[order])
-    x = np.concatenate([[0.0], prem_cum[last_of_block]])
-    y = np.concatenate([[0.0], loss_cum[last_of_block]])
+    return _ordered_lorenz(a, rel, losses)
+
+
+def _ordered_lorenz(a, rel, losses):
+    """`ordered_lorenz(a, b, losses)` of checked inputs, from the relativities `rel = b / a`."""
+    order, end = _stable_order(rel)
+    prem_cum, loss_cum = np.cumsum(a.take(order)), np.cumsum(losses.take(order))
+    # each block's shares, over the running totals so that the curve ends at 1 exactly
+    x = np.concatenate([[0.0], prem_cum[end - 1] / prem_cum[-1]])
+    y = np.concatenate([[0.0], loss_cum[end - 1] / loss_cum[-1]])
     return x, y
 
 
@@ -197,27 +210,48 @@ class TariffComparison:
 
 def compare_tariffs(premiums: dict[str, np.ndarray], losses) -> TariffComparison:
     """Full comparison: balance ratios, per-model Lorenz curves, the
-    pairwise ordered-Lorenz Gini matrix, and the min-max selection."""
+    pairwise ordered-Lorenz Gini matrix, and the min-max selection.
+
+    Each premium vector and the losses are checked once, and the first
+    error is the one that each pair's `ordered_lorenz`, then each model's
+    `balance_ratio` and `lorenz_curve(risk_scores(...))`, would raise."""
     models = tuple(premiums)
     if not models:
         raise TariffError("no models to compare")
     premiums = {m: _finite(premiums[m], f"premiums of {m!r}") for m in models}
-    losses = np.asarray(losses, dtype=float)
-    k = len(models)
+    first, *others = premiums.values()
+    if others:  # the first pair's checks, then each other reference's
+        _reference(first)
+        losses = _finite(losses, "losses")
+        _nonnegative(losses)
+        if first.sum() <= 0 or losses.sum() <= 0:
+            raise TariffError("premium and loss totals must be positive")
+        for p in others:
+            _reference(p)
+        _same_rows(premiums.values(), losses)
+    else:  # the balance ratio's checks, then the Lorenz curve's
+        losses = _finite(losses, "losses")
+        _same_rows(premiums.values(), losses)
+        if losses.sum() == 0:
+            raise TariffError("observed losses sum to zero")
+        _nonnegative(losses)
+    total = losses.sum()
+    k, n = len(models), len(losses)
     gini = np.zeros((k, k))
     for i, a in enumerate(models):
         for j, b in enumerate(models):
-            if i == j:
-                continue
-            x, y = ordered_lorenz(premiums[a], premiums[b], losses)
-            gini[i, j] = gini_index(x, y)
-    balance = {m: balance_ratio(premiums[m], losses) for m in models}
+            if i != j:
+                rel = premiums[b] / premiums[a]
+                gini[i, j] = gini_index(*_ordered_lorenz(premiums[a], rel, losses))
+    balance = {m: float(premiums[m].sum() / total) for m in models}
     lorenz = {}
     for m in models:
-        # risk scores rise with the premiums and tie where they tie, so
-        # the premiums' stable order is the scores' too
-        order = _stable_order(premiums[m])
-        lorenz[m] = _lorenz(_ecdf(premiums[m], order), order, losses)
+        # risk scores rise with the premiums and tie where they tie, so the
+        # premiums' stable order is theirs and their blocks end where the
+        # premiums' do, at the score `end / n`; none is 0
+        order, end = _stable_order(premiums[m])
+        lorenz[m] = (np.concatenate([[0.0], end / n]),
+                     _loss_shares(losses, order, total, np.concatenate([[0], end])))
     selected, row_max, tie = minmax_select(gini, list(models))
     return TariffComparison(models, gini, balance, lorenz, selected, row_max, tie)
 

@@ -8,6 +8,8 @@ import os
 import pkgutil
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,6 +22,8 @@ from freqsev.cli import main
 from freqsev.data import load_claims_csv, load_csv, load_schema, severity_view
 from freqsev.interpretation import partial_dependence
 from freqsev.pipeline import load_fold_plan, load_model, save_fold_plan
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @pytest.fixture(scope="module")
@@ -462,6 +466,43 @@ def test_non_finite_portfolio_value_is_a_one_line_error(workspace, tmp_path):
                                   "--families", "glm", "--out", str(tmp_path / "run")])
     assert r.exit_code == 1
     assert r.output == "Error: non-finite value nan for 'age' in row 3\n"
+
+
+def test_negative_claim_count_is_a_one_line_error(workspace, tmp_path):
+    lines = Path(workspace["data"]).read_text().splitlines(keepends=True)[:201]
+    count = lines[0].rstrip("\n").split(",").index("claim_count")
+    cells = lines[5].rstrip("\n").split(",")
+    cells[count] = "-1"
+    lines[5] = ",".join(cells) + "\n"
+    bad = tmp_path / "portfolio.csv"
+    bad.write_text("".join(lines))
+    r = CliRunner().invoke(main, ["ingest", "--data", str(bad), "--schema", workspace["schema"],
+                                  "--out", str(tmp_path / "summary.json")])
+    assert r.exit_code == 1
+    assert r.output == "Error: negative response -1.0 for 'claim_count' in row 5\n"
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_a_run_pins_blas_to_one_thread_when_the_environment_does_not(workspace, tmp_path):
+    """A seeded network run writes the same bytes with the BLAS thread
+    variables unset as with them set to 1; on this 800-row portfolio more
+    threads change the networks' bytes, so the package must pin them."""
+    paths = [str(Path(freqsev.__file__).resolve().parents[1])]
+    trees = []
+    for threads in (None, "1"):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+        env.update(dict.fromkeys(BLAS_VARIABLES, threads) if threads else {},
+                   PYTHONPATH=os.pathsep.join(paths))
+        out = tmp_path / f"threads_{threads}"
+        r = subprocess.run([sys.executable, "-m", "freqsev.cli", "run", "--data", workspace["data"],
+                            "--schema", workspace["schema"], "--families", "ffnn", "--seed", "1",
+                            "--out", str(out)], env=env, capture_output=True, text=True,
+                           timeout=300)
+        assert r.returncode == 0, r.stderr
+        trees.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+                      if p.is_file()})
+    assert len(trees[0]) == 6 * 2 + 2
+    assert trees[0] == trees[1]
 
 
 @pytest.mark.parametrize("command", ["synth", "folds", "run", "interpret"])

@@ -15,6 +15,7 @@ from freqsev.data import (
     DataError,
     Dataset,
     PortfolioSpec,
+    bin_codes,
     generate_synthetic_portfolio,
     load_claims_csv,
     load_csv,
@@ -83,6 +84,18 @@ def test_load_csv_rejects_non_finite_values(tmp_path, column, cell):
         ColumnSchema("claims", "response"),
     ]
     with pytest.raises(DataError, match=rf"^non-finite value {float(cell)} for '{column}' in row 2$"):
+        load_csv(path, schema)
+
+
+def test_load_csv_rejects_a_negative_response(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("age,exposure,claims\n20,1.0,0\n30,1.0,-0.0\n40,1.0,-1\n50,1.0,-2\n")
+    schema = [
+        ColumnSchema("age", "continuous"),
+        ColumnSchema("exposure", "exposure"),
+        ColumnSchema("claims", "response"),
+    ]
+    with pytest.raises(DataError, match=r"^negative response -1.0 for 'claims' in row 3$"):
         load_csv(path, schema)
 
 
@@ -354,3 +367,24 @@ def test_folds_partition_property(n, seed):
     sizes = [len(plan.test_rows(f)) for f in range(6)]
     assert sum(sizes) == n
     assert max(sizes) - min(sizes) <= 1
+
+
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), max_size=300, unique=True), st.data())
+def test_bin_codes_equal_a_left_search(cuts, data):
+    """For 0-300 strictly increasing cuts, values at the cuts, beside them
+    and anywhere, signed zeros, infinities and NaN bin as numpy's left
+    search does; so does a column of one of each special value."""
+    cuts = np.sort(np.array(cuts, dtype=float))
+    with np.errstate(over="ignore"):  # the float next to the largest is inf
+        pool = [*cuts, *np.nextafter(cuts, np.inf), *np.nextafter(cuts, -np.inf), *_SPECIAL]
+    values = np.array(data.draw(st.lists(st.one_of(st.sampled_from(pool), st.floats()),
+                                         max_size=400)), dtype=float)
+    for v in (values, np.array(_SPECIAL)):
+        codes = bin_codes(cuts, v)
+        expected = np.searchsorted(cuts, v, side="left")
+        assert codes.dtype == expected.dtype
+        np.testing.assert_array_equal(codes, expected)

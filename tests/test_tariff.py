@@ -1,6 +1,7 @@
 """Premiums, lift curves, Gini matrices and tariff selection."""
 
 import csv
+import itertools
 
 import numpy as np
 import pytest
@@ -85,11 +86,13 @@ _TIES = np.random.default_rng(4).choice([0.5, 1.25, 2.0, 3.0], 10_000)
 ], ids=["ties", "all equal", "signed zeros", "one", "none"])
 def test_stable_order_is_a_stable_argsort(values):
     """The default sort with ties put back in row order equals a stable
-    sort; the risk scores and the Lorenz grid read from it equal the
-    searched and the `np.unique` ones."""
-    order = _stable_order(values)
+    sort, and its block ends are those of the runs of equal sorted values;
+    the risk scores and the Lorenz grid read from it equal the searched
+    and the `np.unique` ones."""
+    order, end = _stable_order(values)
     np.testing.assert_array_equal(order, np.argsort(values, kind="stable"))
     assert order.dtype == np.intp
+    np.testing.assert_array_equal(end, np.cumsum(np.unique(values, return_counts=True)[1]))
     if len(values):
         expected = np.searchsorted(np.sort(values), values, side="right") / len(values)
         np.testing.assert_array_equal(risk_scores(values), expected)
@@ -126,6 +129,162 @@ def test_compare_tariffs_sorts_each_premium_vector_once(monkeypatch):
         expected_s, expected_lc = lorenz_curve(risk_scores(p), losses)
         np.testing.assert_array_equal(s, expected_s, err_msg=name)
         np.testing.assert_array_equal(lc, expected_lc, err_msg=name)
+
+
+def _reference_lorenz_curve(scores, losses):
+    """`lorenz_curve` as a stable sort and a search of every grid point."""
+    order = np.argsort(scores, kind="stable")
+    ranked = scores[order]
+    s = np.concatenate([[0.0], ranked[np.append(ranked[1:] != ranked[:-1], True)]])
+    cum = np.concatenate([[0.0], np.cumsum(losses[order])]) / losses.sum()
+    return s, cum[np.searchsorted(ranked, s, side="right")]
+
+
+def _reference_ordered_lorenz(a, b, losses):
+    """`ordered_lorenz` as a stable sort of the relativities."""
+    rel = b / a
+    order = np.argsort(rel, kind="stable")
+    prem, loss = np.cumsum(a[order]), np.cumsum(losses[order])
+    prem /= prem[-1]
+    loss /= loss[-1]
+    ranked = rel[order]
+    last = np.append(ranked[1:] != ranked[:-1], True)
+    return np.concatenate([[0.0], prem[last]]), np.concatenate([[0.0], loss[last]])
+
+
+def _reference_comparison(premiums, losses):
+    """`compare_tariffs` as one call per piece: each ordered pair's ordered
+    Lorenz curve and Gini index, each model's balance ratio and the Lorenz
+    curve of its risk scores (the ECDF searched in the sorted premiums)."""
+    models = list(premiums)
+    gini = np.zeros((len(models), len(models)))
+    for (i, a), (j, b) in itertools.permutations(enumerate(models), 2):
+        x, y = _reference_ordered_lorenz(premiums[a], premiums[b], losses)
+        gini[i, j] = 2.0 * np.trapezoid(x - y, x)
+    balance = {m: float(p.sum() / losses.sum()) for m, p in premiums.items()}
+    lorenz = {m: _reference_lorenz_curve(np.searchsorted(np.sort(p), p, side="right") / len(p),
+                                         losses)
+              for m, p in premiums.items()}
+    selected, row_max, tie = minmax_select(gini, models)
+    return gini, balance, lorenz, selected, row_max, tie
+
+
+def _reference_error(premiums, losses):
+    """The first error of those calls in that order, after the check that
+    each model's premiums are finite: a `TariffError`'s message, or the
+    type of any other exception."""
+    for m, p in premiums.items():
+        if not np.all(np.isfinite(p)):
+            return f"premiums of {m!r} must be finite"
+    try:
+        for a, b in itertools.permutations(premiums, 2):
+            ordered_lorenz(premiums[a], premiums[b], losses)
+        for p in premiums.values():
+            balance_ratio(p, losses)
+        for p in premiums.values():
+            lorenz_curve(risk_scores(p), losses)
+    except TariffError as exc:
+        return str(exc)
+    except Exception as exc:  # noqa: BLE001 - numpy's errors on rows of other lengths
+        return type(exc)
+    return None
+
+
+_N = 2000
+_RNG = np.random.default_rng(12)
+_PREMIUMS = {
+    "ties": _RNG.choice([0.5, 1.25, 2.0, 3.0], _N),
+    "distinct": _RNG.uniform(1.0, 2.0, _N),
+    "rounded": np.round(_RNG.uniform(1.0, 2.0, _N), 1),
+    "zeros": np.where(_RNG.random(_N) < 0.3, _RNG.choice([0.0, -0.0], _N), _RNG.uniform(1, 2, _N)),
+}
+_LOSSES = np.where(_RNG.random(_N) < 0.2, _RNG.gamma(0.5, 2.0, _N), _RNG.choice([0.0, -0.0], _N))
+_LOSSES[0] = 1.0
+
+
+@pytest.mark.parametrize("names", [
+    ("ties",), ("distinct",), ("rounded",), ("zeros",),
+    ("ties", "distinct"), ("distinct", "ties"), ("rounded", "ties"),
+    ("ties", "distinct", "rounded"), ("rounded", "distinct", "ties"),
+])
+def test_compare_tariffs_has_the_bits_of_one_call_per_piece(names):
+    """Gini matrix, balance, Lorenz curves, row maxima, selection and tie
+    flag are byte-equal to the pieces computed one call at a time, for
+    tied, signed-zero and distinct premiums and losses holding signed
+    zeros; so are `ordered_lorenz` and `lorenz_curve`, with zero and
+    negative scores and zero challenger premiums."""
+    premiums = {name: _PREMIUMS[name] for name in names}
+    comparison = compare_tariffs(premiums, _LOSSES)
+    gini, balance, lorenz, selected, row_max, tie = _reference_comparison(premiums, _LOSSES)
+    assert comparison.gini.tobytes() == gini.tobytes()
+    assert comparison.row_maxima.tobytes() == row_max.tobytes()
+    assert (comparison.selected, comparison.tie, comparison.models) == (selected, tie, names)
+    assert repr(comparison.balance) == repr(balance)
+    for name in names:
+        for got, expected in zip(comparison.lorenz[name], lorenz[name]):
+            assert got.tobytes() == expected.tobytes(), name
+    for name, p in premiums.items():
+        shifted = p - 1.25  # scores at, below and above 0
+        for got, expected in zip(lorenz_curve(shifted, _LOSSES),
+                                 _reference_lorenz_curve(shifted, _LOSSES)):
+            assert got.tobytes() == expected.tobytes(), name
+        for got, expected in zip(ordered_lorenz(_PREMIUMS["distinct"], p, _LOSSES),
+                                 _reference_ordered_lorenz(_PREMIUMS["distinct"], p, _LOSSES)):
+            assert got.tobytes() == expected.tobytes(), name
+
+
+def _spoil(values, how):
+    values = np.array(values)
+    if how == "zero":
+        values[3] = 0.0
+    elif how == "negative":
+        values[3] = -1.0
+    elif how == "nan":
+        values[3] = np.nan
+    elif how == "all zero":
+        values[:] = -0.0
+    elif how == "zero sum":
+        values[:] = 0.0
+        values[1:3] = [1.0, -1.0]
+    elif how == "longer":
+        values = np.append(values, 1.0)
+    elif how == "shorter":
+        values = values[:-1]
+    elif how == "empty":
+        values = values[:0]
+    return values
+
+
+_DEFECTS = ("", "zero", "negative", "nan", "longer", "shorter", "empty")
+_LOSS_DEFECTS = ("", "negative", "nan", "all zero", "zero sum", "longer", "shorter", "empty")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_compare_tariffs_raises_the_first_error_of_one_call_per_piece(k):
+    """Every combination of a defect in one model's premiums and one in
+    the losses gives the message of the first of those calls to fail. Only
+    premiums that are a pair's reference must be positive, so a single
+    model may hold zero premiums. Where those calls fail inside numpy, on
+    rows of other lengths, `compare_tariffs` raises a `TariffError`."""
+    base = {name: _PREMIUMS[name][:20] for name in ("distinct", "ties", "rounded")[:k]}
+    seen = set()
+    for spoilt, defect, loss_defect in itertools.product(range(k), _DEFECTS, _LOSS_DEFECTS):
+        premiums = dict(base)
+        name = list(base)[spoilt]
+        premiums[name] = _spoil(premiums[name], defect)
+        losses = _spoil(_LOSSES[:20], loss_defect)
+        if defect == "empty" and loss_defect == "empty":
+            premiums = {m: p[:0] for m, p in premiums.items()}
+        expected = _reference_error(premiums, losses)
+        if expected is None:
+            compare_tariffs(premiums, losses)
+            continue
+        with pytest.raises(TariffError) as raised:
+            compare_tariffs(premiums, losses)
+        if isinstance(expected, str):
+            assert str(raised.value) == expected, (name, defect, loss_defect)
+            seen.add(expected)
+    assert len(seen) >= (5 if k == 1 else 6)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
