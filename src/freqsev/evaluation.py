@@ -393,37 +393,23 @@ def calibration_curve(predictions, responses, bin_spec=None) -> CalibrationTable
     flagged."""
     f = np.asarray(predictions, dtype=float)
     y = np.asarray(responses, dtype=float)
+    if len(f) != len(y):
+        raise EvaluationError("predictions and responses must have equal length")
     edges = calibration_bins(f) if bin_spec is None else np.asarray(bin_spec, dtype=float)
-    if np.any(np.diff(edges) <= 0):
-        raise EvaluationError("bin edges must be strictly increasing")
+    if len(edges) < 2 or np.any(np.diff(edges) <= 0):
+        raise EvaluationError("bin edges must be two or more, strictly increasing")
     idx = np.clip(np.searchsorted(edges, f, side="right") - 1, 0, len(edges) - 2)
-    kept_edges = [edges[0]]
-    mean_pred, mean_resp, counts, merged = [], [], [], []
-    pending = np.zeros(len(f), dtype=bool)
-    was_merged = False
-    for b in range(len(edges) - 1):
-        mask = pending | (idx == b)
-        if not mask.any() and b < len(edges) - 2:
-            # merge rightward: extend the next bin to cover this range
-            pending = mask
-            was_merged = True
-            continue
-        kept_edges.append(edges[b + 1])
-        if mask.any():
-            mean_pred.append(float(np.mean(f[mask])))
-            mean_resp.append(float(np.mean(y[mask])))
-        else:
-            mean_pred.append(np.nan)
-            mean_resp.append(np.nan)
-        counts.append(int(mask.sum()))
-        merged.append(was_merged)
-        pending = np.zeros(len(f), dtype=bool)
-        was_merged = False
+    counts = np.bincount(idx, minlength=len(edges) - 1)
+    keep = counts > 0
+    keep[-1] = True  # an empty last bin has no right neighbor to merge into
+    merged = np.concatenate([[False], ~keep[:-1]])[keep]
+    rows = np.split(np.argsort(idx, kind="stable"), np.cumsum(counts)[:-1])
+    rows = [r for r, k in zip(rows, keep) if k]
     return CalibrationTable(
-        np.asarray(kept_edges),
-        np.asarray(mean_pred),
-        np.asarray(mean_resp),
-        np.asarray(counts),
-        np.asarray(merged),
+        np.concatenate([edges[:1], edges[1:][keep]]),
+        np.asarray([np.mean(f[r]) if len(r) else np.nan for r in rows]),
+        np.asarray([np.mean(y[r]) if len(r) else np.nan for r in rows]),
+        counts[keep],
+        merged,
     )
 

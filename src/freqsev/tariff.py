@@ -1,18 +1,22 @@
 """Technical tariffs and model-lift comparison tools.
 
-Premiums are frequency times severity predictions. Comparison works
-through risk scores (ECDF of premiums), Lorenz curves, relativities and
-ordered Lorenz curves, a pairwise Gini matrix, and the min-max rule that
-picks the tariff whose worst challenger Gini is smallest.
+Premiums are frequency times severity predictions. `compare_tariffs`
+judges tariffs on one frame: each model's balance ratio (total premium
+over total loss) and Lorenz curve (the share of losses on the rows whose
+premium's ECDF is at most s), the pairwise Gini matrix of ordered Lorenz
+curves, and the min-max rule that picks the tariff whose worst
+challenger Gini is smallest. `ordered_lorenz`, `gini_index` and
+`minmax_select` are its pieces for one pair and for one matrix.
 
-Premiums, scores and losses must be finite; each function raises
-`TariffError` on a NaN or infinite value. Rows are ordered by numpy's
-default sort, kept as it is when no value repeats and otherwise with tied
-values put back in row order, which for finite values is the order of a
-stable sort. A curve's points are read where the runs of equal sorted
-values end; only a Lorenz curve's s = 0 point is searched for.
-`compare_tariffs` checks each input once and gives the numbers and the
-first error of the separate calls it stands for.
+Premiums and losses must be finite and cover the same rows, the losses
+must be non-negative with a positive total, and a pair's reference
+premiums must be strictly positive; any other input raises a
+`TariffError` that names its defect (which one, for an input with
+several, is not promised). Rows are ordered by numpy's default sort,
+kept as it is when no value repeats and otherwise with tied values put
+back in row order, which for finite values is the order of a stable
+sort. A curve's points are read where the runs of equal sorted values
+end.
 """
 
 from __future__ import annotations
@@ -65,71 +69,23 @@ def technical_premium(freq_model, sev_model, dataset: Dataset) -> np.ndarray:
     return freq * sev
 
 
-def _same_rows(premiums, losses: np.ndarray) -> None:
+def _losses(losses, premiums) -> np.ndarray:
+    """`losses` checked for a comparison of the premium vectors `premiums`:
+    finite, on the rows of every premium vector, non-negative, and of
+    positive total."""
+    losses = _finite(losses, "losses")
     if any(len(p) != len(losses) for p in premiums):
         raise TariffError("premiums and losses must cover the same rows")
-
-
-def balance_ratio(premiums, observed_losses) -> float:
-    """Total predicted over total observed losses."""
-    premiums = _finite(premiums, "premiums")
-    losses = _finite(observed_losses, "losses")
-    _same_rows([premiums], losses)
-    total = losses.sum()
-    if total == 0:
-        raise TariffError("observed losses sum to zero")
-    return float(premiums.sum() / total)
-
-
-def risk_scores(premiums) -> np.ndarray:
-    """Empirical CDF of the premiums evaluated at each premium
-    (right-continuous; tied premiums share the upper value)."""
-    p = _finite(premiums, "premiums")
-    if len(p) == 0:
-        raise TariffError("no premiums given")
-    order, end = _stable_order(p)  # end: rows at or below each block
-    scores = np.empty(len(p))
-    scores[order] = np.repeat(end, np.diff(end, prepend=0)) / len(p)
-    return scores
-
-
-def _nonnegative(losses: np.ndarray) -> None:
     if np.any(losses < 0):
         raise TariffError("losses must be non-negative")
+    if losses.sum() <= 0:
+        raise TariffError("losses must sum to a positive total")
+    return losses
 
 
-def _loss_shares(losses: np.ndarray, order: np.ndarray, total, rows: np.ndarray) -> np.ndarray:
-    """The share of the losses in the first r rows of `order`, for each r in `rows`."""
-    return np.concatenate([[0.0], np.cumsum(losses.take(order))])[rows] / total
-
-
-def lorenz_curve(scores, losses) -> tuple[np.ndarray, np.ndarray]:
-    """Share of losses on policies with risk score <= s, for s = 0 and
-    each distinct observed score."""
-    r = _finite(scores, "scores")
-    losses = _finite(losses, "losses")
-    _nonnegative(losses)
-    total = losses.sum()
-    if total <= 0:
-        raise TariffError("losses sum must be positive")
-    order, end = _stable_order(r)
-    s = r[order[end - 1]]  # each block's score, at its last row
-    at_zero = np.concatenate([[0], end])[np.searchsorted(s, 0.0, side="right")]
-    shares = _loss_shares(losses, order, total, np.concatenate([[at_zero], end]))
-    return np.concatenate([[0.0], s]), shares
-
-
-def _reference(premiums: np.ndarray) -> None:
+def _reference(premiums: np.ndarray, what: str) -> None:
     if np.any(premiums <= 0):
-        raise TariffError("reference premiums must be strictly positive")
-
-
-def relativities(premiums_a, premiums_b) -> np.ndarray:
-    """Per-row premium ratio of model B over model A."""
-    a = _finite(premiums_a, "premiums")
-    b = _finite(premiums_b, "premiums")
-    _reference(a)
-    return b / a
+        raise TariffError(f"{what} must be strictly positive")
 
 
 def ordered_lorenz(premiums_a, premiums_b, losses) -> tuple[np.ndarray, np.ndarray]:
@@ -140,18 +96,16 @@ def ordered_lorenz(premiums_a, premiums_b, losses) -> tuple[np.ndarray, np.ndarr
     per distinct relativity), which makes the B = A comparison land
     exactly on the diagonal.
     """
-    rel = relativities(premiums_a, premiums_b)
-    a = np.asarray(premiums_a, dtype=float)
-    losses = _finite(losses, "losses")
-    _nonnegative(losses)
-    if a.sum() <= 0 or losses.sum() <= 0:
-        raise TariffError("premium and loss totals must be positive")
-    return _ordered_lorenz(a, rel, losses)
+    a = _finite(premiums_a, "premiums")
+    b = _finite(premiums_b, "premiums")
+    losses = _losses(losses, (a, b))
+    _reference(a, "reference premiums")
+    return _ordered_lorenz(a, b, losses)
 
 
-def _ordered_lorenz(a, rel, losses):
-    """`ordered_lorenz(a, b, losses)` of checked inputs, from the relativities `rel = b / a`."""
-    order, end = _stable_order(rel)
+def _ordered_lorenz(a, b, losses):
+    """`ordered_lorenz(a, b, losses)` of checked inputs."""
+    order, end = _stable_order(b / a)
     prem_cum, loss_cum = np.cumsum(a.take(order)), np.cumsum(losses.take(order))
     # each block's shares, over the running totals so that the curve ends at 1 exactly
     x = np.concatenate([[0.0], prem_cum[end - 1] / prem_cum[-1]])
@@ -212,46 +166,33 @@ def compare_tariffs(premiums: dict[str, np.ndarray], losses) -> TariffComparison
     """Full comparison: balance ratios, per-model Lorenz curves, the
     pairwise ordered-Lorenz Gini matrix, and the min-max selection.
 
-    Each premium vector and the losses are checked once, and the first
-    error is the one that each pair's `ordered_lorenz`, then each model's
-    `balance_ratio` and `lorenz_curve(risk_scores(...))`, would raise."""
+    Each premium vector and the losses are checked once. With more than
+    one model each model is a pair's reference, so its premiums must be
+    strictly positive; a lone model may price at zero."""
     models = tuple(premiums)
     if not models:
         raise TariffError("no models to compare")
     premiums = {m: _finite(premiums[m], f"premiums of {m!r}") for m in models}
-    first, *others = premiums.values()
-    if others:  # the first pair's checks, then each other reference's
-        _reference(first)
-        losses = _finite(losses, "losses")
-        _nonnegative(losses)
-        if first.sum() <= 0 or losses.sum() <= 0:
-            raise TariffError("premium and loss totals must be positive")
-        for p in others:
-            _reference(p)
-        _same_rows(premiums.values(), losses)
-    else:  # the balance ratio's checks, then the Lorenz curve's
-        losses = _finite(losses, "losses")
-        _same_rows(premiums.values(), losses)
-        if losses.sum() == 0:
-            raise TariffError("observed losses sum to zero")
-        _nonnegative(losses)
+    losses = _losses(losses, premiums.values())
+    if len(models) > 1:
+        for m in models:
+            _reference(premiums[m], f"premiums of {m!r}")
     total = losses.sum()
     k, n = len(models), len(losses)
     gini = np.zeros((k, k))
     for i, a in enumerate(models):
         for j, b in enumerate(models):
             if i != j:
-                rel = premiums[b] / premiums[a]
-                gini[i, j] = gini_index(*_ordered_lorenz(premiums[a], rel, losses))
+                gini[i, j] = gini_index(*_ordered_lorenz(premiums[a], premiums[b], losses))
     balance = {m: float(premiums[m].sum() / total) for m in models}
     lorenz = {}
     for m in models:
-        # risk scores rise with the premiums and tie where they tie, so the
-        # premiums' stable order is theirs and their blocks end where the
-        # premiums' do, at the score `end / n`; none is 0
+        # the share of losses on the rows whose premium's ECDF is at most s,
+        # at each distinct ECDF value s = end / n: the blocks of tied
+        # premiums end there in the premiums' stable order
         order, end = _stable_order(premiums[m])
-        lorenz[m] = (np.concatenate([[0.0], end / n]),
-                     _loss_shares(losses, order, total, np.concatenate([[0], end])))
+        shares = np.concatenate([[0.0], np.cumsum(losses.take(order))[end - 1]]) / total
+        lorenz[m] = (np.concatenate([[0.0], end / n]), shares)
     selected, row_max, tie = minmax_select(gini, list(models))
     return TariffComparison(models, gini, balance, lorenz, selected, row_max, tie)
 

@@ -334,6 +334,62 @@ def test_calibration_merges_empty_bins():
     assert table.merged.any()
 
 
+def test_calibration_merges_runs_of_empty_bins_and_keeps_an_empty_last_bin():
+    """Two empty bins merge into the filled bin to their right; two empty
+    bins before an empty last bin merge into it, and it is kept with no
+    rows and NaN means."""
+    preds = np.array([0.25, 0.75, 3.5])
+    table = calibration_curve(preds, np.array([1.0, 0.0, 2.0]),
+                              bin_spec=[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+    np.testing.assert_array_equal(table.edges, [0.0, 1.0, 4.0, 7.0])
+    np.testing.assert_array_equal(table.counts, [2, 1, 0])
+    np.testing.assert_array_equal(table.merged, [False, True, True])
+    np.testing.assert_array_equal(table.mean_prediction, [0.5, 3.5, np.nan])
+    np.testing.assert_array_equal(table.mean_response, [0.5, 2.0, np.nan])
+    assert (table.counts.dtype, table.merged.dtype) == (np.intp, np.bool_)
+
+
+def _reference_calibration_curve(f, y, edges):
+    """`calibration_curve` as a loop over the bins: an empty bin other
+    than the last is dropped and flags the next kept bin as merged."""
+    idx = np.clip(np.searchsorted(edges, f, side="right") - 1, 0, len(edges) - 2)
+    kept_edges, mean_pred, mean_resp, counts, merged = [edges[0]], [], [], [], []
+    was_merged = False
+    for b in range(len(edges) - 1):
+        mask = idx == b
+        if not mask.any() and b < len(edges) - 2:
+            was_merged = True
+            continue
+        kept_edges.append(edges[b + 1])
+        mean_pred.append(float(np.mean(f[mask])) if mask.any() else np.nan)
+        mean_resp.append(float(np.mean(y[mask])) if mask.any() else np.nan)
+        counts.append(int(mask.sum()))
+        merged.append(was_merged)
+        was_merged = False
+    return tuple(map(np.asarray, (kept_edges, mean_pred, mean_resp, counts, merged)))
+
+
+def test_calibration_has_the_bits_of_a_loop_over_the_bins():
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        n = int(rng.integers(1, 400))
+        f = rng.gamma(2.0, 1.0, n) * (rng.random(n) < 0.9)
+        y = rng.poisson(f).astype(float)
+        edges = np.sort(rng.choice(np.linspace(-1.0, 12.0, 60), int(rng.integers(2, 30)),
+                                   replace=False))
+        table = calibration_curve(f, y, bin_spec=edges)
+        got = (table.edges, table.mean_prediction, table.mean_response, table.counts, table.merged)
+        for a, b in zip(got, _reference_calibration_curve(f, y, edges)):
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+
+
+def test_calibration_refuses_rows_of_other_lengths_and_fewer_than_two_edges():
+    with pytest.raises(EvaluationError, match="equal length"):
+        calibration_curve([0.5, 1.5], [1.0, 0.0, 2.0], bin_spec=[0.0, 1.0, 2.0])
+    with pytest.raises(EvaluationError, match="two or more"):
+        calibration_curve([0.5, 1.5], [1.0, 0.0], bin_spec=[0.0])
+
+
 def test_calibration_monte_carlo():
     rng = np.random.default_rng(3)
     f = rng.uniform(0.5, 5.0, 20_000)

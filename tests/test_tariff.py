@@ -10,14 +10,10 @@ from freqsev.glm import Design, fit_glm
 from freqsev.tariff import (
     TariffError,
     _stable_order,
-    balance_ratio,
     compare_tariffs,
     gini_index,
-    lorenz_curve,
     minmax_select,
     ordered_lorenz,
-    relativities,
-    risk_scores,
     technical_premium,
     write_balance_csv,
     write_gini_csv,
@@ -34,32 +30,51 @@ def test_premium_is_frequency_times_severity(toy):
         technical_premium(ConstantModel(0.1), ConstantModel(-1.0), toy)
 
 
+def _balance(premiums, losses):
+    return compare_tariffs({"m": premiums}, losses).balance["m"]
+
+
+def _lorenz(premiums, losses):
+    return compare_tariffs({"m": premiums}, losses).lorenz["m"]
+
+
+def _ecdf(premiums):
+    """The risk scores: the premiums' ECDF at each premium, searched in the sorted premiums."""
+    return np.searchsorted(np.sort(premiums), premiums, side="right") / len(premiums)
+
+
 def test_balance_ratio_basics():
-    assert balance_ratio([1.0, 2.0, 3.0], [2.0, 2.0, 2.0]) == 1.0
+    assert _balance([1.0, 2.0, 3.0], [2.0, 2.0, 2.0]) == 1.0
     p = np.array([1.0, 4.0])
     losses = np.array([2.0, 3.0])
-    assert abs(balance_ratio(3 * p, losses) - 3 * balance_ratio(p, losses)) < 1e-12
-    with pytest.raises(TariffError):
-        balance_ratio([1.0], [0.0])
+    assert abs(_balance(3 * p, losses) - 3 * _balance(p, losses)) < 1e-12
+    with pytest.raises(TariffError, match="positive total"):
+        _balance([1.0], [0.0])
 
 
 def test_poisson_glm_premiums_balance(toy):
     model = fit_glm(toy, Design(("region",)), "poisson_log")
     premiums = model.predict(toy) * toy.exposure
-    assert abs(balance_ratio(premiums, toy.response) - 1.0) < 1e-6
+    assert abs(_balance(premiums, toy.response) - 1.0) < 1e-6
 
 
 def test_risk_scores_ecdf():
-    np.testing.assert_allclose(risk_scores([4.0, 1.0, 3.0, 2.0]), [1.0, 0.25, 0.75, 0.5])
-    np.testing.assert_allclose(risk_scores([7.0, 7.0, 7.0]), 1.0)
+    """The Lorenz grid is s = 0 and each distinct risk score, the ECDF of
+    the premiums, so it depends on their order alone."""
+    s, _ = _lorenz([4.0, 1.0, 3.0, 2.0], np.ones(4))
+    np.testing.assert_array_equal(s, [0.0, 0.25, 0.5, 0.75, 1.0])
+    s, _ = _lorenz([7.0, 7.0, 7.0], np.ones(3))
+    np.testing.assert_array_equal(s, [0.0, 1.0])
     p = np.random.default_rng(0).uniform(1, 5, 50)
-    np.testing.assert_array_equal(risk_scores(p), risk_scores(np.exp(p)))
+    losses = np.random.default_rng(5).uniform(0, 1, 50)
+    for got, expected in zip(_lorenz(p, losses), _lorenz(np.exp(p), losses)):
+        np.testing.assert_array_equal(got, expected)
 
 
 def test_lorenz_endpoints_and_concentration():
-    scores = np.array([0.25, 0.5, 0.75, 1.0])
+    premiums = np.array([1.0, 2.0, 3.0, 4.0])
     losses = np.array([0.0, 0.0, 0.0, 10.0])
-    s, lc = lorenz_curve(scores, losses)
+    s, lc = _lorenz(premiums, losses)
     np.testing.assert_allclose(s, [0.0, 0.25, 0.5, 0.75, 1.0])
     np.testing.assert_allclose(lc, [0.0, 0.0, 0.0, 0.0, 1.0])
     assert lc[-1] == 1.0
@@ -70,7 +85,7 @@ def test_lorenz_uninformative_scores_near_diagonal():
     n = 10_000
     premiums = rng.uniform(1.0, 2.0, n)
     losses = rng.uniform(0.0, 1.0, n)  # independent of premiums
-    s, lc = lorenz_curve(risk_scores(premiums), losses)
+    s, lc = _lorenz(premiums, losses)
     assert np.max(np.abs(lc - s)) < 0.05
 
 
@@ -87,23 +102,21 @@ _TIES = np.random.default_rng(4).choice([0.5, 1.25, 2.0, 3.0], 10_000)
 def test_stable_order_is_a_stable_argsort(values):
     """The default sort with ties put back in row order equals a stable
     sort, and its block ends are those of the runs of equal sorted values;
-    the risk scores and the Lorenz grid read from it equal the searched
-    and the `np.unique` ones."""
+    the Lorenz grid of `compare_tariffs` read from it equals the distinct
+    searched risk scores."""
     order, end = _stable_order(values)
     np.testing.assert_array_equal(order, np.argsort(values, kind="stable"))
     assert order.dtype == np.intp
     np.testing.assert_array_equal(end, np.cumsum(np.unique(values, return_counts=True)[1]))
     if len(values):
-        expected = np.searchsorted(np.sort(values), values, side="right") / len(values)
-        np.testing.assert_array_equal(risk_scores(values), expected)
-        s, _ = lorenz_curve(values, np.ones(len(values)))
-        np.testing.assert_array_equal(s, np.concatenate([[0.0], np.unique(values)]))
+        s, _ = _lorenz(values, np.ones(len(values)))
+        np.testing.assert_array_equal(s, np.concatenate([[0.0], np.unique(_ecdf(values))]))
 
 
 def test_compare_tariffs_sorts_each_premium_vector_once(monkeypatch):
-    """The Lorenz curves equal those of `risk_scores` and `lorenz_curve`,
-    with tied, signed-zero and distinct premiums; each model's premiums
-    are sorted once, and each pair's relativities once."""
+    """The Lorenz curves equal the reference curves of the searched risk
+    scores, with tied, signed-zero and distinct premiums; each model's
+    premiums are sorted once, and each pair's relativities once."""
     rng = np.random.default_rng(9)
     n = len(_TIES)
     premiums = {
@@ -126,13 +139,15 @@ def test_compare_tariffs_sorts_each_premium_vector_once(monkeypatch):
     monkeypatch.setattr(np, "argsort", argsort)
     for name, p in premiums.items():
         s, lc = compare_tariffs({name: p}, losses).lorenz[name]
-        expected_s, expected_lc = lorenz_curve(risk_scores(p), losses)
+        expected_s, expected_lc = _reference_lorenz_curve(_ecdf(p), losses)
         np.testing.assert_array_equal(s, expected_s, err_msg=name)
         np.testing.assert_array_equal(lc, expected_lc, err_msg=name)
 
 
 def _reference_lorenz_curve(scores, losses):
-    """`lorenz_curve` as a stable sort and a search of every grid point."""
+    """The Lorenz curve of risk scores `scores`: the share of losses on the
+    rows scored at most s, for s = 0 and each distinct score, by a stable
+    sort and a search of every grid point."""
     order = np.argsort(scores, kind="stable")
     ranked = scores[order]
     s = np.concatenate([[0.0], ranked[np.append(ranked[1:] != ranked[:-1], True)]])
@@ -162,32 +177,9 @@ def _reference_comparison(premiums, losses):
         x, y = _reference_ordered_lorenz(premiums[a], premiums[b], losses)
         gini[i, j] = 2.0 * np.trapezoid(x - y, x)
     balance = {m: float(p.sum() / losses.sum()) for m, p in premiums.items()}
-    lorenz = {m: _reference_lorenz_curve(np.searchsorted(np.sort(p), p, side="right") / len(p),
-                                         losses)
-              for m, p in premiums.items()}
+    lorenz = {m: _reference_lorenz_curve(_ecdf(p), losses) for m, p in premiums.items()}
     selected, row_max, tie = minmax_select(gini, models)
     return gini, balance, lorenz, selected, row_max, tie
-
-
-def _reference_error(premiums, losses):
-    """The first error of those calls in that order, after the check that
-    each model's premiums are finite: a `TariffError`'s message, or the
-    type of any other exception."""
-    for m, p in premiums.items():
-        if not np.all(np.isfinite(p)):
-            return f"premiums of {m!r} must be finite"
-    try:
-        for a, b in itertools.permutations(premiums, 2):
-            ordered_lorenz(premiums[a], premiums[b], losses)
-        for p in premiums.values():
-            balance_ratio(p, losses)
-        for p in premiums.values():
-            lorenz_curve(risk_scores(p), losses)
-    except TariffError as exc:
-        return str(exc)
-    except Exception as exc:  # noqa: BLE001 - numpy's errors on rows of other lengths
-        return type(exc)
-    return None
 
 
 _N = 2000
@@ -211,8 +203,8 @@ def test_compare_tariffs_has_the_bits_of_one_call_per_piece(names):
     """Gini matrix, balance, Lorenz curves, row maxima, selection and tie
     flag are byte-equal to the pieces computed one call at a time, for
     tied, signed-zero and distinct premiums and losses holding signed
-    zeros; so are `ordered_lorenz` and `lorenz_curve`, with zero and
-    negative scores and zero challenger premiums."""
+    zeros; so are a lone model's Lorenz curve with zero and negative
+    premiums, and `ordered_lorenz` with zero challenger premiums."""
     premiums = {name: _PREMIUMS[name] for name in names}
     comparison = compare_tariffs(premiums, _LOSSES)
     gini, balance, lorenz, selected, row_max, tie = _reference_comparison(premiums, _LOSSES)
@@ -224,9 +216,9 @@ def test_compare_tariffs_has_the_bits_of_one_call_per_piece(names):
         for got, expected in zip(comparison.lorenz[name], lorenz[name]):
             assert got.tobytes() == expected.tobytes(), name
     for name, p in premiums.items():
-        shifted = p - 1.25  # scores at, below and above 0
-        for got, expected in zip(lorenz_curve(shifted, _LOSSES),
-                                 _reference_lorenz_curve(shifted, _LOSSES)):
+        shifted = p - 1.25  # premiums at, below and above 0
+        for got, expected in zip(compare_tariffs({name: shifted}, _LOSSES).lorenz[name],
+                                 _reference_lorenz_curve(_ecdf(shifted), _LOSSES)):
             assert got.tobytes() == expected.tobytes(), name
         for got, expected in zip(ordered_lorenz(_PREMIUMS["distinct"], p, _LOSSES),
                                  _reference_ordered_lorenz(_PREMIUMS["distinct"], p, _LOSSES)):
@@ -259,13 +251,34 @@ _DEFECTS = ("", "zero", "negative", "nan", "longer", "shorter", "empty")
 _LOSS_DEFECTS = ("", "negative", "nan", "all zero", "zero sum", "longer", "shorter", "empty")
 
 
+_ROWS = "premiums and losses must cover the same rows"
+
+
+def _defects(premiums, losses):
+    """The message naming each defect of a comparison's input."""
+    named = set()
+    for m, p in premiums.items():
+        if not np.all(np.isfinite(p)):
+            named.add(f"premiums of {m!r} must be finite")
+        if len(premiums) > 1 and np.any(p <= 0):  # every model is a pair's reference
+            named.add(f"premiums of {m!r} must be strictly positive")
+        if len(p) != len(losses):
+            named.add(_ROWS)
+    if not np.all(np.isfinite(losses)):
+        named.add("losses must be finite")
+    if np.any(losses < 0):
+        named.add("losses must be non-negative")
+    if losses.sum() <= 0:
+        named.add("losses must sum to a positive total")
+    return named
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_compare_tariffs_raises_the_first_error_of_one_call_per_piece(k):
+def test_each_defect_raises_a_tariff_error_naming_it(k):
     """Every combination of a defect in one model's premiums and one in
-    the losses gives the message of the first of those calls to fail. Only
-    premiums that are a pair's reference must be positive, so a single
-    model may hold zero premiums. Where those calls fail inside numpy, on
-    rows of other lengths, `compare_tariffs` raises a `TariffError`."""
+    the losses raises a `TariffError` that names one of the input's
+    defects, never an error from inside numpy. Only a pair's reference
+    premiums must be positive, so a lone model may price at zero."""
     base = {name: _PREMIUMS[name][:20] for name in ("distinct", "ties", "rounded")[:k]}
     seen = set()
     for spoilt, defect, loss_defect in itertools.product(range(k), _DEFECTS, _LOSS_DEFECTS):
@@ -275,16 +288,38 @@ def test_compare_tariffs_raises_the_first_error_of_one_call_per_piece(k):
         losses = _spoil(_LOSSES[:20], loss_defect)
         if defect == "empty" and loss_defect == "empty":
             premiums = {m: p[:0] for m, p in premiums.items()}
-        expected = _reference_error(premiums, losses)
-        if expected is None:
+        named = _defects(premiums, losses)
+        if not named:
             compare_tariffs(premiums, losses)
             continue
         with pytest.raises(TariffError) as raised:
             compare_tariffs(premiums, losses)
-        if isinstance(expected, str):
-            assert str(raised.value) == expected, (name, defect, loss_defect)
-            seen.add(expected)
-    assert len(seen) >= (5 if k == 1 else 6)
+        assert str(raised.value) in named, (name, defect, loss_defect)
+        seen.add(str(raised.value))
+    every = {_ROWS, "losses must be finite", "losses must be non-negative",
+             "losses must sum to a positive total"}
+    every |= {f"premiums of {m!r} must be finite" for m in base}
+    if k > 1:
+        every |= {f"premiums of {m!r} must be strictly positive" for m in base}
+    assert seen == every
+    if k == 1:
+        compare_tariffs({"zeros": _spoil(base["distinct"], "zero")}, _LOSSES[:20])
+
+
+def test_losses_of_other_rows_are_a_tariff_error():
+    """Losses longer or shorter than the premiums are refused by
+    `ordered_lorenz` and by `compare_tariffs` of one and of two models."""
+    premiums = np.array([1.0, 2.0, 3.0])
+    for losses in (np.ones(4), np.ones(2)):
+        for call in (lambda: ordered_lorenz(premiums, premiums[::-1], losses),
+                     lambda: compare_tariffs({"a": premiums}, losses),
+                     lambda: compare_tariffs({"a": premiums, "b": premiums[::-1]}, losses)):
+            with pytest.raises(TariffError, match=_ROWS):
+                call()
+    with pytest.raises(TariffError, match=_ROWS):
+        ordered_lorenz([1, 1], [1, 2], [1, 2, 3])
+    with pytest.raises(TariffError, match=_ROWS):
+        ordered_lorenz([1, 1], [1, 2, 3], [1, 2])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -296,12 +331,10 @@ def test_non_finite_premiums_scores_and_losses_are_rejected(bad, toy):
     with pytest.raises(TariffError, match="finite"):
         technical_premium(ConstantModel(0.1), ConstantModel(bad), toy)
     calls = [
-        (balance_ratio, spoilt, good), (balance_ratio, good, spoilt),
-        (risk_scores, spoilt),
-        (lorenz_curve, spoilt, good), (lorenz_curve, good / 3, spoilt),
-        (relativities, spoilt, good), (relativities, good, spoilt),
         (ordered_lorenz, spoilt, good, good), (ordered_lorenz, good, spoilt, good),
         (ordered_lorenz, good, good, spoilt),
+        (compare_tariffs, {"a": spoilt}, good), (compare_tariffs, {"a": good}, spoilt),
+        (compare_tariffs, {"a": good, "b": good}, spoilt),
     ]
     for fn, *args in calls:
         with pytest.raises(TariffError, match="finite"):
@@ -311,9 +344,14 @@ def test_non_finite_premiums_scores_and_losses_are_rejected(bad, toy):
 
 
 def test_relativities_and_errors():
-    np.testing.assert_allclose(relativities([1.0, 2.0], [2.0, 1.0]), [2.0, 0.5])
-    with pytest.raises(TariffError):
-        relativities([0.0, 1.0], [1.0, 1.0])
+    """`ordered_lorenz` accumulates rows by the relativity B/A (here 2 and
+    0.5) and needs strictly positive reference premiums A only."""
+    x, y = ordered_lorenz([1.0, 2.0], [2.0, 1.0], [1.0, 3.0])
+    np.testing.assert_array_equal(x, [0.0, 2.0 / 3.0, 1.0])
+    np.testing.assert_array_equal(y, [0.0, 0.75, 1.0])
+    ordered_lorenz([1.0, 1.0], [0.0, -1.0], [1.0, 1.0])
+    with pytest.raises(TariffError, match="reference premiums must be strictly positive"):
+        ordered_lorenz([0.0, 1.0], [1.0, 1.0], [1.0, 1.0])
 
 
 def test_ordered_lorenz_self_comparison_is_diagonal():
