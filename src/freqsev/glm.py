@@ -6,10 +6,12 @@ tree-binned continuous covariates; a design may also group a
 categorical's levels (`LevelGroups`), and still predicts from the
 original columns. Treatment coding with the most populous level as
 reference; an interaction multiplies the non-reference dummies of its
-two factors. `GlmModel.to_dict` is the model's payload (design, binning,
-coefficients and fit statistics in plain JSON types), and
-`GlmModel.from_dict` rebuilds it; the payload doubles as the technical
-tariff table interchange format.
+two factors. The dense design matrix (`build_design_matrix`) is built
+for fitting only: a fitted model predicts by coefficient lookups, one
+per design term, indexed by each row's level codes. `GlmModel.to_dict`
+is the model's payload (design, binning, coefficients and fit
+statistics in plain JSON types), and `GlmModel.from_dict` rebuilds it;
+the payload doubles as the technical tariff table interchange format.
 """
 
 from __future__ import annotations
@@ -123,6 +125,20 @@ class Design:
     binning: dict[str, BinningRule | LevelGroups] = field(default_factory=dict)
 
 
+def _factors(dataset: Dataset, design: Design, references: dict) -> dict:
+    """Each factor of the design, in first-use order: its level codes,
+    level labels and reference level. A factor without a frozen reference
+    takes its most populous level."""
+    factors = {}
+    for var in dict.fromkeys([*design.main_effects, *sum(design.interactions, ())]):
+        codes, labels = _factor_codes(dataset, var, design.binning)
+        ref = references.get(var)
+        if ref is None:
+            ref = int(np.argmax(np.bincount(codes, minlength=len(labels))))
+        factors[var] = codes, labels, ref
+    return factors
+
+
 def build_design_matrix(dataset: Dataset, design: Design, references=None):
     """Design matrix with intercept and treatment-coded factor dummies.
 
@@ -132,14 +148,9 @@ def build_design_matrix(dataset: Dataset, design: Design, references=None):
     training coding regardless of their own level counts. An interaction
     a:b holds the products of the non-reference dummies of a and b.
     """
-    references = references or {}
-    used, dummies = {}, {}
-    for var in dict.fromkeys([*design.main_effects, *sum(design.interactions, ())]):
-        codes, labels = _factor_codes(dataset, var, design.binning)
-        ref = references.get(var)
-        if ref is None:
-            ref = int(np.argmax(np.bincount(codes, minlength=len(labels))))
-        used[var] = ref
+    factors = _factors(dataset, design, references or {})
+    dummies = {}
+    for var, (codes, labels, ref) in factors.items():
         kept = np.delete(np.arange(len(labels)), ref)
         dummies[var] = (codes[:, None] == kept).astype(float), [labels[k] for k in kept]
     blocks, names = [np.ones((dataset.n, 1))], ["(Intercept)"]
@@ -150,7 +161,7 @@ def build_design_matrix(dataset: Dataset, design: Design, references=None):
         (block_a, labels_a), (block_b, labels_b) = dummies[var_a], dummies[var_b]
         blocks.append((block_a[:, :, None] * block_b[:, None, :]).reshape(dataset.n, -1))
         names.extend(f"{var_a}:{var_b}[{la}*{lb}]" for la in labels_a for lb in labels_b)
-    return np.hstack(blocks), names, used
+    return np.hstack(blocks), names, {var: ref for var, (_, _, ref) in factors.items()}
 
 
 @dataclass
@@ -172,11 +183,31 @@ class GlmModel:
     references: dict = field(default_factory=dict)
 
     def predict(self, dataset: Dataset) -> np.ndarray:
-        """exp(X beta) per row; exposure is NOT applied (the losses do)."""
-        X, _, _ = build_design_matrix(dataset, self.design, self.references)
-        if X.shape[1] != len(self.coef):
+        """exp(eta) per row; exposure is NOT applied (the losses do).
+
+        eta is the intercept plus, for each design term in column order,
+        one coefficient looked up by the row's level codes: a table of L
+        entries for a factor, of L_a x L_b for an interaction a:b, with 0
+        at the reference levels. A row's premium depends on that row alone.
+        """
+        factors = _factors(dataset, self.design, self.references)
+        terms = [(var,) for var in self.design.main_effects] + list(self.design.interactions)
+        shapes = [tuple(len(factors[var][1]) for var in term) for term in terms]
+        widths = [int(np.prod(np.subtract(shape, 1))) for shape in shapes]
+        if 1 + sum(widths) != len(self.coef):
             raise GlmError("rows do not conform to the fitted design")
-        return np.exp(X @ self.coef)
+        eta = np.full(dataset.n, self.coef[0])
+        start = 1
+        for term, shape, width in zip(terms, shapes, widths):
+            table = np.zeros(shape)
+            kept = [np.delete(np.arange(size), factors[var][2]) for var, size in zip(term, shape)]
+            table[np.ix_(*kept)] = self.coef[start:start + width].reshape(np.subtract(shape, 1))
+            start += width
+            codes = factors[term[0]][0]
+            if len(term) == 2:
+                codes = codes * shape[1] + factors[term[1]][0]
+            eta += table.ravel().take(codes)
+        return np.exp(eta, out=eta)
 
     def to_dict(self) -> dict:
         return {
@@ -314,10 +345,12 @@ def tree_bin(
 
     Best-first splitting until `TREE_BIN_LEAVES` leaves; a split must
     reduce the parent deviance by at least `TREE_BIN_MIN_GAIN` of the root
-    deviance and leave `TREE_BIN_MIN_SHARE` of the observations on each
-    side. A constant variable yields a single bin with a warning. A leaf
-    is a run of one stable sort of the variable, searched by one pair of
-    prefix sums over the run.
+    deviance and leave `TREE_BIN_MIN_SHARE` of the observations, and a
+    positive response total (a claim, for counts), on each side, so that
+    no bin's coefficient is left to IRLS's stopping rule. A constant
+    variable yields a single bin with a warning. A leaf is a run of one
+    stable sort of the variable, searched by one pair of prefix sums over
+    the run.
     """
     x = np.asarray(variable, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -331,6 +364,7 @@ def tree_bin(
     min_count = max(1, int(np.ceil(TREE_BIN_MIN_SHARE * len(y))))
     order = np.argsort(x, kind="stable")  # a leaf's run is in the order its own sort gives
     xs, ys, ws = x[order], y[order], w[order]
+    positive = np.concatenate([[0], np.cumsum(ys > 0)])  # rows of positive response before i
 
     def best_split(lo, hi):
         run = xs[lo:hi]
@@ -345,7 +379,9 @@ def tree_bin(
             - fam.half_deviance(c1[left], c2[left])
             - fam.half_deviance(t1 - c1[left], t2 - c2[left])
         )
-        ok = (boundary >= min_count) & (hi - lo - boundary >= min_count)
+        cut_at = positive[lo + boundary]
+        ok = ((boundary >= min_count) & (hi - lo - boundary >= min_count)
+              & (cut_at > positive[lo]) & (positive[hi] > cut_at))
         if not ok.any():
             return None
         gain = np.where(ok, gain, -np.inf)

@@ -13,9 +13,7 @@ points, as many as fit in n rows, go into one `predict` call, so m points
 take ceil(m / floor(n / u)) calls and no call sees more rows than the
 frame. A point's value is the `np.mean` of its n row predictions, taken
 back from the distinct rows, so it keeps the bits that predicting the
-whole pinned frame gives, as long as a row's prediction does not depend
-on its place in the frame: BLAS may round the last few rows of a
-matrix-vector product, such as a network's output layer, differently.
+whole pinned frame gives.
 """
 
 from __future__ import annotations

@@ -22,7 +22,9 @@ into views of one flat gradient vector of the same layout.
 of `freqsev._optim`; Adam steps the float64 master `theta` in place from
 the float32 gradient, and losses are summed in float64 (mixed precision,
 as in Micikevicius et al., 2018). `forward`, `loss_and_gradients` and
-`batch_loss` run the same kernel in float64 on a one-shot workspace.
+`batch_loss` run the same kernel in float64 on a one-shot workspace;
+`forward` (inference) takes every product as a stack of 1-row products,
+so a row's prediction does not depend on the frame it is in.
 Inverted dropout keeps a unit when a 16-bit draw (`_draw16`) is below
 round((1 - dropout) * 2**16), so the keep rate has a resolution of 2**-16,
 and scales a kept unit by 2**16 over that bound.
@@ -297,21 +299,22 @@ class _Workspace:
                 np.take(src, rows, axis=0, out=dst[:m], mode="clip")  # "raise" would copy
         return m
 
-    def forward(self, m: int, dropout_rng=None) -> np.ndarray:
+    def forward(self, m: int, dropout_rng=None, rowwise: bool = False) -> np.ndarray:
         """Predictions exp(u) on the first m loaded rows; inverted dropout
-        after every hidden layer when a dropout rng is given."""
+        after every hidden layer when a dropout rng is given. With
+        `rowwise`, every product is a stack of 1-row products (`_product`)."""
         net, p = self.net, self.p
         if self.theta is not net.theta:
             np.copyto(self.theta, net.theta)
         h = self.h0[:m]
         if net.encoder_dim is not None:
-            codes = np.matmul(self.x_onehot[:m], p["encoder_w"].T, out=self.codes[:m])
+            codes = _product(self.x_onehot[:m], p["encoder_w"].T, self.codes[:m], rowwise)
             codes += p["encoder_b"]
             h[:, : net.n_continuous] = self.x_cont[:m]
             h[:, net.n_continuous :] = codes
         self.layer_out = self.a if dropout_rng is None else self.dropped
         for i, (w, b, _, _) in enumerate(self.layers):
-            a = np.matmul(h, w.T, out=self.a[i][:m])
+            a = _product(h, w.T, self.a[i][:m], rowwise)
             a += b
             self._activate(a)
             if dropout_rng is not None:
@@ -319,7 +322,7 @@ class _Workspace:
                 mask = np.multiply(flag, self.keep_scale, out=self.mask[i][:m])
                 a = np.multiply(a, mask, out=self.dropped[i][:m])
             h = a
-        y_nn = np.matmul(h, p["out_w"], out=self.y_nn[:m])
+        y_nn = _product(h, p["out_w"], self.y_nn[:m], rowwise)
         y_nn += p["out_b"]
         u = y_nn
         if net.cann_mode is not None:
@@ -395,6 +398,17 @@ class _Workspace:
             np.multiply(a, da, out=dz)
 
 
+def _product(h, w, out, rowwise: bool) -> np.ndarray:
+    """`h @ w` into `out`. With `rowwise`, as a stack of 1-row products,
+    so every row takes the same BLAS kernel whatever frame it is in: BLAS
+    rounds a 1-row product, and the last rows of a frame-wide one,
+    differently from the body."""
+    if rowwise:
+        np.matmul(h[:, None, :], w, out=out[:, None])
+        return out
+    return np.matmul(h, w, out=out)
+
+
 def _inputs(net: Network, x_cont, x_onehot, log_y_in) -> list[np.ndarray]:
     """The row-aligned arrays a workspace loads: the first layer's input
     (with a grafted encoder, the continuous and one-hot blocks instead),
@@ -417,10 +431,12 @@ def forward(
     log_y_in: np.ndarray | None = None,
 ) -> np.ndarray:
     """Row predictions exp(u), without dropout, so inference is
-    deterministic; training runs its dropout passes on its own workspace."""
+    deterministic; training runs its dropout passes on its own workspace.
+    Each row is priced from that row alone, whatever the frame: every
+    product is a stack of 1-row products."""
     inputs = _inputs(net, x_cont, x_onehot, log_y_in)
     ws = _Workspace(net, len(inputs[0]))
-    return ws.forward(ws.load(inputs))
+    return ws.forward(ws.load(inputs), rowwise=True)
 
 
 def loss_and_gradients(

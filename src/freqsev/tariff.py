@@ -50,13 +50,29 @@ def _stable_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ranked = values.take(order)
     last = np.ones(len(values), dtype=bool)
     np.not_equal(ranked[1:], ranked[:-1], out=last[:-1])
-    end = np.flatnonzero(last) + 1
+    del ranked  # each array of the frame's length goes before the next is made
+    end = np.flatnonzero(last)
+    end += 1
     if len(end) < len(values):
-        offset = np.cumsum(last[:-1]) * len(values)
+        offset = last[:-1].astype(np.intp)  # a cumsum of bools would cast into a temporary
+        np.cumsum(offset, out=offset)
+        offset *= len(values)
         order[1:] += offset
         order.sort()
         order[1:] -= offset
     return order, end
+
+
+def _block_shares(values, order, last, total=None) -> np.ndarray:
+    """0, then the running total of `values` taken in `order`, read at
+    `last` (the last index of each block in that order), over `total`, or
+    over the running total's end, so that the shares end at 1 exactly."""
+    shares = np.zeros(len(last) + 1)
+    running = values.take(order)
+    np.cumsum(running, out=running)
+    running.take(last, out=shares[1:], mode="clip")  # "raise" would buffer a copy
+    shares[1:] /= running[-1] if total is None else total
+    return shares
 
 
 def technical_premium(freq_model, sev_model, dataset: Dataset) -> np.ndarray:
@@ -106,11 +122,19 @@ def ordered_lorenz(premiums_a, premiums_b, losses) -> tuple[np.ndarray, np.ndarr
 def _ordered_lorenz(a, b, losses):
     """`ordered_lorenz(a, b, losses)` of checked inputs."""
     order, end = _stable_order(b / a)
-    prem_cum, loss_cum = np.cumsum(a.take(order)), np.cumsum(losses.take(order))
-    # each block's shares, over the running totals so that the curve ends at 1 exactly
-    x = np.concatenate([[0.0], prem_cum[end - 1] / prem_cum[-1]])
-    y = np.concatenate([[0.0], loss_cum[end - 1] / loss_cum[-1]])
-    return x, y
+    end -= 1  # each block's last index
+    return _block_shares(a, order, end), _block_shares(losses, order, end)
+
+
+def _lorenz(premiums, losses, total):
+    """The share of losses on the rows whose premium's ECDF is at most s,
+    at each distinct ECDF value s = end / n: the blocks of tied premiums
+    end there in the premiums' stable order."""
+    order, end = _stable_order(premiums)
+    s = np.zeros(len(end) + 1)
+    np.divide(end, len(premiums), out=s[1:])
+    end -= 1  # each block's last index
+    return s, _block_shares(losses, order, end, total)
 
 
 def gini_index(x, y) -> float:
@@ -178,21 +202,14 @@ def compare_tariffs(premiums: dict[str, np.ndarray], losses) -> TariffComparison
         for m in models:
             _reference(premiums[m], f"premiums of {m!r}")
     total = losses.sum()
-    k, n = len(models), len(losses)
+    k = len(models)
     gini = np.zeros((k, k))
     for i, a in enumerate(models):
         for j, b in enumerate(models):
             if i != j:
                 gini[i, j] = gini_index(*_ordered_lorenz(premiums[a], premiums[b], losses))
     balance = {m: float(premiums[m].sum() / total) for m in models}
-    lorenz = {}
-    for m in models:
-        # the share of losses on the rows whose premium's ECDF is at most s,
-        # at each distinct ECDF value s = end / n: the blocks of tied
-        # premiums end there in the premiums' stable order
-        order, end = _stable_order(premiums[m])
-        shares = np.concatenate([[0.0], np.cumsum(losses.take(order))[end - 1]]) / total
-        lorenz[m] = (np.concatenate([[0.0], end / n]), shares)
+    lorenz = {m: _lorenz(premiums[m], losses, total) for m in models}
     selected, row_max, tie = minmax_select(gini, list(models))
     return TariffComparison(models, gini, balance, lorenz, selected, row_max, tie)
 

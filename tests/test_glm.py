@@ -1,10 +1,13 @@
 """IRLS GLMs, design building, BIC, tree binning."""
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from freqsev.data import ColumnSchema, DataError, Dataset
 from freqsev.evaluation import get_family
@@ -238,7 +241,8 @@ def test_tree_bin_null_and_constant():
 
 def _ref_tree_bin(x, y, w, family, name):
     """`tree_bin` as first written: each leaf holds its own rows, sorted
-    again for every split search, and each split masks them at the cut."""
+    again for every split search, and each split masks them at the cut;
+    a split leaves a positive response on each side."""
     fam = get_family(family)
     root_dev = float(np.sum(fam.contributions(np.full(len(y), fam.mean(y, w)), y, w)))
     min_count = max(1, int(np.ceil(TREE_BIN_MIN_SHARE * len(y))))
@@ -258,7 +262,9 @@ def _ref_tree_bin(x, y, w, family, name):
             - fam.half_deviance(c1[left], c2[left])
             - fam.half_deviance(t1 - c1[left], t2 - c2[left])
         )
-        ok = (boundary >= min_count) & (len(xs) - boundary >= min_count)
+        positive = np.cumsum(ys > 0)[left]  # on the left of each boundary
+        ok = ((boundary >= min_count) & (len(xs) - boundary >= min_count)
+              & (positive > 0) & (positive < np.sum(ys > 0)))
         if not ok.any():
             return None
         gain = np.where(ok, gain, -np.inf)
@@ -318,6 +324,96 @@ def test_tree_bin_matches_per_leaf_reference():
         assert rule == _ref_tree_bin(x, y, w, family, "x"), k
         n_cuts.append(len(rule.cuts))
     assert np.mean(n_cuts) > 1.5 and max(n_cuts) == TREE_BIN_LEAVES - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(20, 400), st.integers(0, 3), st.floats(0.01, 0.5), st.integers(0, 2**32 - 1))
+def test_every_tree_bin_holds_a_claim(n, kind, rate, seed):
+    """On Poisson counts with at least two claims, no bin `tree_bin` cuts
+    is left without one, so no bin's coefficient is IRLS's stopping rule."""
+    rng = np.random.default_rng(seed)
+    x = (rng.uniform(18.0, 80.0, n), rng.integers(18, 81, n).astype(float),
+         rng.choice([1.0, 2.5, 4.0, 7.0, 9.5], n), np.round(rng.uniform(18.0, 80.0, n), 1))[kind]
+    exposure = rng.uniform(0.1, 1.0, n)
+    y = rng.poisson(rate * exposure * np.where(x < np.median(x), 0.2, 2.0)).astype(float)
+    assume(y.sum() >= 2)
+    rule = tree_bin(x, y, exposure, family="poisson_log", name="x")
+    claims = np.bincount(rule.apply(x), weights=y, minlength=rule.n_bins)
+    assert np.all(claims > 0), (rule.cuts, claims)
+
+
+def _lookup_cases():
+    """(frame, design) pairs: plain, binned and grouped factors, an
+    interaction, and the intercept alone."""
+    p = small_portfolio(n=1500, seed=12, freq_intercept=-0.5)
+    ds = p.dataset
+    age = BinningRule("age", (25.0, 35.0, 45.0, 55.0, 65.0))
+    groups = LevelGroups("region", (0, 1, 0))
+    return [
+        (ds, Design()),
+        (ds, Design(("region",))),
+        (ds, Design(("age",), binning={"age": age})),
+        (ds, Design(("region",), binning={"region": groups})),
+        (ds, Design(("age", "region"), (("age", "region"),), {"age": age})),
+        (ds, Design(("region", "age"), (("region", "age"),), {"age": age, "region": groups})),
+        (ds, Design(interactions=(("age", "region"),), binning={"age": age})),
+    ]
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_lookup_predictions_match_the_design_matrix_product(case):
+    """Coefficient lookups add the same coefficients as the dense product
+    X @ coef, in another order: eta agrees to within 2 (t + 1) ulp of the
+    sum of the added coefficients' magnitudes, for t terms, and the
+    intercept-only design to the bit."""
+    ds, design = _lookup_cases()[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a zero-claim cell is not what this test is about
+        model = fit_glm(ds, design, "poisson_log")
+    frame = small_portfolio(n=3000, seed=13).dataset
+    X = build_design_matrix(frame, model.design, model.references)[0]
+    dense = np.exp(X @ model.coef)
+    terms = len(design.main_effects) + len(design.interactions)
+    eps = np.finfo(float).eps
+    bound = 2 * (terms + 1) * eps * (np.abs(X) @ np.abs(model.coef)) + 2 * eps  # + exp's rounding
+    assert np.all(np.abs(model.predict(frame) / dense - 1) <= bound)
+    if terms == 0:
+        assert model.predict(frame).tobytes() == dense.tobytes()
+
+
+def test_a_frame_whose_schema_adds_a_level_does_not_conform():
+    p = small_portfolio(n=600, seed=9)
+    ds = p.dataset
+    for design in (Design(("region",)), Design(("age", "region"), (("age", "region"),),
+                                               {"age": BinningRule("age", (40.0,))})):
+        model = fit_glm(ds, design, "poisson_log")
+        col = ds.column_schema("region")
+        schema = tuple(ColumnSchema(c.name, c.kind, (*c.levels, "west")) if c is col else c
+                       for c in ds.schema)
+        wider = Dataset(schema, dict(ds.columns), ds.weights)
+        with pytest.raises(GlmError, match="rows do not conform to the fitted design"):
+            model.predict(wider)
+
+
+def test_prediction_memory_is_a_few_arrays_of_the_rows():
+    """Pricing 200,000 rows on a 24-column design holds at most 6 float64
+    arrays of the rows at a time; the dense design matrix alone is 24."""
+    ds = small_portfolio(n=1500, seed=3).dataset
+    age = BinningRule("age", (25.0, 32.0, 40.0, 48.0, 56.0, 64.0, 72.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = fit_glm(ds, Design(("age", "region"), (("age", "region"),), {"age": age}),
+                        "poisson_log")
+    assert len(model.coef) == 24
+    book = small_portfolio(n=200_000, seed=4).dataset
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        model.predict(book)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * book.n, peak
 
 
 def test_predictions_invariant_to_design_column_order():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from freqsev import gbm, pipeline
+from freqsev.glm import BinningRule, Design, LevelGroups, fit_glm
 from freqsev._rand import substream
 from freqsev.data import (ColumnSchema, Dataset, PortfolioSpec, generate_synthetic_portfolio,
                           scaling_stats, stratified_folds)
@@ -19,7 +20,7 @@ from freqsev.interpretation import (
     partial_dependence_2d,
     permutation_vip,
 )
-from freqsev.neural import NetworkSpec, build_network
+from freqsev.neural import Network, NetworkSpec
 
 from conftest import ConstantModel, LogLinearModel, small_portfolio, toy_dataset
 
@@ -178,13 +179,14 @@ def _reference_surface(model, dataset, var_a, var_b, grid_a, grid_b):
         var_a, np.full(dataset.n, g, dtype=dtype)), var_b, grid_b) for g in grid_a])
 
 
-def _network(dataset, plan, activation, cann_glm=None):
+def _network(dataset, plan, activation, cann_glm=None, encoder_dim=None):
     """A network of the desk spec ranges over the fold-0 scaling, with
-    random weights, so that its predictions vary with every feature."""
+    random weights, so that its predictions vary with every feature; with
+    `encoder_dim`, a grafted encoder of that many codes."""
     spec = NetworkSpec(hidden_layers=2, nodes=12, activation=activation, dropout=0.0,
                        batch_size=500)
-    net = build_network(spec, len(dataset.continuous_names), onehot_width=3,
-                        cann_mode=None if cann_glm is None else "fixed", seed=0)
+    net = Network(spec, len(dataset.continuous_names), 3, encoder_dim,
+                  None if cann_glm is None else "fixed")
     net.set_flat_params(substream(7, "theta").normal(0.0, 0.5, len(net.theta)))
     stats = scaling_stats(dataset, plan.train_rows(0), train_fold=0)
     return pipeline.AveragedNetworks("poisson_log", [net], stats, spec, [], cann_glm)
@@ -207,9 +209,31 @@ def fitted():
     assert math.prod(walk._radices(wide)) > gbm._SCRATCH
     memo = gbm.fit_gbm(ds, "poisson_log", 30, 3, seed=0)
     assert math.prod(memo._radices(ds)) <= gbm._SCRATCH
-    return {"glm": (glm, ds), "gbm_memo": (memo, ds), "gbm_walk": (walk, wide),
+    # a surrogate's design: a binned continuous, a grouped categorical and their pair
+    rules = {"age": BinningRule("age", (30.0, 45.0, 60.0)),
+             "region": LevelGroups("region", (0, 1, 0))}
+    surrogate = fit_glm(ds, Design(("age", "region"), (("age", "region"),), rules), "poisson_log")
+    return {"glm": (glm, ds), "surrogate_glm": (surrogate, ds),
+            "gbm_memo": (memo, ds), "gbm_walk": (walk, wide),
             "ffnn": (_network(ds, plan, "softmax"), ds),
-            "cann_glm_fixed": (_network(ds, plan, "sigmoid", glm), ds)}
+            "cann_glm_fixed": (_network(ds, plan, "sigmoid", glm), ds),
+            "cann_glm_fixed_encoder": (_network(ds, plan, "relu", glm, encoder_dim=2), ds)}
+
+
+@pytest.mark.parametrize("family", ["glm", "surrogate_glm", "gbm_memo", "gbm_walk", "ffnn",
+                                    "cann_glm_fixed", "cann_glm_fixed_encoder"])
+def test_every_family_prices_a_row_from_that_row_alone(fitted, family):
+    """Each row of a 600-row frame, priced alone, in chunks of 2, 3, 5 and
+    7 rows, and in a frame of the rows in reverse order, gets the bits of
+    the whole frame's prediction."""
+    model, ds = fitted[family]
+    whole = model.predict(ds)
+    for size in (1, 2, 3, 5, 7):
+        chunks = [model.predict(ds.subset(np.arange(start, min(start + size, ds.n))))
+                  for start in range(0, ds.n, size)]
+        assert np.concatenate(chunks).tobytes() == whole.tobytes(), size
+    reverse = np.arange(ds.n)[::-1]
+    assert model.predict(ds.subset(reverse))[::-1].tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("family", ["glm", "gbm_memo", "gbm_walk", "ffnn", "cann_glm_fixed"])
