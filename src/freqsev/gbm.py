@@ -6,15 +6,19 @@ parameters are the number of trees and the tree depth.
 
 Each fit cuts every continuous feature of its own training frame into at
 most MAX_BINS quantile bins; with at most MAX_BINS distinct values the
-cuts are the midpoints an exact search would try. Trees grow level by
-level from histograms of bag count and gradient per node and bin, which
-hold the round's bag rows only, in ascending order: a row out of the bag
-would add 0 to every bucket, so the sums are those over all rows. Rows
-out of the bag still go down each tree to take their leaf's value. A fit
-grows its trees in one `_Workspace`, allocated once from its roots,
-features and rows: each round and level writes its keys, weights, nodes
-and gradients into it, and what a round still allocates is the bag
-draw's row indices and arrays per node.
+cuts are the midpoints an exact search would try. A row's path down a
+tree depends on its code cell (bins and levels) alone, so a fit keys its
+rows once by cell with `data.distinct_rows`, and its trees descend and
+score the distinct cells. Trees grow level by level from histograms of
+bag count and gradient per node and bin, which hold the round's bag rows
+only, in ascending order, each reading its node through its cell: a row
+out of the bag would add 0 to every bucket, so the sums are those over
+all rows. A frame whose rows are all distinct walks as many pairs as a
+walk over rows, at its cost. A fit grows its trees in one `_Workspace`,
+allocated once from its roots, features, cells and bag size: each round
+and level writes its keys, weights, nodes and gradients into it, and
+what a round still allocates is the bag draw's row indices and arrays
+per node.
 Categorical splits order levels by the mean gradient inside the node and
 route levels absent from the node to the majority child. Prediction bins
 each continuous value with `data.bin_codes`, a branch-free binary search
@@ -32,9 +36,10 @@ Tuning grows, in each inner fold, one model per depth of the grid as one
 forest: the models share the cuts and each round's bag, and each level is
 one histogram pass and one split search over the open nodes of every model
 still below its depth. The inner fold's validation rows are extra rows of
-the fit's workspace, never drawn into a bag: they go down each tree in the
-same descent as the training rows and take their leaf's value in the same
-step, and their deviance is read at every tree count of the grid, so
+the fit, keyed by cell with its training rows and never drawn into a bag:
+their cells go down each tree in the same descent as the training cells
+and take their leaf's value in the same step, and at every tree count of
+the grid each validation row reads its cell's score for the deviance, so
 tuning keeps no tree. Every loss equals that of a separate fit per depth,
 to the bit. The inner folds run through `_workers.fork_map` and their
 losses are added in fold order, so the grid is the same in forked workers
@@ -210,20 +215,21 @@ def _best_splits(counts, sums, layout, min_count):
 
 class _Workspace:
     """The arrays one `_boost` call grows its trees in, allocated once
-    from its roots, features, rows and bag size; each round and level
-    writes into them.
+    from its roots, features, code cells and bag size; each round and
+    level writes into them.
 
-    `rows`, `node` and `step` hold one row per root and one entry per
-    (root, row) pair, the rows in the order of `order`: the bag's rows
-    ascending, then the others ascending, validation rows last. `rows`
-    holds each pair's row."""
+    `pair_cell`, `node` and `step` hold one row per root and one entry per
+    (root, cell) pair, `pair_cell` each pair's cell. `bag_cell` holds each
+    bag row's cell, and `bag_node` each (root, bag row) pair's histogram
+    slot while a tree grows, then its leaf; bag rows are in ascending order."""
 
-    def __init__(self, n_roots, n_features, n, n_bag):
-        self.order = np.arange(n)
-        self.rows = np.tile(self.order, (n_roots, 1))
-        self.node = np.empty((n_roots, n), dtype=np.intp)  # each pair's node
-        self.scratch = _scratch(n_roots * n)
-        self.step = np.empty((n_roots, n))  # each pair's score increment
+    def __init__(self, n_roots, n_features, n_cells, n_bag):
+        self.pair_cell = np.tile(np.arange(n_cells), (n_roots, 1))
+        self.node = np.empty((n_roots, n_cells), dtype=np.intp)  # each pair's node
+        self.scratch = _scratch(n_roots * n_cells)
+        self.step = np.empty((n_roots, n_cells))  # each pair's score increment
+        self.bag_cell = np.empty(n_bag, dtype=np.intp)
+        self.bag_node = np.empty((n_roots, n_bag), dtype=np.intp)
         # per (feature, bag row), then per (root, feature, bag row)
         self.keys = np.empty((n_features, n_bag), dtype=np.intp)
         self.key = np.empty(n_roots * n_features * n_bag, dtype=np.intp)
@@ -233,17 +239,21 @@ class _Workspace:
         self.pred, self.grad, self.hess = (np.empty((n_roots, n_bag)) for _ in range(3))
 
 
-def _grow(codes, keys, layout, grad, depths, min_count, ws):
-    """Grow one tree per root level by level on the bag's rows, the first
-    of `ws.order`; root r fits row r of the (roots, bag) `grad` and stops
-    at `depths[r]`, which must not increase from root to root. `keys` is
-    the (features, bag) histogram key of each bag row.
+def _grow(codes, keys, bag_cell, layout, grad, depths, min_count, ws):
+    """Grow one tree per root level by level on the bag's rows; root r
+    fits row r of the (roots, bag) `grad` and stops at `depths[r]`, which
+    must not increase from root to root. `codes` is the feature-major
+    (features, cells) code matrix of the code cells that descend, `keys`
+    the (features, bag) histogram key of each bag row and `bag_cell` each
+    bag row's column of `codes`.
 
     Children are numbered after every node made before them, so the trees
     share one set of node arrays and a single root's tree is numbered as
-    if it grew alone. The histograms hold the bag's rows only: a row out
-    of the bag would add 0 to each bucket. Returns the node arrays without
-    leaf values and `ws.node`, the leaf of every (root, row) pair."""
+    if it grew alone. The histograms hold the bag's rows only, in
+    ascending order, each reading its node through its cell: a row out of
+    the bag would add 0 to each bucket. Trees descend the (root, cell)
+    pairs, as a row's path depends on its codes alone. Returns the node
+    arrays without leaf values and `ws.node`, the leaf of every pair."""
     n_roots, n_bag = grad.shape
     n_bins = len(layout.owner)
     # every leaf but a lone root holds at least min_count bag rows
@@ -257,7 +267,7 @@ def _grow(codes, keys, layout, grad, depths, min_count, ws):
     # (root, feature, bag row) order: each (node, bin) bucket sums its rows in order
     weight = ws.weight.reshape(n_roots, -1, n_bag)
     weight[:] = grad[:, None, :]
-    node, rows, n = ws.node, ws.rows, ws.node.shape[1]
+    node, n_cells = ws.node, ws.node.shape[1]
     node[:] = np.arange(n_roots)[:, None]
     level = np.arange(n_roots)
     size = n_roots
@@ -268,10 +278,12 @@ def _grow(codes, keys, layout, grad, depths, min_count, ws):
         m = len(level)
         slot = np.full(size, m * n_bins)  # rows at leaves fill slot m, which is dropped
         slot[level] = np.arange(m) * n_bins
-        at = ws.scratch[0][: growing * n].reshape(growing, n)
+        at = ws.scratch[0][: growing * n_cells].reshape(growing, n_cells)
         slot.take(node[:growing], out=at, mode="clip")
+        bag_at = ws.bag_node[:growing]
+        at.take(bag_cell, axis=1, out=bag_at, mode="clip")  # the slot of each bag row's cell
         key = ws.key[: growing * keys.size]
-        np.add(keys, at[:, None, :n_bag], out=key.reshape(growing, *keys.shape))
+        np.add(keys, bag_at[:, None, :], out=key.reshape(growing, *keys.shape))
         counts = np.bincount(key, minlength=(m + 1) * n_bins)[: m * n_bins]
         sums = np.bincount(key, weight[:growing].ravel(), (m + 1) * n_bins)[: m * n_bins]
         split_feature, go_left = _best_splits(
@@ -288,10 +300,19 @@ def _grow(codes, keys, layout, grad, depths, min_count, ws):
         level = np.arange(size, size + 2 * k)
         root[level] = root.take(parents).repeat(2)
         size += 2 * k
-        offset = np.maximum(feature, 0) * n
-        _descend(node[:growing].ravel(), rows[:growing].ravel(), offset, child + 1, left, codes,
-                 ws.scratch)
+        offset = np.maximum(feature, 0) * n_cells
+        _descend(node[:growing].ravel(), ws.pair_cell[:growing].ravel(), offset, child + 1, left,
+                 codes, ws.scratch)
     return feature[:size], left[:size].copy(), child[:size], node
+
+
+def _distinct(codes):
+    """The distinct columns of a feature-major (features, rows) code
+    matrix, in lexicographic order, and each row's index among them:
+    `data.distinct_rows` with each feature's largest code + 1 as its radix."""
+    radices = [int(column.max(initial=0)) + 1 for column in codes]
+    first, inverse = distinct_rows(codes.shape[1], codes, radices)
+    return codes.take(first, axis=1), inverse
 
 
 @dataclass
@@ -344,14 +365,6 @@ class BoostedModel:
         return tuple(len(self.cuts[name]) + 1 if name in self.cuts
                      else len(dataset.column_schema(name).levels) for name in self.features)
 
-    def _distinct(self, dataset: Dataset):
-        """The code matrix of the distinct binned rows, in lexicographic
-        order, and each row's index among them (`data.distinct_rows`)."""
-        codes = self._codes(dataset)
-        radices = [int(column.max(initial=0)) + 1 for column in codes]
-        first, inverse = distinct_rows(dataset.n, codes, radices)
-        return codes.take(first, axis=1), inverse
-
     def _add_trees(self, scores: np.ndarray, codes: np.ndarray, trees: Forest,
                    n_rows: int) -> None:
         """Add each tree's shrunken output to the log scores of the rows of
@@ -390,7 +403,7 @@ class BoostedModel:
         rows. A prefix predicts as `replace(model, trees=model.trees[:k])`."""
         radices = self._radices(dataset)
         if math.prod(radices) > _SCRATCH:
-            codes, inverse = self._distinct(dataset)
+            codes, inverse = _distinct(self._codes(dataset))
             scores = np.full(codes.shape[1], self.f0)
             self._add_trees(scores, codes, self.trees, dataset.n)
             return scores.take(inverse)
@@ -456,15 +469,17 @@ def _boost(model: BoostedModel, dataset: Dataset, valid: Dataset | None, depths,
     the frame `model` was started on, for `model.n_trees` rounds. All
     share the cuts and the bag of each round. Each round yields the node
     arrays of its trees, roots in the order of `depths`, with log-scale
-    leaf values from one Newton step, and the (depths, rows) log scores of
-    the validation frame `valid` (no rows when None), a view that the next
-    round overwrites.
+    leaf values from one Newton step; the (depths, cells) log scores of
+    the fit's code cells, a view that the next round overwrites; and the
+    cell of each row of the validation frame `valid` (no rows when None).
 
-    The trees grow in one `_Workspace` over the training rows, then the
-    rows of `valid`, coded with the model's cuts and never drawn into a
-    bag. The gradient, hessian and leaf sums are taken over the bag's rows
-    in ascending order; every row goes down each tree in the same descent
-    and takes its leaf's value."""
+    The training rows, then the rows of `valid` (coded with the model's
+    cuts, never drawn into a bag), are keyed once by code cell, and the
+    trees grow in one `_Workspace` over the cells: each cell goes down
+    each tree once and holds the log score of each of its rows. The
+    histograms, gradient, hessian and leaf sums are taken over the bag's
+    rows in ascending order, each reading its node and score through its
+    cell."""
     fam = get_family(model.family, GbmError)
     y = dataset.response
     w = fam.obs_weight(dataset)
@@ -475,37 +490,35 @@ def _boost(model: BoostedModel, dataset: Dataset, valid: Dataset | None, depths,
     keys = codes + layout.start[:, None]
     if valid is not None:
         codes = np.hstack((codes, model._codes(valid)))
+    codes, cell = _distinct(codes)  # the code cells, and each row's cell
 
     rng = substream(model.seed, "gbm-bagging")
     min_count = max(1, int(np.ceil(MIN_NODE_SHARE * dataset.n)))
-    n, n_rows = dataset.n, codes.shape[1]
-    current = np.full((len(depths), n_rows), model.f0)  # log-scale score, excluding offset
+    n, n_cells = dataset.n, codes.shape[1]
+    current = np.full((len(depths), n_cells), model.f0)  # log-scale score, excluding offset
     n_bag = max(1, int(round(bagging_fraction * n)))
-    ws = _Workspace(len(depths), len(model.features), n_rows, n_bag)
-    bag, in_bag = ws.order[:n_bag], np.zeros(n, dtype=bool)
-    bag_leaf = ws.scratch[1][: len(depths) * n_bag].reshape(len(depths), n_bag)
-    by_row = ws.scratch[1].reshape(len(depths), n_rows)
+    ws = _Workspace(len(depths), len(model.features), n_cells, n_bag)
+    bag, in_bag = np.arange(n_bag), np.zeros(n, dtype=bool)
     for _ in range(model.n_trees):
         if n_bag < n:
             in_bag[:] = False
             in_bag[rng.choice(n, size=n_bag, replace=False)] = True
-            ws.order[:n_bag] = np.flatnonzero(in_bag)
-            ws.order[n_bag:n] = np.flatnonzero(np.logical_not(in_bag, out=in_bag))
-            ws.rows[:] = ws.order
+            bag = np.flatnonzero(in_bag)
+        cell.take(bag, out=ws.bag_cell, mode="clip")
         keys.take(bag, axis=1, out=ws.keys, mode="clip")
         y.take(bag, out=ws.y, mode="clip")
         w.take(bag, out=ws.w, mode="clip")
-        pred = np.exp(current.take(bag, axis=1, out=ws.pred, mode="clip"), out=ws.pred)
+        pred = np.exp(current.take(ws.bag_cell, axis=1, out=ws.pred, mode="clip"), out=ws.pred)
         grad = fam.gradient(pred, ws.y, ws.w, out=ws.grad)
         hess = fam.hessian(pred, ws.y, ws.w, out=ws.hess)
-        feature, left, child, leaf = _grow(codes, ws.keys, layout, grad, depths, min_count, ws)
-        bag_leaf[:] = leaf[:, :n_bag]  # the bag's pairs, contiguous for `bincount`
+        feature, left, child, leaf = _grow(codes, ws.keys, ws.bag_cell, layout, grad, depths,
+                                           min_count, ws)
+        bag_leaf = leaf.take(ws.bag_cell, axis=1, out=ws.bag_node, mode="clip")
         g = np.bincount(bag_leaf.ravel(), grad.ravel(), len(feature))
         h = np.bincount(bag_leaf.ravel(), hess.ravel(), len(feature))
         value = np.divide(g, h, out=np.zeros(len(feature)), where=h > 0)
-        by_row[:, ws.order] = leaf  # each pair's leaf, rows in frame order
-        current += (model.shrinkage * value).take(by_row, out=ws.step, mode="clip")
-        yield (feature, left, child, value), current[:, n:]
+        current += (model.shrinkage * value).take(leaf, out=ws.step, mode="clip")
+        yield (feature, left, child, value), current, cell[n:]
 
 
 def fit_gbm(
@@ -523,9 +536,11 @@ def fit_gbm(
     as weights (gamma)."""
     if n_trees < 1 or depth < 1:
         raise GbmError("n_trees and depth must be >= 1")
+    if not 0.0 < bagging_fraction <= 1.0:  # the bag draws rows without replacement
+        raise GbmError(f"bagging_fraction must be in (0, 1], got {bagging_fraction!r}")
     model = _start(dataset, family, n_trees, depth, seed, shrinkage, train_fold)
     rounds = _boost(model, dataset, None, (depth,), bagging_fraction)
-    model.trees = Forest.join(nodes for nodes, _ in rounds)
+    model.trees = Forest.join(nodes for nodes, _, _ in rounds)
     return model
 
 
@@ -533,16 +548,19 @@ def _inner_fold_losses(dataset, family, fold_plan, outer_fold, trees, depths, se
     """Validation deviance of inner fold `k` per depth and tree count.
 
     The fold grows the depths as one forest with its validation rows in
-    the workspace: their log scores add f0, then each tree's shrunken leaf
-    value in tree order, and their deviance is read at each tree count."""
+    the workspace: their cells' log scores add f0, then each tree's
+    shrunken leaf value in tree order, and at each tree count of the grid
+    every validation row reads its cell's score for the deviance."""
     fam = get_family(family, GbmError)
     losses = np.zeros((len(depths), len(trees)))
     train = dataset.subset(fold_plan.inner_train_rows(outer_fold, k))
     valid = dataset.subset(fold_plan.test_rows(k))
     model = _start(train, family, trees[-1], depths[0], seed, SHRINKAGE)
     i = 0
-    for t, (_, scores) in enumerate(_boost(model, train, valid, depths, BAGGING_FRACTION), 1):
+    rounds = _boost(model, train, valid, depths, BAGGING_FRACTION)
+    for t, (_, current, cells) in enumerate(rounds, 1):
         while i < len(trees) and trees[i] == t:
+            scores = current.take(cells, axis=1)
             losses[:, i] = [fam.deviance(np.exp(s), valid) for s in scores]
             i += 1
     return losses

@@ -164,7 +164,7 @@ def reference_cv_deviance(dataset, family, fold_plan, outer_fold, n_trees_grid, 
             train_idx = fold_plan.inner_train_rows(outer_fold, k)
             model = fit_gbm(dataset.subset(train_idx), family, max(trees), depth, seed=seed)
             valid = dataset.subset(fold_plan.test_rows(k))
-            codes, inverse = model._distinct(valid)
+            codes, inverse = gbm._distinct(model._codes(valid))
             scores = np.full(codes.shape[1], model.f0)
             done = 0
             for i, n_trees in enumerate(trees):
@@ -226,7 +226,8 @@ def test_tune_with_more_validation_than_training_rows(monkeypatch):
 
 def test_a_deep_root_that_stops_early_leaves_the_others_growing():
     """A depth-3 root with no gradient never splits; the depth-1 root
-    beside it grows the tree it grows alone, numbered after both roots."""
+    beside it grows the tree it grows alone, numbered after both roots.
+    Every row is in the bag and reads its leaf through its code cell."""
     ds = small_portfolio(n=600, seed=1).dataset
     model = gbm._start(ds, "poisson_log", 1, 3, 0, 0.01)
     size = [len(model.cuts[name]) + 1 if name in model.cuts
@@ -234,13 +235,17 @@ def test_a_deep_root_that_stops_early_leaves_the_others_growing():
     layout = gbm._Layout(size, np.array([name not in model.cuts for name in model.features]))
     codes = model._codes(ds)
     keys = codes + layout.start[:, None]
+    cell_codes, cells = gbm._distinct(codes)
+    n_cells = cell_codes.shape[1]
+    assert n_cells < ds.n
     grad = ds.response - ds.exposure * np.exp(model.f0)
-    feature, _, _, leaf = gbm._grow(codes, keys, layout, np.stack([np.zeros(ds.n), grad]), (3, 1),
-                                    5, gbm._Workspace(2, len(keys), ds.n, ds.n))
-    leaf = leaf.ravel().copy()  # a view of the workspace, root-major
-    alone, _, _, alone_leaf = gbm._grow(codes, keys, layout, grad[None], (1,), 5,
-                                        gbm._Workspace(1, len(keys), ds.n, ds.n))
-    alone_leaf = alone_leaf.ravel().copy()
+    feature, _, _, leaf = gbm._grow(cell_codes, keys, cells, layout,
+                                    np.stack([np.zeros(ds.n), grad]), (3, 1), 5,
+                                    gbm._Workspace(2, len(keys), n_cells, ds.n))
+    leaf = leaf.take(cells, axis=1).ravel()  # each row's leaf, root-major
+    alone, _, _, alone_leaf = gbm._grow(cell_codes, keys, cells, layout, grad[None], (1,), 5,
+                                        gbm._Workspace(1, len(keys), n_cells, ds.n))
+    alone_leaf = alone_leaf.take(cells, axis=1).ravel()
     assert feature[0] == -1 and alone[0] >= 0
     np.testing.assert_array_equal(feature[1:], alone)
     assert np.all(leaf[: ds.n] == 0)
@@ -340,12 +345,17 @@ def _ref_boost(model, dataset, depths, bagging_fraction):
 
 @pytest.mark.parametrize("depths", [(5, 4, 3, 2, 1), (3, 3, 1)])
 @pytest.mark.parametrize("bagging", [0.75, 1.0])
-@pytest.mark.parametrize("frame", ["frequency", "severity", "absent level"])
+@pytest.mark.parametrize(
+    "frame", ["frequency", "severity", "absent level", "all distinct", "unseen cells"]
+)
 def test_grower_matches_allocating_reference(frame, bagging, depths):
-    """Growing on the bag's rows in one workspace ends on the bits of
-    the allocating grower over every row: each round's node arrays, and
-    the scores of the frame itself passed as validation rows, also in
-    rounds whose bag holds no row of a level."""
+    """Growing on the bag's rows in one workspace, with trees descending
+    code cells, ends on the bits of the allocating grower over every row:
+    each round's node arrays, and the scores of the frame itself passed as
+    validation rows, also in rounds whose bag holds no row of a level and
+    on a frame whose every row is a cell of its own. Validation rows in
+    cells that no training row holds score as the forest grown so far
+    predicts them."""
     p = small_portfolio(n=700, seed=21)
     family, ds = "poisson_log", p.dataset
     if frame == "severity":
@@ -354,15 +364,47 @@ def test_grower_matches_allocating_reference(frame, bagging, depths):
         region = np.minimum(ds.columns["region"], 1)
         region[17] = 2
         ds = ds.with_column("region", region)
+    if frame == "all distinct":  # rows in one age bin fall in x bins 11 values apart
+        rank = np.argsort(np.argsort(ds.columns["age"]))
+        schema = (*ds.schema, ColumnSchema("x", "continuous"))
+        ds = Dataset(schema, dict(ds.columns, x=(rank * 11 % ds.n).astype(float)))
+    if frame == "unseen cells":  # no training row is in region 2
+        region = ds.columns["region"]
+        ds, unseen = ds.subset(np.flatnonzero(region != 2)), ds.subset(np.flatnonzero(region == 2))
     model = gbm._start(ds, family, 30, depths[0], seed=5, shrinkage=0.1)
+    if frame == "all distinct":
+        assert len(model.cuts["x"]) == MAX_BINS - 1
+        assert gbm._distinct(model._codes(ds))[0].shape[1] == ds.n
     rounds, bags, scores = _ref_boost(model, ds, depths, bagging)
     if frame == "absent level" and bagging < 1.0:
         assert not all(bag[17] for bag in bags)
     boost = gbm._boost(model, ds, ds, depths, bagging)
-    for t, ((nodes, valid), expected, want) in enumerate(zip(boost, rounds, scores, strict=True)):
+    for t, ((nodes, current, cells), expected, want) in enumerate(
+        zip(boost, rounds, scores, strict=True)
+    ):
+        valid = current.take(cells, axis=1)  # each validation row's score, by its cell
         for got, part in zip(nodes, expected):
             np.testing.assert_array_equal(got, part, err_msg=f"round {t}")
         np.testing.assert_array_equal(valid, want, err_msg=f"round {t}")
+    if frame == "unseen cells":
+        _assert_unseen_cells_score_as_grown(model, ds, unseen, depths, bagging)
+
+
+def _assert_unseen_cells_score_as_grown(model, ds, unseen, depths, bagging):
+    """In every round, the scores of `unseen`'s rows, each read through
+    its cell, equal `log_scores` of the forest of each depth grown so far:
+    with every depth in one workspace, and with each depth alone."""
+    together = gbm._boost(model, ds, unseen, depths, bagging)
+    alone = [gbm._boost(replace(model, depth=d), ds, unseen, (d,), bagging) for d in depths]
+    grown = [[] for _ in depths]
+    for t, ((_, current, cells), *each) in enumerate(zip(together, *alone, strict=True)):
+        for r, (nodes, alone_current, alone_cells) in enumerate(each):
+            grown[r].append(nodes)
+            forest = replace(model, depth=depths[r], trees=Forest.join(grown[r]))
+            expected = forest.log_scores(unseen)
+            np.testing.assert_array_equal(current[r].take(cells), expected, err_msg=f"round {t}")
+            np.testing.assert_array_equal(alone_current[0].take(alone_cells), expected,
+                                          err_msg=f"round {t}")
 
 
 @pytest.mark.parametrize("grids", [
@@ -444,6 +486,9 @@ def test_rejects_bad_inputs():
         fit_gbm(ds, "poisson_log", n_trees=0, depth=1)
     with pytest.raises(GbmError):
         fit_gbm(ds, "unknown", n_trees=1, depth=1)
+    for fraction in (1.5, 0.0, -1.0, float("nan")):
+        with pytest.raises(GbmError, match="bagging_fraction"):
+            fit_gbm(ds, "poisson_log", n_trees=1, depth=1, bagging_fraction=fraction)
 
 
 def _route(model, tree, values):
@@ -596,7 +641,7 @@ def test_log_scores_match_per_tree_reference(depth, monkeypatch):
     grid = p.dataset.subset(np.zeros(3 * len(ages), dtype=np.intp))
     grid = grid.with_column("age", np.repeat(ages, 3))
     grid = grid.with_column("region", np.tile(np.arange(3), len(ages)))
-    _, first = np.unique(model._distinct(p.dataset)[1], return_index=True)
+    _, first = np.unique(gbm._distinct(model._codes(p.dataset))[1], return_index=True)
     uniform, coded = _uniform_model(60, depth)
     i = np.arange(70_000)
     codes = np.column_stack((i % MAX_BINS, i // MAX_BINS % MAX_BINS, i // MAX_BINS**2))
@@ -635,7 +680,7 @@ def test_log_scores_match_per_tree_reference(depth, monkeypatch):
                 np.testing.assert_array_equal(prefix.log_scores(frame), scores, err_msg=name)
                 assert len(descents) == (blocks * depth if fitted is uniform else 0), name
     for name in ("pinned", "one row"):
-        assert model._distinct(cases[name][1])[0].shape[1] <= gbm._CUMSUM_ROWS
+        assert gbm._distinct(model._codes(cases[name][1]))[0].shape[1] <= gbm._CUMSUM_ROWS
     assert model.log_scores(cases["no rows"][1]).shape == (0,)
 
 
@@ -776,7 +821,7 @@ def test_distinct_rows_of_a_key_that_would_overflow():
     for column in codes:
         key = key * (column.max() + 1) + column
         _, first, key = np.unique(key, return_index=True, return_inverse=True)
-    distinct, inverse = model._distinct(frame)
+    distinct, inverse = gbm._distinct(model._codes(frame))
     np.testing.assert_array_equal(distinct, codes[:, first])
     np.testing.assert_array_equal(inverse, key)
     np.testing.assert_array_equal(distinct.T, np.unique(values, axis=0))
@@ -809,7 +854,7 @@ def test_distinct_rows_equal_those_of_numpy_unique(rows, radices):
     cuts = {name: np.arange(radix - 1) + 0.5 for name, radix in zip(names, radices)}
     model = BoostedModel("poisson_log", 0.0, SHRINKAGE, features=list(names), cuts=cuts)
     _, first, inverse = np.unique(codes, axis=0, return_index=True, return_inverse=True)
-    distinct, index = model._distinct(frame)
+    distinct, index = gbm._distinct(model._codes(frame))
     np.testing.assert_array_equal(distinct, codes[first].T)
     np.testing.assert_array_equal(index, inverse.ravel())
     assert distinct.dtype == np.intp and distinct.shape == (2, len(first))
